@@ -27,8 +27,10 @@ build:
 test:
 	$(GO) test ./...
 
+## race: the race detector at one and two Ps, so tests that only pass
+## when goroutines run one at a time cannot hide behind GOMAXPROCS=1.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2 ./...
 
 ## bench: the 9C hot-path benchmarks (encode/decode, reference, parallel scaling).
 bench:
@@ -39,7 +41,9 @@ bench:
 bench-campaign:
 	$(GO) test -bench 'Campaign' -run XXX -benchtime 1s ./internal/faultsim/
 
-## bench-json: run the hot-path benchmarks and persist a schema-valid
+## bench-json: run the hot-path benchmarks — the codec kernels, the v4
+## wire layers (chunk framing and reading, the streamed decode, text
+## output) and the fault-sim campaign — and persist a schema-valid
 ## BENCH_<stamp>.json snapshot in the repo root (the perf trajectory).
 ## The whole suite runs 3 times and benchjson keeps the best ns/op per
 ## name. The repeats are outer-loop (suite, then suite again) rather
@@ -49,6 +53,8 @@ bench-campaign:
 bench-json:
 	{ for i in 1 2 3; do \
 	  $(GO) test -bench 'Encode|Decode|Classify' -run XXX -benchtime 1s ./internal/core/; \
+	  $(GO) test -bench 'StreamDecode|ChunkRead|WriteV4' -run XXX -benchtime 1s ./internal/container/; \
+	  $(GO) test -bench 'AppendText' -run XXX -benchtime 1s ./internal/bitvec/; \
 	  $(GO) test -bench 'Campaign' -run XXX -benchtime 1s ./internal/faultsim/; \
 	  done; } | $(GO) run ./cmd/benchjson -dir .
 
@@ -56,9 +62,10 @@ bench-json:
 ## newest older one from the same environment (GOOS/GOARCH/CPU/procs)
 ## and fail on >10% ns/op regression in the hot-path metrics
 ## (EncodeSet*, DecodeSet*, EncodeCube, DecodeCube, Classify,
-## Campaign). Skips gracefully when fewer than two snapshots exist or
-## no older snapshot shares the environment, so fresh clones and
-## migrated machines still pass.
+## StreamDecode*, ChunkRead, WriteV4, AppendText, Campaign). Skips
+## gracefully when fewer than two snapshots exist or no older snapshot
+## shares the environment, so fresh clones and migrated machines still
+## pass.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate -dir .
 
@@ -128,11 +135,13 @@ overhead-guard:
 	$(GO) test ./internal/core -run TestDisabledTelemetryOverhead -count=1
 
 ## fuzz-smoke: run every native fuzz target for FUZZTIME each — the
-## container reader, the 9C stream decoder, each baseline codec family,
+## container reader, the 9C stream decoder, the streamed v4 decode with
+## and without the per-K kernels, each baseline codec family,
 ## and the text parsers. Any panic or unclassified error is a failure.
 fuzz-smoke:
 	$(GO) test ./internal/container -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeCube$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzStreamDecodeDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzRunLengthDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzVIHCDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzLZWDecode$$' -fuzztime $(FUZZTIME)

@@ -128,10 +128,12 @@ func TestEncodeFailureNotCached(t *testing.T) {
 
 // TestEncodeBatchWindowServes: with micro-batching armed, concurrent
 // encodes still return correct, individually framed containers that
-// decode back to their own inputs.
+// decode back to their own inputs. The shed queue is sized to the
+// burst: this test is about batch framing, and the default depth
+// (Workers*8) would shed part of a 24-way burst on a small machine.
 func TestEncodeBatchWindowServes(t *testing.T) {
-	ts, s := newTestServer(t, config{BatchWindow: 2 * time.Millisecond, CacheOff: true})
 	const n = 24
+	ts, s := newTestServer(t, config{BatchWindow: 2 * time.Millisecond, CacheOff: true, ShedQueue: 2 * n})
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {

@@ -1,6 +1,10 @@
 package bitvec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
 
 // Word-level primitives shared by the 9C hot path: 64-trit reads and
 // writes at arbitrary bit offsets, constant-run fills, single-pass
@@ -228,35 +232,51 @@ func NewCubeCopyWords(n int, care, val []uint64) *Cube {
 	return c
 }
 
+// textNibble maps a 4-trit nibble, indexed care<<4 | val, to its 01X
+// text packed little-endian (trit 0 in the low byte): 256 entries, 1 KiB.
+var textNibble [256]uint32
+
+func init() {
+	for i := range textNibble {
+		care, val := i>>4, i&15
+		var t uint32
+		for j := 0; j < 4; j++ {
+			ch := uint32('X')
+			if care>>j&1 == 1 {
+				ch = '0' + uint32(val>>j&1)
+			}
+			t |= ch << (8 * j)
+		}
+		textNibble[i] = t
+	}
+}
+
 // AppendTextRange appends the 01X text of trits [lo, hi) to dst and
-// returns the extended slice, reading the planes a word at a time.
-// Positions beyond the cube end render as X (the padding rule). It is
-// the zero-allocation emission path of the ninecd decode handlers: with
-// a reused dst there is no per-call allocation once dst has grown to
-// the row width.
+// returns the extended slice, reading the planes a word at a time and
+// emitting four trits per textNibble lookup. Positions beyond the cube
+// end render as X (the padding rule). It is the zero-allocation emission
+// path of the ninecd decode handlers: with a reused dst there is no
+// per-call allocation once dst has grown to the row width.
 func (c *Cube) AppendTextRange(dst []byte, lo, hi int) []byte {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("bitvec: invalid text range [%d,%d)", lo, hi))
 	}
-	for off := lo; off < hi; {
-		n := hi - off
-		if n > wordBits {
-			n = wordBits
-		}
+	start := len(dst)
+	dst = slices.Grow(dst, hi-lo)[:start+hi-lo]
+	out := dst[start:]
+	for off := lo; off < hi; off += wordBits {
 		care, val := c.ReadWord(off)
-		for j := 0; j < n; j++ {
-			switch {
-			case care&1 == 0:
-				dst = append(dst, 'X')
-			case val&1 == 1:
-				dst = append(dst, '1')
-			default:
-				dst = append(dst, '0')
-			}
-			care >>= 1
-			val >>= 1
+		seg := out[off-lo:]
+		n := min(hi-off, wordBits)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			binary.LittleEndian.PutUint32(seg[j:], textNibble[care&15<<4|val&15])
+			care >>= 4
+			val >>= 4
 		}
-		off += n
+		for t := textNibble[care&15<<4|val&15]; j < n; j, t = j+1, t>>8 {
+			seg[j] = byte(t)
+		}
 	}
 	return dst
 }
@@ -368,14 +388,45 @@ func (b *CubeBuilder) AppendCubeRange(c *Cube, lo, hi int) {
 // AppendCube appends every trit of c.
 func (b *CubeBuilder) AppendCube(c *Cube) { b.AppendCubeRange(c, 0, c.Len()) }
 
-// Build returns the accumulated cube, transferring the builder's
-// storage to it (no copy), and resets the builder to empty.
-func (b *CubeBuilder) Build() *Cube {
-	words := (b.n + wordBits - 1) / wordBits
-	c := &Cube{
+// Discard drops the first n trits, shifting the rest to the front a
+// word at a time. The builder keeps its capacity, so a buffer that
+// alternately appends at the tail and discards its consumed head
+// reuses one backing array.
+func (b *CubeBuilder) Discard(n int) {
+	if n < 0 || n > b.n {
+		panic(fmt.Sprintf("bitvec: discard %d of %d trits", n, b.n))
+	}
+	keep := b.n - n
+	words := wordsFor(keep)
+	wi, sh := n/wordBits, uint(n%wordBits)
+	for i := 0; i < words; i++ {
+		care, val := b.care[wi+i]>>sh, b.val[wi+i]>>sh
+		if sh != 0 && wi+i+1 < len(b.care) {
+			care |= b.care[wi+i+1] << (wordBits - sh)
+			val |= b.val[wi+i+1] << (wordBits - sh)
+		}
+		b.care[i], b.val[i] = care, val
+	}
+	// Bits past the old end were zero, so the new last word is clean;
+	// ensure re-zeroes the words beyond it as they come back into use.
+	b.care, b.val, b.n = b.care[:words], b.val[:words], keep
+}
+
+// View returns the accumulated cube without resetting the builder. The
+// cube aliases the builder's storage and is valid only until the next
+// append or Discard.
+func (b *CubeBuilder) View() *Cube {
+	words := wordsFor(b.n)
+	return &Cube{
 		care: &Bits{n: b.n, words: b.care[:words:words]},
 		val:  &Bits{n: b.n, words: b.val[:words:words]},
 	}
+}
+
+// Build returns the accumulated cube, transferring the builder's
+// storage to it (no copy), and resets the builder to empty.
+func (b *CubeBuilder) Build() *Cube {
+	c := b.View()
 	b.care, b.val, b.n = nil, nil, 0
 	return c
 }

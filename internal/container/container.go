@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bitvec"
@@ -481,56 +482,89 @@ func validateGeometry(k, patterns, width, origBits, blocks, streamBits int, lim 
 	return nil
 }
 
-// planes splits a ternary stream into (value bits, X mask) byte planes.
+// planes splits a ternary stream into (value bits, X mask) byte planes,
+// bit i at byte i/8 bit i%8. Byte i of a plane is byte i%8 of the
+// little-endian plane word i/8, so each 64 trits move as one word: the
+// value plane is the cube's val word and the X mask its inverted care
+// word, clipped at the stream end so pad bits stay zero.
 func planes(c *bitvec.Cube) (val, mask []byte) {
-	n := (c.Len() + 7) / 8
-	val = make([]byte, n)
-	mask = make([]byte, n)
-	for i := 0; i < c.Len(); i++ {
-		switch c.Get(i) {
-		case bitvec.One:
-			val[i/8] |= 1 << uint(i%8)
-		case bitvec.X:
-			mask[i/8] |= 1 << uint(i%8)
+	n := c.Len()
+	nb := (n + 7) / 8
+	buf := make([]byte, 2*nb)
+	val, mask = buf[:nb:nb], buf[nb:]
+	care, vw := c.RawWords()
+	for i := 0; 64*i < n; i++ {
+		x := ^care[i]
+		if rem := n - 64*i; rem < 64 {
+			x &= uint64(1)<<uint(rem) - 1
 		}
+		putLE64(val, 8*i, vw[i])
+		putLE64(mask, 8*i, x)
 	}
 	return val, mask
 }
 
-// unplanes rebuilds the ternary stream. A set mask bit with a set
-// value bit is rejected as corruption — or, leniently, demoted to X
-// and counted. Nonzero pad bits in the final byte are rejected the
-// same way (counted but ignored when lenient).
-func unplanes(val, mask []byte, bits int, lenient bool) (*bitvec.Cube, int, error) {
+// unplanes rebuilds the ternary stream from planes of exactly
+// ceil(n/8) bytes each, 64 trits per little-endian word. A set mask bit
+// with a set value bit is rejected as corruption at the first such bit
+// — or, leniently, demoted to X and counted. Nonzero pad bits in the
+// final byte are rejected the same way (counted but ignored when
+// lenient).
+func unplanes(val, mask []byte, n int, lenient bool) (*bitvec.Cube, int, error) {
 	conflicts := 0
-	c := bitvec.NewCube(bits)
-	for i := 0; i < bits; i++ {
-		v := val[i/8]>>uint(i%8)&1 == 1
-		x := mask[i/8]>>uint(i%8)&1 == 1
-		switch {
-		case x && v:
-			if !lenient {
-				return nil, conflicts, fmt.Errorf("container: bit %d is both X and 1: %w", i, robust.ErrCorrupt)
-			}
-			conflicts++ // stays X
-		case x:
-			// stays X
-		case v:
-			c.Set(i, bitvec.One)
-		default:
-			c.Set(i, bitvec.Zero)
+	words := (n + 63) / 64
+	buf := make([]uint64, 2*words)
+	care, vw := buf[:words:words], buf[words:]
+	for i := 0; i < words; i++ {
+		v, x := le64(val, 8*i), le64(mask, 8*i)
+		m := ^uint64(0)
+		if rem := n - 64*i; rem < 64 {
+			m = uint64(1)<<uint(rem) - 1
 		}
-	}
-	// Unused pad bits in the final byte must be zero.
-	for i := bits; i < len(val)*8; i++ {
-		if val[i/8]>>uint(i%8)&1 == 1 || mask[i/8]>>uint(i%8)&1 == 1 {
+		if both := v & x & m; both != 0 {
 			if !lenient {
-				return nil, conflicts, fmt.Errorf("container: nonzero padding bit %d: %w", i, robust.ErrCorrupt)
+				return nil, conflicts, fmt.Errorf("container: bit %d is both X and 1: %w",
+					64*i+bits.TrailingZeros64(both), robust.ErrCorrupt)
 			}
-			conflicts++
+			conflicts += bits.OnesCount64(both) // they stay X
 		}
+		// Unused pad bits in the final byte must be zero.
+		if pad := (v | x) &^ m; pad != 0 {
+			if !lenient {
+				return nil, conflicts, fmt.Errorf("container: nonzero padding bit %d: %w",
+					64*i+bits.TrailingZeros64(pad), robust.ErrCorrupt)
+			}
+			conflicts += bits.OnesCount64(pad)
+		}
+		care[i] = ^x & m
+		vw[i] = v & care[i]
 	}
-	return c, conflicts, nil
+	return bitvec.CubeOfWords(n, care, vw), conflicts, nil
+}
+
+// le64 reads the little-endian word at byte off of p, with bytes past
+// the end of p reading as zero.
+func le64(p []byte, off int) uint64 {
+	if off+8 <= len(p) {
+		return binary.LittleEndian.Uint64(p[off:])
+	}
+	var w uint64
+	for j := off; j < len(p); j++ {
+		w |= uint64(p[j]) << uint(8*(j-off))
+	}
+	return w
+}
+
+// putLE64 writes w little-endian at byte off of p, dropping the bytes
+// that would land past the end of p.
+func putLE64(p []byte, off int, w uint64) {
+	if off+8 <= len(p) {
+		binary.LittleEndian.PutUint64(p[off:], w)
+		return
+	}
+	for j := off; j < len(p); j, w = j+1, w>>8 {
+		p[j] = byte(w)
+	}
 }
 
 // countingWriter tracks bytes written for the telemetry counters.

@@ -133,17 +133,29 @@ func (e *StreamEncoder) Summary() StreamSummary {
 }
 
 // streamReader adapts a StreamSource into a blockSource: it keeps the
-// unconsumed tail of the current segment plus at most one fetched
-// segment in memory, so the decode buffer is bounded by the largest
-// segment the source yields plus one pattern of lookahead — never by
-// the stream length.
+// unconsumed tail plus the segments fetched to extend it, so the decode
+// buffer is bounded by the largest segment the source yields plus one
+// pattern of lookahead — never by the stream length.
+//
+// buf is either a source segment adopted without copying (when nothing
+// was left unread) or a view of spliced, which appends segments at its
+// tail and drops its consumed head only once that head outweighs the
+// unread tail. Each trit is therefore copied O(1) times however small
+// the segments are, even while prefetching a whole pattern.
 type streamReader struct {
 	src      StreamSource
 	buf      *bitvec.Cube
+	spliced  bitvec.CubeBuilder
+	own      bool // buf is a view of spliced
 	pos      int
 	consumed int // total trits consumed, for error positions
 	srcDone  bool
-	maxBuf   int // high-water mark of buf.Len(), pinned by memory tests
+	// srcErr latches the first source error. The kernel path prefetches
+	// ahead of what decoding strictly needs, so the error may be met
+	// early; it is re-delivered only once a read actually needs trits
+	// behind it, exactly where the generic path would have met it.
+	srcErr error
+	maxBuf int // high-water mark of buf.Len(), pinned by memory tests
 }
 
 func (r *streamReader) unread() int {
@@ -156,25 +168,38 @@ func (r *streamReader) unread() int {
 func (r *streamReader) bitPos() int { return r.consumed }
 
 // fetch pulls the next segment and splices it after the unconsumed
-// tail. It returns io.EOF (and latches srcDone) at stream end.
+// tail. It returns io.EOF (and latches srcDone) at stream end, and
+// latches any other source error in srcErr.
 func (r *streamReader) fetch() error {
+	if r.srcErr != nil {
+		return r.srcErr
+	}
 	seg, err := r.src.ReadStream()
 	if err != nil {
 		if err == io.EOF {
 			r.srcDone = true
+		} else {
+			r.srcErr = err
 		}
 		return err
 	}
 	if seg == nil || seg.Len() == 0 {
 		return nil
 	}
-	if r.unread() == 0 {
-		r.buf, r.pos = seg, 0
-	} else {
-		b := bitvec.NewCubeBuilder(r.unread() + seg.Len())
-		b.AppendCubeRange(r.buf, r.pos, r.buf.Len())
-		b.AppendCube(seg)
-		r.buf, r.pos = b.Build(), 0
+	switch {
+	case r.unread() == 0:
+		r.buf, r.pos, r.own = seg, 0, false
+	case !r.own:
+		r.spliced.Discard(r.spliced.Len())
+		r.spliced.AppendCubeRange(r.buf, r.pos, r.buf.Len())
+		r.pos, r.own = 0, true
+	case r.pos >= r.unread():
+		r.spliced.Discard(r.pos)
+		r.pos = 0
+	}
+	if r.own {
+		r.spliced.AppendCube(seg)
+		r.buf = r.spliced.View()
 	}
 	if r.buf.Len() > r.maxBuf {
 		r.maxBuf = r.buf.Len()
@@ -195,6 +220,15 @@ func (r *streamReader) ensure(n int) error {
 		}
 	}
 	return nil
+}
+
+// prefetch buffers until at least n unread trits are available, the
+// source is drained, or it has failed. It never reports the failure:
+// that stays latched for ensure to deliver on demand.
+func (r *streamReader) prefetch(n int) {
+	for r.unread() < n && !r.srcDone && r.srcErr == nil {
+		_ = r.fetch() // latched in srcDone / srcErr
+	}
 }
 
 // readBit reads one codeword bit; X is rejected (codewords are always
@@ -243,11 +277,20 @@ func (r *streamReader) readRaw(out *bitvec.Cube, lo, hi int) error {
 // hostile stream can never force an allocation proportional to a
 // forged length field. The decoded patterns are bit-identical to what
 // DecodeSet would produce from the concatenated stream.
+//
+// Codecs with a decode kernel run it over the buffered planes: each
+// pattern first prefetches one worst-case pattern of trits (or up to
+// the end of the source), then decodes in one kernel call. Anything the
+// kernel rejects is re-decoded by the generic path from the same
+// position, so errors and their positions are those of the generic
+// decoder.
 type StreamDecoder struct {
 	c         *Codec
 	r         *streamReader
 	width     int
 	blocksPer int
+	worst     int          // trits one pattern can occupy at most
+	w         kernelWriter // kernel output, reused across patterns
 	lim       robust.DecodeLimits
 	patterns  int
 	done      bool
@@ -264,9 +307,10 @@ func (c *Codec) NewStreamDecoder(src StreamSource, width int, lim robust.DecodeL
 	if width > lim.MaxWidth {
 		return nil, fmt.Errorf("core: stream width %d exceeds limit %d: %w", width, lim.MaxWidth, robust.ErrLimitExceeded)
 	}
+	blocksPer := (width + c.k - 1) / c.k
 	return &StreamDecoder{
 		c: c, r: &streamReader{src: src}, width: width,
-		blocksPer: (width + c.k - 1) / c.k, lim: lim,
+		blocksPer: blocksPer, worst: c.worstBits(blocksPer), lim: lim,
 	}, nil
 }
 
@@ -289,12 +333,38 @@ func (d *StreamDecoder) ReadPattern() (*bitvec.Cube, error) {
 	if d.patterns >= d.lim.MaxPatterns {
 		return nil, fmt.Errorf("core: stream exceeds %d patterns: %w", d.lim.MaxPatterns, robust.ErrLimitExceeded)
 	}
+	if p, ok := d.readPatternFast(); ok {
+		d.patterns++
+		return p, nil
+	}
 	out, _, err := decodeBlocksPartial(d.c, d.r, d.blocksPer)
 	if err != nil {
 		return nil, fmt.Errorf("core: pattern %d: %w", d.patterns, err)
 	}
 	d.patterns++
 	return out.Slice(0, d.width), nil
+}
+
+// readPatternFast decodes the next pattern with the per-K kernel.
+// ok=false leaves the reader where it was, for the generic path: the
+// codec has no decode kernel, or the kernel met something it does not
+// vouch for (a malformed codeword, or data behind the end of what the
+// source delivered before draining or failing).
+func (d *StreamDecoder) readPatternFast() (*bitvec.Cube, bool) {
+	if !d.c.hasDecodeKernel() {
+		return nil, false
+	}
+	r := d.r
+	r.prefetch(d.worst)
+	care, val := r.buf.RawWords()
+	d.w.reset(d.blocksPer * d.c.k)
+	pos, ok := d.c.kdec(d.c, care, val, r.buf.Len(), r.pos, d.blocksPer, &d.w)
+	if !ok {
+		return nil, false
+	}
+	r.consumed += pos - r.pos
+	r.pos = pos
+	return bitvec.NewCubeCopyWords(d.width, d.w.care, d.w.val), true
 }
 
 // Patterns returns the number of patterns decoded so far.

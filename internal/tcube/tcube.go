@@ -195,9 +195,12 @@ func (s *Set) Write(w io.Writer) error {
 }
 
 // Read parses the 01X text format. All cubes must share one width.
+// Lines may run to 16 MiB; the scanner starts with a small buffer and
+// grows it only as far as the longest line needs, so small inputs do
+// not pay for the cap.
 func Read(name string, r io.Reader) (*Set, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var set *Set
 	line := 0
 	for sc.Scan() {

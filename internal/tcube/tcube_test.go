@@ -1,7 +1,10 @@
 package tcube
 
 import (
+	"bufio"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,6 +57,32 @@ func TestReadRejectsRaggedAndBadChars(t *testing.T) {
 	s, err := Read("empty", strings.NewReader("# only comments\n\n"))
 	if err != nil || s.Len() != 0 {
 		t.Fatalf("empty read: %v, len=%d", err, s.Len())
+	}
+}
+
+// TestReadBufferSizing pins the scanner sizing: a small set parses
+// without a megabyte-scale buffer, a 2 MiB line still parses, and a
+// line past the 16 MiB cap is refused.
+func TestReadBufferSizing(t *testing.T) {
+	small := strings.Repeat("01XX10X1\n", 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if _, err := Read("small", strings.NewReader(small)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 64<<10 {
+		t.Fatalf("parsing a 576-byte set allocated %d bytes per call", per)
+	}
+	long := strings.Repeat("0X1", 700_000) // 2.1 MB on one line
+	s, err := Read("long", strings.NewReader(long+"\n"+long+"\n"))
+	if err != nil || s.Len() != 2 || s.Width() != len(long) {
+		t.Fatalf("2 MiB lines: err=%v", err)
+	}
+	if _, err := Read("huge", strings.NewReader(strings.Repeat("0", 1<<24+1))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line past the cap: err=%v, want bufio.ErrTooLong", err)
 	}
 }
 
