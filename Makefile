@@ -24,8 +24,10 @@ vet:
 build:
 	$(GO) build ./...
 
+## test: tier-1 at one, two and four Ps, so no test can depend on the
+## core count of the machine it runs on.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2,4 ./...
 
 ## race: the race detector at one and two Ps, so tests that only pass
 ## when goroutines run one at a time cannot hide behind GOMAXPROCS=1.
@@ -43,8 +45,9 @@ bench-campaign:
 
 ## bench-json: run the hot-path benchmarks — the codec kernels, the v4
 ## wire layers (chunk framing and reading, the streamed decode, text
-## output) and the fault-sim campaign — and persist a schema-valid
-## BENCH_<stamp>.json snapshot in the repo root (the perf trajectory).
+## output), the 01X parse stage and the fault-sim campaign — and
+## persist a schema-valid BENCH_<stamp>.json snapshot in the repo root
+## (the perf trajectory).
 ## The whole suite runs 3 times and benchjson keeps the best ns/op per
 ## name. The repeats are outer-loop (suite, then suite again) rather
 ## than -count=3 on purpose: each benchmark's samples land minutes
@@ -54,7 +57,8 @@ bench-json:
 	{ for i in 1 2 3; do \
 	  $(GO) test -bench 'Encode|Decode|Classify' -run XXX -benchtime 1s ./internal/core/; \
 	  $(GO) test -bench 'StreamDecode|ChunkRead|WriteV4' -run XXX -benchtime 1s ./internal/container/; \
-	  $(GO) test -bench 'AppendText' -run XXX -benchtime 1s ./internal/bitvec/; \
+	  $(GO) test -bench 'AppendText|ParseCube' -run XXX -benchtime 1s ./internal/bitvec/; \
+	  $(GO) test -bench 'Read' -run XXX -benchtime 1s ./internal/tcube/; \
 	  $(GO) test -bench 'Campaign' -run XXX -benchtime 1s ./internal/faultsim/; \
 	  done; } | $(GO) run ./cmd/benchjson -dir .
 
@@ -62,10 +66,10 @@ bench-json:
 ## newest older one from the same environment (GOOS/GOARCH/CPU/procs)
 ## and fail on >10% ns/op regression in the hot-path metrics
 ## (EncodeSet*, DecodeSet*, EncodeCube, DecodeCube, Classify,
-## StreamDecode*, ChunkRead, WriteV4, AppendText, Campaign). Skips
-## gracefully when fewer than two snapshots exist or no older snapshot
-## shares the environment, so fresh clones and migrated machines still
-## pass.
+## StreamDecode*, ChunkRead, WriteV4, AppendText, ParseCube, Read,
+## Campaign). Skips gracefully when fewer than two snapshots exist or no
+## older snapshot shares the environment, so fresh clones and migrated
+## machines still pass.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate -dir .
 
@@ -137,7 +141,8 @@ overhead-guard:
 ## fuzz-smoke: run every native fuzz target for FUZZTIME each — the
 ## container reader, the 9C stream decoder, the streamed v4 decode with
 ## and without the per-K kernels, each baseline codec family,
-## and the text parsers. Any panic or unclassified error is a failure.
+## the text parsers, and the word-parallel 01X reader against its
+## per-trit reference. Any panic or unclassified error is a failure.
 fuzz-smoke:
 	$(GO) test ./internal/container -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeCube$$' -fuzztime $(FUZZTIME)
@@ -147,5 +152,6 @@ fuzz-smoke:
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzLZWDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcube -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tcube -run '^$$' -fuzz '^FuzzReadDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stil -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)

@@ -29,10 +29,11 @@ import (
 // gateDefaultMatch selects the hot-path metrics the regression gate
 // guards: the serving-path encode/decode benchmarks (including the
 // per-K kernel variants), block classification, the v4 wire layers
-// (streamed decode, chunk read, v4 framing, text output), and the
-// fault-sim campaign. Cold-path and setup benchmarks are deliberately
+// (streamed decode, chunk read, v4 framing, text output), the 01X parse
+// stage (tcube.Read and its ParseCube kernel), and the fault-sim
+// campaign. Cold-path and setup benchmarks are deliberately
 // excluded so the gate stays low-noise.
-const gateDefaultMatch = `^Benchmark(EncodeSet|DecodeSet|EncodeCube|DecodeCube|Classify|StreamDecode|ChunkRead|WriteV4|AppendText|Campaign)`
+const gateDefaultMatch = `^Benchmark(EncodeSet|DecodeSet|EncodeCube|DecodeCube|Classify|StreamDecode|ChunkRead|WriteV4|AppendText|ParseCube|Read|Campaign)`
 
 func main() {
 	dir := flag.String("dir", ".", "directory receiving the BENCH_<stamp>.json snapshot")

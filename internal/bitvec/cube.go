@@ -97,9 +97,10 @@ func (c *Cube) Covers(o *Cube) bool {
 	if c.Len() != o.Len() {
 		return false
 	}
-	for i := 0; i < c.Len(); i++ {
-		t := c.Get(i)
-		if t != X && t != o.Get(i) {
+	// Word-wise: o must specify every care bit of c (care_c ⊆ care_o)
+	// and agree with its value there. Bits past Len are zero in both.
+	for i, care := range c.care.words {
+		if care&^o.care.words[i] != 0 || (c.val.words[i]^o.val.words[i])&care != 0 {
 			return false
 		}
 	}
@@ -206,23 +207,4 @@ func (c *Cube) FillAdjacent() *Cube {
 // String renders the cube as a string over {0,1,X}.
 func (c *Cube) String() string {
 	return string(c.AppendTextRange(make([]byte, 0, c.Len()), 0, c.Len()))
-}
-
-// ParseCube parses a string over {0,1,x,X,-} ('-' is the ATPG-community
-// alternative spelling of don't-care) into a Cube.
-func ParseCube(s string) (*Cube, error) {
-	c := NewCube(len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			c.Set(i, Zero)
-		case '1':
-			c.Set(i, One)
-		case 'x', 'X', '-':
-			// already X
-		default:
-			return nil, fmt.Errorf("bitvec: invalid cube character %q at %d", s[i], i)
-		}
-	}
-	return c, nil
 }

@@ -7,10 +7,10 @@ package tcube
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"repro/internal/bitvec"
 )
@@ -178,53 +178,96 @@ func (s *Set) FillAdjacent() *Set {
 }
 
 // Write serializes the set in the 01X text format: one cube per line,
-// '#'-prefixed comment lines allowed, blank lines ignored.
+// '#'-prefixed comment lines allowed, blank lines ignored. Every row is
+// rendered into one reused buffer.
 func (s *Set) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# test set %s: %d patterns x %d bits, %.2f%% X\n",
 		s.Name, s.Len(), s.width, s.XPercent())
+	row := make([]byte, 0, s.width+1)
 	for _, c := range s.cubes {
-		if _, err := bw.WriteString(c.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		row = append(c.AppendTextRange(row[:0], 0, c.Len()), '\n')
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+// slabWords caps the words one plane slab holds and the cube pointers
+// Read reserves up front, so a size hint from a comment-heavy input
+// cannot reserve much more than the cubes need.
+const slabWords = 1 << 16
+
+// slab hands out the packed plane words of a set's cubes from shared
+// backing arrays: each cube gets a cap-limited window of a slab, so the
+// planes of one set cost a few allocations instead of two per cube.
+type slab struct{ care, val []uint64 }
+
+// take returns the planes for one cube of the given word count. When
+// the current slab is spent it allocates one with room for the given
+// number of cubes, within slabWords.
+func (p *slab) take(words, cubes int) (care, val []uint64) {
+	if len(p.care) < words {
+		n := words * max(1, min(cubes, slabWords/words))
+		p.care, p.val = make([]uint64, n), make([]uint64, n)
+	}
+	care, val = p.care[:words:words], p.val[:words:words]
+	p.care, p.val = p.care[words:], p.val[words:]
+	return care, val
+}
+
 // Read parses the 01X text format. All cubes must share one width.
 // Lines may run to 16 MiB; the scanner starts with a small buffer and
 // grows it only as far as the longest line needs, so small inputs do
-// not pay for the cap.
+// not pay for the cap. Rows are parsed a word at a time straight from
+// the scanner's buffer into plane slabs. A reader that reports its
+// remaining length (bytes.Reader, strings.Reader, bytes.Buffer) bounds
+// the cube count, so the first slab is sized once: every cube line but
+// the last takes width+1 bytes.
 func Read(name string, r io.Reader) (*Set, error) {
+	size := -1
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len()
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<24)
-	var set *Set
+	set := NewSet(name, 0)
+	var planes slab
 	line := 0
 	for sc.Scan() {
 		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" || strings.HasPrefix(txt, "#") {
+		txt := bytes.TrimSpace(sc.Bytes())
+		if len(txt) == 0 || txt[0] == '#' {
 			continue
 		}
-		c, err := bitvec.ParseCube(txt)
-		if err != nil {
+		if set.Len() == 0 {
+			set.width = len(txt)
+			n := 8
+			if size >= 0 {
+				n = (size + 1) / (len(txt) + 1)
+			}
+			set.cubes = make([]*bitvec.Cube, 0, min(n, slabWords))
+		}
+		if len(txt) != set.width {
+			// A ragged row fails either way; parse it on its own so a
+			// bad character still wins over the width mismatch.
+			c, err := bitvec.ParseCube(string(txt))
+			if err == nil {
+				err = set.Append(c)
+			}
 			return nil, fmt.Errorf("tcube: line %d: %w", line, err)
 		}
-		if set == nil {
-			set = NewSet(name, c.Len())
-		}
-		if err := set.Append(c); err != nil {
+		// The next slab holds the cubes the hint still expects, or as
+		// many as the set has so far: doubling without a hint.
+		care, val := planes.take((len(txt)+63)/64, max(len(set.cubes), cap(set.cubes)-len(set.cubes)))
+		if err := bitvec.ParseCubeWords(care, val, txt); err != nil {
 			return nil, fmt.Errorf("tcube: line %d: %w", line, err)
 		}
+		set.cubes = append(set.cubes, bitvec.CubeOfWords(len(txt), care, val))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
-	}
-	if set == nil {
-		set = NewSet(name, 0)
 	}
 	return set, nil
 }

@@ -3,6 +3,7 @@ package tcube
 import (
 	"bufio"
 	"errors"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -233,5 +234,37 @@ func TestPropertyFlattenRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadCubesIndependent checks that cubes sharing a plane slab stay
+// independent: writing every trit of one cube leaves its neighbours
+// untouched, with and without a length hint (the latter spans several
+// slabs).
+func TestReadCubesIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 70; j++ {
+			sb.WriteByte("01X"[rng.Intn(3)])
+		}
+		sb.WriteByte('\n')
+	}
+	for _, r := range []io.Reader{strings.NewReader(sb.String()), io.MultiReader(strings.NewReader(sb.String()))} {
+		s, err := Read("ind", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Clone()
+		for i := 0; i < s.Len(); i++ {
+			s.Cube(i).SetRun(0, s.Width(), bitvec.One)
+			for j := 0; j < s.Len(); j++ {
+				if j != i && !s.Cube(j).Equal(want.Cube(j)) {
+					t.Fatalf("writing cube %d changed cube %d", i, j)
+				}
+			}
+			s.Cube(i).SetRun(0, s.Width(), bitvec.X)
+			want.Cube(i).SetRun(0, s.Width(), bitvec.X)
+		}
 	}
 }
