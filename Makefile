@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race bench bench-json bench-gate bench-campaign campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke vuln
+.PHONY: check fmt vet build test race netlines bench bench-json bench-gate bench-campaign campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke vuln
 
 ## check: the full pre-merge gate — formatting, vet, build, race tests,
 ## the campaign-equivalence smoke, telemetry smoke, the ninecd serving
@@ -34,6 +34,12 @@ test:
 race:
 	$(GO) test -race -cpu 1,2 ./...
 
+## netlines: lines added and removed against BASE (default HEAD~1),
+## split into non-test Go, test Go and other files.
+BASE ?= HEAD~1
+netlines:
+	sh scripts/netlines.sh $(BASE)
+
 ## bench: the 9C hot-path benchmarks (encode/decode, reference, parallel scaling).
 bench:
 	$(GO) test -bench 'Encode|Decode|Classify' -run XXX -benchtime 1s ./internal/core/
@@ -45,9 +51,9 @@ bench-campaign:
 
 ## bench-json: run the hot-path benchmarks — the codec kernels, the v4
 ## wire layers (chunk framing and reading, the streamed decode, text
-## output), the 01X parse stage and the fault-sim campaign — and
-## persist a schema-valid BENCH_<stamp>.json snapshot in the repo root
-## (the perf trajectory).
+## output), the 01X parse stage, the ninecd handler stack and the
+## fault-sim campaign — and persist a schema-valid BENCH_<stamp>.json
+## snapshot in the repo root (the perf trajectory).
 ## The whole suite runs 3 times and benchjson keeps the best ns/op per
 ## name. The repeats are outer-loop (suite, then suite again) rather
 ## than -count=3 on purpose: each benchmark's samples land minutes
@@ -59,6 +65,7 @@ bench-json:
 	  $(GO) test -bench 'StreamDecode|ChunkRead|WriteV4' -run XXX -benchtime 1s ./internal/container/; \
 	  $(GO) test -bench 'AppendText|ParseCube' -run XXX -benchtime 1s ./internal/bitvec/; \
 	  $(GO) test -bench 'Read' -run XXX -benchtime 1s ./internal/tcube/; \
+	  $(GO) test -bench 'Serve' -run XXX -benchtime 1s ./cmd/ninecd/; \
 	  $(GO) test -bench 'Campaign' -run XXX -benchtime 1s ./internal/faultsim/; \
 	  done; } | $(GO) run ./cmd/benchjson -dir .
 
@@ -67,7 +74,7 @@ bench-json:
 ## and fail on >10% ns/op regression in the hot-path metrics
 ## (EncodeSet*, DecodeSet*, EncodeCube, DecodeCube, Classify,
 ## StreamDecode*, ChunkRead, WriteV4, AppendText, ParseCube, Read,
-## Campaign). Skips gracefully when fewer than two snapshots exist or no
+## Serve*, Campaign). Skips gracefully when fewer than two snapshots exist or no
 ## older snapshot shares the environment, so fresh clones and migrated
 ## machines still pass.
 bench-gate:

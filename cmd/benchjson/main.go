@@ -30,10 +30,11 @@ import (
 // guards: the serving-path encode/decode benchmarks (including the
 // per-K kernel variants), block classification, the v4 wire layers
 // (streamed decode, chunk read, v4 framing, text output), the 01X parse
-// stage (tcube.Read and its ParseCube kernel), and the fault-sim
-// campaign. Cold-path and setup benchmarks are deliberately
-// excluded so the gate stays low-noise.
-const gateDefaultMatch = `^Benchmark(EncodeSet|DecodeSet|EncodeCube|DecodeCube|Classify|StreamDecode|ChunkRead|WriteV4|AppendText|ParseCube|Read|Campaign)`
+// stage (tcube.Read and its ParseCube kernel), the ninecd handler stack
+// (ServeEncode, ServeDecode), and the fault-sim campaign. Cold-path and
+// setup benchmarks are deliberately excluded so the gate stays
+// low-noise.
+const gateDefaultMatch = `^Benchmark(EncodeSet|DecodeSet|EncodeCube|DecodeCube|Classify|StreamDecode|ChunkRead|WriteV4|AppendText|ParseCube|Read|Serve|Campaign)`
 
 func main() {
 	dir := flag.String("dir", ".", "directory receiving the BENCH_<stamp>.json snapshot")

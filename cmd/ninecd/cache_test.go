@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/container"
 	"repro/internal/robust"
@@ -126,65 +126,6 @@ func TestEncodeFailureNotCached(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchWindowServes: with micro-batching armed, concurrent
-// encodes still return correct, individually framed containers that
-// decode back to their own inputs. The shed queue is sized to the
-// burst: this test is about batch framing, and the default depth
-// (Workers*8) would shed part of a 24-way burst on a small machine.
-func TestEncodeBatchWindowServes(t *testing.T) {
-	const n = 24
-	ts, s := newTestServer(t, config{BatchWindow: 2 * time.Millisecond, CacheOff: true, ShedQueue: 2 * n})
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			patterns := 4 + i%4
-			text := []byte(sampleText(patterns, 32, int64(1000+i)))
-			resp, cont := post(t, ts.URL+fmt.Sprintf("/encode?k=8&name=b%d", i), text)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("req %d: encode %d", i, resp.StatusCode)
-				return
-			}
-			if got := resp.Header.Get("X-Patterns"); got != fmt.Sprint(patterns) {
-				errs <- fmt.Errorf("req %d: X-Patterns = %s, want %d — batch framing mixed jobs up", i, got, patterns)
-				return
-			}
-			resp, body := post(t, ts.URL+"/decode", cont)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("req %d: decode %d", i, resp.StatusCode)
-				return
-			}
-			// 9C assigns don't-cares, so the text round-trips in shape,
-			// not bytes: same pattern count, same width.
-			rows := 0
-			for _, line := range bytes.Split(body, []byte("\n")) {
-				if len(line) > 0 && line[0] != '#' {
-					rows++
-					if len(line) != 32 {
-						errs <- fmt.Errorf("req %d: decoded width %d, want 32", i, len(line))
-						return
-					}
-				}
-			}
-			if rows != patterns {
-				errs <- fmt.Errorf("req %d: decoded %d patterns, want %d", i, rows, patterns)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	snap := s.reg.Snapshot()
-	if snap.Counters["ninecd.batch.direct"]+snap.Counters["ninecd.batch.batched"] != n {
-		t.Fatalf("direct+batched = %d, want %d",
-			snap.Counters["ninecd.batch.direct"]+snap.Counters["ninecd.batch.batched"], n)
-	}
-}
-
 // TestCachedContainerTruncationSalvage: a container served from the
 // result cache is byte-identical to a fresh encode, so a cached copy
 // truncated in transit behaves exactly like any damaged v4 container:
@@ -193,7 +134,7 @@ func TestEncodeBatchWindowServes(t *testing.T) {
 // matches the original encode, and the daemon's own streaming /decode
 // terminates the body honestly instead of emitting corrupt rows.
 func TestCachedContainerTruncationSalvage(t *testing.T) {
-	ts, _ := newTestServer(t, config{})
+	ts, s := newTestServer(t, config{})
 	const width = 256
 	text := []byte(sampleText(400, width, 77)) // several chunks at DefaultChunkTrits
 
@@ -273,6 +214,29 @@ func TestCachedContainerTruncationSalvage(t *testing.T) {
 		if rows != res.Patterns {
 			t.Fatalf("cut %d: streamed %d rows, lenient salvage recovered %d", cut, rows, res.Patterns)
 		}
+	}
+
+	// Bytes appended after a valid trailer: every row streams, then the
+	// body ends with the abort comment and the corrupt-fault counter
+	// moves, just as container.Read rejects the same bytes.
+	junk := append(append([]byte(nil), warm...), "JUNK"...)
+	if _, err := container.Read(bytes.NewReader(junk)); !errors.Is(err, robust.ErrCorrupt) {
+		t.Fatalf("trailing bytes: Read err %v, want ErrCorrupt", err)
+	}
+	before := s.reg.Snapshot().Counters["ninecd.decode.fault.corrupt"]
+	resp, body := post(t, ts.URL+"/decode", junk)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing bytes: decode %d", resp.StatusCode)
+	}
+	abort := fmt.Sprintf("# decode aborted after %d patterns: ", full.Patterns)
+	if last := bytes.LastIndexByte(body[:len(body)-1], '\n') + 1; !bytes.HasPrefix(body[last:], []byte(abort)) {
+		t.Fatalf("trailing bytes: body does not end with %q", abort)
+	}
+	if rows := bytes.Count(body, []byte("\n")) - 1; rows != full.Patterns {
+		t.Fatalf("trailing bytes: streamed %d rows, want %d", rows, full.Patterns)
+	}
+	if got := s.reg.Snapshot().Counters["ninecd.decode.fault.corrupt"] - before; got != 1 {
+		t.Fatalf("trailing bytes: ninecd.decode.fault.corrupt moved by %d, want 1", got)
 	}
 }
 

@@ -16,7 +16,6 @@
 //	ninecd -shed-queue 64 -shed-mem 1073741824  # adaptive load shedding
 //	ninecd -prio-bytes 65536 -prio-slots 2      # small-decode priority lane
 //	ninecd -cache=false -cache-bytes 268435456  # /encode result cache
-//	ninecd -batch-window 500us -batch-max 32    # /encode micro-batching
 //	ninecd -profile-cap 64                      # resident tuned-profile bound
 //
 // Endpoints:
@@ -93,8 +92,6 @@ func realMain(args []string) (code int) {
 	fs := flag.NewFlagSet("ninecd", flag.ContinueOnError)
 	fs.BoolVar(&cacheOn, "cache", true, "content-addressed /encode result cache (-cache=off via -cache=false)")
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "result-cache resident bound in bytes (0 = 256 MiB)")
-	fs.DurationVar(&cfg.BatchWindow, "batch-window", 0, "micro-batch window for concurrent /encode requests (0 = disabled)")
-	fs.IntVar(&cfg.BatchMax, "batch-max", 0, "flush a forming batch at this many jobs (0 = 32)")
 	fs.IntVar(&cfg.ProfileCap, "profile-cap", 0, "resident tuned-codec profiles, LRU (0 = 64)")
 	fs.StringVar(&cfg.Addr, "addr", "localhost:9314", "listen address")
 	fs.IntVar(&cfg.K, "k", 8, "default block size K for /encode (even, >= 2)")

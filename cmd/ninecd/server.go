@@ -96,18 +96,13 @@ type config struct {
 	PrioBytes    int64
 	PrioSlots    int
 
-	// Fleet-scale serving (see internal/cachex, internal/batchenc).
-	// CacheOff disables the content-addressed /encode result cache
-	// (on by default — both endpoints are pure functions of request
-	// bytes and parameters, so caching cannot change a response);
-	// CacheBytes bounds its resident size (0 = 256 MiB). BatchWindow
-	// enables the /encode micro-batcher: concurrent small encodes
-	// arriving within the window share one workspace pass (0 =
-	// disabled); BatchMax flushes a forming batch early (0 = 32).
-	CacheOff    bool
-	CacheBytes  int64
-	BatchWindow time.Duration
-	BatchMax    int
+	// Fleet-scale serving (see internal/cachex). CacheOff disables the
+	// content-addressed /encode result cache (on by default — both
+	// endpoints are pure functions of request bytes and parameters, so
+	// caching cannot change a response); CacheBytes bounds its resident
+	// size (0 = 256 MiB).
+	CacheOff   bool
+	CacheBytes int64
 
 	// ProfileCap bounds the resident tuned-codec profiles (LRU;
 	// 0 = codecopt.DefaultStoreCap). Profiles arrive via POST /train
@@ -152,9 +147,6 @@ func (c config) withDefaults() config {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
-	}
 	if c.PrioBytes <= 0 {
 		c.PrioBytes = 64 << 10
 	}
@@ -193,7 +185,7 @@ type server struct {
 	rc     *obs.RuntimeCollector
 	access *obs.AccessLog
 	cache  *cachex.Cache     // content-addressed /encode results; nil when off
-	enc    *batchenc.Encoder // the direct/batched encode kernel
+	enc    *batchenc.Encoder // the encode-and-frame step
 
 	profiles *codecopt.Store // resident tuned-codec profiles (profiles.go)
 	trains   trainJobs       // async /train job registry
@@ -232,12 +224,7 @@ func newServer(cfg config, reg *obs.Registry) *server {
 	s.prio = make(chan struct{}, cfg.PrioSlots)
 	s.queued = reg.Gauge("ninecd.queued")
 	s.heap = reg.Gauge("runtime.heap_alloc_bytes")
-	s.enc = batchenc.New(batchenc.Config{
-		Window:   cfg.BatchWindow,
-		MaxBatch: cfg.BatchMax,
-		Codec:    codecs.get,
-		Registry: reg,
-	})
+	s.enc = batchenc.New(batchenc.Config{Codec: codecs.get})
 	if !cfg.CacheOff {
 		s.cache = cachex.New(cachex.Config{
 			MaxBytes: cfg.CacheBytes,

@@ -134,7 +134,7 @@ func buildReport(o options, samples []sample, elapsed time.Duration, reg *obs.Re
 	rep.VerifyMismatches = rep.ByClass["verify_mismatch"]
 	if rep.VerifyMismatches > 0 {
 		// A mismatch means the daemon returned different bytes for the
-		// same request — a cache or batching correctness bug, never
+		// same request — a cache or encode correctness bug, never
 		// acceptable at any rate.
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("%d encode responses differed from the local reference", rep.VerifyMismatches))

@@ -1,30 +1,17 @@
-// Package batchenc is the admission-side micro-batcher of the ninecd
-// /encode path: many small encode requests arriving within a short
-// window are packed into one shared workspace pass instead of each
-// paying its own workspace checkout, codec resolution, and scheduler
-// round trip. Per-request framing is preserved — every job still
-// produces its own chunked v4 container, byte-identical to what a
-// direct encode of the same request would emit — so batching is purely
-// an amortization, never a semantic change.
-//
-// Latency is bounded by the configured window: the first job of a
-// batch waits at most Window for peers (a full batch flushes early),
-// and under low load the batcher falls through to the direct path — a
-// request that observes no concurrent encodes runs immediately on its
-// caller's goroutine with zero added latency.
+// Package batchenc is the /encode encode-and-frame step: one parsed
+// 01X set in, one chunked v4 container out. It runs on the caller's
+// goroutine with a pooled workspace, so concurrent requests encode in
+// parallel, and the container is freshly allocated so it outlives the
+// workspace's next use.
 package batchenc
 
 import (
 	"bytes"
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/codecopt"
 	"repro/internal/container"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/tcube"
 )
 
@@ -50,189 +37,58 @@ type Result struct {
 
 // Config assembles an Encoder.
 type Config struct {
-	// Window is how long the first job of a batch waits for peers.
-	// <= 0 disables batching entirely: every job runs direct.
-	Window time.Duration
-	// MaxBatch flushes a batch early once this many jobs are pending
-	// (default 32).
-	MaxBatch int
 	// Codec resolves a block size to a default-assignment codec;
 	// nil uses core.New per job (ninecd passes its shared codec cache).
 	Codec func(k int) (*core.Codec, error)
-	// Registry receives the batch telemetry; nil falls back to
-	// obs.Active() at construction (nil-safe either way).
-	Registry *obs.Registry
 }
 
-// Encoder runs encode jobs, batching them when concurrency makes it
-// worthwhile. Safe for concurrent use.
+// Encoder runs encode jobs. Safe for concurrent use.
 type Encoder struct {
-	cfg      Config
-	inflight atomic.Int64
-
-	mu      sync.Mutex
-	pending []*job
-	timer   *time.Timer
-
-	direct  *obs.Counter
-	batched *obs.Counter
-	flushes *obs.Counter
-	size    *obs.Histogram
-}
-
-type job struct {
-	ctx  context.Context
-	req  Request
-	done chan struct{}
-	res  Result
-	err  error
+	cfg Config
 }
 
 // New builds an Encoder from cfg.
 func New(cfg Config) *Encoder {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
 	if cfg.Codec == nil {
 		cfg.Codec = core.New
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.Active()
-	}
-	return &Encoder{
-		cfg:     cfg,
-		direct:  reg.Counter("ninecd.batch.direct"),
-		batched: reg.Counter("ninecd.batch.batched"),
-		flushes: reg.Counter("ninecd.batch.flushes"),
-		size:    reg.Histogram("ninecd.batch.size"),
-	}
+	return &Encoder{cfg: cfg}
 }
 
-// Encode runs one job. With batching disabled, or when no other encode
-// is in flight (low load), the job runs immediately on the caller's
-// goroutine. Otherwise it joins the forming batch and waits for the
-// flush — at most Window, sooner when the batch fills.
+// Encode runs one job: encode (twice for frequency-directed mode, or
+// under the profile's fill, block size and assignment), then frame the
+// chunked v4 container. A profiled container serializes the
+// assignment's codewords, so decoding it needs no profile.
 func (e *Encoder) Encode(ctx context.Context, req Request) (Result, error) {
-	n := e.inflight.Add(1)
-	defer e.inflight.Add(-1)
-	if e.cfg.Window <= 0 || n < 2 {
-		e.direct.Inc()
-		ws := core.GetWorkspace()
-		defer ws.Release()
-		return e.encodeJob(ctx, ws, req)
-	}
-
-	j := &job{ctx: ctx, req: req, done: make(chan struct{})}
-	e.mu.Lock()
-	e.pending = append(e.pending, j)
-	switch {
-	case len(e.pending) == 1:
-		e.timer = time.AfterFunc(e.cfg.Window, e.flush)
-	case len(e.pending) >= e.cfg.MaxBatch:
-		if e.timer != nil {
-			e.timer.Stop()
-		}
-		go e.flush()
-	}
-	e.mu.Unlock()
-	e.batched.Inc()
-
-	select {
-	case <-j.done:
-		return j.res, j.err
-	case <-ctx.Done():
-		// The flusher will see the dead context and skip the job; the
-		// caller is gone either way.
-		return Result{}, ctx.Err()
-	}
-}
-
-// flush drains the pending batch and runs every job through one shared
-// workspace. Racing flushes (timer vs. full batch) are safe: whoever
-// arrives second finds the queue empty and returns.
-func (e *Encoder) flush() {
-	e.mu.Lock()
-	jobs := e.pending
-	e.pending = nil
-	e.mu.Unlock()
-	if len(jobs) == 0 {
-		return
-	}
-	e.flushes.Inc()
-	e.size.Observe(int64(len(jobs)))
-
 	ws := core.GetWorkspace()
 	defer ws.Release()
-	for _, j := range jobs {
-		if err := j.ctx.Err(); err != nil {
-			j.err = err
-			close(j.done)
-			continue
-		}
-		// Each job's container is serialized before the workspace moves
-		// on to the next job, because the encode Result aliases the
-		// workspace planes.
-		j.res, j.err = e.encodeJob(j.ctx, ws, j.req)
-		close(j.done)
-	}
-}
-
-// encodeJob is the per-request kernel shared by the direct and batch
-// paths: encode (twice for frequency-directed mode), then frame the
-// chunked v4 container. The returned Container is freshly allocated —
-// it does not alias ws, so it outlives the workspace's next use.
-func (e *Encoder) encodeJob(ctx context.Context, ws *core.Workspace, req Request) (Result, error) {
+	set := req.Set
+	var cdc *core.Codec
+	var err error
 	if req.Profile != nil {
-		return e.encodeProfiled(ctx, ws, req)
+		if cdc, err = req.Profile.Codec(); err != nil {
+			return Result{}, err
+		}
+		if set, err = req.Profile.Fill.Apply(set); err != nil {
+			return Result{}, err
+		}
+	} else if cdc, err = e.cfg.Codec(req.K); err != nil {
+		return Result{}, err
 	}
-	cdc, err := e.cfg.Codec(req.K)
+	res, err := cdc.EncodeSetWSCtx(ctx, ws, set)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := cdc.EncodeSetWSCtx(ctx, ws, req.Set)
-	if err != nil {
-		return Result{}, err
-	}
-	if req.FD {
+	if req.Profile == nil && req.FD {
 		// Frequency-directed mode needs the first-pass counts, so it is
 		// inherently two-pass.
 		cdc, err = core.NewWithAssignment(req.K, core.FrequencyDirected(res.Counts))
 		if err != nil {
 			return Result{}, err
 		}
-		if res, err = cdc.EncodeSetWSCtx(ctx, ws, req.Set); err != nil {
+		if res, err = cdc.EncodeSetWSCtx(ctx, ws, set); err != nil {
 			return Result{}, err
 		}
-	}
-	res.Name = req.Name
-	var buf bytes.Buffer
-	if err := container.WriteVersion(&buf, res, container.Magic4); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Container:      buf.Bytes(),
-		Patterns:       res.Patterns,
-		CompressedBits: res.CompressedBits(),
-	}, nil
-}
-
-// encodeProfiled is the tuned-codec leg of encodeJob: the profile's
-// fill is applied first, then the set encodes under the profile's
-// block size and canonical assignment. The container serializes the
-// assignment's codewords, so decoding the result needs no profile.
-func (e *Encoder) encodeProfiled(ctx context.Context, ws *core.Workspace, req Request) (Result, error) {
-	cdc, err := req.Profile.Codec()
-	if err != nil {
-		return Result{}, err
-	}
-	set, err := req.Profile.Fill.Apply(req.Set)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := cdc.EncodeSetWSCtx(ctx, ws, set)
-	if err != nil {
-		return Result{}, err
 	}
 	res.Name = req.Name
 	var buf bytes.Buffer

@@ -7,13 +7,10 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/container"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/tcube"
 )
 
@@ -34,8 +31,8 @@ func sampleSet(t *testing.T, patterns, width int, seed int64) *tcube.Set {
 	return set
 }
 
-// reference encodes a request directly — no batcher, no workspace
-// reuse — as the byte-identity oracle.
+// reference encodes a request with the plain in-memory encoder — no
+// workspace reuse — as the byte-identity oracle.
 func reference(t *testing.T, req Request) Result {
 	t.Helper()
 	cdc, err := core.New(req.K)
@@ -63,9 +60,10 @@ func reference(t *testing.T, req Request) Result {
 	return Result{Container: buf.Bytes(), Patterns: res.Patterns, CompressedBits: res.CompressedBits()}
 }
 
+// TestDirectPathWhenAlone: a lone request encodes on the caller's
+// goroutine, byte-identical to the reference.
 func TestDirectPathWhenAlone(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := New(Config{Window: 50 * time.Millisecond, Registry: reg})
+	e := New(Config{})
 	req := Request{Set: sampleSet(t, 8, 32, 1), K: 8, Name: "solo"}
 	got, err := e.Encode(context.Background(), req)
 	if err != nil {
@@ -75,39 +73,13 @@ func TestDirectPathWhenAlone(t *testing.T) {
 	if !bytes.Equal(got.Container, want.Container) {
 		t.Fatal("direct-path container differs from reference")
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["ninecd.batch.direct"] != 1 || snap.Counters["ninecd.batch.batched"] != 0 {
-		t.Fatalf("direct=%d batched=%d, want 1/0",
-			snap.Counters["ninecd.batch.direct"], snap.Counters["ninecd.batch.batched"])
-	}
 }
 
-func TestWindowZeroDisablesBatching(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := New(Config{Window: 0, Registry: reg})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := Request{Set: sampleSet(t, 4, 16, int64(i)), K: 8, Name: fmt.Sprintf("j%d", i)}
-			if _, err := e.Encode(context.Background(), req); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := reg.Snapshot().Counters["ninecd.batch.batched"]; got != 0 {
-		t.Fatalf("window 0 still batched %d jobs", got)
-	}
-}
-
-// TestBatchedJobsByteIdentical runs a concurrent burst through a live
-// window and requires every job's container to match its individual
-// reference encode exactly — per-request framing survives batching.
-func TestBatchedJobsByteIdentical(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := New(Config{Window: 20 * time.Millisecond, Registry: reg})
+// TestConcurrentJobsByteIdentical runs a concurrent burst and requires
+// every job's container to match its individual reference encode
+// exactly: pooled workspaces never leak state between requests.
+func TestConcurrentJobsByteIdentical(t *testing.T) {
+	e := New(Config{})
 	const n = 12
 	reqs := make([]Request, n)
 	for i := range reqs {
@@ -138,98 +110,17 @@ func TestBatchedJobsByteIdentical(t *testing.T) {
 				i, got[i].Patterns, got[i].CompressedBits, want.Patterns, want.CompressedBits)
 		}
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["ninecd.batch.direct"]+snap.Counters["ninecd.batch.batched"] != n {
-		t.Fatalf("direct+batched = %d, want %d",
-			snap.Counters["ninecd.batch.direct"]+snap.Counters["ninecd.batch.batched"], n)
-	}
 }
 
-// TestFullBatchFlushesEarly holds one direct encode hostage so later
-// arrivals must batch, then proves MaxBatch flushes without waiting
-// out a deliberately huge window.
-func TestFullBatchFlushesEarly(t *testing.T) {
-	reg := obs.NewRegistry()
-	gate := make(chan struct{})
-	var first atomic.Bool
-	codec := func(k int) (*core.Codec, error) {
-		if first.CompareAndSwap(false, true) {
-			<-gate // the direct leader blocks here, keeping inflight > 1
-		}
-		return core.New(k)
-	}
-	e := New(Config{Window: 10 * time.Second, MaxBatch: 4, Codec: codec, Registry: reg})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.Encode(context.Background(), Request{Set: sampleSet(t, 4, 16, 1), K: 8, Name: "hostage"})
-	}()
-	// Wait for the hostage to occupy the direct path.
-	deadline := time.Now().Add(5 * time.Second)
-	for !first.Load() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	start := time.Now()
-	var batchWG sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		batchWG.Add(1)
-		go func(i int) {
-			defer batchWG.Done()
-			if _, err := e.Encode(context.Background(), Request{Set: sampleSet(t, 4, 16, int64(i+2)), K: 8, Name: fmt.Sprintf("b%d", i)}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	batchWG.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("full batch took %v — it waited out the window instead of flushing early", elapsed)
-	}
-	close(gate)
-	wg.Wait()
-	snap := reg.Snapshot()
-	if snap.Counters["ninecd.batch.flushes"] < 1 {
-		t.Fatal("no flush recorded")
-	}
-	if snap.Counters["ninecd.batch.batched"] != 4 {
-		t.Fatalf("batched = %d, want 4", snap.Counters["ninecd.batch.batched"])
-	}
-}
-
-// TestCancelledJobSkipped: a job whose context dies before the flush
-// neither blocks the batch nor produces a result.
+// TestCancelledJobSkipped: a job whose context is already dead is not
+// encoded and returns the context's error.
 func TestCancelledJobSkipped(t *testing.T) {
-	gate := make(chan struct{})
-	var first atomic.Bool
-	codec := func(k int) (*core.Codec, error) {
-		if first.CompareAndSwap(false, true) {
-			<-gate
-		}
-		return core.New(k)
-	}
-	e := New(Config{Window: 50 * time.Millisecond, Codec: codec})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e.Encode(context.Background(), Request{Set: sampleSet(t, 4, 16, 1), K: 8, Name: "hostage"})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for !first.Load() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.Encode(ctx, Request{Set: sampleSet(t, 4, 16, 2), K: 8, Name: "dead"})
+	_, err := New(Config{}).Encode(ctx, Request{Set: sampleSet(t, 4, 16, 2), K: 8, Name: "dead"})
 	if err != context.Canceled {
 		t.Fatalf("cancelled job returned %v, want context.Canceled", err)
 	}
-	close(gate)
-	wg.Wait()
 }
 
 func TestBadBlockSizeSurfacesError(t *testing.T) {

@@ -2,9 +2,10 @@ package container
 
 // Chunked v4 ("N9C4") framing. The header is byte-identical to v3
 // except that the four stream totals (pattern count, |T_D|, block
-// count, |T_E|) are zero placeholders — a streaming writer does not
-// know them up front — and the payload is a sequence of CRC32C-framed
-// chunks instead of two whole planes:
+// count, |T_E|) are zero placeholders — they live in the trailer, where
+// the reader cross-checks them against the chunks it has read — and the
+// payload is a sequence of CRC32C-framed chunks instead of two whole
+// planes:
 //
 //	chunk:      uint32 trit count (1..MaxChunkTrits)
 //	            value plane, ceil(count/8) bytes
@@ -14,12 +15,13 @@ package container
 //	trailer:    uint32 pattern count, |T_D|, block count, |T_E|
 //	            CRC32C over those 16 bytes
 //
-// Chunk boundaries carry no meaning; the concatenated trits are the
-// same T_E a v3 container stores. Because every chunk is independently
-// verifiable, a reader can hand verified segments to a streaming
-// decoder as they arrive and, in lenient mode, salvage everything
-// before the first bad chunk. v4 is set-oriented (Width >= 1) so the
-// decoder can frame patterns without the trailer.
+// Nothing may follow the trailer. Chunk boundaries carry no meaning;
+// the concatenated trits are the same T_E a v3 container stores.
+// Because every chunk is independently verifiable, a reader can hand
+// verified segments to a streaming decoder as they arrive and, in
+// lenient mode, salvage everything before the first bad chunk. v4 is
+// set-oriented (Width >= 1) so the decoder can frame patterns without
+// the trailer.
 
 import (
 	"encoding/binary"
@@ -60,86 +62,38 @@ type StreamTrailer struct {
 	StreamBits int
 }
 
-// ChunkWriter frames a compressed 9C stream into a chunked v4
-// container as it is produced. It implements core.StreamSink, so a
-// core.StreamEncoder can write straight into it; its working state is
-// at most one chunk plus the largest single segment it was handed.
-type ChunkWriter struct {
-	cw      *countingWriter
-	sp      *obs.Span
-	hdr     StreamHeader
-	chunk   int
-	pending *bitvec.CubeBuilder
-	pendLen int
-	maxPend int // high-water mark of pendLen, pinned by memory tests
-	written int // trits framed into chunks so far
-	closed  bool
-}
-
-// NewChunkWriter validates the header, writes it, and returns a writer
-// ready to receive stream segments. Close must be called to emit the
-// terminator and trailer; without it the container is truncated.
-func NewChunkWriter(w io.Writer, h StreamHeader) (*ChunkWriter, error) {
-	if h.Width < 1 {
-		return nil, fmt.Errorf("container: chunked width %d, want >= 1", h.Width)
+// writeV4 frames an encoded set as a chunked v4 container: the header,
+// the stream cut into DefaultChunkTrits slices (the last one shorter),
+// the terminator, and the trailer from r's totals. v4 is set-oriented,
+// so a bare-cube result (Width 0) is rejected.
+func writeV4(w io.Writer, r *core.Result) (err error) {
+	if r.Width < 1 {
+		return fmt.Errorf("container: chunked width %d, want >= 1", r.Width)
 	}
-	if _, err := core.NewWithAssignment(h.K, h.Assign); err != nil {
-		return nil, fmt.Errorf("container: chunked header: %w", err)
-	}
+	sp := obs.Active().Span("container.write_chunked")
 	cw := &countingWriter{w: w}
-	if _, err := cw.Write(buildHeader(Magic4, h.K, 0, h.Width, 0, 0, 0, h.Assign, h.Name)); err != nil {
-		return nil, err
+	defer func() { observeIO(sp, "container.writes", "container.bytes_written", cw.n, err) }()
+	if _, err := cw.Write(buildHeader(Magic4, r.K, 0, r.Width, 0, 0, 0, r.Assign, r.Name)); err != nil {
+		return err
 	}
-	return &ChunkWriter{
-		cw: cw, sp: obs.Active().Span("container.write_chunked"), hdr: h,
-		chunk: DefaultChunkTrits, pending: bitvec.NewCubeBuilder(DefaultChunkTrits),
-	}, nil
-}
-
-// WriteStream appends a stream segment, emitting full chunks as soon
-// as enough trits have accumulated.
-func (w *ChunkWriter) WriteStream(seg *bitvec.Cube) error {
-	if w.closed {
-		return fmt.Errorf("container: ChunkWriter used after Close")
-	}
-	w.pending.AppendCube(seg)
-	w.pendLen += seg.Len()
-	if w.pendLen > w.maxPend {
-		w.maxPend = w.pendLen
-	}
-	if w.pendLen >= w.chunk {
-		return w.flush(false)
-	}
-	return nil
-}
-
-// flush emits every full chunk in the pending buffer; with all set it
-// also emits the final partial chunk.
-func (w *ChunkWriter) flush(all bool) error {
-	c := w.pending.Build() // resets the builder; re-append the tail below
-	off := 0
-	for c.Len()-off >= w.chunk {
-		if err := w.emit(c.Slice(off, off+w.chunk)); err != nil {
+	n := r.Stream.Len()
+	for off := 0; off < n; off += DefaultChunkTrits {
+		if err := emit(cw, r.Stream.Slice(off, min(off+DefaultChunkTrits, n))); err != nil {
 			return err
 		}
-		off += w.chunk
 	}
-	if all && off < c.Len() {
-		if err := w.emit(c.Slice(off, c.Len())); err != nil {
-			return err
-		}
-		off = c.Len()
-	}
-	w.pending = bitvec.NewCubeBuilder(c.Len() - off)
-	if off < c.Len() {
-		w.pending.AppendCubeRange(c, off, c.Len())
-	}
-	w.pendLen = c.Len() - off
-	return nil
+	var tail [24]byte // terminator + trailer + trailer CRC
+	binary.LittleEndian.PutUint32(tail[4:], uint32(r.Patterns))
+	binary.LittleEndian.PutUint32(tail[8:], uint32(r.OrigBits))
+	binary.LittleEndian.PutUint32(tail[12:], uint32(r.Blocks))
+	binary.LittleEndian.PutUint32(tail[16:], uint32(n))
+	binary.LittleEndian.PutUint32(tail[20:], crc32.Checksum(tail[4:20], castagnoli))
+	_, err = cw.Write(tail[:])
+	return err
 }
 
 // emit writes one framed chunk.
-func (w *ChunkWriter) emit(c *bitvec.Cube) error {
+func emit(w io.Writer, c *bitvec.Cube) error {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(c.Len()))
 	val, mask := planes(c)
@@ -150,44 +104,12 @@ func (w *ChunkWriter) emit(c *bitvec.Cube) error {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], h.Sum32())
 	for _, b := range [][]byte{cnt[:], val, mask, crc[:]} {
-		if _, err := w.cw.Write(b); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
-	w.written += c.Len()
 	return nil
 }
-
-// Close flushes the final partial chunk and writes the terminator and
-// trailer from the encode summary, cross-checking that the summary's
-// stream size matches the trits actually framed.
-func (w *ChunkWriter) Close(sum core.StreamSummary) (err error) {
-	if w.closed {
-		return fmt.Errorf("container: ChunkWriter closed twice")
-	}
-	w.closed = true
-	defer func() { observeIO(w.sp, "container.writes", "container.bytes_written", w.cw.n, err) }()
-	if err := w.flush(true); err != nil {
-		return err
-	}
-	if sum.StreamBits != w.written {
-		return fmt.Errorf("container: summary claims %d stream trits, wrote %d", sum.StreamBits, w.written)
-	}
-	if sum.Width != w.hdr.Width {
-		return fmt.Errorf("container: summary width %d != header width %d", sum.Width, w.hdr.Width)
-	}
-	var tail [24]byte // terminator + trailer + trailer CRC
-	binary.LittleEndian.PutUint32(tail[4:], uint32(sum.Patterns))
-	binary.LittleEndian.PutUint32(tail[8:], uint32(sum.OrigBits))
-	binary.LittleEndian.PutUint32(tail[12:], uint32(sum.Blocks))
-	binary.LittleEndian.PutUint32(tail[16:], uint32(sum.StreamBits))
-	binary.LittleEndian.PutUint32(tail[20:], crc32.Checksum(tail[4:20], castagnoli))
-	_, err = w.cw.Write(tail[:])
-	return err
-}
-
-// MaxPending returns the writer's buffer high-water mark in trits.
-func (w *ChunkWriter) MaxPending() int { return w.maxPend }
 
 // ChunkReader reads a chunked v4 container incrementally. It
 // implements core.StreamSource: each ReadStream returns one verified
@@ -287,9 +209,9 @@ func (r *ChunkReader) ReadStream() (*bitvec.Cube, error) {
 	return c, nil
 }
 
-// readTrailer verifies the trailer after the zero terminator, latches
-// done and returns io.EOF so the StreamSource contract sees a clean
-// end of stream.
+// readTrailer verifies the trailer after the zero terminator and that
+// nothing follows it, latches done and returns io.EOF so the
+// StreamSource contract sees a clean end of stream.
 func (r *ChunkReader) readTrailer() error {
 	var tr [20]byte
 	if _, err := io.ReadFull(r.r, tr[:]); err != nil {
@@ -309,6 +231,10 @@ func (r *ChunkReader) readTrailer() error {
 	}
 	if err := validateGeometry(r.hdr.K, t.Patterns, r.hdr.Width, t.OrigBits, t.Blocks, t.StreamBits, r.lim); err != nil {
 		return err
+	}
+	var extra [1]byte
+	if n, _ := io.ReadFull(r.r, extra[:]); n != 0 {
+		return fmt.Errorf("container: trailing bytes: %w", robust.ErrCorrupt)
 	}
 	r.trailer = t
 	r.done = true
@@ -362,9 +288,6 @@ func readV4(cr io.Reader, h *headerInfo, opt Options, diag *Diag) (*core.Result,
 
 	if tr, ok := chr.Trailer(); ok {
 		h.patterns, h.origBits, h.blocks, h.streamBits = tr.Patterns, tr.OrigBits, tr.Blocks, tr.StreamBits
-		if n, _ := cr.Read(make([]byte, 1)); n != 0 {
-			return nil, diag, fmt.Errorf("container: trailing bytes: %w", robust.ErrCorrupt)
-		}
 		return finishResult(h, stream, opt.Lenient, diag)
 	}
 

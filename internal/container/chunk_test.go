@@ -33,8 +33,8 @@ func randomSet(patterns, width int, xPercent float64, seed int64) *tcube.Set {
 	return s
 }
 
-// writeChunked streams a set through StreamEncoder -> ChunkWriter and
-// returns the container bytes plus the in-memory reference Result.
+// writeChunked encodes a set in memory and frames it as v4, returning
+// the container bytes plus the encode Result.
 func writeChunked(t *testing.T, cdc *core.Codec, set *tcube.Set) ([]byte, *core.Result) {
 	t.Helper()
 	want, err := cdc.EncodeSet(set)
@@ -42,33 +42,16 @@ func writeChunked(t *testing.T, cdc *core.Codec, set *tcube.Set) ([]byte, *core.
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	cw, err := NewChunkWriter(&buf, StreamHeader{K: want.K, Width: set.Width(), Assign: want.Assign, Name: set.Name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := cdc.NewStreamEncoder(cw, set.Width())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < set.Len(); i++ {
-		if err := enc.WritePattern(set.Cube(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sum, err := enc.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(sum); err != nil {
+	if err := WriteVersion(&buf, want, Magic4); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), want
 }
 
-// TestChunkedRoundTrip: a container written fully streaming (encoder
-// into chunk writer, never materializing T_E) reads back through both
-// the whole-container path and the streaming path, identical to the
-// in-memory encode.
+// TestChunkedRoundTrip: a multi-chunk v4 container reads back through
+// both the whole-container path and the streaming path, identical to
+// the in-memory encode. Bytes after the trailer are corruption on
+// both paths, reported only after every chunk was delivered.
 func TestChunkedRoundTrip(t *testing.T) {
 	cdc, err := core.New(8)
 	if err != nil {
@@ -131,6 +114,39 @@ func TestChunkedRoundTrip(t *testing.T) {
 	tr, ok := chr.Trailer()
 	if !ok || tr.Patterns != set.Len() || tr.StreamBits != want.Stream.Len() {
 		t.Fatalf("trailer %+v ok=%v", tr, ok)
+	}
+
+	junk := append(append([]byte(nil), data...), "JUNK"...)
+	if _, err := Read(bytes.NewReader(junk)); !errors.Is(err, robust.ErrCorrupt) {
+		t.Fatalf("trailing bytes: Read err %v, want ErrCorrupt", err)
+	}
+	chr, err = NewChunkReader(bytes.NewReader(junk), robust.DecodeLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trits := 0
+	for {
+		seg, err := chr.ReadStream()
+		if err != nil {
+			if !errors.Is(err, robust.ErrCorrupt) {
+				t.Fatalf("trailing bytes: ChunkReader err %v, want ErrCorrupt", err)
+			}
+			break
+		}
+		trits += seg.Len()
+	}
+	if trits != want.Stream.Len() {
+		t.Fatalf("trailing bytes: ChunkReader delivered %d of %d trits", trits, want.Stream.Len())
+	}
+	if _, ok := chr.Trailer(); ok {
+		t.Fatal("trailing bytes: trailer reported as verified")
+	}
+	salv, diag, err := ReadWithOptions(bytes.NewReader(junk), Options{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diag.StreamErr == nil || salv.Patterns != set.Len() || !salv.Stream.Equal(want.Stream) {
+		t.Fatalf("trailing bytes: lenient salvage %d/%d patterns, fault %v", salv.Patterns, set.Len(), diag.StreamErr)
 	}
 }
 
@@ -254,54 +270,6 @@ func TestChunkedBitFlipDetected(t *testing.T) {
 	}
 }
 
-// TestChunkedWriterBoundedMemory pins the O(chunk) contract on the
-// write side: the pending buffer never exceeds one chunk plus one
-// pattern's sub-stream, regardless of pattern count.
-func TestChunkedWriterBoundedMemory(t *testing.T) {
-	cdc, err := core.New(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const width = 96
-	// One pattern contributes at most width + 2*blocks trits.
-	perPattern := width + 2*((width+15)/16)
-	high := make(map[int]int)
-	// Both sizes produce streams well past one chunk, so the high-water
-	// is chunk-bound for both; a 4x stream must not move it.
-	for _, patterns := range []int{1024, 4096} {
-		set := randomSet(patterns, width, 60, 9)
-		var buf bytes.Buffer
-		cw, err := NewChunkWriter(&buf, StreamHeader{K: 16, Width: width, Assign: cdc.Assignment()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := cdc.NewStreamEncoder(cw, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < set.Len(); i++ {
-			if err := enc.WritePattern(set.Cube(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sum, err := enc.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.Close(sum); err != nil {
-			t.Fatal(err)
-		}
-		high[patterns] = cw.MaxPending()
-		if cw.MaxPending() > DefaultChunkTrits+perPattern {
-			t.Fatalf("%d patterns: pending high-water %d exceeds chunk+pattern bound %d",
-				patterns, cw.MaxPending(), DefaultChunkTrits+perPattern)
-		}
-	}
-	if high[4096] > high[1024]+perPattern {
-		t.Fatalf("writer buffer grew with pattern count: %v", high)
-	}
-}
-
 // TestChunkReaderLimits: cumulative payload cap and oversized chunk
 // counts classify correctly.
 func TestChunkReaderLimits(t *testing.T) {
@@ -348,39 +316,5 @@ func TestChunkReaderLimits(t *testing.T) {
 	}
 	if _, err := NewChunkReader(bytes.NewReader(v3.Bytes()), robust.DecodeLimits{}); !errors.Is(err, robust.ErrCorrupt) {
 		t.Fatalf("v3 into chunk reader: %v", err)
-	}
-}
-
-// TestChunkWriterMisuse covers writer validation and double close.
-func TestChunkWriterMisuse(t *testing.T) {
-	cdc, err := core.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewChunkWriter(&bytes.Buffer{}, StreamHeader{K: 8, Width: 0, Assign: cdc.Assignment()}); err == nil {
-		t.Fatal("width 0 accepted")
-	}
-	if _, err := NewChunkWriter(&bytes.Buffer{}, StreamHeader{K: 7, Width: 4, Assign: cdc.Assignment()}); err == nil {
-		t.Fatal("odd K accepted")
-	}
-	cw, err := NewChunkWriter(&bytes.Buffer{}, StreamHeader{K: 8, Width: 4, Assign: cdc.Assignment()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(core.StreamSummary{Width: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteStream(bitvec.NewCube(4)); err == nil {
-		t.Fatal("write after close accepted")
-	}
-	if err := cw.Close(core.StreamSummary{Width: 4}); err == nil {
-		t.Fatal("double close accepted")
-	}
-	cw2, err := NewChunkWriter(&bytes.Buffer{}, StreamHeader{K: 8, Width: 4, Assign: cdc.Assignment()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw2.Close(core.StreamSummary{Width: 4, StreamBits: 99}); err == nil {
-		t.Fatal("stream-size mismatch accepted at close")
 	}
 }

@@ -80,10 +80,10 @@ func Write(w io.Writer, r *core.Result) error {
 
 // WriteVersion serializes r in the format selected by magic ("N9C1",
 // "N9C2", "N9C3" or "N9C4") — legacy versions exist for fixtures and
-// compatibility tooling; new containers should use Write, or the
-// streaming ChunkWriter when the payload should not be materialized.
-// The v4 path requires a pattern-set result (Width ≥ 1): the chunked
-// format is set-oriented so a streaming decoder can frame patterns.
+// compatibility tooling; new containers should use Write, or Magic4
+// when a reader should verify and decode chunk by chunk. The v4 path
+// requires a pattern-set result (Width ≥ 1): the chunked format is
+// set-oriented so a streaming decoder can frame patterns.
 func WriteVersion(w io.Writer, r *core.Result, magic string) (err error) {
 	if magic == Magic4 {
 		return writeV4(w, r)
@@ -120,26 +120,10 @@ func WriteVersion(w io.Writer, r *core.Result, magic string) (err error) {
 	return nil
 }
 
-// writeV4 serializes an in-memory result through the chunked writer.
-func writeV4(w io.Writer, r *core.Result) error {
-	cw, err := NewChunkWriter(w, StreamHeader{K: r.K, Width: r.Width, Assign: r.Assign, Name: r.Name})
-	if err != nil {
-		return err
-	}
-	if err := cw.WriteStream(r.Stream); err != nil {
-		return err
-	}
-	return cw.Close(core.StreamSummary{
-		Patterns: r.Patterns, Width: r.Width, OrigBits: r.OrigBits,
-		Blocks: r.Blocks, StreamBits: r.Stream.Len(), Counts: r.Counts,
-	})
-}
-
 // buildHeader assembles the header bytes (magic through set name, plus
 // the CRC32C for the checksummed versions). The same layout serves v3
 // and v4; a v4 header stores zero for the four stream totals, which
-// live in the trailer instead because a streaming writer does not know
-// them up front.
+// live in the trailer instead.
 func buildHeader(magic string, k, patterns, width, origBits, blocks, streamBits int, assign core.Assignment, name string) []byte {
 	var hdr bytes.Buffer
 	hdr.WriteString(magic)

@@ -216,44 +216,6 @@ func TestKernelDecodeHostileMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestKernelStreamingIdentical pins the streaming encoder (which now
-// also runs the kernel) bit-identical to EncodeSet.
-func TestKernelStreamingIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	for _, k := range kernelKs {
-		cdc := mustCodec(t, k)
-		width := 3*k + 1
-		set := tcube.NewSet("strm", width)
-		for i := 0; i < 11; i++ {
-			set.MustAppend(diffCube(rng, width, 0.55))
-		}
-		want, err := cdc.EncodeSet(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := NewCubeSink()
-		se, err := cdc.NewStreamEncoder(sink, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < set.Len(); i++ {
-			if err := se.WritePattern(set.Cube(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sum, err := se.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sink.Cube(); !got.Equal(want.Stream) {
-			t.Fatalf("K=%d: streaming encode differs from EncodeSet", k)
-		}
-		if sum.Counts != want.Counts {
-			t.Fatalf("K=%d: streaming counts differ", k)
-		}
-	}
-}
-
 // FuzzKernelDifferential hunts for disagreements between the per-K
 // kernels and the generic path on both encode and decode, plus error
 // equivalence on arbitrary (mostly invalid) streams.

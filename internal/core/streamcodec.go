@@ -6,26 +6,17 @@ import (
 	"io"
 
 	"repro/internal/bitvec"
-	"repro/internal/obs"
 	"repro/internal/robust"
 )
 
-// This file is the constant-memory streaming layer over the 9C codec.
-// The in-memory paths (EncodeSet/DecodeSet) materialize the whole
-// T_D and T_E; the paper's own deployment model is a serial stream the
-// ATE ships into an on-chip decoder, so the streaming layer processes
+// This file is the constant-memory streaming decoder of the 9C codec.
+// Encoding is an offline step over the whole T_D (EncodeSet and its
+// workspace variants); decoding is what the paper streams, as the ATE
+// ships T_E into an on-chip decoder. The streaming decoder processes
 // one pattern (and inside it, one block) at a time with working state
 // proportional to the scan width plus whatever segment the transport
-// hands over — never to the pattern count. The stream contents are
-// bit-identical to the in-memory paths, pinned by differential tests.
-
-// StreamSink consumes successive segments of a compressed 9C stream.
-// Segments are arbitrary splits of the same trit sequence EncodeSet
-// would produce; concatenating them in order reconstructs T_E exactly.
-// container.ChunkWriter implements StreamSink over chunked v4 framing.
-type StreamSink interface {
-	WriteStream(seg *bitvec.Cube) error
-}
+// hands over — never to the pattern count. Its output is bit-identical
+// to the in-memory DecodeSet, pinned by differential tests.
 
 // StreamSource yields successive segments of a compressed 9C stream.
 // It returns io.EOF after the final segment. Segment boundaries carry
@@ -34,102 +25,6 @@ type StreamSink interface {
 // classified error in place of the segment that failed verification.
 type StreamSource interface {
 	ReadStream() (*bitvec.Cube, error)
-}
-
-// StreamSummary totals what passed through a streaming encode, in the
-// same units the Result of an in-memory encode reports.
-type StreamSummary struct {
-	Patterns   int
-	Width      int
-	OrigBits   int // |T_D| = Patterns·Width
-	Blocks     int
-	StreamBits int // |T_E|
-	Counts     Counts
-}
-
-// StreamEncoder encodes a test set one pattern at a time, handing each
-// pattern's compressed sub-stream to the sink as soon as it is ready.
-// Its working state is one pattern's worth of stream (O(width)); the
-// pattern count never enters its memory footprint. The concatenation
-// of everything written to the sink is bit-identical to the Stream an
-// in-memory EncodeSet of the same patterns would produce, because both
-// pad and encode each scan load independently.
-type StreamEncoder struct {
-	c          *Codec
-	sink       StreamSink
-	width      int
-	blocksPer  int
-	patterns   int
-	streamBits int
-	counts     Counts
-	finished   bool
-}
-
-// NewStreamEncoder returns a streaming encoder for scan loads of the
-// given width (≥ 1), writing the compressed stream to sink.
-func (c *Codec) NewStreamEncoder(sink StreamSink, width int) (*StreamEncoder, error) {
-	if width < 1 {
-		return nil, fmt.Errorf("core: stream width %d, want >= 1", width)
-	}
-	return &StreamEncoder{
-		c: c, sink: sink, width: width,
-		blocksPer: (width + c.k - 1) / c.k,
-	}, nil
-}
-
-// WritePattern encodes one scan load (padded independently to a block
-// multiple, exactly like EncodeSet) and forwards its sub-stream to the
-// sink. The pattern must match the encoder's width.
-func (e *StreamEncoder) WritePattern(p *bitvec.Cube) error {
-	if e.finished {
-		return errors.New("core: StreamEncoder used after Finish")
-	}
-	if p.Len() != e.width {
-		return fmt.Errorf("core: pattern width %d != stream width %d", p.Len(), e.width)
-	}
-	var seg *bitvec.Cube
-	if e.c.hasKernel() {
-		var w kernelWriter
-		w.reset(e.c.worstBits(e.blocksPer))
-		care, val := p.RawWords()
-		e.c.kenc(e.c, care, val, e.blocksPer, &w, &e.counts)
-		seg = w.take()
-	} else {
-		w := newCubeWriter(e.width + e.blocksPer*2)
-		for b := 0; b < e.blocksPer; b++ {
-			e.counts.Add(e.c.encodeBlock(p, b*e.c.k, w))
-		}
-		seg = w.cube()
-	}
-	e.patterns++
-	e.streamBits += seg.Len()
-	return e.sink.WriteStream(seg)
-}
-
-// Finish seals the encoder and returns the stream totals (the sink's
-// own close/flush, if any, is the caller's job — the encoder never
-// buffers trits across patterns, so there is nothing left to flush).
-func (e *StreamEncoder) Finish() (StreamSummary, error) {
-	if e.finished {
-		return StreamSummary{}, errors.New("core: StreamEncoder finished twice")
-	}
-	e.finished = true
-	if reg := obs.Active(); reg != nil {
-		reg.Counter("core.stream.patterns_encoded").Add(int64(e.patterns))
-		reg.Counter("core.stream.bits_encoded").Add(int64(e.streamBits))
-	}
-	return e.Summary(), nil
-}
-
-// Summary returns the totals so far (valid before and after Finish).
-func (e *StreamEncoder) Summary() StreamSummary {
-	return StreamSummary{
-		Patterns: e.patterns, Width: e.width,
-		OrigBits:   e.patterns * e.width,
-		Blocks:     e.patterns * e.blocksPer,
-		StreamBits: e.streamBits,
-		Counts:     e.counts,
-	}
 }
 
 // streamReader adapts a StreamSource into a blockSource: it keeps the
@@ -396,21 +291,3 @@ func (s *CubeSource) ReadStream() (*bitvec.Cube, error) {
 	s.done = true
 	return s.c, nil
 }
-
-// CubeSink collects a compressed stream into memory, for tests and for
-// callers that stream-encode but still want a whole T_E cube.
-type CubeSink struct {
-	b *bitvec.CubeBuilder
-}
-
-// NewCubeSink returns an empty collecting sink.
-func NewCubeSink() *CubeSink { return &CubeSink{b: bitvec.NewCubeBuilder(0)} }
-
-// WriteStream appends the segment.
-func (s *CubeSink) WriteStream(seg *bitvec.Cube) error {
-	s.b.AppendCube(seg)
-	return nil
-}
-
-// Cube returns the collected stream.
-func (s *CubeSink) Cube() *bitvec.Cube { return s.b.Build() }

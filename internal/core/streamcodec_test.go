@@ -70,12 +70,11 @@ func drainDecoder(t *testing.T, d *StreamDecoder, width int) *tcube.Set {
 	}
 }
 
-// TestStreamEncoderBitIdentical pins the acceptance bar: for K in
-// {4,8,16} and a sweep of X densities, the concatenated streaming
-// encode equals the in-memory EncodeSet stream bit for bit, and the
-// streaming decode (under several segment splits, including splits
-// that land mid-codeword and mid-block) reproduces DecodeSet exactly.
-func TestStreamEncoderBitIdentical(t *testing.T) {
+// TestStreamDecoderSplitsMatchDecodeSet pins the acceptance bar: for K
+// in {4,8,16} and a sweep of X densities, the streaming decode of the
+// EncodeSet stream, under several segment splits (including splits
+// that land mid-codeword and mid-block), reproduces DecodeSet exactly.
+func TestStreamDecoderSplitsMatchDecodeSet(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
 		for _, xp := range []float64{0, 10, 45, 75, 100} {
 			cdc, err := New(k)
@@ -87,36 +86,12 @@ func TestStreamEncoderBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			sink := NewCubeSink()
-			enc, err := cdc.NewStreamEncoder(sink, set.Width())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < set.Len(); i++ {
-				if err := enc.WritePattern(set.Cube(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sum, err := enc.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := sink.Cube()
-			if !got.Equal(want.Stream) {
-				t.Fatalf("K=%d X=%.0f%%: streamed T_E differs from EncodeSet", k, xp)
-			}
-			if sum.Counts != want.Counts || sum.Blocks != want.Blocks ||
-				sum.OrigBits != want.OrigBits || sum.StreamBits != want.Stream.Len() {
-				t.Fatalf("K=%d X=%.0f%%: summary %+v disagrees with Result", k, xp, sum)
-			}
-
 			wantSet, err := cdc.DecodeSet(want.Stream, set.Width(), set.Len())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, step := range []int{1, 7, 64, 1 << 12, got.Len() + 1} {
-				dec, err := cdc.NewStreamDecoder(&splitSource{c: got, step: step}, set.Width(), robust.DecodeLimits{})
+			for _, step := range []int{1, 7, 64, 1 << 12, want.Stream.Len() + 1} {
+				dec, err := cdc.NewStreamDecoder(&splitSource{c: want.Stream, step: step}, set.Width(), robust.DecodeLimits{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,52 +238,21 @@ func TestStreamDecoderLimits(t *testing.T) {
 	}
 }
 
-// TestStreamEncoderValidation covers the misuse errors.
-func TestStreamEncoderValidation(t *testing.T) {
-	cdc, err := New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cdc.NewStreamEncoder(NewCubeSink(), 0); err == nil {
-		t.Fatal("width 0 accepted")
-	}
-	enc, err := cdc.NewStreamEncoder(NewCubeSink(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.WritePattern(bitvec.NewCube(9)); err == nil {
-		t.Fatal("width mismatch accepted")
-	}
-	if _, err := enc.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.WritePattern(bitvec.NewCube(10)); err == nil {
-		t.Fatal("write after Finish accepted")
-	}
-	if _, err := enc.Finish(); err == nil {
-		t.Fatal("double Finish accepted")
-	}
-}
-
-// TestStreamRoundTripEmptySet: zero patterns stream and decode cleanly.
+// TestStreamRoundTripEmptySet: an empty set encodes to an empty stream,
+// which the streaming decoder ends cleanly with zero patterns.
 func TestStreamRoundTripEmptySet(t *testing.T) {
 	cdc, err := New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewCubeSink()
-	enc, err := cdc.NewStreamEncoder(sink, 16)
+	r, err := cdc.EncodeSet(tcube.NewSet("empty", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := enc.Finish()
-	if err != nil {
-		t.Fatal(err)
+	if r.Patterns != 0 || r.Stream.Len() != 0 {
+		t.Fatalf("empty set encoded to %d patterns, %d trits", r.Patterns, r.Stream.Len())
 	}
-	if sum.Patterns != 0 || sum.StreamBits != 0 {
-		t.Fatalf("empty summary %+v", sum)
-	}
-	dec, err := cdc.NewStreamDecoder(NewCubeSource(sink.Cube()), 16, robust.DecodeLimits{})
+	dec, err := cdc.NewStreamDecoder(NewCubeSource(r.Stream), 16, robust.DecodeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
