@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/tcube"
@@ -98,9 +100,10 @@ func BenchmarkServeEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkServeDecode measures POST /decode of a v4 container through
-// the full handler stack: chunk read and CRC, streamed decode and text
-// output. The mintest container spans several chunks.
+// BenchmarkServeDecode measures POST /decode through the full handler
+// stack: chunk read and CRC, streamed decode and text output. The
+// mintest container spans several chunks; legacy-v3 is the same set as
+// a whole-payload N9C3 container, the format earlier ninec runs wrote.
 func BenchmarkServeDecode(b *testing.B) {
 	for _, body := range serveBodies(b) {
 		b.Run(body.name, func(b *testing.B) {
@@ -113,4 +116,24 @@ func BenchmarkServeDecode(b *testing.B) {
 			runServe(b, s, "/decode", w.Body.Bytes())
 		})
 	}
+	b.Run("legacy-v3", func(b *testing.B) {
+		set, err := synth.MintestLike("s38417")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cdc, err := core.New(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := cdc.EncodeSet(set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := container.WriteVersion(&buf, r, container.Magic); err != nil {
+			b.Fatal(err)
+		}
+		s := newServer(config{CacheOff: true, ShedQueue: 1 << 10}, obs.NewRegistry())
+		runServe(b, s, "/decode", buf.Bytes())
+	})
 }
