@@ -230,6 +230,7 @@ func runGate(w io.Writer, dir string, threshold float64, match string) error {
 		if !ok {
 			continue // new benchmark: nothing to regress against
 		}
+		delete(base, r.Name)
 		compared++
 		delta := (r.NsPerOp - p.NsPerOp) / p.NsPerOp * 100
 		if delta > threshold {
@@ -239,6 +240,13 @@ func runGate(w io.Writer, dir string, threshold float64, match string) error {
 		} else {
 			fmt.Fprintf(w, "benchjson: ok %s: %.0f ns/op -> %.0f ns/op (%+.1f%%)\n",
 				r.Name, p.NsPerOp, r.NsPerOp, delta)
+		}
+	}
+	// A gated baseline the current snapshot lacks was deleted or
+	// renamed: it cannot fail the gate, but it must not vanish silently.
+	for _, r := range prev.Results {
+		if _, ok := base[r.Name]; ok && re.MatchString(r.Name) {
+			fmt.Fprintf(w, "benchjson: dropped %s\n", r.Name)
 		}
 	}
 	if compared == 0 {

@@ -359,6 +359,40 @@ func TestRunGate(t *testing.T) {
 		}
 	})
 
+	t.Run("dropped benchmark reported", func(t *testing.T) {
+		dir := t.TempDir()
+		writeGateSnapshot(t, dir, "20260807T100000Z", cpu, 1, 1000, 1000)
+		// The newer snapshot lacks the gated EncodeSetK16 and the
+		// ungated Setup: only the first is reported, and the gate still
+		// passes on what both snapshots share.
+		snap := &obs.BenchSnapshot{
+			Schema: obs.BenchSchema, Stamp: "20260807T100100Z",
+			GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64",
+			CPU: cpu, GOMAXPROCS: 1,
+			Results: []obs.BenchResult{
+				{Name: "BenchmarkEncodeSet", Iterations: 100, NsPerOp: 1000},
+			},
+		}
+		f, err := os.Create(filepath.Join(dir, "BENCH_"+snap.Stamp+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.WriteJSON(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		out, err := gate(dir)
+		if err != nil || !strings.Contains(out, "gate passed") {
+			t.Fatalf("err %v, out %q", err, out)
+		}
+		if !strings.Contains(out, "benchjson: dropped BenchmarkEncodeSetK16\n") {
+			t.Fatalf("missing dropped line in %q", out)
+		}
+		if strings.Contains(out, "dropped BenchmarkEncodeSet\n") || strings.Contains(out, "dropped BenchmarkSetup") {
+			t.Fatalf("a kept or ungated benchmark reported as dropped in %q", out)
+		}
+	})
+
 	t.Run("bad match regexp", func(t *testing.T) {
 		var buf strings.Builder
 		if err := runGate(&buf, t.TempDir(), 10, "("); err == nil {

@@ -11,7 +11,7 @@
 //	ninec -k 8 -p 16 cubes.txt            # TAT at f_scan = 16 f_ate
 //	ninec -k 8 -workers 4 cubes.txt       # encode with 4 parallel workers
 //	ninec -k 8 -json cubes.txt            # machine-readable encode report
-//	ninec -k 8 -o out.9c cubes.txt        # write the compressed container
+//	ninec -k 8 -o out.9c cubes.txt        # write the compressed N9C4 container
 //	ninec -d out.9c                       # decompress a container to stdout
 //
 // Robustness controls:
@@ -328,7 +328,7 @@ func run(path string, o runOpts) error {
 		if err != nil {
 			return err
 		}
-		if err := container.Write(f, r); err != nil {
+		if err := container.WriteVersion(f, r, container.Magic4); err != nil {
 			f.Close()
 			return err
 		}

@@ -1,18 +1,23 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/robust"
+	"repro/internal/tcube"
 )
 
 const cubes = `# demo
@@ -102,6 +107,35 @@ func TestRunCompressVerifyAndContainer(t *testing.T) {
 	// Leftover X must still be X in the decompressed text.
 	if !strings.Contains(dec, "X") {
 		t.Fatalf("leftover don't-cares lost: %q", dec)
+	}
+	raw, err := os.ReadFile(cont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte(container.Magic4)) {
+		t.Fatalf("-o wrote %q..., want an N9C4 container", raw[:4])
+	}
+
+	// A v3 file of the same set, as earlier ninec runs wrote, still
+	// decompresses to the same text.
+	back, err := container.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if err := container.WriteVersion(&v3, back, container.Magic); err != nil {
+		t.Fatal(err)
+	}
+	v3Path := filepath.Join(t.TempDir(), "v3.9c")
+	if err := os.WriteFile(v3Path, v3.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dec3, err := captureStdout(t, func() error { return runDecompress(v3Path, decOpts{Strict: true}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec3 != dec {
+		t.Fatalf("v3 decompressed to %q, v4 to %q", dec3, dec)
 	}
 }
 
@@ -325,23 +359,53 @@ func TestDecompressLimits(t *testing.T) {
 	}
 }
 
-// TestDecompressLenientSalvage corrupts a container's payload and
-// asserts -strict rejects it while -strict=false salvages the prefix.
+// TestDecompressLenientSalvage corrupts the tail of a container's
+// payload and asserts -strict rejects it while -strict=false salvages
+// the prefix: of a v3 file, as earlier ninec runs wrote, up to the
+// first undecodable block; of the v4 file -o writes, every chunk before
+// the bad one.
 func TestDecompressLenientSalvage(t *testing.T) {
-	path := writeCubes(t)
-	cont := filepath.Join(t.TempDir(), "out.9c")
-	if _, err := captureStdout(t, func() error {
-		return run(path, runOpts{K: 8, P: 8, Out: cont})
-	}); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	salvage := func(cont, lead string) {
+		t.Helper()
+		if _, err := captureStdout(t, func() error {
+			return runDecompress(cont, decOpts{Strict: true})
+		}); err == nil || !errors.Is(err, robust.ErrChecksum) {
+			t.Fatalf("%s strict: err %v, want ErrChecksum", cont, err)
+		}
+		out, err := captureStdout(t, func() error {
+			return runDecompress(cont, decOpts{Strict: false})
+		})
+		if err != nil {
+			t.Fatalf("%s lenient decode failed outright: %v", cont, err)
+		}
+		// The leading pattern encodes ahead of the corrupted tail and
+		// must survive the salvage.
+		if !strings.Contains(out, lead) {
+			t.Fatalf("%s salvaged output lost the leading pattern: %q", cont, out)
+		}
 	}
-	raw, err := os.ReadFile(cont)
+
+	// v3: flip a care bit in the value plane near the end of the
+	// payload (mask plane bit clear), leaving a well-formed ternary
+	// stream whose tail no longer decodes as valid codewords.
+	set, err := tcube.Read("cubes", strings.NewReader(cubes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a care bit in the value plane near the end of the payload
-	// (mask plane bit clear), leaving a well-formed ternary stream whose
-	// tail no longer decodes as valid codewords.
+	cdc, err := core.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cdc.EncodeSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := container.WriteVersion(&buf, r, container.Magic); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
 	nameOff := 28 + 9*9
 	nameLen := int(raw[nameOff]) | int(raw[nameOff+1])<<8
 	headerEnd := nameOff + 2 + nameLen + 4
@@ -357,26 +421,44 @@ func TestDecompressLenientSalvage(t *testing.T) {
 	if !flipped {
 		t.Fatal("no care bit found in payload")
 	}
-	if err := os.WriteFile(cont, raw, 0o644); err != nil {
+	v3 := filepath.Join(dir, "v3.9c")
+	if err := os.WriteFile(v3, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	salvage(v3, "0000000011111111")
 
+	// v4: a set whose stream spans several chunks, with the CRC of the
+	// last chunk (just before the 4-byte terminator and 20-byte
+	// trailer) damaged.
+	lead := strings.Repeat("0000000011111111", 16)
+	rng := rand.New(rand.NewSource(1))
+	var text strings.Builder
+	text.WriteString(lead + "\n")
+	for i := 0; i < 200; i++ {
+		for j := 0; j < len(lead); j++ {
+			text.WriteByte("01"[rng.Intn(2)])
+		}
+		text.WriteByte('\n')
+	}
+	in := filepath.Join(dir, "big.txt")
+	if err := os.WriteFile(in, []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v4 := filepath.Join(dir, "v4.9c")
 	if _, err := captureStdout(t, func() error {
-		return runDecompress(cont, decOpts{Strict: true})
-	}); err == nil || !errors.Is(err, robust.ErrChecksum) {
-		t.Fatalf("strict: err %v, want ErrChecksum", err)
+		return run(in, runOpts{K: 8, P: 8, Out: v4})
+	}); err != nil {
+		t.Fatal(err)
 	}
-	out, err := captureStdout(t, func() error {
-		return runDecompress(cont, decOpts{Strict: false})
-	})
+	raw, err = os.ReadFile(v4)
 	if err != nil {
-		t.Fatalf("lenient decode failed outright: %v", err)
+		t.Fatal(err)
 	}
-	// The first pattern encodes ahead of the corrupted tail and must
-	// survive the salvage.
-	if !strings.Contains(out, "0000000011111111") {
-		t.Fatalf("salvaged output lost the leading pattern: %q", out)
+	raw[len(raw)-25] ^= 1
+	if err := os.WriteFile(v4, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	salvage(v4, lead)
 }
 
 // TestRealMainExitCodes drives the whole CLI through realMain and pins

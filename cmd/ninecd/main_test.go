@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/inject"
@@ -110,9 +111,36 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyContainerDecode: the service still decodes v3 containers.
+// TestLegacyContainerDecode: /decode streams a v3 container through
+// the same loop as v4, so one set written in either version comes back
+// as the same pattern rows under the same X-Set-Name. A v3 bare cube
+// decodes as one row of all its bits; an empty set and a zero-bit cube
+// give an empty 200 body.
 func TestLegacyContainerDecode(t *testing.T) {
 	ts, _ := newTestServer(t, config{})
+	decode := func(r *core.Result, magic string) (*http.Response, []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := container.WriteVersion(&buf, r, magic); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := post(t, ts.URL+"/decode", buf.Bytes())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s decode: %d %s", magic, resp.StatusCode, body)
+		}
+		return resp, body
+	}
+	// rows drops '#' comment lines, keeping only pattern rows.
+	rows := func(body []byte) string {
+		var b strings.Builder
+		for _, line := range strings.SplitAfter(string(body), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				b.WriteString(line)
+			}
+		}
+		return b.String()
+	}
+
 	set, err := tcube.Read("v3", strings.NewReader(sampleText(5, 24, 2)))
 	if err != nil {
 		t.Fatal(err)
@@ -125,22 +153,67 @@ func TestLegacyContainerDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := container.Write(&buf, r); err != nil {
+	resp3, body3 := decode(r, container.Magic)
+	resp4, body4 := decode(r, container.Magic4)
+	if rows(body3) != rows(body4) {
+		t.Fatalf("v3 rows %q, v4 rows %q", rows(body3), rows(body4))
+	}
+	if n3, n4 := resp3.Header.Get("X-Set-Name"), resp4.Header.Get("X-Set-Name"); n3 != "v3" || n4 != n3 {
+		t.Fatalf("X-Set-Name v3 %q, v4 %q, want %q", n3, n4, "v3")
+	}
+	got, err := tcube.Read("back", bytes.NewReader(body3))
+	if err != nil {
+		t.Fatalf("v3 decode output unparseable: %v", err)
+	}
+	want, err := cdc.DecodeSet(r.Stream, set.Width(), set.Len())
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := post(t, ts.URL+"/decode", buf.Bytes())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v3 decode: %d %s", resp.StatusCode, body)
+	got.Name = want.Name
+	if !got.Equal(want) {
+		t.Fatal("v3 decode differs from the reference decode")
 	}
-	if _, err := tcube.Read("back", bytes.NewReader(body)); err != nil {
-		t.Fatalf("v3 decode output unparseable: %v", err)
+
+	// A bare cube whose length is not a multiple of K: one row.
+	cube, err := bitvec.ParseCube("01X10XX1X0011XXX0X1X10X0XX01X1X0XX110X1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := cdc.EncodeCube(cube)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCube, err := cdc.DecodeCube(rc.Stream, rc.OrigBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, body := decode(rc, container.Magic); string(body) != wantCube.String()+"\n" {
+		t.Fatalf("v3 bare cube decoded to %q, want one row %q", body, wantCube.String())
+	}
+
+	// Empty inputs: a set of no patterns in either version, and a v3
+	// cube of no bits.
+	empty, err := cdc.EncodeSet(tcube.NewSet("empty", 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{container.Magic, container.Magic4} {
+		if _, body := decode(empty, magic); len(body) != 0 {
+			t.Fatalf("%s empty set decoded to %q", magic, body)
+		}
+	}
+	zero, err := cdc.EncodeCube(bitvec.NewCube(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, body := decode(zero, container.Magic); len(body) != 0 {
+		t.Fatalf("zero-bit cube decoded to %q", body)
 	}
 }
 
 // TestStatusMapping pins the error-class -> status-code contract.
 func TestStatusMapping(t *testing.T) {
-	ts, _ := newTestServer(t, config{MaxPatterns: 3, MaxBody: 4096})
+	ts, s := newTestServer(t, config{MaxPatterns: 3, MaxBody: 4096})
 
 	valid := func(patterns int) []byte {
 		resp, cont := post(t, ts.URL+"/encode", []byte(sampleText(patterns, 16, 3)))
@@ -168,7 +241,7 @@ func TestStatusMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v3over bytes.Buffer
-	if err := container.Write(&v3over, r); err != nil {
+	if err := container.WriteVersion(&v3over, r, container.Magic); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +260,11 @@ func TestStatusMapping(t *testing.T) {
 		{"bad-text", "/encode", []byte("01X\n01@\n"), http.StatusBadRequest, "bad_request"},
 		{"empty-set", "/encode", []byte("# only a comment\n"), http.StatusBadRequest, "corrupt"},
 		{"bad-k", "/encode?k=7", []byte("0101\n"), http.StatusBadRequest, "bad_request"},
+		// A set name the decoded 01X text could not carry.
+		{"name-newline", "/encode?name=a%0A0101", []byte("0101\n"), http.StatusBadRequest, "bad_request"},
+		{"name-del", "/encode?name=a%7F", []byte("0101\n"), http.StatusBadRequest, "bad_request"},
 	}
+	cached := s.cache.Len()
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+tc.url, tc.body)
 		if resp.StatusCode != tc.status {
@@ -196,6 +273,9 @@ func TestStatusMapping(t *testing.T) {
 		if got := resp.Header.Get("X-Error-Class"); got != tc.class {
 			t.Errorf("%s: class %q, want %q", tc.name, got, tc.class)
 		}
+	}
+	if n := s.cache.Len(); n != cached {
+		t.Errorf("failed requests left %d cache entries, want %d", n, cached)
 	}
 
 	// A v4 stream cut after its first chunk has already committed the

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/batchenc"
-	"repro/internal/bitvec"
 	"repro/internal/cachex"
 	"repro/internal/codecopt"
 	"repro/internal/container"
@@ -169,8 +168,8 @@ func (c config) limits() robust.DecodeLimits {
 }
 
 // server is the HTTP surface over the 9C codec: /encode turns 01X text
-// into a chunked v4 container, /decode turns any container version
-// back into 01X text, /healthz and /metrics observe the process. Every
+// into a chunked v4 container, /decode turns a v4 or v3 container back
+// into 01X text, /healthz and /metrics observe the process. Every
 // request runs inside a bounded worker pool with a deadline, and every
 // decoder failure maps onto a status code by its robust taxonomy
 // class — hostile input gets a 4xx, never a crash.
@@ -458,101 +457,28 @@ func (s *server) handleEncode(w http.ResponseWriter, r *http.Request) error {
 	return err
 }
 
-// handleDecode reads a container (any version) from the request body
-// and responds with 01X text. Chunked v4 containers stream: each chunk
-// is CRC-verified and its patterns emitted before the next is read, so
-// the response starts before the container has fully arrived and the
-// working set stays O(chunk). Earlier versions buffer, as their single
-// payload checksum only verifies at the end.
+// handleDecode reads a container from the request body and streams
+// 01X text back, one line per pattern, with the set name in the
+// X-Set-Name header. Both container versions feed the same
+// StreamDecoder loop (see openContainer), so the working set beyond
+// the source stays O(pattern).
 func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) error {
-	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	magic, err := body.Peek(4)
-	if err != nil {
-		return fmt.Errorf("container magic: %w: %v", robust.ErrTruncated, err)
-	}
-	if string(magic) == container.Magic4 {
-		return s.decodeChunked(w, r, body)
-	}
-
-	res, _, err := container.ReadWithOptions(body, container.Options{Limits: s.cfg.limits()})
-	if err != nil {
-		return err
-	}
-	cdc, err := codecs.getAssign(res.K, res.Assign)
-	if err != nil {
-		return err
-	}
-	// Decode into the pooled workspace's flat row buffer and emit the
-	// 01X text straight from the packed planes: the steady state of the
-	// buffered decode path allocates nothing per request beyond what
-	// container parsing itself needs.
-	width, patterns := res.Width, res.Patterns
-	if patterns == 0 && width == 0 {
-		// Bare-cube container: one row of the cube's full length.
-		width, patterns = res.OrigBits, 1
-		if res.OrigBits == 0 {
-			width, patterns = 0, 0
-		}
-	}
-	ws := core.GetWorkspace()
-	defer ws.Release()
-	flat, err := cdc.DecodeSetFlatWSCtx(r.Context(), ws, res.Stream, width, patterns)
-	if err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	return writeSetText(w, res.Name, flat, patterns, width, cdc.RowBits(width))
-}
-
-// writeSetText emits the 01X text of patterns stored rowBits apart in
-// flat, byte-identical to tcube.Set.Write, reusing one pooled row
-// buffer for the whole response.
-func writeSetText(w io.Writer, name string, flat *bitvec.Cube, patterns, width, rowBits int) error {
-	xcount := 0
-	for i := 0; i < patterns; i++ {
-		xcount += flat.XIn(i*rowBits, i*rowBits+width)
-	}
-	xp := 0.0
-	if patterns*width > 0 {
-		xp = 100 * float64(xcount) / float64(patterns*width)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# test set %s: %d patterns x %d bits, %.2f%% X\n",
-		name, patterns, width, xp)
-	bufp := textBufPool.Get().(*[]byte)
-	defer textBufPool.Put(bufp)
-	for i := 0; i < patterns; i++ {
-		*bufp = flat.AppendTextRange((*bufp)[:0], i*rowBits, i*rowBits+width)
-		if _, err := bw.Write(*bufp); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// decodeChunked is the verify-and-emit path for v4 containers.
-func (s *server) decodeChunked(w http.ResponseWriter, r *http.Request, body io.Reader) error {
 	sp := obs.SpanCtx(r.Context(), "ninecd.decode.stream")
 	defer sp.End()
-	// This handler keeps reading the request body after it starts
-	// writing the response; without full duplex an HTTP/1.x server
-	// closes the body at the first write, truncating any container
-	// larger than one response buffer. Best effort: where unsupported,
-	// the decode degrades to the pre-duplex behavior.
-	http.NewResponseController(w).EnableFullDuplex()
-	chr, err := container.NewChunkReader(body, s.cfg.limits())
+	src, h, err := s.openContainer(w, bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)))
 	if err != nil {
 		return err
 	}
-	h := chr.Header()
+	if h.Width == 0 {
+		// A bare cube of zero bits: an empty but valid container.
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		return nil
+	}
 	cdc, err := codecs.getAssign(h.K, h.Assign)
 	if err != nil {
 		return fmt.Errorf("%w: %v", robust.ErrCorrupt, err)
 	}
-	dec, err := cdc.NewStreamDecoder(chr, h.Width, s.cfg.limits())
+	dec, err := cdc.NewStreamDecoder(src, h.Width, s.cfg.limits())
 	if err != nil {
 		return err
 	}
@@ -604,6 +530,43 @@ func (s *server) decodeChunked(w http.ResponseWriter, r *http.Request, body io.R
 		bw = bufio.NewWriter(w)
 	}
 	return bw.Flush()
+}
+
+// openContainer returns a container body as a source of verified
+// stream segments, plus its header. A v4 body is read chunk by chunk
+// as it arrives: each chunk is CRC-verified and its patterns emitted
+// before the next is read, so the response starts before the body has
+// fully arrived. A v3 body carries one payload CRC at its end, so it
+// is read and verified whole under the same limits, then replayed as
+// a single segment; a bare-cube v3 container becomes one row of all
+// its bits.
+func (s *server) openContainer(w http.ResponseWriter, body *bufio.Reader) (core.StreamSource, container.StreamHeader, error) {
+	magic, err := body.Peek(4)
+	if err != nil {
+		return nil, container.StreamHeader{}, fmt.Errorf("container magic: %w: %v", robust.ErrTruncated, err)
+	}
+	if string(magic) == container.Magic4 {
+		// The decode keeps reading the request body after it starts
+		// writing the response; without full duplex an HTTP/1.x server
+		// closes the body at the first write, truncating any container
+		// larger than one response buffer. Best effort: where
+		// unsupported, the decode degrades to the pre-duplex behavior.
+		http.NewResponseController(w).EnableFullDuplex()
+		chr, err := container.NewChunkReader(body, s.cfg.limits())
+		if err != nil {
+			return nil, container.StreamHeader{}, err
+		}
+		return chr, chr.Header(), nil
+	}
+	res, _, err := container.ReadWithOptions(body, container.Options{Limits: s.cfg.limits()})
+	if err != nil {
+		return nil, container.StreamHeader{}, err
+	}
+	h := container.StreamHeader{K: res.K, Width: res.Width, Assign: res.Assign, Name: res.Name}
+	if h.Width == 0 {
+		h.Width = res.OrigBits
+	}
+	return core.NewCubeSource(res.Stream), h, nil
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

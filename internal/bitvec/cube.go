@@ -134,23 +134,6 @@ func (c *Cube) CompatibleOne(lo, hi int) bool {
 	return oneOK
 }
 
-// XIn returns the number of X positions in [lo,hi), counting positions
-// past the end of the cube (block padding) as X.
-func (c *Cube) XIn(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < lo {
-		hi = lo
-	}
-	pad := 0
-	if hi > c.Len() {
-		pad = hi - c.Len()
-		hi = c.Len()
-	}
-	return (hi - lo) - c.care.OnesInRange(lo, hi) + pad
-}
-
 // FillConst returns a copy with every X replaced by v.
 func (c *Cube) FillConst(v Trit) *Cube {
 	if v == X {

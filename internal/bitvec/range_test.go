@@ -70,7 +70,7 @@ func TestPropertyCubeRangeOpsMatchNaive(t *testing.T) {
 		}
 		lo := int(loRaw) % (n + 30)
 		hi := lo + int(hiRaw)%40
-		cz, co, xn := true, true, 0
+		cz, co := true, true
 		for i := lo; i < hi; i++ {
 			v := X
 			if i < n {
@@ -82,13 +82,9 @@ func TestPropertyCubeRangeOpsMatchNaive(t *testing.T) {
 			if v == Zero {
 				co = false
 			}
-			if v == X {
-				xn++
-			}
 		}
 		return c.CompatibleZero(lo, hi) == cz &&
-			c.CompatibleOne(lo, hi) == co &&
-			c.XIn(lo, hi) == xn
+			c.CompatibleOne(lo, hi) == co
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diag.Version != Magic4 || !diag.HasCRC || !diag.PayloadCRCOK {
+	if diag.Version != Magic4 || !diag.HeaderCRCOK || !diag.PayloadCRCOK {
 		t.Fatalf("diag %+v", diag)
 	}
 	if !back.Stream.Equal(want.Stream) {
@@ -311,7 +311,7 @@ func TestChunkReaderLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v3 bytes.Buffer
-	if err := Write(&v3, r); err != nil {
+	if err := WriteVersion(&v3, r, Magic); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewChunkReader(bytes.NewReader(v3.Bytes()), robust.DecodeLimits{}); !errors.Is(err, robust.ErrCorrupt) {

@@ -7,9 +7,9 @@
 // Layout (all integers little-endian uint32 unless noted):
 //
 //	offset  field
-//	0       magic "N9C3" ("N9C2" containers, which lack the CRCs, and
-//	        "N9C1" containers, which also lack the set-name field, are
-//	        still read)
+//	0       magic "N9C3" (this whole-payload layout) or "N9C4" (the
+//	        chunked layout every writer emits, see chunk.go); v3 is
+//	        read so .9c files from earlier ninec runs still decode
 //	4       block size K
 //	8       pattern count (0 when a bare cube was encoded)
 //	12      scan width    (0 when a bare cube was encoded)
@@ -18,18 +18,17 @@
 //	24      stream bit count |T_E|
 //	28      codeword table: 9 × (uint8 length + 8-byte zero-padded
 //	        codeword ASCII)
-//	...     set name (v2+): uint16 length + UTF-8 bytes, so a
+//	...     set name: uint16 length + bytes, no control byte, so a
 //	        decompressed set keeps its original label instead of the
 //	        container path
-//	...     header CRC32C (v3 only): over every byte above, magic
-//	        included
+//	...     header CRC32C: over every byte above, magic included
 //	...     value plane, ceil(|T_E|/8) bytes, bit i at byte i/8 bit i%8
 //	...     X-mask plane, same size (bit set = position is X)
-//	...     payload CRC32C (v3 only): over both planes
+//	...     payload CRC32C: over both planes
 //
 // Reading is hostile-input hardened: header fields are cross-checked
 // against each other and against robust.DecodeLimits before a single
-// payload byte is allocated, the v3 CRCs detect any bit flip, and
+// payload byte is allocated, the CRCs detect any bit flip, and
 // every failure wraps one of the robust taxonomy sentinels
 // (ErrTruncated / ErrCorrupt / ErrLimitExceeded / ErrChecksum).
 package container
@@ -49,20 +48,18 @@ import (
 	"repro/internal/robust"
 )
 
-// Magic identifies the default whole-payload format (CRC-protected).
+// Magic identifies the whole-payload v3 format (CRC-protected). No
+// tool writes it any more; it stays readable for .9c files that earlier
+// ninec runs wrote, and WriteVersion still emits it so tests and fault-
+// injection campaigns can exercise that reader on genuine v3 bytes
+// (TestGoldenContainers pins them).
 const Magic = "N9C3"
 
-// Magic4 identifies the chunked streaming format: the same CRC-checked
-// header, but the payload split into CRC32C-framed chunks (see chunk.go)
-// so a decoder can verify-and-emit incrementally and salvage up to the
-// first bad chunk.
+// Magic4 identifies the chunked streaming format every writer emits:
+// the same CRC-checked header, but the payload split into CRC32C-framed
+// chunks (see chunk.go) so a decoder can verify-and-emit incrementally
+// and salvage up to the first bad chunk.
 const Magic4 = "N9C4"
-
-// MagicV2 is the CRC-less named format, accepted on read.
-const MagicV2 = "N9C2"
-
-// MagicV1 is the legacy nameless format, accepted on read.
-const MagicV1 = "N9C1"
 
 // maxNameLen bounds the stored set name; longer names are truncated on
 // write and rejected on read.
@@ -71,24 +68,21 @@ const maxNameLen = 4096
 // castagnoli is the CRC32C polynomial table used for both checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Write serializes an encoding result in the current (v3) format,
-// including the source set name so decompression can restore the
-// original label, and CRC32C checksums over header and payload.
-func Write(w io.Writer, r *core.Result) error {
-	return WriteVersion(w, r, Magic)
-}
-
-// WriteVersion serializes r in the format selected by magic ("N9C1",
-// "N9C2", "N9C3" or "N9C4") — legacy versions exist for fixtures and
-// compatibility tooling; new containers should use Write, or Magic4
-// when a reader should verify and decode chunk by chunk. The v4 path
+// WriteVersion serializes r, set name and CRC32C checksums included,
+// in the format selected by magic. Production code passes Magic4, which
 // requires a pattern-set result (Width ≥ 1): the chunked format is
-// set-oriented so a streaming decoder can frame patterns.
+// set-oriented so a streaming decoder can frame patterns. Magic (v3) is
+// accepted only to produce reader fixtures; see its doc comment. A set
+// name holding a control byte is refused, since the 01X text a decode
+// emits could not carry it.
 func WriteVersion(w io.Writer, r *core.Result, magic string) (err error) {
+	if err := checkName(r.Name); err != nil {
+		return err
+	}
 	if magic == Magic4 {
 		return writeV4(w, r)
 	}
-	if magic != Magic && magic != MagicV2 && magic != MagicV1 {
+	if magic != Magic {
 		return fmt.Errorf("container: unknown version %q", magic)
 	}
 	sp := obs.Active().Span("container.write")
@@ -107,23 +101,31 @@ func WriteVersion(w io.Writer, r *core.Result, magic string) (err error) {
 	if _, err := cw.Write(mask); err != nil {
 		return err
 	}
-	if magic == Magic {
-		h := crc32.New(castagnoli)
-		h.Write(val)
-		h.Write(mask)
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], h.Sum32())
-		if _, err := cw.Write(crc[:]); err != nil {
-			return err
+	h := crc32.New(castagnoli)
+	h.Write(val)
+	h.Write(mask)
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], h.Sum32())
+	_, err = cw.Write(crc[:])
+	return err
+}
+
+// checkName rejects a set name with a control byte (below 0x20, or
+// DEL): decoded 01X text names the set on a '#' comment line, and a
+// newline there would turn the rest of the name into a pattern row.
+func checkName(name string) error {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c < 0x20 || c == 0x7f {
+			return fmt.Errorf("container: set name has control byte %#02x at offset %d", c, i)
 		}
 	}
 	return nil
 }
 
-// buildHeader assembles the header bytes (magic through set name, plus
-// the CRC32C for the checksummed versions). The same layout serves v3
-// and v4; a v4 header stores zero for the four stream totals, which
-// live in the trailer instead.
+// buildHeader assembles the header bytes, magic through set name plus
+// the header CRC32C. The same layout serves v3 and v4; a v4 header
+// stores zero for the four stream totals, which live in the trailer
+// instead.
 func buildHeader(magic string, k, patterns, width, origBits, blocks, streamBits int, assign core.Assignment, name string) []byte {
 	var hdr bytes.Buffer
 	hdr.WriteString(magic)
@@ -142,20 +144,16 @@ func buildHeader(magic string, k, patterns, width, origBits, blocks, streamBits 
 		copy(entry[1:], code)
 		hdr.Write(entry[:])
 	}
-	if magic != MagicV1 {
-		if len(name) > maxNameLen {
-			name = name[:maxNameLen]
-		}
-		var nlen [2]byte
-		binary.LittleEndian.PutUint16(nlen[:], uint16(len(name)))
-		hdr.Write(nlen[:])
-		hdr.WriteString(name)
+	if len(name) > maxNameLen {
+		name = name[:maxNameLen]
 	}
-	if magic == Magic || magic == Magic4 {
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(hdr.Bytes(), castagnoli))
-		hdr.Write(crc[:])
-	}
+	var nlen [2]byte
+	binary.LittleEndian.PutUint16(nlen[:], uint16(len(name)))
+	hdr.Write(nlen[:])
+	hdr.WriteString(name)
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(hdr.Bytes(), castagnoli))
+	hdr.Write(crc[:])
 	return hdr.Bytes()
 }
 
@@ -179,10 +177,7 @@ type Options struct {
 type Diag struct {
 	// Version is the magic of the container that was read.
 	Version string
-	// HasCRC is true for v3 containers, which carry checksums.
-	HasCRC bool
-	// HeaderCRCOK / PayloadCRCOK report the v3 checksum outcomes
-	// (vacuously true when HasCRC is false).
+	// HeaderCRCOK / PayloadCRCOK report the checksum outcomes.
 	HeaderCRCOK, PayloadCRCOK bool
 	// PlaneConflicts counts payload bits that were both X and 1; in
 	// lenient mode they demote to X instead of failing the read.
@@ -194,8 +189,8 @@ type Diag struct {
 
 // Read parses a container back into a Result under the default decode
 // limits (Counts are recomputed by re-classifying on decode when
-// needed; the stored stream is authoritative). All format versions
-// ("N9C3", "N9C2", "N9C1") are accepted.
+// needed; the stored stream is authoritative). Both "N9C4" and the
+// older "N9C3" are accepted; any other magic is ErrCorrupt.
 func Read(rd io.Reader) (*core.Result, error) {
 	return ReadWithLimits(rd, robust.DecodeLimits{})
 }
@@ -223,7 +218,7 @@ func ReadWithOptions(rd io.Reader, opt Options) (res *core.Result, diag *Diag, e
 	if h.version == Magic4 {
 		return readV4(cr, h, opt, diag)
 	}
-	// Geometry validation runs after the v3 header CRC so field
+	// Geometry validation runs after the header CRC so field
 	// corruption reports as a checksum fault, but strictly before the
 	// payload planes are sized from the untrusted stream bit count.
 	if err := validateGeometry(h.k, h.patterns, h.width, h.origBits, h.blocks, h.streamBits, lim); err != nil {
@@ -245,19 +240,17 @@ func ReadWithOptions(rd io.Reader, opt Options) (res *core.Result, diag *Diag, e
 	if err := readFull(mask, "mask plane"); err != nil {
 		return nil, diag, err
 	}
-	if diag.HasCRC {
-		var crc [4]byte
-		if err := readFull(crc[:], "payload checksum"); err != nil {
-			return nil, diag, err
-		}
-		pcrc := crc32.New(castagnoli)
-		pcrc.Write(val)
-		pcrc.Write(mask)
-		if got, want := pcrc.Sum32(), binary.LittleEndian.Uint32(crc[:]); got != want {
-			diag.PayloadCRCOK = false
-			if !opt.Lenient {
-				return nil, diag, fmt.Errorf("container: payload CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
-			}
+	var crc [4]byte
+	if err := readFull(crc[:], "payload checksum"); err != nil {
+		return nil, diag, err
+	}
+	pcrc := crc32.New(castagnoli)
+	pcrc.Write(val)
+	pcrc.Write(mask)
+	if got, want := pcrc.Sum32(), binary.LittleEndian.Uint32(crc[:]); got != want {
+		diag.PayloadCRCOK = false
+		if !opt.Lenient {
+			return nil, diag, fmt.Errorf("container: payload CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
 		}
 	}
 	if n, _ := cr.Read(make([]byte, 1)); n != 0 {
@@ -271,7 +264,7 @@ func ReadWithOptions(rd io.Reader, opt Options) (res *core.Result, diag *Diag, e
 	return finishResult(h, stream, opt.Lenient, diag)
 }
 
-// headerInfo is the parsed header of any container version: geometry
+// headerInfo is the parsed header of either container version: geometry
 // fields, codeword assignment and set name. For v4 the four stream
 // totals are zero placeholders; the real values live in the trailer.
 type headerInfo struct {
@@ -281,9 +274,9 @@ type headerInfo struct {
 	name                                             string
 }
 
-// readHeader parses magic through the header checksum (where the
-// version has one), updating diag as it goes. Shared by the whole-
-// payload read path and the chunked v4 reader.
+// readHeader parses magic through the header checksum, updating diag
+// as it goes. Shared by the whole-payload read path and the chunked v4
+// reader.
 func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
 	hcrc := crc32.New(castagnoli)
 	readFull := func(buf []byte, what string) error {
@@ -301,14 +294,9 @@ func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
 	hcrc.Write(magic[:])
 	h.version = string(magic[:])
 	diag.Version = h.version
-	switch h.version {
-	case Magic, Magic4:
-		diag.HasCRC = true
-	case MagicV2, MagicV1:
-	default:
+	if h.version != Magic && h.version != Magic4 {
 		return nil, fmt.Errorf("container: bad magic %q: %w", magic[:], robust.ErrCorrupt)
 	}
-	hasName := h.version != MagicV1
 
 	var hdr [24]byte
 	if err := readFull(hdr[:], "header"); err != nil {
@@ -345,34 +333,36 @@ func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
 	}
 	h.assign = assign
 
-	if hasName {
-		var nlen [2]byte
-		if err := readFull(nlen[:], "set name length"); err != nil {
-			return nil, err
-		}
-		hcrc.Write(nlen[:])
-		n := int(binary.LittleEndian.Uint16(nlen[:]))
-		if n > maxNameLen {
-			return nil, fmt.Errorf("container: set name length %d exceeds %d: %w", n, maxNameLen, robust.ErrLimitExceeded)
-		}
-		buf := make([]byte, n)
-		if err := readFull(buf, "set name"); err != nil {
-			return nil, err
-		}
-		hcrc.Write(buf)
-		h.name = string(buf)
+	var nlen [2]byte
+	if err := readFull(nlen[:], "set name length"); err != nil {
+		return nil, err
 	}
-	if diag.HasCRC {
-		var crc [4]byte
-		if err := readFull(crc[:], "header checksum"); err != nil {
-			return nil, err
-		}
-		if got, want := hcrc.Sum32(), binary.LittleEndian.Uint32(crc[:]); got != want {
-			// A bad header CRC is fatal even in lenient mode: the
-			// geometry that partial decode depends on is untrustworthy.
-			diag.HeaderCRCOK = false
-			return nil, fmt.Errorf("container: header CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
-		}
+	hcrc.Write(nlen[:])
+	n := int(binary.LittleEndian.Uint16(nlen[:]))
+	if n > maxNameLen {
+		return nil, fmt.Errorf("container: set name length %d exceeds %d: %w", n, maxNameLen, robust.ErrLimitExceeded)
+	}
+	buf := make([]byte, n)
+	if err := readFull(buf, "set name"); err != nil {
+		return nil, err
+	}
+	hcrc.Write(buf)
+	h.name = string(buf)
+
+	var crc [4]byte
+	if err := readFull(crc[:], "header checksum"); err != nil {
+		return nil, err
+	}
+	if got, want := hcrc.Sum32(), binary.LittleEndian.Uint32(crc[:]); got != want {
+		// A bad header CRC is fatal even in lenient mode: the
+		// geometry that partial decode depends on is untrustworthy.
+		diag.HeaderCRCOK = false
+		return nil, fmt.Errorf("container: header CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
+	}
+	// Checked after the CRC, so a bit flip in the name reports as a
+	// checksum fault and only a faithfully stored bad name as corrupt.
+	if err := checkName(h.name); err != nil {
+		return nil, fmt.Errorf("%w: %w", err, robust.ErrCorrupt)
 	}
 	return h, nil
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzRead checks the container parser never panics on arbitrary
-// bytes and that anything it accepts re-serializes identically.
+// bytes and that anything it accepts re-serializes, in the version it
+// was read as, to a container that reads back the same.
 func FuzzRead(f *testing.F) {
 	// Seed with a genuine container.
 	set, err := tcube.Read("seed", strings.NewReader("0000000011111111\n01X011011XXXXX10\n"))
@@ -26,7 +27,7 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := WriteVersion(&buf, r, Magic); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -41,12 +42,14 @@ func FuzzRead(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 200))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Read(bytes.NewReader(data))
+		r, diag, err := ReadWithOptions(bytes.NewReader(data), Options{})
 		if err != nil {
 			return
 		}
+		// A v3 input may hold a bare cube (Width 0), which only v3 can
+		// carry, so the round trip stays in the version that was read.
 		var out bytes.Buffer
-		if err := Write(&out, r); err != nil {
+		if err := WriteVersion(&out, r, diag.Version); err != nil {
 			t.Fatalf("re-serialize of accepted container failed: %v", err)
 		}
 		again, err := Read(&out)

@@ -170,33 +170,6 @@ func BenchmarkEncodeSetWS(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeSetFlatWS times the zero-allocation workspace decode
-// into the flat row buffer.
-func BenchmarkDecodeSetFlatWS(b *testing.B) {
-	set := benchSet(256, 2048)
-	cdc, err := New(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := cdc.EncodeSet(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ws := GetWorkspace()
-	defer ws.Release()
-	if _, err := cdc.DecodeSetFlatWS(ws, r.Stream, set.Width(), set.Len()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(set.Bits() / 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cdc.DecodeSetFlatWS(ws, r.Stream, set.Width(), set.Len()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEncodeSetParallel measures worker-pool scaling of the
 // parallel set encoder against the serial baseline (workers=1 falls
 // through to EncodeSet).

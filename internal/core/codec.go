@@ -335,7 +335,8 @@ func (c *Codec) DecodeCubePartial(stream *bitvec.Cube, origBits int) (*bitvec.Cu
 }
 
 // DecodeSet decompresses a stream produced by EncodeSet back into a
-// test set of the given geometry.
+// test set of the given geometry. Streams the kernel declines go
+// through DecodeSetPartial, whose partial set is dropped on error.
 func (c *Codec) DecodeSet(stream *bitvec.Cube, width, patterns int) (set *tcube.Set, err error) {
 	sp := obs.Active().Span("core.decode_set")
 	defer func() { observeDecode(sp, width*patterns, err) }()
@@ -345,12 +346,16 @@ func (c *Codec) DecodeSet(stream *bitvec.Cube, width, patterns int) (set *tcube.
 	if out, ok := c.decodeSetFast(stream, width, patterns); ok {
 		return out, nil
 	}
-	return c.decodeSetGeneric(stream, width, patterns)
+	out, err := c.DecodeSetPartial(stream, width, patterns)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // decodeSetFast is the kernel decode of a set stream: one reusable
 // scratch writer across patterns, each decoded pattern copied out as an
-// independently-owned cube. ok=false falls back to the generic path
+// independently-owned cube. ok=false falls back to DecodeSetPartial
 // (see decodeCubeFast).
 func (c *Codec) decodeSetFast(stream *bitvec.Cube, width, patterns int) (*tcube.Set, bool) {
 	if !c.hasDecodeKernel() {

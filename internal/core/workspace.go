@@ -2,31 +2,26 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/obs"
-	"repro/internal/robust"
 	"repro/internal/tcube"
 )
 
-// Workspace owns the reusable scratch of the kernel hot path: the
-// encode and decode plane backings, a re-pointed stream/output cube,
-// and a Result. With a warm workspace, EncodeSetWS and DecodeSetFlatWS
-// allocate nothing per call (pinned by AllocsPerRun tests), which is
-// what keeps the ninecd request path and tight re-encode loops (the
-// planned code-space search) off the garbage collector.
+// Workspace owns the reusable scratch of the kernel encode path: the
+// encode plane backings, a re-pointed stream cube, and a Result. With a
+// warm workspace, EncodeSetWS allocates nothing per call (pinned by an
+// AllocsPerRun test), which keeps the /encode request path and tight
+// re-encode loops off the garbage collector. Decoding needs no
+// workspace: a StreamDecoder reuses its own per-pattern scratch.
 //
-// The returned Result, its Stream, and the flat decode cube all alias
-// workspace memory: they stay valid only until the workspace's next
-// use or Release. Callers that need the data past that point must copy
-// it first.
+// The returned Result and its Stream alias workspace memory: they stay
+// valid only until the workspace's next use or Release. Callers that
+// need the data past that point must copy it first.
 type Workspace struct {
 	enc    kernelWriter
-	dec    kernelWriter
 	stream *bitvec.Cube // aliases enc's planes
-	flat   *bitvec.Cube // aliases dec's planes
 	res    Result
 }
 
@@ -50,17 +45,6 @@ func (ws *Workspace) takeStream() *bitvec.Cube {
 		ws.stream.ResetWords(ws.enc.n, ws.enc.care, ws.enc.val)
 	}
 	return ws.stream
-}
-
-// takeFlat wraps the first n bits of the decode writer's planes as the
-// workspace's reusable output cube.
-func (ws *Workspace) takeFlat(n int) *bitvec.Cube {
-	if ws.flat == nil {
-		ws.flat = bitvec.CubeOfWords(n, ws.dec.care, ws.dec.val)
-	} else {
-		ws.flat.ResetWords(n, ws.dec.care, ws.dec.val)
-	}
-	return ws.flat
 }
 
 // EncodeSetWS is EncodeSet into a reusable workspace: same stream,
@@ -107,82 +91,4 @@ func (c *Codec) EncodeSetWSCtx(ctx context.Context, ws *Workspace, s *tcube.Set)
 	ws.res.LeftoverX = stream.XCount()
 	observeEncode(sp, &ws.res, "serial")
 	return &ws.res, nil
-}
-
-// RowBits returns the padded row stride of DecodeSetFlatWS output for
-// a set of the given width: each pattern decodes to a whole number of
-// K-bit blocks.
-func (c *Codec) RowBits(width int) int {
-	return (width + c.k - 1) / c.k * c.k
-}
-
-// DecodeSetFlatWS decodes a set stream into the workspace's flat row
-// buffer: pattern i occupies bits [i·RowBits(width), i·RowBits(width)
-// + width) of the returned cube (the remainder of each row is block
-// padding). It accepts exactly the streams DecodeSet accepts and
-// reports the identical errors, but allocates nothing per call with a
-// warm workspace on the kernel path. The returned cube aliases ws.
-func (c *Codec) DecodeSetFlatWS(ws *Workspace, stream *bitvec.Cube, width, patterns int) (*bitvec.Cube, error) {
-	return c.DecodeSetFlatWSCtx(context.Background(), ws, stream, width, patterns)
-}
-
-// DecodeSetFlatWSCtx is DecodeSetFlatWS whose telemetry span nests
-// under the span carried by ctx (a ninecd request root span), sharing
-// its trace ID. The context is used for span threading only — the
-// decode itself is not cancellable, it is too fast to be worth
-// checking.
-func (c *Codec) DecodeSetFlatWSCtx(ctx context.Context, ws *Workspace, stream *bitvec.Cube, width, patterns int) (cube *bitvec.Cube, err error) {
-	sp := obs.SpanCtx(ctx, "core.decode_set")
-	defer func() { observeDecode(sp, width*patterns, err) }()
-	if width < 0 || patterns < 0 {
-		return nil, fmt.Errorf("core: invalid geometry %dx%d: %w", patterns, width, robust.ErrCorrupt)
-	}
-	if c.hasDecodeKernel() {
-		scare, sval := stream.RawWords()
-		slen := stream.Len()
-		blocksPer := (width + c.k - 1) / c.k
-		ws.dec.reset(blocksPer * c.k * patterns)
-		pos, ok := 0, true
-		for i := 0; i < patterns && ok; i++ {
-			pos, ok = c.kdec(c, scare, sval, slen, pos, blocksPer, &ws.dec)
-		}
-		if ok && pos == slen {
-			return ws.takeFlat(ws.dec.n), nil
-		}
-		// Suspicious stream: rerun the generic decoder for the
-		// classified error (or, rarely, a clean result the fast path
-		// declined — e.g. an incomplete prefix code).
-	}
-	set, err := c.decodeSetGeneric(stream, width, patterns)
-	if err != nil {
-		return nil, err
-	}
-	rowBits := c.RowBits(width)
-	b := bitvec.NewCubeBuilder(rowBits * patterns)
-	for i := 0; i < set.Len(); i++ {
-		b.AppendCubeRange(set.Cube(i), 0, rowBits)
-	}
-	return b.Build(), nil
-}
-
-// decodeSetGeneric is DecodeSet without the kernel fast path or
-// telemetry, for the fallback of DecodeSetFlatWS (which reports its
-// own telemetry) and for differential tests.
-func (c *Codec) decodeSetGeneric(stream *bitvec.Cube, width, patterns int) (*tcube.Set, error) {
-	r := &cubeReader{src: stream}
-	blocksPer := (width + c.k - 1) / c.k
-	out := tcube.NewSet("decoded", width)
-	for i := 0; i < patterns; i++ {
-		p, err := decodeBlocks(c, r, blocksPer)
-		if err != nil {
-			return nil, fmt.Errorf("core: pattern %d: %w", i, err)
-		}
-		if err := out.Append(p.Slice(0, width)); err != nil {
-			return nil, err
-		}
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bits after final pattern: %w", r.remaining(), robust.ErrCorrupt)
-	}
-	return out, nil
 }
