@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race netlines bench bench-json bench-gate bench-campaign campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke vuln
+.PHONY: check fmt vet build test race netlines bench bench-json bench-gate bench-smoke bench-campaign campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke vuln
 
 ## check: the full pre-merge gate — formatting, vet, build, race tests,
 ## the campaign-equivalence smoke, telemetry smoke, the ninecd serving
@@ -9,8 +9,9 @@ FUZZTIME ?= 10s
 ## the result-cache smoke, the client resilience soak, the metric-name
 ## contract lint, the disabled-telemetry overhead guard, a short fuzz
 ## pass over every hostile-input decoder, the bench regression gate
-## over the two newest snapshots, and (when installed) govulncheck.
-check: fmt vet build race campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke bench-gate vuln
+## over the two newest snapshots, the bench module's own tests, and
+## (when installed) govulncheck.
+check: fmt vet build race campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke bench-gate bench-smoke vuln
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -79,6 +80,11 @@ bench-json:
 ## machines still pass.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate -dir .
+
+## bench-smoke: the end-to-end benchmark module's own tests (its
+## runner, spec and compare logic, and a short TestBenchSmoke run).
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 ## campaign-smoke: prove a parallel collapsed campaign reports coverage
 ## bit-identical to the serial uncollapsed per-fault reference.

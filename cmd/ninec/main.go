@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -420,18 +421,23 @@ func readCubes(path string) (*tcube.Set, error) {
 	return tcube.Read(path, f)
 }
 
-// encode runs the worker-pool encoder under the caller's context (the
-// -timeout deadline); its output is bit-identical to the serial path,
-// so every downstream report is unaffected by workers.
+// encode runs the encoder on workers goroutines (≤ 0 selects
+// GOMAXPROCS) under the caller's context (the -timeout deadline); its
+// output is bit-identical to the serial path, so every downstream
+// report is unaffected by workers.
 func encode(ctx context.Context, set *tcube.Set, k int, fd bool, workers int) (*core.Result, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	opt := core.EncodeOptions{Workers: workers}
 	cdc, err := core.New(k)
 	if err != nil {
 		return nil, err
 	}
 	if !fd {
-		return cdc.EncodeSetParallelCtx(ctx, set, workers)
+		return cdc.Encode(ctx, set, opt)
 	}
-	first, err := cdc.EncodeSetParallelCtx(ctx, set, workers)
+	first, err := cdc.Encode(ctx, set, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +445,7 @@ func encode(ctx context.Context, set *tcube.Set, k int, fd bool, workers int) (*
 	if err != nil {
 		return nil, err
 	}
-	return cdc.EncodeSetParallelCtx(ctx, set, workers)
+	return cdc.Encode(ctx, set, opt)
 }
 
 func codecFor(k int, fd bool, r *core.Result) (*core.Codec, error) {

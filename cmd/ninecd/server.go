@@ -301,9 +301,14 @@ func errClass(err error) string {
 // recovered panic is a 500 and a counter bump, never a dead process),
 // adaptive admission (shed/saturation 429s with an honest Retry-After —
 // see admission.go), the per-request deadline, and fault accounting.
+// Latency is instrument's: ninecd.http.<route>.latency_seconds.
 func (s *server) guard(name string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	// Resolved once per route, as in instrument, so the success path
+	// never takes the registry map lock.
+	reqs := s.reg.Counter("ninecd." + name + ".requests")
+	inflight := s.reg.Gauge("ninecd.inflight")
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.reg.Counter("ninecd." + name + ".requests").Inc()
+		reqs.Inc()
 		defer func() {
 			if v := recover(); v != nil {
 				s.reg.Counter("ninecd." + name + ".panics").Inc()
@@ -324,15 +329,12 @@ func (s *server) guard(name string, h func(http.ResponseWriter, *http.Request) e
 			return
 		}
 		defer release()
-		s.reg.Gauge("ninecd.inflight").Add(1)
-		defer s.reg.Gauge("ninecd.inflight").Add(-1)
+		inflight.Add(1)
+		defer inflight.Add(-1)
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
-		start := time.Now()
-		err := h(w, r.WithContext(ctx))
-		s.reg.Histogram("ninecd." + name + ".us").Observe(time.Since(start).Microseconds())
-		if err != nil {
+		if err := h(w, r.WithContext(ctx)); err != nil {
 			class := errClass(err)
 			if info := reqInfoFrom(r.Context()); info != nil {
 				info.errClass = class

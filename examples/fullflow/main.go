@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"runtime"
 
 	"repro/internal/ate"
 	"repro/internal/atpg"
@@ -51,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := codec.EncodeSetParallel(cubes, 0)
+	r, err := codec.Encode(context.Background(), cubes, core.EncodeOptions{Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		log.Fatal(err)
 	}

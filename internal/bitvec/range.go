@@ -1,7 +1,5 @@
 package bitvec
 
-import "math/bits"
-
 // WordCount returns the number of 64-bit words backing the vector.
 func (b *Bits) WordCount() int { return len(b.words) }
 
@@ -11,33 +9,6 @@ func (b *Bits) WordCount() int { return len(b.words) }
 // (e.g. scan-cell compatibility counting); ordinary code should use
 // Get/Set.
 func (b *Bits) Word(i int) uint64 { return b.words[i] }
-
-// OnesInRange returns the number of 1 bits in positions [lo, hi),
-// clamped to the vector bounds. It runs word-at-a-time, which is what
-// makes block classification in the 9C encoder O(K/64) instead of
-// O(K).
-func (b *Bits) OnesInRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	loWord, hiWord := lo/wordBits, (hi-1)/wordBits
-	loMask := ^uint64(0) << uint(lo%wordBits)
-	hiMask := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
-	if loWord == hiWord {
-		return bits.OnesCount64(b.words[loWord] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(b.words[loWord] & loMask)
-	for w := loWord + 1; w < hiWord; w++ {
-		c += bits.OnesCount64(b.words[w])
-	}
-	return c + bits.OnesCount64(b.words[hiWord]&hiMask)
-}
 
 // AnyInRange reports whether any bit in [lo, hi) is 1 (clamped).
 func (b *Bits) AnyInRange(lo, hi int) bool {

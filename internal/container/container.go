@@ -368,9 +368,11 @@ func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
 }
 
 // finishResult builds the Result from a verified stream and geometry,
-// recovering the codeword statistics (and validating the stream) by
-// decoding once. Lenient mode records the failure instead and leaves
-// Counts zero: the caller salvages via partial decode.
+// recovering the codeword statistics (and validating the stream) in one
+// walk of its blocks. validateGeometry has pinned blocks to the
+// geometry, so a stream that walks cleanly also decodes. Lenient mode
+// records the failure instead and leaves Counts zero: the caller
+// salvages via partial decode.
 func finishResult(h *headerInfo, stream *bitvec.Cube, lenient bool, diag *Diag) (*core.Result, *Diag, error) {
 	r := &core.Result{
 		K: h.k, Name: h.name, Assign: h.assign, Stream: stream,
@@ -384,13 +386,6 @@ func finishResult(h *headerInfo, stream *bitvec.Cube, lenient bool, diag *Diag) 
 	if diag.StreamErr != nil {
 		// The chunked reader already hit a payload fault; the stream is
 		// a salvaged prefix and re-validating it would be misleading.
-		return r, diag, nil
-	}
-	if _, _, err := cdc.Decode(r); err != nil {
-		if !lenient {
-			return nil, diag, fmt.Errorf("container: stored stream does not decode: %w", err)
-		}
-		diag.StreamErr = err
 		return r, diag, nil
 	}
 	counts, err := core.CountsOfStream(cdc, stream, h.blocks)

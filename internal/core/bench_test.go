@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -170,9 +171,8 @@ func BenchmarkEncodeSetWS(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeSetParallel measures worker-pool scaling of the
-// parallel set encoder against the serial baseline (workers=1 falls
-// through to EncodeSet).
+// BenchmarkEncodeSetParallel measures worker-pool scaling of Encode
+// against the serial baseline (workers=1 is the serial loop).
 func BenchmarkEncodeSetParallel(b *testing.B) {
 	set := benchSet(256, 2048)
 	cdc, err := New(16)
@@ -188,7 +188,7 @@ func BenchmarkEncodeSetParallel(b *testing.B) {
 			b.SetBytes(int64(set.Bits() / 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cdc.EncodeSetParallel(set, w); err != nil {
+				if _, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

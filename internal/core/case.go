@@ -121,28 +121,10 @@ func (c Case) matchedRight() (bitvec.Trit, bool) {
 // order, so an all-X half counts as 0-compatible first. Each half is
 // classified by one masked pass over the packed care/val planes:
 // 0-compatible ⟺ no val bit in range, 1-compatible ⟺ no care&^val bit.
+// The encoders classify the same way from plane words (classifyFlags).
 func Classify(flat *bitvec.Cube, off, k int) Case {
 	h := k / 2
 	l0, l1 := flat.Compat(off, off+h)
 	r0, r1 := flat.Compat(off+h, off+k)
-	switch {
-	case l0 && r0:
-		return CaseAll0
-	case l1 && r1:
-		return CaseAll1
-	case l0 && r1:
-		return Case0Then1
-	case l1 && r0:
-		return Case1Then0
-	case l0:
-		return Case0ThenMis
-	case r0:
-		return CaseMisThen0
-	case l1:
-		return Case1ThenMis
-	case r1:
-		return CaseMisThen1
-	default:
-		return CaseMisMis
-	}
+	return classifyFlags(l0, l1, r0, r1)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/bitvec"
 	"repro/internal/obs"
@@ -115,41 +116,17 @@ func (r *Result) LXPercent() float64 {
 	return 100 * float64(r.LeftoverX) / float64(r.OrigBits)
 }
 
-// encodeBlock appends the encoding of one block to w and returns its case.
-func (c *Codec) encodeBlock(flat *bitvec.Cube, off int, w *cubeWriter) Case {
-	k := c.k
-	cs := Classify(flat, off, k)
-	w.writeCode(c.packed[cs-1])
-	h := k / 2
-	if cs.LeftMismatch() {
-		w.writeRaw(flat, off, off+h)
-	}
-	if cs.RightMismatch() {
-		w.writeRaw(flat, off+h, off+k)
-	}
-	return cs
-}
-
 // EncodeCube compresses a bare cube (e.g. one already-flattened scan
 // stream). The cube is padded with X to a multiple of K.
 func (c *Codec) EncodeCube(flat *bitvec.Cube) (*Result, error) {
 	sp := obs.Active().Span("core.encode_cube")
 	blocks := (flat.Len() + c.k - 1) / c.k
 	var counts Counts
-	var stream *bitvec.Cube
-	if c.hasKernel() {
-		var w kernelWriter
-		w.reset(c.worstBits(blocks))
-		care, val := flat.RawWords()
-		c.kenc(c, care, val, blocks, &w, &counts)
-		stream = w.take()
-	} else {
-		w := newCubeWriter(flat.Len() + blocks*2)
-		for b := 0; b < blocks; b++ {
-			counts.Add(c.encodeBlock(flat, b*c.k, w))
-		}
-		stream = w.cube()
-	}
+	var w kernelWriter
+	w.reset(c.worstBits(blocks))
+	care, val := flat.RawWords()
+	c.kenc(c, care, val, blocks, &w, &counts)
+	stream := w.take()
 	r := &Result{
 		K: c.k, Assign: c.assign, Stream: stream, Counts: counts,
 		OrigBits: flat.Len(), Blocks: blocks, LeftoverX: stream.XCount(),
@@ -158,157 +135,141 @@ func (c *Codec) EncodeCube(flat *bitvec.Cube) (*Result, error) {
 	return r, nil
 }
 
-// encodePatterns appends the encodings of patterns [lo,hi) of s to w
-// and accumulates their codeword counts. It is the shared inner loop of
-// EncodeSet and the per-worker slices of EncodeSetParallel.
-func (c *Codec) encodePatterns(s *tcube.Set, lo, hi int, w *cubeWriter) Counts {
-	var counts Counts
-	blocksPer := (s.Width() + c.k - 1) / c.k
-	for i := lo; i < hi; i++ {
-		p := s.Cube(i)
-		for b := 0; b < blocksPer; b++ {
-			counts.Add(c.encodeBlock(p, b*c.k, w))
-		}
-	}
-	return counts
+// EncodeOptions selects where Encode writes its stream and how many
+// goroutines share the work. The zero value is a serial encode into a
+// freshly allocated stream.
+type EncodeOptions struct {
+	// WS, when non-nil, holds the stream and the Result: both alias
+	// the workspace and stay valid only until its next use or Release.
+	// A serial encode into a warm workspace allocates nothing.
+	WS *Workspace
+	// Workers > 1 splits the patterns into that many contiguous chunks
+	// (at most one per pattern), each encoded by its own goroutine.
+	// The stream is bit-identical whatever the count.
+	Workers int
 }
 
-// encodeChunk encodes patterns [lo,hi) of s into a fresh stream cube,
-// through the per-K kernel when one is installed. It is the shared
-// inner engine of EncodeSet, the ctx-checked serial encode, and the
-// EncodeSetParallel workers; a non-cancellable ctx (Done() == nil)
-// costs nothing extra.
-func (c *Codec) encodeChunk(ctx context.Context, s *tcube.Set, lo, hi int) (*bitvec.Cube, Counts, error) {
-	blocksPer := (s.Width() + c.k - 1) / c.k
-	var counts Counts
-	if c.hasKernel() {
-		var w kernelWriter
-		w.reset(c.worstBits(blocksPer * (hi - lo)))
-		cancellable := ctx.Done() != nil
-		for i := lo; i < hi; i++ {
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return nil, counts, err
-				}
-			}
-			care, val := s.Cube(i).RawWords()
-			c.kenc(c, care, val, blocksPer, &w, &counts)
-		}
-		return w.take(), counts, nil
-	}
-	w := newCubeWriter((hi-lo)*s.Width() + (hi-lo)*blocksPer*2)
-	counts, err := c.encodePatternsCtx(ctx, s, lo, hi, w)
-	if err != nil {
-		return nil, counts, err
-	}
-	return w.cube(), counts, nil
-}
-
-// EncodeSet compresses a test set pattern by pattern: each scan load is
+// Encode compresses a test set pattern by pattern: each scan load is
 // padded independently to a multiple of K, preserving per-pattern
-// synchronization between the ATE and the decoder.
-func (c *Codec) EncodeSet(s *tcube.Set) (*Result, error) {
-	sp := obs.Active().Span("core.encode_set")
-	blocksPer := (s.Width() + c.k - 1) / c.k
-	stream, counts, _ := c.encodeChunk(context.Background(), s, 0, s.Len())
-	r := &Result{
-		K: c.k, Name: s.Name, Assign: c.assign, Stream: stream, Counts: counts,
-		OrigBits: s.Bits(), Blocks: blocksPer * s.Len(),
-		LeftoverX: stream.XCount(), Patterns: s.Len(), Width: s.Width(),
+// synchronization between the ATE and the decoder. ctx is checked
+// between patterns (a non-cancellable ctx costs nothing); on
+// cancellation, or if a worker panics, Encode returns the error and no
+// partial result.
+func (c *Codec) Encode(ctx context.Context, s *tcube.Set, opt EncodeOptions) (*Result, error) {
+	var res *Result
+	var w *kernelWriter
+	if opt.WS != nil {
+		res, w = &opt.WS.res, &opt.WS.enc
+	} else {
+		res, w = new(Result), new(kernelWriter)
 	}
-	observeEncode(sp, r, "serial")
-	return r, nil
-}
-
-// decodeBlocks reads exactly blocks block encodings from r and emits
-// their K-bit expansions into out starting at position 0.
-func decodeBlocks[R blockSource](c *Codec, r R, blocks int) (*bitvec.Cube, error) {
-	out, _, err := decodeBlocksPartial(c, r, blocks)
+	blocksPer := (s.Width() + c.k - 1) / c.k
+	// Counts accumulate directly in res so the pointer handed to the
+	// kernel never forces a heap escape of a workspace encode.
+	*res = Result{
+		K: c.k, Name: s.Name, Assign: c.assign,
+		OrigBits: s.Bits(), Blocks: blocksPer * s.Len(),
+		Patterns: s.Len(), Width: s.Width(),
+	}
+	var sp *obs.Span
+	var err error
+	mode := "serial"
+	if workers := min(opt.Workers, s.Len()); workers > 1 {
+		sp = obs.SpanCtx(ctx, "core.encode_set_parallel").Set("workers", workers)
+		mode = "parallel"
+		err = c.encodeParallel(ctx, sp, s, workers, w, &res.Counts)
+	} else {
+		sp = obs.SpanCtx(ctx, "core.encode_set")
+		w.reset(c.worstBits(res.Blocks))
+		err = c.encodeRange(ctx, s, 0, s.Len(), w, &res.Counts)
+	}
 	if err != nil {
+		sp.Set("error", err.Error()).End()
 		return nil, err
 	}
-	return out, nil
+	if opt.WS != nil {
+		res.Stream = opt.WS.takeStream()
+	} else {
+		res.Stream = w.take()
+	}
+	res.LeftoverX = res.Stream.XCount()
+	observeEncode(sp, res, mode)
+	return res, nil
 }
 
-// decodeBlocksPartial reads up to blocks block encodings from r,
-// stopping at the first malformed or truncated block. It returns the
-// output cube, the number of blocks decoded cleanly, and the error
-// that stopped decoding (nil when all blocks decoded). The output is
-// always blocks*K long; only the first good*K positions are meaningful.
-// Generic over the stream source so the in-memory and streaming
-// decoders monomorphize to the same loop.
-func decodeBlocksPartial[R blockSource](c *Codec, r R, blocks int) (*bitvec.Cube, int, error) {
+// encodeRange appends the encodings of patterns [lo,hi) of s to w and
+// adds their codeword counts to counts, checking ctx between patterns
+// when it is cancellable. It is the one inner loop of every set encode.
+func (c *Codec) encodeRange(ctx context.Context, s *tcube.Set, lo, hi int, w *kernelWriter, counts *Counts) error {
+	blocksPer := (s.Width() + c.k - 1) / c.k
+	cancellable := ctx.Done() != nil
+	for i := lo; i < hi; i++ {
+		if cancellable {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		care, val := s.Cube(i).RawWords()
+		c.kenc(c, care, val, blocksPer, w, counts)
+	}
+	return nil
+}
+
+// EncodeSet is Encode with the zero options: serial, into a fresh
+// stream, under no context.
+func (c *Codec) EncodeSet(s *tcube.Set) (*Result, error) {
+	return c.Encode(context.Background(), s, EncodeOptions{})
+}
+
+// decodeBlocksPartial is the generic decoder: it reads up to blocks
+// block encodings from r, stopping at the first malformed or truncated
+// block. It returns the blocks*K output cube, or the error that stopped
+// decoding.
+func decodeBlocksPartial(c *Codec, r *streamReader, blocks int) (*bitvec.Cube, error) {
 	k := c.k
 	h := k / 2
 	out := bitvec.NewCube(blocks * k)
 	for b := 0; b < blocks; b++ {
 		cs, err := nextCase(c.table, r)
 		if err != nil {
-			return out, b, fmt.Errorf("core: block %d: %w", b, err)
+			return nil, fmt.Errorf("core: block %d: %w", b, err)
 		}
 		base := b * k
 		if v, ok := cs.matchedLeft(); ok {
 			out.SetRun(base, base+h, v)
 		} else {
 			if err := r.readRaw(out, base, base+h); err != nil {
-				return out, b, fmt.Errorf("core: block %d left data: %w", b, err)
+				return nil, fmt.Errorf("core: block %d left data: %w", b, err)
 			}
 		}
 		if v, ok := cs.matchedRight(); ok {
 			out.SetRun(base+h, base+k, v)
 		} else {
 			if err := r.readRaw(out, base+h, base+k); err != nil {
-				return out, b, fmt.Errorf("core: block %d right data: %w", b, err)
+				return nil, fmt.Errorf("core: block %d right data: %w", b, err)
 			}
 		}
 	}
-	return out, blocks, nil
+	return out, nil
 }
 
 // DecodeCube decompresses a stream produced by EncodeCube back into a
-// cube of origBits trits. Matched halves regenerate as constant runs;
-// mismatch halves keep their shipped trits (including leftover X). It
-// is an error for the stream to be truncated, malformed, or to carry
-// trailing bits beyond the last block.
+// cube of origBits trits: one StreamDecoder pattern of width origBits.
+// Matched halves regenerate as constant runs; mismatch halves keep
+// their shipped trits (including leftover X). It is an error for the
+// stream to be truncated, malformed, or to carry trailing bits beyond
+// the last block.
 func (c *Codec) DecodeCube(stream *bitvec.Cube, origBits int) (cube *bitvec.Cube, err error) {
 	sp := obs.Active().Span("core.decode_cube")
 	defer func() { observeDecode(sp, origBits, err) }()
 	if origBits < 0 {
 		return nil, fmt.Errorf("core: negative output size %d: %w", origBits, robust.ErrCorrupt)
 	}
-	if out, ok := c.decodeCubeFast(stream, origBits); ok {
-		return out, nil
-	}
-	r := &cubeReader{src: stream}
-	blocks := (origBits + c.k - 1) / c.k
-	out, err := decodeBlocks(c, r, blocks)
+	set, err := c.decodeSet(stream, origBits, 1)
 	if err != nil {
 		return nil, err
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bits after final block: %w", r.remaining(), robust.ErrCorrupt)
-	}
-	return out.Slice(0, origBits), nil
-}
-
-// decodeCubeFast is the kernel decode of a bare-cube stream. ok=false
-// (unsupported K, exotic assignment, or anything suspicious in the
-// stream) means the caller must run the generic path; the fast path
-// never reports errors itself so the classified error and its position
-// come from exactly the same code as before the kernels existed.
-func (c *Codec) decodeCubeFast(stream *bitvec.Cube, origBits int) (*bitvec.Cube, bool) {
-	if !c.hasDecodeKernel() {
-		return nil, false
-	}
-	scare, sval := stream.RawWords()
-	blocks := (origBits + c.k - 1) / c.k
-	var w kernelWriter
-	w.reset(blocks * c.k)
-	pos, ok := c.kdec(c, scare, sval, stream.Len(), 0, blocks, &w)
-	if !ok || pos != stream.Len() {
-		return nil, false
-	}
-	return bitvec.NewCubeCopyWords(origBits, w.care, w.val), true
+	return set.Cube(0), nil
 }
 
 // DecodeCubePartial is the lenient counterpart of DecodeCube: it
@@ -316,72 +277,26 @@ func (c *Codec) decodeCubeFast(stream *bitvec.Cube, origBits int) (*bitvec.Cube,
 // recovered (clipped to origBits) together with the error that stopped
 // it, or nil when the whole stream decoded cleanly. Trailing bits
 // beyond the final block are reported as the fault but do not discard
-// the recovered prefix.
+// the recovered prefix. A bare-cube stream is the set stream of its
+// blocks as width-K patterns, so this is DecodeSetPartial flattened.
 func (c *Codec) DecodeCubePartial(stream *bitvec.Cube, origBits int) (*bitvec.Cube, error) {
 	if origBits < 0 {
 		return nil, fmt.Errorf("core: negative output size %d: %w", origBits, robust.ErrCorrupt)
 	}
-	r := &cubeReader{src: stream}
-	blocks := (origBits + c.k - 1) / c.k
-	out, good, err := decodeBlocksPartial(c, r, blocks)
-	n := good * c.k
-	if n > origBits {
-		n = origBits
-	}
-	if err == nil && r.remaining() != 0 {
-		err = fmt.Errorf("core: %d trailing bits after final block: %w", r.remaining(), robust.ErrCorrupt)
-	}
-	return out.Slice(0, n), err
+	set, err := c.decodeSet(stream, c.k, (origBits+c.k-1)/c.k)
+	flat := set.Flatten()
+	return flat.Slice(0, min(flat.Len(), origBits)), err
 }
 
 // DecodeSet decompresses a stream produced by EncodeSet back into a
-// test set of the given geometry. Streams the kernel declines go
-// through DecodeSetPartial, whose partial set is dropped on error.
+// test set of the given geometry; on error the partial set is dropped.
 func (c *Codec) DecodeSet(stream *bitvec.Cube, width, patterns int) (set *tcube.Set, err error) {
 	sp := obs.Active().Span("core.decode_set")
 	defer func() { observeDecode(sp, width*patterns, err) }()
-	if width < 0 || patterns < 0 {
-		return nil, fmt.Errorf("core: invalid geometry %dx%d: %w", patterns, width, robust.ErrCorrupt)
-	}
-	if out, ok := c.decodeSetFast(stream, width, patterns); ok {
-		return out, nil
-	}
-	out, err := c.DecodeSetPartial(stream, width, patterns)
-	if err != nil {
+	if set, err = c.DecodeSetPartial(stream, width, patterns); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// decodeSetFast is the kernel decode of a set stream: one reusable
-// scratch writer across patterns, each decoded pattern copied out as an
-// independently-owned cube. ok=false falls back to DecodeSetPartial
-// (see decodeCubeFast).
-func (c *Codec) decodeSetFast(stream *bitvec.Cube, width, patterns int) (*tcube.Set, bool) {
-	if !c.hasDecodeKernel() {
-		return nil, false
-	}
-	scare, sval := stream.RawWords()
-	slen := stream.Len()
-	blocksPer := (width + c.k - 1) / c.k
-	out := tcube.NewSet("decoded", width)
-	var w kernelWriter
-	pos := 0
-	for i := 0; i < patterns; i++ {
-		w.reset(blocksPer * c.k)
-		var ok bool
-		pos, ok = c.kdec(c, scare, sval, slen, pos, blocksPer, &w)
-		if !ok {
-			return nil, false
-		}
-		if out.Append(bitvec.NewCubeCopyWords(width, w.care, w.val)) != nil {
-			return nil, false
-		}
-	}
-	if pos != slen {
-		return nil, false
-	}
-	return out, true
+	return set, nil
 }
 
 // DecodeSetPartial is the lenient counterpart of DecodeSet: it decodes
@@ -396,20 +311,40 @@ func (c *Codec) DecodeSetPartial(stream *bitvec.Cube, width, patterns int) (*tcu
 	if width < 0 || patterns < 0 {
 		return nil, fmt.Errorf("core: invalid geometry %dx%d: %w", patterns, width, robust.ErrCorrupt)
 	}
-	r := &cubeReader{src: stream}
-	blocksPer := (width + c.k - 1) / c.k
+	return c.decodeSet(stream, width, patterns)
+}
+
+// decodeSet is the one in-memory decode loop: exactly patterns reads
+// of a StreamDecoder over the whole stream, under limits that admit
+// exactly that geometry, then a check that nothing trails. Width-0
+// patterns occupy no trits, so they skip the decoder (which refuses
+// width 0).
+func (c *Codec) decodeSet(stream *bitvec.Cube, width, patterns int) (*tcube.Set, error) {
 	out := tcube.NewSet("decoded", width)
-	for i := 0; i < patterns; i++ {
-		p, err := decodeBlocks(c, r, blocksPer)
-		if err != nil {
-			return out, fmt.Errorf("core: pattern %d: %w", i, err)
+	used := 0
+	if width == 0 {
+		for i := 0; i < patterns; i++ {
+			out.MustAppend(bitvec.NewCube(0))
 		}
-		if err := out.Append(p.Slice(0, width)); err != nil {
+	} else if patterns > 0 {
+		d, err := c.NewStreamDecoder(NewCubeSource(stream), width, robust.DecodeLimits{MaxWidth: width, MaxPatterns: patterns})
+		if err != nil {
 			return out, err
 		}
+		for i := 0; i < patterns; i++ {
+			p, err := d.ReadPattern()
+			if err == io.EOF {
+				err = fmt.Errorf("core: pattern %d: %w", i, ErrTruncated)
+			}
+			if err != nil {
+				return out, err
+			}
+			out.MustAppend(p)
+		}
+		used = d.TritsConsumed()
 	}
-	if r.remaining() != 0 {
-		return out, fmt.Errorf("core: %d trailing bits after final pattern: %w", r.remaining(), robust.ErrCorrupt)
+	if n := stream.Len() - used; n != 0 {
+		return out, fmt.Errorf("core: %d trailing bits after final pattern: %w", n, robust.ErrCorrupt)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -9,8 +10,10 @@ import (
 	"repro/internal/tcube"
 )
 
-// diffKs is the block-size sweep for the differential suites.
-var diffKs = []int{2, 4, 8, 16, 32}
+// diffKs is the block-size sweep for the differential suites: every
+// kernel K plus sizes that take the generic encoder, one of them with
+// halves wider than a plane word.
+var diffKs = []int{2, 4, 6, 8, 10, 16, 32, 130}
 
 // diffCube returns an n-trit cube with roughly xDensity of its
 // positions left X; the rest split between 0 and 1.
@@ -79,10 +82,27 @@ func TestDifferentialEncodeCube(t *testing.T) {
 	}
 }
 
-// TestDifferentialEncodeSet is the set-level cross-check, with both the
-// default and a frequency-directed codeword assignment.
+// encodeOptionMatrix is every option shape Encode takes: no workspace
+// or a warm one, times serial (0, 1), two workers, and more workers
+// than the machine has Ps.
+func encodeOptionMatrix(ws *Workspace) []EncodeOptions {
+	var out []EncodeOptions
+	for _, w := range []*Workspace{nil, ws} {
+		for _, n := range []int{0, 1, 2, runtime.GOMAXPROCS(0) + 3} {
+			out = append(out, EncodeOptions{WS: w, Workers: n})
+		}
+	}
+	return out
+}
+
+// TestDifferentialEncodeSet is the set-level cross-check: Encode under
+// every option in encodeOptionMatrix must match the reference, with
+// both the default and a frequency-directed codeword assignment.
 func TestDifferentialEncodeSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	ws := GetWorkspace()
+	defer ws.Release()
+	ctx := context.Background()
 	for _, k := range diffKs {
 		for _, geom := range []struct{ patterns, width int }{
 			{0, 40}, {1, 1}, {3, k}, {7, 3*k + 1}, {17, 100},
@@ -92,22 +112,11 @@ func TestDifferentialEncodeSet(t *testing.T) {
 				set.MustAppend(diffCube(rng, geom.width, 0.6))
 			}
 			cdc := mustCodec(t, k)
-			fast, err := cdc.EncodeSet(set)
-			if err != nil {
-				t.Fatal(err)
-			}
 			ref, err := cdc.EncodeSetReference(set)
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := "K=" + itoa(k) + " " + itoa(geom.patterns) + "x" + itoa(geom.width)
-			checkSameResult(t, label, fast, ref)
-
-			fd, err := NewWithAssignment(k, FrequencyDirected(fast.Counts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fastFD, err := fd.EncodeSet(set)
+			fd, err := NewWithAssignment(k, FrequencyDirected(ref.Counts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,12 +124,25 @@ func TestDifferentialEncodeSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSameResult(t, label+" fd", fastFD, refFD)
+			label := "K=" + itoa(k) + " " + itoa(geom.patterns) + "x" + itoa(geom.width)
+			for _, opt := range encodeOptionMatrix(ws) {
+				olabel := label + " ws=" + itoa(b2i(opt.WS != nil)) + " workers=" + itoa(opt.Workers)
+				got, err := cdc.Encode(ctx, set, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameResult(t, olabel, got, ref)
+				gotFD, err := fd.Encode(ctx, set, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameResult(t, olabel+" fd", gotFD, refFD)
+			}
 		}
 	}
 }
 
-// TestEncodeSetParallelIdentical asserts the parallel set encoder is
+// TestEncodeSetParallelIdentical asserts Encode's fan-out is
 // bit-identical to the serial path for several worker counts, as the
 // on-chip decoder requires (it replays one deterministic stream).
 func TestEncodeSetParallelIdentical(t *testing.T) {
@@ -139,7 +161,7 @@ func TestEncodeSetParallelIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts {
-				par, err := cdc.EncodeSetParallel(set, w)
+				par, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/robust"
 )
 
 // AssignmentFromCodes builds an Assignment from nine codeword strings
@@ -23,14 +24,14 @@ func AssignmentFromCodes(codes []string) (Assignment, error) {
 
 // CountsOfStream re-derives the codeword statistics of a compressed
 // stream by walking exactly blocks block encodings. It validates
-// framing as a side effect.
+// framing as a side effect: a truncated, malformed or over-long stream
+// is a classified error.
 func CountsOfStream(c *Codec, stream *bitvec.Cube, blocks int) (Counts, error) {
 	var counts Counts
-	r := &cubeReader{src: stream}
-	table := newDecodeTable(c.assign)
+	r := &streamReader{src: NewCubeSource(stream)}
 	h := c.k / 2
 	for b := 0; b < blocks; b++ {
-		cs, err := nextCase(table, r)
+		cs, err := nextCase(c.table, r)
 		if err != nil {
 			return counts, fmt.Errorf("core: block %d: %w", b, err)
 		}
@@ -42,13 +43,14 @@ func CountsOfStream(c *Codec, stream *bitvec.Cube, blocks int) (Counts, error) {
 		if cs.RightMismatch() {
 			skip += h
 		}
-		if r.remaining() < skip {
-			return counts, fmt.Errorf("core: block %d: %w", b, ErrTruncated)
+		if err := r.ensure(skip); err != nil {
+			return counts, fmt.Errorf("core: block %d: %w", b, err)
 		}
 		r.pos += skip
+		r.consumed += skip
 	}
-	if r.remaining() != 0 {
-		return counts, fmt.Errorf("core: %d trailing bits after final block", r.remaining())
+	if n := stream.Len() - r.consumed; n != 0 {
+		return counts, fmt.Errorf("core: %d trailing bits after final block: %w", n, robust.ErrCorrupt)
 	}
 	return counts, nil
 }

@@ -6,10 +6,12 @@ import (
 
 // This file is the per-K hot path of the 9C codec: specialized encode
 // and decode kernels for the production block sizes K ∈ {4, 8, 16, 32}.
-// The generic paths (encodeBlock / decodeBlocksPartial) remain the
-// fallback for other K values, for exotic assignments, and for hostile
-// streams — and serve as the differential oracle the kernels are pinned
-// against.
+// Every other K encodes through encodeGeneric, which writes into the
+// same kernelWriter, so one encode loop serves every block size. The
+// generic decoder (decodeBlocksPartial) remains the fallback for other
+// K values, for exotic assignments, and for hostile streams. Both
+// generic paths serve as the differential oracle the kernels are
+// pinned against.
 //
 // The kernels get their speed from three ideas:
 //
@@ -71,9 +73,9 @@ func init() {
 	}
 }
 
-// classifyFlags is Classify's priority switch over precomputed
-// compatibility flags; Classify itself derives the flags from a cube
-// range, the kernels derive them from plane words.
+// classifyFlags is the 9C priority switch over the four half
+// compatibility flags; Classify derives the flags from a cube range,
+// the encoders from plane words.
 func classifyFlags(l0, l1, r0, r1 bool) Case {
 	switch {
 	case l0 && r0:
@@ -111,14 +113,15 @@ type kernelCode struct {
 const maxLUTBits = 11
 
 // kernelEncode / kernelDecode are the per-K entry points installed on a
-// Codec at construction when K is a supported kernel size.
+// Codec at construction. Every codec has a kernelEncode (encodeGeneric
+// when K has no specialized one); kernelDecode is nil without one.
 type kernelEncode func(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts)
 type kernelDecode func(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool)
 
 // initKernel prepares the per-K kernel state: packed codeword masks,
 // the repeated-C1 batch word, the decode LUT, and the dispatch
-// functions. For unsupported K the codec simply keeps kenc/kdec nil
-// and every call takes the generic path.
+// functions. For unsupported K the codec installs encodeGeneric, keeps
+// kdec nil, and every decode takes the generic path.
 func (c *Codec) initKernel() {
 	for i, p := range c.packed {
 		c.kcodes[i] = kernelCode{bits: p.bits, mask: lowMask64(p.n), n: p.n}
@@ -136,6 +139,7 @@ func (c *Codec) initKernel() {
 	case 32:
 		c.kenc, c.kdec = encodeK32, decodeK32
 	default:
+		c.kenc = encodeGeneric
 		return
 	}
 	// An all-zero plane word means 64/K consecutive C1 blocks; when the
@@ -230,6 +234,15 @@ func (w *kernelWriter) append(care, val uint64, n int) {
 	w.care[wi+1] |= care >> (64 - off)
 	w.val[wi+1] |= val >> (64 - off)
 	w.n += n
+}
+
+// appendRange appends trits [lo, lo+n) of the care/val planes verbatim;
+// positions past the plane end read as zero, i.e. X padding.
+func (w *kernelWriter) appendRange(care, val []uint64, lo, n int) {
+	for ; n > 0; lo, n = lo+64, n-64 {
+		m := lowMask64(n)
+		w.append(window64(care, lo)&m, window64(val, lo)&m, min(64, n))
+	}
 }
 
 // take wraps the accumulated planes as a Cube without copying. The cube
@@ -399,6 +412,41 @@ func encodeTail(c *Codec, care, val []uint64, wi, blocks int, w *kernelWriter, c
 	for sh := uint(0); blocks > 0; blocks, sh = blocks-1, sh+uint(k) {
 		encBlock(w, codes, counts, cw>>sh&bm, vw>>sh&bm, k, h, lh)
 	}
+}
+
+// encodeGeneric is the block encoder for every K without a specialized
+// kernel, any even size including blocks wider than a word: each half
+// is classified by scanning its plane bits a word at a time, then the
+// codeword and any mismatch halves are appended as in encBlock.
+func encodeGeneric(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
+	k, h := c.k, c.k/2
+	for off := 0; blocks > 0; blocks, off = blocks-1, off+k {
+		l0, l1 := halfFlags(care, val, off, h)
+		r0, r1 := halfFlags(care, val, off+h, h)
+		cs := classifyFlags(l0, l1, r0, r1)
+		counts[cs-1]++
+		p := &c.kcodes[cs-1]
+		w.append(p.mask, p.bits, p.n)
+		if cs.LeftMismatch() {
+			w.appendRange(care, val, off, h)
+		}
+		if cs.RightMismatch() {
+			w.appendRange(care, val, off+h, h)
+		}
+	}
+}
+
+// halfFlags reports whether trits [lo, lo+n) of the planes are
+// 0-compatible (no 1) and 1-compatible (no 0).
+func halfFlags(care, val []uint64, lo, n int) (zeroOK, oneOK bool) {
+	var ones, zeros uint64
+	for ; n > 0; lo, n = lo+64, n-64 {
+		m := lowMask64(n)
+		cw, vw := window64(care, lo)&m, window64(val, lo)&m
+		ones |= vw
+		zeros |= cw &^ vw
+	}
+	return ones == 0, zeros == 0
 }
 
 // window64 returns the 64 stream bits starting at pos (positions past
@@ -596,9 +644,6 @@ func decodeK32(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelW
 	}
 	return pos, true
 }
-
-// hasKernel reports whether this codec has a specialized encode kernel.
-func (c *Codec) hasKernel() bool { return c.kenc != nil }
 
 // hasDecodeKernel reports whether the fast table decoder is available
 // (requires both a per-K kernel and a LUT-sized assignment).

@@ -11,25 +11,25 @@ import (
 // kernelKs are the block sizes with specialized kernels.
 var kernelKs = []int{4, 8, 16, 32}
 
-// forceGeneric returns a shallow copy of c with every kernel disabled,
-// so the generic word path runs. Used as the differential oracle.
+// forceGeneric returns a shallow copy of c with every per-K kernel
+// replaced by the generic path: encodeGeneric encodes, and the decode
+// kernel is dropped. Used as the differential oracle.
 func forceGeneric(c *Codec) *Codec {
 	g := *c
-	g.kenc, g.kdec, g.klut = nil, nil, nil
+	g.kenc, g.kdec, g.klut = encodeGeneric, nil, nil
 	return &g
 }
 
 func TestKernelInstalled(t *testing.T) {
 	for _, k := range kernelKs {
-		c := mustCodec(t, k)
-		if !c.hasKernel() || !c.hasDecodeKernel() {
-			t.Fatalf("K=%d: kernels not installed (enc=%v dec=%v)", k, c.hasKernel(), c.hasDecodeKernel())
+		if c := mustCodec(t, k); !c.hasDecodeKernel() {
+			t.Fatalf("K=%d: decode kernel not installed", k)
 		}
 	}
-	for _, k := range []int{2, 6, 10, 64} {
+	for _, k := range []int{2, 6, 10, 64, 130} {
 		c := mustCodec(t, k)
-		if c.hasKernel() || c.hasDecodeKernel() {
-			t.Fatalf("K=%d: unexpected kernel", k)
+		if c.kenc == nil || c.hasDecodeKernel() {
+			t.Fatalf("K=%d: want the generic encoder and no decode kernel (enc=%v dec=%v)", k, c.kenc != nil, c.hasDecodeKernel())
 		}
 	}
 }

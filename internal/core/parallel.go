@@ -3,71 +3,34 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
-	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/tcube"
 )
 
-// EncodeSetParallel is EncodeSet with the patterns fanned out across a
-// worker pool: the set is split into contiguous pattern chunks (the
-// same chunking as faultsim.CampaignParallel), each worker encodes its
-// chunk into a private sub-stream, and the sub-streams concatenate in
-// chunk order with the per-chunk Counts summed. Patterns are encoded
+// encodeParallel is Encode's fan-out: the set is split into workers
+// contiguous pattern chunks (the same chunking as
+// faultsim.CampaignParallel), each worker encodes its chunk into a
+// private writer, and the writers are appended to w in chunk order with
+// the per-chunk Counts summed into counts. Patterns are encoded
 // independently — each scan load pads to a block multiple on its own —
-// so the result is bit-identical to the serial EncodeSet, whatever the
-// worker count. workers ≤ 0 selects GOMAXPROCS.
-func (c *Codec) EncodeSetParallel(s *tcube.Set, workers int) (*Result, error) {
-	return c.EncodeSetParallelCtx(context.Background(), s, workers)
-}
-
-// EncodeSetParallelCtx is EncodeSetParallel under a context: the
-// encode observes ctx cancellation/deadline at pattern granularity and
-// returns ctx.Err() promptly, discarding all partial sub-streams
-// atomically (either the caller gets the complete, bit-identical
-// result, or nothing). A panicking worker is recovered into an error
-// instead of killing the process, so one poisoned pattern cannot take
-// down a service encoding many sets. On the uncanceled path the output
-// is bit-identical to the serial EncodeSet.
-func (c *Codec) EncodeSetParallelCtx(ctx context.Context, s *tcube.Set, workers int) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s.Len() {
-		workers = s.Len()
-	}
-	if workers <= 1 {
-		if ctx.Done() == nil {
-			return c.EncodeSet(s)
-		}
-		return c.encodeSetSerialCtx(ctx, s)
-	}
-	sp := obs.SpanCtx(ctx, "core.encode_set_parallel").Set("workers", workers)
-
-	type chunk struct{ lo, hi int }
-	chunks := make([]chunk, 0, workers)
+// so the stream is bit-identical to a serial encode. A panicking worker
+// is recovered into an error instead of killing the process, so one
+// poisoned pattern cannot take down a service encoding many sets.
+func (c *Codec) encodeParallel(ctx context.Context, sp *obs.Span, s *tcube.Set, workers int, w *kernelWriter, counts *Counts) error {
 	per := (s.Len() + workers - 1) / workers
-	for lo := 0; lo < s.Len(); lo += per {
-		hi := lo + per
-		if hi > s.Len() {
-			hi = s.Len()
-		}
-		chunks = append(chunks, chunk{lo, hi})
-	}
-
 	blocksPer := (s.Width() + c.k - 1) / c.k
-	streams := make([]*bitvec.Cube, len(chunks))
-	subCounts := make([]Counts, len(chunks))
-	errs := make([]error, len(chunks))
+	n := (s.Len() + per - 1) / per
+	subs := make([]*kernelWriter, n)
+	subCounts := make([]Counts, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, ch := range chunks {
+	for i := range subs {
+		lo := i * per
+		hi := min(lo+per, s.Len())
 		wg.Add(1)
-		go func(i int, ch chunk) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
@@ -78,87 +41,40 @@ func (c *Codec) EncodeSetParallelCtx(ctx context.Context, s *tcube.Set, workers 
 			if encodeWorkerHook != nil {
 				encodeWorkerHook(i)
 			}
-			streams[i], subCounts[i], errs[i] = c.encodeChunk(ctx, s, ch.lo, ch.hi)
-			if errs[i] != nil {
+			// The writer and counts are the worker's own allocations:
+			// adjacent slice elements would share cache lines across
+			// cores on every block.
+			sub, cnt := new(kernelWriter), new(Counts)
+			sub.reset(c.worstBits(blocksPer * (hi - lo)))
+			if errs[i] = c.encodeRange(ctx, s, lo, hi, sub, cnt); errs[i] != nil {
 				wsp.Set("worker", i).Set("error", errs[i].Error()).End()
 				return
 			}
-			wsp.Set("worker", i).Set("lo", ch.lo).Set("hi", ch.hi).
-				Set("bits_out", streams[i].Len()).End()
-		}(i, ch)
+			subs[i], subCounts[i] = sub, *cnt
+			wsp.Set("worker", i).Set("lo", lo).Set("hi", hi).Set("bits_out", sub.n).End()
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			sp.Set("error", err.Error()).End()
-			return nil, err
+			return err
 		}
 	}
-
 	total := 0
-	for _, sub := range streams {
-		total += sub.Len()
+	for _, sub := range subs {
+		total += sub.n
 	}
-	b := bitvec.NewCubeBuilder(total)
-	var counts Counts
-	for i, sub := range streams {
-		b.AppendCube(sub)
+	w.reset(total)
+	for i, sub := range subs {
+		w.appendRange(sub.care, sub.val, 0, sub.n)
 		for cs, n := range subCounts[i] {
 			counts[cs] += n
 		}
 	}
-	stream := b.Build()
-	r := &Result{
-		K: c.k, Name: s.Name, Assign: c.assign, Stream: stream, Counts: counts,
-		OrigBits: s.Bits(), Blocks: blocksPer * s.Len(),
-		LeftoverX: stream.XCount(), Patterns: s.Len(), Width: s.Width(),
-	}
-	observeEncode(sp, r, "parallel")
-	return r, nil
+	return nil
 }
 
 // encodeWorkerHook, when non-nil, runs at the top of each encode
 // worker goroutine. It exists so tests can inject a worker panic and
 // prove the recovery path contains it; production code never sets it.
 var encodeWorkerHook func(worker int)
-
-// encodePatternsCtx is encodePatterns with cancellation checks between
-// patterns. A non-cancellable context (Done() == nil, e.g.
-// context.Background()) takes the unchecked hot path, so the
-// context-free encode costs nothing extra.
-func (c *Codec) encodePatternsCtx(ctx context.Context, s *tcube.Set, lo, hi int, w *cubeWriter) (Counts, error) {
-	if ctx.Done() == nil {
-		return c.encodePatterns(s, lo, hi, w), nil
-	}
-	var counts Counts
-	blocksPer := (s.Width() + c.k - 1) / c.k
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return counts, err
-		}
-		p := s.Cube(i)
-		for b := 0; b < blocksPer; b++ {
-			counts.Add(c.encodeBlock(p, b*c.k, w))
-		}
-	}
-	return counts, nil
-}
-
-// encodeSetSerialCtx is the single-worker cancellable encode; its
-// output is bit-identical to EncodeSet.
-func (c *Codec) encodeSetSerialCtx(ctx context.Context, s *tcube.Set) (*Result, error) {
-	sp := obs.SpanCtx(ctx, "core.encode_set")
-	blocksPer := (s.Width() + c.k - 1) / c.k
-	stream, counts, err := c.encodeChunk(ctx, s, 0, s.Len())
-	if err != nil {
-		sp.Set("error", err.Error()).End()
-		return nil, err
-	}
-	r := &Result{
-		K: c.k, Name: s.Name, Assign: c.assign, Stream: stream, Counts: counts,
-		OrigBits: s.Bits(), Blocks: blocksPer * s.Len(),
-		LeftoverX: stream.XCount(), Patterns: s.Len(), Width: s.Width(),
-	}
-	observeEncode(sp, r, "serial")
-	return r, nil
-}

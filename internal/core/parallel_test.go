@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,10 +19,10 @@ func parallelEdgeSet(name string, patterns, width int) *tcube.Set {
 	return s
 }
 
-// TestEncodeSetParallelEdgeCases pins the worker-pool encoder's
-// degenerate geometries to the serial path: empty set, single pattern,
-// more workers than patterns, and workers=1 must all produce the same
-// stream, Counts, and statistics as EncodeSet.
+// TestEncodeSetParallelEdgeCases pins Encode's degenerate worker
+// geometries to the serial path: empty set, single pattern, more
+// workers than patterns, workers=1 and the zero default must all
+// produce the same stream, Counts, and statistics as EncodeSet.
 func TestEncodeSetParallelEdgeCases(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -35,6 +36,7 @@ func TestEncodeSetParallelEdgeCases(t *testing.T) {
 		{"workers one", 13, 1},
 		{"workers default", 13, 0},
 		{"workers equal patterns", 6, 6},
+		{"workers uneven chunks", 13, 4},
 	}
 	for _, k := range []int{4, 8, 16} {
 		cdc := mustCodec(t, k)
@@ -45,7 +47,7 @@ func TestEncodeSetParallelEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := cdc.EncodeSetParallel(set, tc.workers)
+				par, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: tc.workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,7 +69,7 @@ func TestEncodeSetParallelEmptyDecodes(t *testing.T) {
 	cdc := mustCodec(t, 8)
 	set := tcube.NewSet("none", 24)
 	for _, w := range []int{0, 1, 2, 16} {
-		r, err := cdc.EncodeSetParallel(set, w)
+		r, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -23,7 +23,7 @@ func appendBits(c *bitvec.Cube, n int) *bitvec.Cube {
 }
 
 // TestEncodeSetParallelCtxCanceled asserts a canceled context aborts
-// the parallel encode promptly with context.Canceled and no partial
+// Encode promptly with context.Canceled and no partial
 // result, on both the pooled and single-worker paths.
 func TestEncodeSetParallelCtxCanceled(t *testing.T) {
 	cdc := mustCodec(t, 8)
@@ -31,7 +31,7 @@ func TestEncodeSetParallelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		r, err := cdc.EncodeSetParallelCtx(ctx, set, workers)
+		r, err := cdc.Encode(ctx, set, EncodeOptions{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err %v, want context.Canceled", workers, err)
 		}
@@ -48,13 +48,13 @@ func TestEncodeSetParallelCtxDeadline(t *testing.T) {
 	set := parallelEdgeSet("deadline", 16, 40)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := cdc.EncodeSetParallelCtx(ctx, set, 4); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := cdc.Encode(ctx, set, EncodeOptions{Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestEncodeSetParallelCtxIdentical asserts the uncanceled context path
-// is bit-identical to the serial EncodeSet — for both a non-cancellable
+// is bit-identical to EncodeSet — for both a non-cancellable
 // Background (the unchecked hot path) and a live cancellable context
 // (the per-pattern checked path).
 func TestEncodeSetParallelCtxIdentical(t *testing.T) {
@@ -68,7 +68,7 @@ func TestEncodeSetParallelCtxIdentical(t *testing.T) {
 	defer cancel()
 	for _, ctx := range []context.Context{context.Background(), live} {
 		for _, workers := range []int{1, 2, 5} {
-			r, err := cdc.EncodeSetParallelCtx(ctx, set, workers)
+			r, err := cdc.Encode(ctx, set, EncodeOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -85,7 +85,7 @@ func TestEncodeSetParallelCtxMidwayCancel(t *testing.T) {
 	set := parallelEdgeSet("midway", 256, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	r, err := cdc.EncodeSetParallelCtx(ctx, set, 4)
+	r, err := cdc.Encode(ctx, set, EncodeOptions{Workers: 4})
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err %v, want context.Canceled", err)
@@ -114,7 +114,7 @@ func TestEncodeWorkerPanicContained(t *testing.T) {
 	defer func() { encodeWorkerHook = nil }()
 	cdc := mustCodec(t, 8)
 	set := parallelEdgeSet("boom", 32, 40)
-	r, err := cdc.EncodeSetParallelCtx(context.Background(), set, 4)
+	r, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err %v, want recovered worker panic", err)
 	}
@@ -210,5 +210,40 @@ func TestDecodeSetPartial(t *testing.T) {
 	}
 	if withTail.Len() != set.Len() {
 		t.Fatalf("trailing bits dropped patterns: %d/%d", withTail.Len(), set.Len())
+	}
+}
+
+// TestTrailingBitsClassified appends trailing bits to valid streams and
+// asserts every exported decode entry point reports them as a
+// classified ErrCorrupt.
+func TestTrailingBitsClassified(t *testing.T) {
+	cdc := mustCodec(t, 8)
+	set := parallelEdgeSet("trail", 3, 20)
+	rs, err := cdc.EncodeSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := cdc.EncodeCube(set.Flatten())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setTail, cubeTail := appendBits(rs.Stream, 3), appendBits(rc.Stream, 3)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"DecodeSet", func() error { _, err := cdc.DecodeSet(setTail, rs.Width, rs.Patterns); return err }},
+		{"DecodeSetPartial", func() error { _, err := cdc.DecodeSetPartial(setTail, rs.Width, rs.Patterns); return err }},
+		{"DecodeCube", func() error { _, err := cdc.DecodeCube(cubeTail, rc.OrigBits); return err }},
+		{"DecodeCubePartial", func() error { _, err := cdc.DecodeCubePartial(cubeTail, rc.OrigBits); return err }},
+		{"CountsOfStream/set", func() error { _, err := CountsOfStream(cdc, setTail, rs.Blocks); return err }},
+		{"CountsOfStream/cube", func() error { _, err := CountsOfStream(cdc, cubeTail, rc.Blocks); return err }},
+		{"DecodeCube/empty", func() error { _, err := cdc.DecodeCube(appendBits(bitvec.NewCube(0), 1), 0); return err }},
+	}
+	for _, tc := range cases {
+		err := tc.run()
+		if !errors.Is(err, robust.ErrCorrupt) || !robust.IsClassified(err) {
+			t.Errorf("%s: err %v, want classified ErrCorrupt", tc.name, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitvec"
 	"repro/internal/robust"
 )
 
@@ -42,92 +41,6 @@ func packAssignment(a Assignment) [NumCases]packedCode {
 		out[cs-1] = packCode(a.Code(cs))
 	}
 	return out
-}
-
-// cubeWriter accumulates the ternary T_E stream word-parallel: codeword
-// bits append as packed words, mismatch halves blit straight from the
-// source cube's care/val planes with no intermediate trit buffer.
-type cubeWriter struct {
-	b *bitvec.CubeBuilder
-}
-
-// newCubeWriter returns a writer preallocated for roughly capBits of
-// compressed stream (a hint; the builder grows as needed).
-func newCubeWriter(capBits int) *cubeWriter {
-	return &cubeWriter{b: bitvec.NewCubeBuilder(capBits)}
-}
-
-// writeCode appends a packed codeword; codeword bits are always
-// specified, so the care plane gets all ones.
-func (w *cubeWriter) writeCode(p packedCode) {
-	w.b.AppendWord(^uint64(0), p.bits, p.n)
-}
-
-// writeRaw ships trits [lo,hi) of flat verbatim; positions beyond the
-// end of flat are block padding and ship as X (ReadWord returns care=0
-// past the end, so the padding falls out of the word blit).
-func (w *cubeWriter) writeRaw(flat *bitvec.Cube, lo, hi int) {
-	w.b.AppendCubeRange(flat, lo, hi)
-}
-
-func (w *cubeWriter) cube() *bitvec.Cube { return w.b.Build() }
-
-// blockSource is the stream interface the block decoder consumes: one
-// codeword bit at a time plus word-blitted mismatch data. It is
-// implemented by cubeReader (whole stream in memory) and streamReader
-// (bounded buffer fed by a StreamSource); decodeBlocksPartial is
-// generic over it so both paths monomorphize to the same loop.
-type blockSource interface {
-	readBit() (bool, error)
-	readRaw(out *bitvec.Cube, lo, hi int) error
-	// bitPos returns the number of stream trits consumed so far, for
-	// error positions.
-	bitPos() int
-}
-
-// cubeReader consumes a ternary stream sequentially.
-type cubeReader struct {
-	src *bitvec.Cube
-	pos int
-}
-
-func (r *cubeReader) remaining() int { return r.src.Len() - r.pos }
-
-func (r *cubeReader) bitPos() int { return r.pos }
-
-// readBit reads one codeword bit; X is rejected.
-func (r *cubeReader) readBit() (bool, error) {
-	if r.pos >= r.src.Len() {
-		return false, ErrTruncated
-	}
-	t := r.src.Get(r.pos)
-	r.pos++
-	switch t {
-	case bitvec.Zero:
-		return false, nil
-	case bitvec.One:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: X at codeword position %d", ErrBadCodeword, r.pos-1)
-	}
-}
-
-// readRaw copies the next hi-lo trits into out[lo:hi], word at a time.
-func (r *cubeReader) readRaw(out *bitvec.Cube, lo, hi int) error {
-	if r.remaining() < hi-lo {
-		return ErrTruncated
-	}
-	for i := lo; i < hi; {
-		n := hi - i
-		if n > 64 {
-			n = 64
-		}
-		care, val := r.src.ReadWord(r.pos)
-		out.WriteWord(i, care, val, n)
-		r.pos += n
-		i += n
-	}
-	return nil
 }
 
 // decodeTable walks codeword bits through a binary trie, mirroring the
@@ -177,10 +90,8 @@ func (t *decodeTable) addNode() int {
 	return len(t.term) - 1
 }
 
-// nextCase reads one codeword from r and returns its case. It is a
-// free function rather than a method so it can be generic over the
-// stream source (Go methods cannot carry type parameters).
-func nextCase[R blockSource](t *decodeTable, r R) (Case, error) {
+// nextCase reads one codeword from r and returns its case.
+func nextCase(t *decodeTable, r *streamReader) (Case, error) {
 	node := 0
 	for {
 		if t.term[node] != 0 {
@@ -197,7 +108,7 @@ func nextCase[R blockSource](t *decodeTable, r R) (Case, error) {
 			child = t.zero[node]
 		}
 		if child < 0 {
-			return 0, fmt.Errorf("%w: no codeword matches at bit %d", ErrBadCodeword, r.bitPos()-1)
+			return 0, fmt.Errorf("%w: no codeword matches at bit %d", ErrBadCodeword, r.consumed-1)
 		}
 		node = int(child)
 	}

@@ -10,13 +10,13 @@ import (
 )
 
 // This file is the constant-memory streaming decoder of the 9C codec.
-// Encoding is an offline step over the whole T_D (EncodeSet and its
-// workspace variants); decoding is what the paper streams, as the ATE
-// ships T_E into an on-chip decoder. The streaming decoder processes
-// one pattern (and inside it, one block) at a time with working state
-// proportional to the scan width plus whatever segment the transport
-// hands over — never to the pattern count. Its output is bit-identical
-// to the in-memory DecodeSet, pinned by differential tests.
+// Encoding is an offline step over the whole T_D (Encode); decoding is
+// what the paper streams, as the ATE ships T_E into an on-chip decoder.
+// The streaming decoder processes one pattern (and inside it, one
+// block) at a time with working state proportional to the scan width
+// plus whatever segment the transport hands over — never to the
+// pattern count. It is the only decoder: DecodeSet and DecodeCube run
+// it over a CubeSource.
 
 // StreamSource yields successive segments of a compressed 9C stream.
 // It returns io.EOF after the final segment. Segment boundaries carry
@@ -27,8 +27,9 @@ type StreamSource interface {
 	ReadStream() (*bitvec.Cube, error)
 }
 
-// streamReader adapts a StreamSource into a blockSource: it keeps the
-// unconsumed tail plus the segments fetched to extend it, so the decode
+// streamReader is the one block reader of the generic decoder: it
+// feeds codeword bits and word-blitted mismatch data from a
+// StreamSource, keeping the unconsumed tail plus the segments fetched to extend it, so the decode
 // buffer is bounded by the largest segment the source yields plus one
 // pattern of lookahead — never by the stream length.
 //
@@ -59,8 +60,6 @@ func (r *streamReader) unread() int {
 	}
 	return r.buf.Len() - r.pos
 }
-
-func (r *streamReader) bitPos() int { return r.consumed }
 
 // fetch pulls the next segment and splices it after the unconsumed
 // tail. It returns io.EOF (and latches srcDone) at stream end, and
@@ -127,7 +126,7 @@ func (r *streamReader) prefetch(n int) {
 }
 
 // readBit reads one codeword bit; X is rejected (codewords are always
-// fully specified), matching cubeReader.readBit.
+// fully specified).
 func (r *streamReader) readBit() (bool, error) {
 	if err := r.ensure(1); err != nil {
 		return false, err
@@ -170,8 +169,8 @@ func (r *streamReader) readRaw(out *bitvec.Cube, lo, hi int) error {
 // robust.DecodeLimits are enforced incrementally — the width bound at
 // construction, the pattern bound as patterns are emitted — so a
 // hostile stream can never force an allocation proportional to a
-// forged length field. The decoded patterns are bit-identical to what
-// DecodeSet would produce from the concatenated stream.
+// forged length field. However the stream is segmented, the decoded
+// patterns are those of DecodeSet over the concatenated stream.
 //
 // Codecs with a decode kernel run it over the buffered planes: each
 // pattern first prefetches one worst-case pattern of trits (or up to
@@ -232,7 +231,7 @@ func (d *StreamDecoder) ReadPattern() (*bitvec.Cube, error) {
 		d.patterns++
 		return p, nil
 	}
-	out, _, err := decodeBlocksPartial(d.c, d.r, d.blocksPer)
+	out, err := decodeBlocksPartial(d.c, d.r, d.blocksPer)
 	if err != nil {
 		return nil, fmt.Errorf("core: pattern %d: %w", d.patterns, err)
 	}
@@ -273,8 +272,8 @@ func (d *StreamDecoder) TritsConsumed() int { return d.r.consumed }
 func (d *StreamDecoder) MaxBuffered() int { return d.r.maxBuf }
 
 // CubeSource adapts an in-memory compressed cube as a one-segment
-// StreamSource, for decoding a stored stream through the streaming
-// path (and for differential tests against the in-memory decoder).
+// StreamSource: DecodeSet and DecodeCube decode a stored stream
+// through it.
 type CubeSource struct {
 	c    *bitvec.Cube
 	done bool

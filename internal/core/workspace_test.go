@@ -43,11 +43,11 @@ func TestEncodeSetWSMatchesEncodeSet(t *testing.T) {
 }
 
 // TestWorkspaceZeroAlloc pins the zero-allocation steady state of the
-// kernel encode path: with a warm workspace, EncodeSetWS allocates
-// nothing per call for every kernel K.
+// serial encode: with a warm workspace, EncodeSetWS allocates nothing
+// per call for every kernel K and for a generic one (K=6).
 func TestWorkspaceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for _, k := range kernelKs {
+	for _, k := range append([]int{6}, kernelKs...) {
 		cdc := mustCodec(t, k)
 		set := wsTestSet(rng, 32, 300)
 		ws := GetWorkspace()

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/ate"
 	"repro/internal/codecs"
@@ -38,9 +40,9 @@ func encode(set *tcube.Set, k int) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The worker-pool encoder is bit-identical to the serial path, so
-	// every reproduced table stays deterministic.
-	return cdc.EncodeSetParallel(set, 0)
+	// The fan-out is bit-identical to the serial path, so every
+	// reproduced table stays deterministic.
+	return cdc.Encode(context.Background(), set, core.EncodeOptions{Workers: runtime.GOMAXPROCS(0)})
 }
 
 // Table1 reproduces Table I: the 9C coding for K=8 — case symbols,
