@@ -92,10 +92,15 @@ campaign-smoke:
 	$(GO) test ./internal/faultsim -run 'TestCampaignEquivalenceSmoke|TestCollapsedCampaignMatchesUncollapsed' -count=1
 
 ## telemetry-smoke: run ninec with telemetry on against the example
-## cube set and require every emitted byte to be valid JSON.
+## cube set and require every byte of its -json report to be valid
+## JSON (the -metrics exposition goes to a temp file, so stdout stays
+## pure JSON), then run TestTelemetrySmoke, which parses the -metrics
+## file strictly as Prometheus text.
 telemetry-smoke:
-	$(GO) run ./cmd/ninec -k 8 -json -metrics - examples/cubes.txt \
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/ninec -k 8 -json -metrics "$$tmp" examples/cubes.txt \
 		| $(GO) run ./cmd/benchjson -checkjson
+	$(GO) test ./cmd/ninec -run '^TestTelemetrySmoke$$' -count=1
 
 ## serve-smoke: boot ninecd, round-trip the example cube set through
 ## /encode -> /decode with curl, scrape /metrics, and require a

@@ -23,7 +23,7 @@
 //
 // Telemetry (all off by default):
 //
-//	ninec -metrics - ...                  # metrics snapshot JSON on exit
+//	ninec -metrics - ...                  # Prometheus text metrics on exit
 //	ninec -trace trace.ndjson ...         # structured stage-span events
 //	ninec -pprof localhost:6060 ...       # net/http/pprof while running
 package main

@@ -522,12 +522,13 @@ func TestPanicMessageClassified(t *testing.T) {
 }
 
 // TestTelemetrySmoke drives the full CLI telemetry path: metrics to a
-// file, trace to a file, and a compress run — then validates both
-// outputs parse as JSON. This backs the `make telemetry-smoke` gate.
+// file, trace to a file, and a compress run — then parses the metrics
+// file strictly as Prometheus text and every trace line as JSON. This
+// backs the `make telemetry-smoke` gate.
 func TestTelemetrySmoke(t *testing.T) {
 	path := writeCubes(t)
 	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
+	metrics := filepath.Join(dir, "metrics.prom")
 	trace := filepath.Join(dir, "trace.ndjson")
 	stop, err := obs.CLIConfig{Metrics: metrics, Trace: trace}.Start()
 	if err != nil {
@@ -546,15 +547,15 @@ func TestTelemetrySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("metrics snapshot: %v\n%s", err, raw)
+	scrape, err := obs.ParsePrometheus(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("metrics exposition: %v\n%s", err, raw)
 	}
-	if snap.Counters["core.encode.calls"] == 0 {
-		t.Fatalf("no encode calls recorded: %v", snap.Counters)
+	if scrape.Samples["core_encode_calls_total"] == 0 {
+		t.Fatalf("no encode calls recorded: %v", scrape.Samples)
 	}
-	if snap.Counters["core.encode.blocks"] == 0 || snap.Counters["core.case.n9"] == 0 {
-		t.Fatalf("per-case/block counters missing: %v", snap.Counters)
+	if scrape.Samples["core_encode_blocks_total"] == 0 || scrape.Samples["core_case_n9_total"] == 0 {
+		t.Fatalf("per-case/block counters missing: %v", scrape.Samples)
 	}
 	traw, err := os.ReadFile(trace)
 	if err != nil {

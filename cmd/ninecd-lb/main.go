@@ -21,7 +21,6 @@
 //	GET  /readyz            # 200 while >= 1 backend is healthy
 //	GET  /ring              # topology: backends, health, vnodes
 //	GET  /metrics           # lb's own Prometheus exposition
-//	GET  /metrics.json      # lb telemetry snapshot (JSON)
 //
 // Backends are health-checked via their /readyz on -check-interval;
 // an unready backend leaves the ring and its keys fall to their ring
@@ -199,12 +198,8 @@ func newLB(backendsCSV string, vnodes int, maxBody int64, checkTimeout time.Dura
 	mux.HandleFunc("/readyz", l.handleReady)
 	mux.HandleFunc("/ring", l.handleRing)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", obs.PromContentType)
 		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.Snapshot().WriteJSON(w)
 	})
 	l.mux = mux
 	return l, nil

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fakeBackend is a stand-in ninecd that reports its own identity so
@@ -146,12 +148,11 @@ func TestTransportFailover(t *testing.T) {
 	if served[""] > 0 {
 		t.Fatal("some responses had no X-Served-By")
 	}
-	snap := l.reg.Snapshot()
-	if snap.Counters["ninecdlb.failovers"] == 0 {
+	if l.reg.Counter("ninecdlb.failovers").Value() == 0 {
 		t.Fatal("40 requests over a ring with a dead node never failed over")
 	}
-	if snap.Counters["ninecdlb.requests"] != 40 {
-		t.Fatalf("requests counter = %d, want 40", snap.Counters["ninecdlb.requests"])
+	if got := l.reg.Counter("ninecdlb.requests").Value(); got != 40 {
+		t.Fatalf("requests counter = %d, want 40", got)
 	}
 }
 
@@ -208,9 +209,8 @@ func TestHealthCheckRemovesUnreadyBackend(t *testing.T) {
 	if got := len(l.ring.Healthy()); got != 2 {
 		t.Fatalf("healthy backends = %d after recovery, want 2", got)
 	}
-	snap := l.reg.Snapshot()
-	if snap.Counters["ninecdlb.health_transitions"] != 2 {
-		t.Fatalf("health transitions = %d, want 2", snap.Counters["ninecdlb.health_transitions"])
+	if got := l.reg.Counter("ninecdlb.health_transitions").Value(); got != 2 {
+		t.Fatalf("health transitions = %d, want 2", got)
 	}
 }
 
@@ -286,6 +286,33 @@ func TestRingTopologyEndpoint(t *testing.T) {
 	if !strings.Contains(body, fmt.Sprintf("{\"url\":%q,\"healthy\":true}", b1.URL)) ||
 		!strings.Contains(body, fmt.Sprintf("{\"url\":%q,\"healthy\":false}", b2.URL)) {
 		t.Fatalf("ring topology missing health detail: %s", body)
+	}
+}
+
+// TestMetricsExposition: /metrics is the lb's one metrics route, in
+// the Prometheus text format; /metrics.json is gone.
+func TestMetricsExposition(t *testing.T) {
+	b1 := fakeBackend(t, "b1")
+	l := newTestLB(t, b1.URL)
+	if rec := postVia(t, l, "/encode", "set"); rec.Code != http.StatusOK {
+		t.Fatalf("encode: %d", rec.Code)
+	}
+	rec := httptest.NewRecorder()
+	l.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
+		t.Errorf("Content-Type = %q, want %q", ct, obs.PromContentType)
+	}
+	s, err := obs.ParsePrometheus(rec.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	if got := s.Samples["ninecdlb_requests_total"]; got != 1 {
+		t.Errorf("ninecdlb_requests_total = %v, want 1", got)
+	}
+	rec = httptest.NewRecorder()
+	l.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics.json", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET /metrics.json = %d, want 404", rec.Code)
 	}
 }
 

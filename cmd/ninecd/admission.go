@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Adaptive admission: the daemon sheds load before it collapses rather
@@ -90,8 +92,9 @@ func (s *server) reject(w http.ResponseWriter, msg, class string) {
 // plus the priority lane for qualifying requests (a send on the nil
 // channel never fires, so non-priority requests only see the pool).
 // ok=false means the response has already been written; otherwise the
-// caller must invoke release when the request finishes.
-func (s *server) admit(name string, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+// caller must invoke release when the request finishes. prioLane is
+// the route's ninecd.<name>.prio_lane counter, resolved once by guard.
+func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	if reason := s.shedReason(name, r); reason != "" {
 		s.reg.Counter("ninecd." + name + ".shed." + reason).Inc()
 		s.reject(w, "overloaded, shedding ("+reason+")", "shed_"+reason)
@@ -114,7 +117,7 @@ func (s *server) admit(name string, w http.ResponseWriter, r *http.Request) (rel
 		}
 		return func() { <-s.sem }, true
 	case prio <- struct{}{}:
-		s.reg.Counter("ninecd." + name + ".prio_lane").Inc()
+		prioLane.Inc()
 		if info := reqInfoFrom(r.Context()); info != nil {
 			info.queueWait = time.Since(enqueued)
 		}

@@ -42,10 +42,9 @@ func TestEncodeCacheHitByteIdentical(t *testing.T) {
 			t.Fatal("cached response lost its metadata headers")
 		}
 	}
-	snap := s.reg.Snapshot()
-	if snap.Counters["ninecd.cache.hit"] != 5 || snap.Counters["ninecd.cache.miss"] != 1 {
-		t.Fatalf("hit/miss = %d/%d, want 5/1",
-			snap.Counters["ninecd.cache.hit"], snap.Counters["ninecd.cache.miss"])
+	hits, misses := s.reg.Counter("ninecd.cache.hit").Value(), s.reg.Counter("ninecd.cache.miss").Value()
+	if hits != 5 || misses != 1 {
+		t.Fatalf("hit/miss = %d/%d, want 5/1", hits, misses)
 	}
 }
 
@@ -223,7 +222,8 @@ func TestCachedContainerTruncationSalvage(t *testing.T) {
 	if _, err := container.Read(bytes.NewReader(junk)); !errors.Is(err, robust.ErrCorrupt) {
 		t.Fatalf("trailing bytes: Read err %v, want ErrCorrupt", err)
 	}
-	before := s.reg.Snapshot().Counters["ninecd.decode.fault.corrupt"]
+	corrupt := s.reg.Counter("ninecd.decode.fault.corrupt")
+	before := corrupt.Value()
 	resp, body := post(t, ts.URL+"/decode", junk)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trailing bytes: decode %d", resp.StatusCode)
@@ -235,7 +235,7 @@ func TestCachedContainerTruncationSalvage(t *testing.T) {
 	if rows := bytes.Count(body, []byte("\n")) - 1; rows != full.Patterns {
 		t.Fatalf("trailing bytes: streamed %d rows, want %d", rows, full.Patterns)
 	}
-	if got := s.reg.Snapshot().Counters["ninecd.decode.fault.corrupt"] - before; got != 1 {
+	if got := corrupt.Value() - before; got != 1 {
 		t.Fatalf("trailing bytes: ninecd.decode.fault.corrupt moved by %d, want 1", got)
 	}
 }

@@ -29,7 +29,6 @@
 //	GET  /healthz                         # liveness
 //	GET  /readyz                          # SLO-backed readiness (503 on budget burn)
 //	GET  /metrics                         # Prometheus text exposition
-//	GET  /metrics.json                    # telemetry snapshot (JSON)
 //	GET  /debug/traces                    # recent + slowest request traces
 //
 // /encode honors an X-Codec-Profile header naming a resident profile

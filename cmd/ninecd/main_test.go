@@ -305,8 +305,8 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
-// TestHealthAndMetrics: liveness, the Prometheus exposition at
-// /metrics, and the JSON snapshot at /metrics.json.
+// TestHealthAndMetrics: liveness, and the Prometheus exposition at
+// /metrics as the one metrics route.
 func TestHealthAndMetrics(t *testing.T) {
 	ts, _ := newTestServer(t, config{})
 	post(t, ts.URL+"/encode", []byte(sampleText(3, 8, 4)))
@@ -337,18 +337,24 @@ func TestHealthAndMetrics(t *testing.T) {
 			t.Fatalf("Prometheus exposition missing %q: %s", want, body)
 		}
 	}
+	scrape, err := obs.ParsePrometheus(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	if got := scrape.Samples["ninecd_http_encode_requests_total"]; got != 1 {
+		t.Fatalf("ninecd_http_encode_requests_total = %v, want 1", got)
+	}
+	if h := scrape.Hists["span_ninecd_http_encode"]; h == nil || h.Count != 1 {
+		t.Fatalf("encode latency histogram = %+v, want one observation", h)
+	}
 
 	resp, err = http.Get(ts.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics.json: %d", resp.StatusCode)
-	}
-	if !bytes.Contains(body, []byte("ninecd.encode.requests")) {
-		t.Fatalf("metrics snapshot missing request counter: %s", body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics.json = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -451,10 +457,9 @@ func TestConcurrentRoundTrips(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no request was admitted")
 	}
-	snap := s.reg.Snapshot()
 	var refused int64
 	for _, ep := range []string{"encode", "decode"} {
-		refused += snap.Counters["ninecd."+ep+".shed.queue"] + snap.Counters["ninecd."+ep+".rejected"]
+		refused += s.reg.Counter("ninecd."+ep+".shed.queue").Value() + s.reg.Counter("ninecd."+ep+".rejected").Value()
 	}
 	if refused != shed.Load() {
 		t.Fatalf("clients saw %d 429s, daemon counted %d", shed.Load(), refused)

@@ -243,7 +243,6 @@ func newServer(cfg config, reg *obs.Registry) *server {
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", false, s.handleHealthz))
 	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", false, s.handleReadyz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", false, s.handleMetricsProm))
-	s.mux.HandleFunc("GET /metrics.json", s.instrument("metrics_json", false, s.handleMetricsJSON))
 	s.mux.HandleFunc("GET /debug/traces", s.instrument("debug_traces", false, s.handleDebugTraces))
 	return s
 }
@@ -301,14 +300,14 @@ func errClass(err error) string {
 // recovered panic is a 500 and a counter bump, never a dead process),
 // adaptive admission (shed/saturation 429s with an honest Retry-After —
 // see admission.go), the per-request deadline, and fault accounting.
-// Latency is instrument's: ninecd.http.<route>.latency_seconds.
+// Requests and latency are instrument's: ninecd.http.<route>.requests
+// and the root span's span.ninecd.http.<route>.
 func (s *server) guard(name string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	// Resolved once per route, as in instrument, so the success path
 	// never takes the registry map lock.
-	reqs := s.reg.Counter("ninecd." + name + ".requests")
 	inflight := s.reg.Gauge("ninecd.inflight")
+	prioLane := s.reg.Counter("ninecd." + name + ".prio_lane")
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
 		defer func() {
 			if v := recover(); v != nil {
 				s.reg.Counter("ninecd." + name + ".panics").Inc()
@@ -324,7 +323,7 @@ func (s *server) guard(name string, h func(http.ResponseWriter, *http.Request) e
 			}
 		}()
 
-		release, ok := s.admit(name, w, r)
+		release, ok := s.admit(name, prioLane, w, r)
 		if !ok {
 			return
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -14,11 +13,11 @@ import (
 
 // The telemetry surface of the daemon: every request gets a trace ID
 // (inbound X-Request-ID honored, generated otherwise, always echoed),
-// a root span that the codec stages nest under, per-route counters and
-// fixed-boundary latency histograms, an optional NDJSON access-log
-// line, and a slot in the bounded trace ring served at /debug/traces.
-// /metrics serves the Prometheus text exposition, /metrics.json the
-// legacy JSON snapshot, and /readyz the SLO burn-rate verdict.
+// a root span that the codec stages nest under and whose log2
+// histogram span.ninecd.http.<route> is the route's latency series,
+// per-route counters, an optional NDJSON access-log line, and a slot
+// in the bounded trace ring served at /debug/traces. /metrics serves
+// the Prometheus text exposition and /readyz the SLO burn-rate verdict.
 
 // reqInfo carries per-request facts (queue wait, error class) from the
 // guard back out to the instrument middleware that logs them.
@@ -124,8 +123,8 @@ func sanitizeRequestID(id string) string {
 }
 
 // instrument wraps a handler with the per-request telemetry contract:
-// root span (trace ID from the request), per-route request/status
-// counters, the fixed-boundary latency histogram, the SLO observation
+// root span (trace ID from the request), whose end records the route's
+// latency, per-route request/status counters, the SLO observation
 // (serving routes only), the trace ring slot, and the access-log line.
 // Everything it exports carries routing metadata and timings only —
 // never payload bytes.
@@ -134,9 +133,9 @@ func (s *server) instrument(route string, serving bool, h http.HandlerFunc) http
 	// request, so the request path never takes the registry map lock.
 	allReqs := s.reg.Counter("ninecd.http.requests")
 	reqs := s.reg.Counter("ninecd.http." + route + ".requests")
-	lat := s.reg.FixedHistogram("ninecd.http."+route+".latency_seconds", obs.DefaultLatencyBounds)
-	s.reg.Describe("ninecd.http."+route+".latency_seconds",
-		"request latency of "+route+" in seconds, wall time inside the daemon")
+	spanName := "ninecd.http." + route
+	s.reg.Describe("span."+spanName,
+		"request latency of "+route+" in ns, wall time inside the daemon")
 	classes := [4]*obs.Counter{
 		s.reg.Counter("ninecd.http." + route + ".status.2xx"),
 		s.reg.Counter("ninecd.http." + route + ".status.3xx"),
@@ -153,7 +152,7 @@ func (s *server) instrument(route string, serving bool, h http.HandlerFunc) http
 		info := &reqInfo{}
 		ctx := withReqInfo(r.Context(), info)
 		id := obs.TraceIDFromContext(ctx)
-		sp := s.reg.Span("ninecd.http." + route).WithTraceID(id).Collect()
+		sp := s.reg.Span(spanName).WithTraceID(id).Collect()
 		ctx = obs.ContextWithSpan(ctx, sp)
 
 		cr := &countingReader{rc: r.Body}
@@ -165,7 +164,6 @@ func (s *server) instrument(route string, serving bool, h http.HandlerFunc) http
 
 		dur := time.Since(start)
 		sp.End()
-		lat.Observe(dur.Seconds())
 		status := sw.Status()
 		classes[classIdx[statusClass(status)]].Inc()
 		if serving {
@@ -200,27 +198,6 @@ func (s *server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 		// Headers are committed by the first write; a failure here is a
 		// mid-stream client loss, which is exactly what the counter is
 		// scoped to.
-		s.reg.Counter("ninecd.metrics.write_errors").Inc()
-	}
-}
-
-// handleMetricsJSON serves the legacy JSON snapshot at /metrics.json.
-// The snapshot is marshaled before any byte is written: a marshal
-// failure is still a clean 500, and ninecd.metrics.write_errors counts
-// only writes that actually failed mid-stream — not responses that
-// merely followed committed headers.
-func (s *server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	s.rc.Sample()
-	s.slo.Publish(s.reg)
-	data, err := json.MarshalIndent(s.reg.Snapshot(), "", "  ")
-	if err != nil {
-		http.Error(w, "snapshot failed", http.StatusInternalServerError)
-		return
-	}
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	if _, err := w.Write(data); err != nil {
 		s.reg.Counter("ninecd.metrics.write_errors").Inc()
 	}
 }

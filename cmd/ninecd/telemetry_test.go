@@ -180,31 +180,30 @@ type failingWriter struct {
 
 func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
 
-// TestMetricsJSONContentTypeAndWriteErrors is the regression test for
-// the /metrics.json handler: the response declares application/json,
-// a successful scrape does NOT count a write error, and a write that
-// actually fails mid-stream counts exactly one.
-func TestMetricsJSONContentTypeAndWriteErrors(t *testing.T) {
+// TestMetricsContentTypeAndWriteErrors is the regression test for
+// the /metrics handler: the response declares the exposition format
+// and parses strictly, a successful scrape does NOT count a write
+// error, and a write that actually fails mid-stream counts exactly one.
+func TestMetricsContentTypeAndWriteErrors(t *testing.T) {
 	s := newServer(config{}, obs.NewRegistry())
 
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics.json", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics.json = %d", rec.Code)
+		t.Fatalf("/metrics = %d", rec.Code)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q, want application/json", ct)
+	if ct := rec.Header().Get("Content-Type"); ct != obs.PromContentType {
+		t.Errorf("Content-Type = %q, want %q", ct, obs.PromContentType)
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot not JSON: %v", err)
+	if _, err := obs.ParsePrometheus(rec.Body); err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
 	}
 	if got := s.reg.Counter("ninecd.metrics.write_errors").Value(); got != 0 {
 		t.Fatalf("write_errors = %d after a successful scrape, want 0", got)
 	}
 
 	fw := &failingWriter{ResponseRecorder: *httptest.NewRecorder()}
-	s.handleMetricsJSON(fw, httptest.NewRequest(http.MethodGet, "/metrics.json", nil))
+	s.handleMetricsProm(fw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if got := s.reg.Counter("ninecd.metrics.write_errors").Value(); got != 1 {
 		t.Fatalf("write_errors = %d after a failed write, want 1", got)
 	}
@@ -258,7 +257,7 @@ func TestStatusClassCounters(t *testing.T) {
 	if got := s.reg.Counter("ninecd.http.encode.status.5xx").Value(); got != 0 {
 		t.Errorf("5xx = %d, want 0", got)
 	}
-	if got := s.reg.FixedHistogram("ninecd.http.encode.latency_seconds", nil).Count(); got != 2 {
+	if got := s.reg.Histogram("span.ninecd.http.encode").Count(); got != 2 {
 		t.Errorf("latency observations = %d, want 2", got)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/container"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/tcube"
 )
 
@@ -28,9 +28,9 @@ func newRecordingDaemon(t *testing.T, cacheCounters string) (*httptest.Server, *
 	rec := &recordingDaemon{bodies: make(map[string][]string)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ready\n") })
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"t":0,"uptime_ns":1,"counters":{%s}}`, cacheCounters)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", obs.PromContentType)
+		io.WriteString(w, cacheCounters)
 	})
 	mux.HandleFunc("/encode", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
@@ -53,7 +53,7 @@ func newRecordingDaemon(t *testing.T, cacheCounters string) (*httptest.Server, *
 // finite corpus (stable names, stable bodies) and unique cold sets,
 // in roughly the requested proportion, deterministically per seed.
 func TestDupReplayDistribution(t *testing.T) {
-	ts, rec := newRecordingDaemon(t, `"ninecd.cache.hit":90,"ninecd.cache.miss":10,"ninecd.cache.coalesced":4`)
+	ts, rec := newRecordingDaemon(t, "ninecd_cache_hit_total 90\nninecd_cache_miss_total 10\nninecd_cache_coalesced_total 4\n")
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "200", "-c", "4", "-seed", "11",
@@ -107,7 +107,7 @@ func TestDupReplayDistribution(t *testing.T) {
 // TestVerifyCatchesWrongBytes: a daemon answering corpus encodes with
 // bogus bytes must fail -verify with a violation and exit 1.
 func TestVerifyCatchesWrongBytes(t *testing.T) {
-	ts, _ := newRecordingDaemon(t, `"ninecd.cache.hit":0`)
+	ts, _ := newRecordingDaemon(t, "ninecd_cache_hit_total 0\n")
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "20", "-c", "2", "-seed", "3",
@@ -140,9 +140,7 @@ func TestVerifyCatchesWrongBytes(t *testing.T) {
 func TestVerifyPassesFaithfulDaemon(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ready\n") })
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, `{"t":0,"uptime_ns":1,"counters":{}}`)
-	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {})
 	mux.HandleFunc("/encode", func(w http.ResponseWriter, r *http.Request) {
 		set, err := tcube.Read(r.URL.Query().Get("name"), r.Body)
 		if err != nil {

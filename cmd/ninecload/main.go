@@ -284,22 +284,22 @@ func run(o options, reg *obs.Registry) (*report, error) {
 	// so chaos cannot corrupt the evidence.
 	scrapeCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	snap, err := direct.MetricsSnapshot(scrapeCtx)
+	scrape, err := direct.Metrics(scrapeCtx)
 	if err != nil {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("daemon metrics scrape failed: %v", err))
 		return rep, nil
 	}
-	for name, v := range snap.Counters {
-		if strings.HasSuffix(name, ".panics") {
-			rep.DaemonPanics += v
+	for name, v := range scrape.Samples {
+		if strings.HasSuffix(name, "_panics_total") {
+			rep.DaemonPanics += int64(v)
 		}
-		if strings.HasSuffix(name, ".status.5xx") {
-			rep.Daemon5xx += v
+		if strings.HasSuffix(name, "_status_5xx_total") {
+			rep.Daemon5xx += int64(v)
 		}
 	}
-	rep.CacheHits = snap.Counters["ninecd.cache.hit"]
-	rep.CacheMisses = snap.Counters["ninecd.cache.miss"]
-	rep.CacheCoalesced = snap.Counters["ninecd.cache.coalesced"]
+	rep.CacheHits = int64(scrape.Samples["ninecd_cache_hit_total"])
+	rep.CacheMisses = int64(scrape.Samples["ninecd_cache_miss_total"])
+	rep.CacheCoalesced = int64(scrape.Samples["ninecd_cache_coalesced_total"])
 	if total := rep.CacheHits + rep.CacheMisses; total > 0 {
 		rep.CacheHitRatio = float64(rep.CacheHits) / float64(total)
 	}

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestPercentiles pins the nearest-rank quantile math.
@@ -41,7 +43,7 @@ func TestPercentiles(t *testing.T) {
 }
 
 // stubDaemon mimics the ninecd surface the harness touches: /readyz,
-// /metrics.json, and the two serving routes, whose behavior the test
+// /metrics, and the two serving routes, whose behavior the test
 // injects.
 func stubDaemon(t *testing.T, serve http.HandlerFunc, panics int64) *httptest.Server {
 	t.Helper()
@@ -49,9 +51,9 @@ func stubDaemon(t *testing.T, serve http.HandlerFunc, panics int64) *httptest.Se
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ready\n")
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"t":0,"uptime_ns":1,"counters":{"ninecd.encode.panics":%d,"ninecd.http.encode.status.5xx":0}}`, panics)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", obs.PromContentType)
+		fmt.Fprintf(w, "# TYPE ninecd_encode_panics_total counter\nninecd_encode_panics_total %d\nninecd_http_encode_status_5xx_total 0\n", panics)
 	})
 	mux.HandleFunc("/encode", serve)
 	mux.HandleFunc("/decode", serve)

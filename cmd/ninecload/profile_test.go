@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/batchenc"
 	"repro/internal/codecopt"
+	"repro/internal/obs"
 	"repro/internal/tcube"
 )
 
@@ -32,9 +33,8 @@ func newProfiledStub(t *testing.T) (*httptest.Server, *profiledStub) {
 	enc := batchenc.New(batchenc.Config{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ready\n") })
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"t":0,"uptime_ns":1,"counters":{}}`)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", obs.PromContentType)
 	})
 	mux.HandleFunc("/train", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)

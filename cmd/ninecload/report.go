@@ -50,8 +50,8 @@ type report struct {
 	Daemon5xx    int64              `json:"daemon_5xx"`
 	Proxy        *inject.ProxyStats `json:"proxy,omitempty"`
 
-	// Daemon-side result-cache evidence, scraped from /metrics.json
-	// after the run (cumulative over the daemon's lifetime).
+	// Daemon-side result-cache evidence, scraped from /metrics after
+	// the run (cumulative over the daemon's lifetime).
 	CacheHits      int64   `json:"cache_hits"`
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheCoalesced int64   `json:"cache_coalesced"`
@@ -123,12 +123,11 @@ func buildReport(o options, samples []sample, elapsed time.Duration, reg *obs.Re
 		rep.GoodputRPS = float64(rep.Succeeded) / secs
 	}
 
-	snap := reg.Snapshot()
 	for _, route := range []string{"ninecd.encode", "ninecd.decode"} {
-		rep.Retries += snap.Counters["resilience."+route+".retries"]
-		rep.Recovered += snap.Counters["resilience."+route+".recovered"]
-		rep.Hedges += snap.Counters["resilience."+route+".hedges"]
-		rep.BudgetDenied += snap.Counters["resilience."+route+".budget_exhausted"]
+		rep.Retries += reg.Counter("resilience." + route + ".retries").Value()
+		rep.Recovered += reg.Counter("resilience." + route + ".recovered").Value()
+		rep.Hedges += reg.Counter("resilience." + route + ".hedges").Value()
+		rep.BudgetDenied += reg.Counter("resilience." + route + ".budget_exhausted").Value()
 	}
 
 	rep.VerifyMismatches = rep.ByClass["verify_mismatch"]

@@ -23,6 +23,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func main() { os.Exit(realMain(os.Args[1:], os.Stdout)) }
@@ -86,6 +88,12 @@ func realMain(args []string, out *os.File) int {
 	}
 }
 
+// scrape is one parsed exposition and the time it was taken.
+type scrape struct {
+	at time.Time
+	*obs.PromScrape
+}
+
 // scrapeOnce fetches and parses one exposition.
 func scrapeOnce(client *http.Client, url string) (*scrape, error) {
 	resp, err := client.Get(url)
@@ -96,5 +104,10 @@ func scrapeOnce(client *http.Client, url string) (*scrape, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	return parsePromText(resp.Body)
+	at := time.Now()
+	s, err := obs.ParsePrometheus(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return &scrape{at: at, PromScrape: s}, nil
 }

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 const promFixture = `# HELP ninecd_http_requests_total ninecd.http.requests (counter)
@@ -21,43 +23,30 @@ ninecd_inflight 3
 ninecd_http_encode_requests_total 60
 ninecd_http_encode_status_2xx_total 50
 ninecd_http_encode_status_4xx_total 10
-# TYPE ninecd_http_encode_latency_seconds histogram
-ninecd_http_encode_latency_seconds_bucket{le="0.001"} 10
-ninecd_http_encode_latency_seconds_bucket{le="0.01"} 40
-ninecd_http_encode_latency_seconds_bucket{le="0.1"} 58
-ninecd_http_encode_latency_seconds_bucket{le="+Inf"} 60
-ninecd_http_encode_latency_seconds_sum 1.5
-ninecd_http_encode_latency_seconds_count 60
+# TYPE span_ninecd_http_encode histogram
+span_ninecd_http_encode_bucket{le="524287"} 10
+span_ninecd_http_encode_bucket{le="8388607"} 40
+span_ninecd_http_encode_bucket{le="134217727"} 58
+span_ninecd_http_encode_bucket{le="+Inf"} 60
+span_ninecd_http_encode_sum 1.5e+09
+span_ninecd_http_encode_count 60
 `
 
-func TestParsePromText(t *testing.T) {
-	s, err := parsePromText(strings.NewReader(promFixture))
+// mustScrape parses an exposition fixture strictly.
+func mustScrape(t *testing.T, text string) *scrape {
+	t.Helper()
+	s, err := obs.ParsePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.samples["ninecd_http_requests_total"]; got != 100 {
-		t.Errorf("requests_total = %v, want 100", got)
-	}
-	if got := s.samples["ninecd_inflight"]; got != 3 {
-		t.Errorf("inflight = %v, want 3", got)
-	}
-	h := s.hists["ninecd_http_encode_latency_seconds"]
-	if h == nil {
-		t.Fatal("latency histogram not reassembled")
-	}
-	if len(h.bounds) != 4 || !math.IsInf(h.bounds[3], 1) {
-		t.Fatalf("bounds = %v, want 4 ending in +Inf", h.bounds)
-	}
-	if h.counts[1] != 40 || h.count != 60 || h.sum != 1.5 {
-		t.Errorf("hist = %+v, want counts[1]=40 count=60 sum=1.5", h)
-	}
+	return &scrape{at: time.Now(), PromScrape: s}
 }
 
 func TestQuantileDelta(t *testing.T) {
 	// 100 observations uniform in the delta: bucket (0,10] has 50,
 	// (10,100] has 50.
-	prev := &histScrape{bounds: []float64{10, 100, math.Inf(1)}, counts: []float64{0, 0, 0}}
-	cur := &histScrape{bounds: []float64{10, 100, math.Inf(1)}, counts: []float64{50, 100, 100}}
+	prev := &obs.PromHist{Bounds: []float64{10, 100, math.Inf(1)}, Counts: []float64{0, 0, 0}}
+	cur := &obs.PromHist{Bounds: []float64{10, 100, math.Inf(1)}, Counts: []float64{50, 100, 100}}
 	if got := quantileDelta(cur, prev, 0.5); got != 10 {
 		t.Errorf("p50 = %v, want 10 (upper edge of first bucket)", got)
 	}
@@ -66,7 +55,7 @@ func TestQuantileDelta(t *testing.T) {
 		t.Errorf("p75 = %v, want 55", got)
 	}
 	// All mass in +Inf bucket: honest answer is the last finite bound.
-	inf := &histScrape{bounds: []float64{10, 100, math.Inf(1)}, counts: []float64{0, 0, 7}}
+	inf := &obs.PromHist{Bounds: []float64{10, 100, math.Inf(1)}, Counts: []float64{0, 0, 7}}
 	if got := quantileDelta(inf, nil, 0.99); got != 100 {
 		t.Errorf("p99 of overflow-only = %v, want 100", got)
 	}
@@ -81,22 +70,16 @@ func TestQuantileDelta(t *testing.T) {
 }
 
 func TestSummarizeRatesAndRoutes(t *testing.T) {
-	prev, err := parsePromText(strings.NewReader(promFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := mustScrape(t, promFixture)
 	curText := strings.NewReplacer(
 		"ninecd_http_requests_total 100", "ninecd_http_requests_total 300",
 		"ninecd_http_encode_requests_total 60", "ninecd_http_encode_requests_total 160",
-		`ninecd_http_encode_latency_seconds_bucket{le="0.001"} 10`, `ninecd_http_encode_latency_seconds_bucket{le="0.001"} 110`,
-		`ninecd_http_encode_latency_seconds_bucket{le="0.01"} 40`, `ninecd_http_encode_latency_seconds_bucket{le="0.01"} 140`,
-		`ninecd_http_encode_latency_seconds_bucket{le="0.1"} 58`, `ninecd_http_encode_latency_seconds_bucket{le="0.1"} 158`,
-		`ninecd_http_encode_latency_seconds_bucket{le="+Inf"} 60`, `ninecd_http_encode_latency_seconds_bucket{le="+Inf"} 160`,
+		`span_ninecd_http_encode_bucket{le="524287"} 10`, `span_ninecd_http_encode_bucket{le="524287"} 110`,
+		`span_ninecd_http_encode_bucket{le="8388607"} 40`, `span_ninecd_http_encode_bucket{le="8388607"} 140`,
+		`span_ninecd_http_encode_bucket{le="134217727"} 58`, `span_ninecd_http_encode_bucket{le="134217727"} 158`,
+		`span_ninecd_http_encode_bucket{le="+Inf"} 60`, `span_ninecd_http_encode_bucket{le="+Inf"} 160`,
 	).Replace(promFixture)
-	cur, err := parsePromText(strings.NewReader(curText))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur := mustScrape(t, curText)
 	cur.at = prev.at.Add(10 * time.Second)
 
 	sum := summarize("test", cur, prev)
@@ -109,9 +92,10 @@ func TestSummarizeRatesAndRoutes(t *testing.T) {
 	if math.Abs(sum.Routes[0].ReqPerSec-10) > 1e-9 {
 		t.Errorf("encode req/s = %v, want 10", sum.Routes[0].ReqPerSec)
 	}
-	// All 100 new observations landed in the first bucket: p99 <= 1ms.
-	if p := sum.Routes[0].P99Ms; p <= 0 || p > 1 {
-		t.Errorf("encode p99 = %vms, want (0, 1]", p)
+	// All 100 new observations landed in the first bucket, whose upper
+	// bound is 524287ns: p99 falls inside (0, 0.524287]ms.
+	if p := sum.Routes[0].P99Ms; p <= 0 || p > 0.524287 {
+		t.Errorf("encode p99 = %vms, want (0, 0.524287]", p)
 	}
 	// The summary must always be marshalable (no NaN leaks).
 	if _, err := json.Marshal(sum); err != nil {
@@ -129,19 +113,13 @@ ninecd_cache_bytes 4096
 `
 
 func TestSummarizeCacheStats(t *testing.T) {
-	prev, err := parsePromText(strings.NewReader(cacheFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := mustScrape(t, cacheFixture)
 	curText := strings.NewReplacer(
 		"ninecd_cache_hit_total 80", "ninecd_cache_hit_total 170",
 		"ninecd_cache_miss_total 20", "ninecd_cache_miss_total 30",
 		"ninecd_cache_coalesced_total 4", "ninecd_cache_coalesced_total 24",
 	).Replace(cacheFixture)
-	cur, err := parsePromText(strings.NewReader(curText))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur := mustScrape(t, curText)
 	cur.at = prev.at.Add(10 * time.Second)
 
 	sum := summarize("test", cur, prev)
@@ -177,14 +155,8 @@ func TestSummarizeCacheStats(t *testing.T) {
 }
 
 func TestSummarizeCacheAbsent(t *testing.T) {
-	prev, err := parsePromText(strings.NewReader(promFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := parsePromText(strings.NewReader(promFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := mustScrape(t, promFixture)
+	cur := mustScrape(t, promFixture)
 	cur.at = prev.at.Add(time.Second)
 	sum := summarize("test", cur, prev)
 	if sum.Cache.Present {
@@ -206,10 +178,7 @@ func TestRenderCacheLine(t *testing.T) {
 }
 
 func TestDiscoverRoutesSkipsStatusFamilies(t *testing.T) {
-	s, err := parsePromText(strings.NewReader(promFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustScrape(t, promFixture)
 	for _, r := range discoverRoutes(s) {
 		if strings.Contains(r, "status") {
 			t.Errorf("status family leaked into route list: %q", r)

@@ -18,18 +18,12 @@ ninecd_train_last_uplift_bp 125
 `
 
 func TestSummarizeProfileStats(t *testing.T) {
-	prev, err := parsePromText(strings.NewReader(profileFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := mustScrape(t, profileFixture)
 	curText := strings.NewReplacer(
 		"ninecd_profiles_installs_total 6", "ninecd_profiles_installs_total 26",
 		"ninecd_train_requests_total 2", "ninecd_train_requests_total 3",
 	).Replace(profileFixture)
-	cur, err := parsePromText(strings.NewReader(curText))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur := mustScrape(t, curText)
 	cur.at = prev.at.Add(10 * time.Second)
 
 	sum := summarize("test", cur, prev)
@@ -52,14 +46,8 @@ func TestSummarizeProfileStats(t *testing.T) {
 }
 
 func TestSummarizeProfilesAbsent(t *testing.T) {
-	prev, err := parsePromText(strings.NewReader(cacheFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := parsePromText(strings.NewReader(cacheFixture))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prev := mustScrape(t, cacheFixture)
+	cur := mustScrape(t, cacheFixture)
 	cur.at = prev.at.Add(10 * time.Second)
 	if sum := summarize("test", cur, prev); sum.Profiles.Present {
 		t.Fatal("pre-profile daemon exposition must leave Profiles.Present false")

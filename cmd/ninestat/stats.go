@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // routeStat is what one scrape interval reveals about one route.
@@ -80,7 +82,7 @@ func rate(cur, prev *scrape, name string, dt float64) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	d := cur.samples[name] - prev.samples[name]
+	d := cur.Samples[name] - prev.Samples[name]
 	if d < 0 {
 		return 0
 	}
@@ -91,15 +93,15 @@ func rate(cur, prev *scrape, name string, dt float64) float64 {
 // between two scrapes, interpolating linearly inside the bucket the
 // rank lands in. prev may be nil (treated as empty). Returns NaN when
 // no observations landed in the interval.
-func quantileDelta(cur, prev *histScrape, q float64) float64 {
-	if cur == nil || len(cur.bounds) == 0 {
+func quantileDelta(cur, prev *obs.PromHist, q float64) float64 {
+	if cur == nil || len(cur.Bounds) == 0 {
 		return math.NaN()
 	}
-	delta := make([]float64, len(cur.bounds))
-	for i := range cur.bounds {
-		d := cur.counts[i]
-		if prev != nil && i < len(prev.counts) {
-			d -= prev.counts[i]
+	delta := make([]float64, len(cur.Bounds))
+	for i := range cur.Bounds {
+		d := cur.Counts[i]
+		if prev != nil && i < len(prev.Counts) {
+			d -= prev.Counts[i]
 		}
 		if d < 0 {
 			d = 0 // counter reset
@@ -119,9 +121,9 @@ func quantileDelta(cur, prev *histScrape, q float64) float64 {
 		if c >= rank {
 			lo := 0.0
 			if i > 0 {
-				lo = cur.bounds[i-1]
+				lo = cur.Bounds[i-1]
 			}
-			hi := cur.bounds[i]
+			hi := cur.Bounds[i]
 			if math.IsInf(hi, 1) {
 				// Open-ended bucket: the lower bound is the best honest
 				// answer (still finite, as the acceptance criteria need).
@@ -135,14 +137,14 @@ func quantileDelta(cur, prev *histScrape, q float64) float64 {
 		}
 		cumPrev = c
 	}
-	return cur.bounds[len(cur.bounds)-1]
+	return cur.Bounds[len(cur.Bounds)-1]
 }
 
 // discoverRoutes lists the routes the daemon exposes, from the
 // ninecd_http_<route>_requests_total family.
 func discoverRoutes(s *scrape) []string {
 	var routes []string
-	for name := range s.samples {
+	for name := range s.Samples {
 		route, ok := strings.CutPrefix(name, "ninecd_http_")
 		if !ok {
 			continue
@@ -164,52 +166,52 @@ func summarize(addr string, cur, prev *scrape) summary {
 		Addr:            addr,
 		IntervalSeconds: dt,
 		ReqPerSec:       rate(cur, prev, "ninecd_http_requests_total", dt),
-		Inflight:        cur.samples["ninecd_inflight"],
-		Goroutines:      cur.samples["runtime_goroutines"],
-		HeapAllocBytes:  cur.samples["runtime_heap_alloc_bytes"],
-		HeapInuseBytes:  cur.samples["runtime_heap_inuse_bytes"],
+		Inflight:        cur.Samples["ninecd_inflight"],
+		Goroutines:      cur.Samples["runtime_goroutines"],
+		HeapAllocBytes:  cur.Samples["runtime_heap_alloc_bytes"],
+		HeapInuseBytes:  cur.Samples["runtime_heap_inuse_bytes"],
 		GCPerSec:        rate(cur, prev, "runtime_num_gc", dt),
-		SchedLatP99Us:   cur.samples["runtime_sched_latency_p99_ns"] / 1e3,
+		SchedLatP99Us:   cur.Samples["runtime_sched_latency_p99_ns"] / 1e3,
 		SLO: sloStat{
-			ErrorBurn:   cur.samples["ninecd_slo_error_burn_ppm"] / 1e6,
-			LatencyBurn: cur.samples["ninecd_slo_latency_burn_ppm"] / 1e6,
-			Ready:       cur.samples["ninecd_slo_ready"] > 0,
-			WindowTotal: cur.samples["ninecd_slo_window_total"],
+			ErrorBurn:   cur.Samples["ninecd_slo_error_burn_ppm"] / 1e6,
+			LatencyBurn: cur.Samples["ninecd_slo_latency_burn_ppm"] / 1e6,
+			Ready:       cur.Samples["ninecd_slo_ready"] > 0,
+			WindowTotal: cur.Samples["ninecd_slo_window_total"],
 		},
 	}
-	if _, ok := cur.samples["ninecd_cache_hit_total"]; ok {
+	if _, ok := cur.Samples["ninecd_cache_hit_total"]; ok {
 		sum.Cache = cacheStat{
 			Present:         true,
 			HitsPerSec:      rate(cur, prev, "ninecd_cache_hit_total", dt),
 			MissesPerSec:    rate(cur, prev, "ninecd_cache_miss_total", dt),
 			CoalescedPerSec: rate(cur, prev, "ninecd_cache_coalesced_total", dt),
-			Entries:         cur.samples["ninecd_cache_entries"],
-			Bytes:           cur.samples["ninecd_cache_bytes"],
+			Entries:         cur.Samples["ninecd_cache_entries"],
+			Bytes:           cur.Samples["ninecd_cache_bytes"],
 		}
-		dh := cur.samples["ninecd_cache_hit_total"] - prev.samples["ninecd_cache_hit_total"]
-		dm := cur.samples["ninecd_cache_miss_total"] - prev.samples["ninecd_cache_miss_total"]
+		dh := cur.Samples["ninecd_cache_hit_total"] - prev.Samples["ninecd_cache_hit_total"]
+		dm := cur.Samples["ninecd_cache_miss_total"] - prev.Samples["ninecd_cache_miss_total"]
 		if dh < 0 || dm < 0 || dh+dm == 0 {
 			// Counter reset (daemon restart) or an idle interval: the
 			// cumulative lifetime ratio is the honest fallback.
-			dh = cur.samples["ninecd_cache_hit_total"]
-			dm = cur.samples["ninecd_cache_miss_total"]
+			dh = cur.Samples["ninecd_cache_hit_total"]
+			dm = cur.Samples["ninecd_cache_miss_total"]
 		}
 		if dh+dm > 0 {
 			sum.Cache.HitRatio = dh / (dh + dm)
 		}
 	}
-	if _, ok := cur.samples["ninecd_profiles_resident"]; ok {
+	if _, ok := cur.Samples["ninecd_profiles_resident"]; ok {
 		sum.Profiles = profileStat{
 			Present:        true,
-			Resident:       cur.samples["ninecd_profiles_resident"],
+			Resident:       cur.Samples["ninecd_profiles_resident"],
 			InstallsPerSec: rate(cur, prev, "ninecd_profiles_installs_total", dt),
-			Trains:         cur.samples["ninecd_train_requests_total"],
-			LastUpliftPct:  cur.samples["ninecd_train_last_uplift_bp"] / 100,
+			Trains:         cur.Samples["ninecd_train_requests_total"],
+			LastUpliftPct:  cur.Samples["ninecd_train_last_uplift_bp"] / 100,
 		}
 	}
-	if gc := cur.hists["runtime_gc_pause_ns"]; gc != nil {
-		sum.GCPauseP50Us = nz(quantileDelta(gc, prev.hists["runtime_gc_pause_ns"], 0.50) / 1e3)
-		sum.GCPauseP99Us = nz(quantileDelta(gc, prev.hists["runtime_gc_pause_ns"], 0.99) / 1e3)
+	if gc := cur.Hists["runtime_gc_pause_ns"]; gc != nil {
+		sum.GCPauseP50Us = nz(quantileDelta(gc, prev.Hists["runtime_gc_pause_ns"], 0.50) / 1e3)
+		sum.GCPauseP99Us = nz(quantileDelta(gc, prev.Hists["runtime_gc_pause_ns"], 0.99) / 1e3)
 	}
 	for _, route := range discoverRoutes(cur) {
 		base := "ninecd_http_" + route
@@ -220,10 +222,11 @@ func summarize(addr string, cur, prev *scrape) summary {
 			Rate4xx:   rate(cur, prev, base+"_status_4xx_total", dt),
 			Rate5xx:   rate(cur, prev, base+"_status_5xx_total", dt),
 		}
-		lat, latPrev := cur.hists[base+"_latency_seconds"], prev.hists[base+"_latency_seconds"]
-		rs.P50Ms = nz(quantileDelta(lat, latPrev, 0.50) * 1e3)
-		rs.P95Ms = nz(quantileDelta(lat, latPrev, 0.95) * 1e3)
-		rs.P99Ms = nz(quantileDelta(lat, latPrev, 0.99) * 1e3)
+		// The root span's log2 histogram is the route's latency, in ns.
+		lat, latPrev := cur.Hists["span_"+base], prev.Hists["span_"+base]
+		rs.P50Ms = nz(quantileDelta(lat, latPrev, 0.50) / 1e6)
+		rs.P95Ms = nz(quantileDelta(lat, latPrev, 0.95) / 1e6)
+		rs.P99Ms = nz(quantileDelta(lat, latPrev, 0.99) / 1e6)
 		sum.Routes = append(sum.Routes, rs)
 	}
 	return sum

@@ -53,12 +53,10 @@ func TestGetAddRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(v.([]byte), []byte("value")) {
 		t.Fatalf("Get = %v, %v", v, ok)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["ninecd.cache.hit"] != 1 || snap.Counters["ninecd.cache.miss"] != 1 {
-		t.Fatalf("counters hit=%d miss=%d, want 1/1",
-			snap.Counters["ninecd.cache.hit"], snap.Counters["ninecd.cache.miss"])
+	if hits, misses := reg.Counter("ninecd.cache.hit").Value(), reg.Counter("ninecd.cache.miss").Value(); hits != 1 || misses != 1 {
+		t.Fatalf("counters hit=%d miss=%d, want 1/1", hits, misses)
 	}
-	if got := snap.Gauges["ninecd.cache.entries"]; got != 1 {
+	if got := reg.Gauge("ninecd.cache.entries").Value(); got != 1 {
 		t.Fatalf("entries gauge %d, want 1", got)
 	}
 }
@@ -100,7 +98,7 @@ func TestEvictionRespectsByteBound(t *testing.T) {
 			t.Fatalf("key %d resident=%v, want %v", i, ok, want)
 		}
 	}
-	if got := reg.Snapshot().Counters["ninecd.cache.evicted_bytes"]; got != 2*(1024+entryOverhead) {
+	if got := reg.Counter("ninecd.cache.evicted_bytes").Value(); got != 2*(1024+entryOverhead) {
 		t.Fatalf("evicted_bytes = %d, want %d", got, 2*(1024+entryOverhead))
 	}
 	if c.Bytes() > c.perShard*numShards {
@@ -134,7 +132,7 @@ func TestOversizeValueRejected(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("oversize value resident")
 	}
-	if got := reg.Snapshot().Counters["ninecd.cache.rejected_oversize"]; got != 1 {
+	if got := reg.Counter("ninecd.cache.rejected_oversize").Value(); got != 1 {
 		t.Fatalf("rejected_oversize = %d, want 1", got)
 	}
 }
@@ -185,7 +183,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 	// Let the followers pile up behind the leader before releasing it.
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["ninecd.cache.coalesced"] < workers-1 && time.Now().Before(deadline) {
+	for reg.Counter("ninecd.cache.coalesced").Value() < workers-1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -465,8 +463,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	if c.Bytes() > 64<<10 {
 		t.Fatalf("resident %d bytes exceeds the 64KiB bound", c.Bytes())
 	}
-	snap := reg.Snapshot()
-	total := snap.Counters["ninecd.cache.hit"] + snap.Counters["ninecd.cache.miss"] + snap.Counters["ninecd.cache.coalesced"]
+	total := reg.Counter("ninecd.cache.hit").Value() + reg.Counter("ninecd.cache.miss").Value() + reg.Counter("ninecd.cache.coalesced").Value()
 	if total != 8*400 {
 		t.Fatalf("hit+miss+coalesced = %d, want %d", total, 8*400)
 	}

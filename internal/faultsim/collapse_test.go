@@ -323,17 +323,12 @@ func TestCampaignTelemetryCounters(t *testing.T) {
 	if _, err := CampaignParallel(sv, set, Universe(ckt), 2); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["faultsim.faults_collapsed"] <= 0 {
-		t.Fatalf("faults_collapsed = %d, want > 0", snap.Counters["faultsim.faults_collapsed"])
+	for _, name := range []string{"faultsim.faults_collapsed", "faultsim.cone_skipped", "faultsim.steal_waits"} {
+		if got := reg.Counter(name).Value(); got <= 0 {
+			t.Fatalf("%s = %d, want > 0", name, got)
+		}
 	}
-	if snap.Counters["faultsim.cone_skipped"] <= 0 {
-		t.Fatalf("cone_skipped = %d, want > 0", snap.Counters["faultsim.cone_skipped"])
-	}
-	if snap.Counters["faultsim.steal_waits"] <= 0 {
-		t.Fatalf("steal_waits = %d, want > 0", snap.Counters["faultsim.steal_waits"])
-	}
-	if snap.Counters["faultsim.patterns_simulated"] != int64(set.Len()) {
-		t.Fatalf("patterns_simulated = %d, want %d", snap.Counters["faultsim.patterns_simulated"], set.Len())
+	if got := reg.Counter("faultsim.patterns_simulated").Value(); got != int64(set.Len()) {
+		t.Fatalf("patterns_simulated = %d, want %d", got, set.Len())
 	}
 }

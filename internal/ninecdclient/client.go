@@ -61,7 +61,7 @@ type Config struct {
 	// backends bypasses the lb without scattering each set's duplicates
 	// across every backend cache. Retries walk the ring's failover
 	// order (owner first, then successors). Observability calls (Ready,
-	// MetricsSnapshot) target BaseURL when set, else the first backend.
+	// Metrics) target BaseURL when set, else the first backend.
 	Backends []string
 	// VNodes is the virtual-node count per backend for ring routing
 	// (default hashring.DefaultVNodes). Must match the lb's -vnodes for
@@ -492,17 +492,17 @@ func (c *Client) Ready(ctx context.Context) error {
 	return err
 }
 
-// MetricsSnapshot fetches and parses /metrics.json.
-func (c *Client) MetricsSnapshot(ctx context.Context) (*obs.Snapshot, error) {
-	body, err := c.get(ctx, "/metrics.json")
+// Metrics fetches /metrics and parses the Prometheus text exposition.
+func (c *Client) Metrics(ctx context.Context) (*obs.PromScrape, error) {
+	body, err := c.get(ctx, "/metrics")
 	if err != nil {
 		return nil, err
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return nil, fmt.Errorf("ninecdclient: metrics snapshot: %w", err)
+	s, err := obs.ParsePrometheus(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("ninecdclient: metrics: %w", err)
 	}
-	return &snap, nil
+	return s, nil
 }
 
 // get is a plain single-shot GET (observability endpoints are probes,

@@ -15,22 +15,22 @@ import (
 // CLIConfig carries the standard telemetry flags every command in this
 // repository exposes: -metrics, -trace, and -pprof.
 type CLIConfig struct {
-	Metrics   string // snapshot destination file, "-" for stdout, "" off
+	Metrics   string // Prometheus text destination file, "-" for stdout, "" off
 	Trace     string // NDJSON event sink file, "" off
 	PprofAddr string // net/http/pprof listen address, "" off
 }
 
 // RegisterFlags installs the three telemetry flags on fs.
 func (c *CLIConfig) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&c.Metrics, "metrics", "", "write a metrics snapshot (JSON) to this file on exit; '-' = stdout")
+	fs.StringVar(&c.Metrics, "metrics", "", "write the metrics (Prometheus text) to this file on exit; '-' = stdout")
 	fs.StringVar(&c.Trace, "trace", "", "append structured JSON trace events to this file")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 }
 
 // Start enables process-wide telemetry according to the config: it
 // builds a registry, attaches the trace sink, starts the pprof server,
-// and calls Enable. The returned stop function flushes the metrics
-// snapshot, closes the sink, and disables telemetry; it must run
+// and calls Enable. The returned stop function writes the metrics
+// exposition, closes the sink, and disables telemetry; it must run
 // before process exit. When every field is empty telemetry stays
 // disabled and stop is a cheap no-op.
 func (c CLIConfig) Start() (stop func() error, err error) {
@@ -77,7 +77,7 @@ func (c CLIConfig) Start() (stop func() error, err error) {
 				}
 			}
 			if firstErr == nil {
-				if err := reg.Snapshot().WriteJSON(out); err != nil && firstErr == nil {
+				if err := reg.WritePrometheus(out); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}

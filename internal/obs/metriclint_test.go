@@ -34,7 +34,7 @@ func TestMetricNameContract(t *testing.T) {
 	// simple expressions; calls whose name is computed elsewhere (e.g. a
 	// variable) contribute only their literal pieces.
 	callRe := regexp.MustCompile(
-		`\.(Counter|Gauge|Histogram|FixedHistogram|Span|Describe)\(\s*((?:"[^"]*"|[A-Za-z_][A-Za-z0-9_.\[\]()]*)(?:\s*\+\s*(?:"[^"]*"|[A-Za-z_][A-Za-z0-9_.\[\]()]*))*)`)
+		`\.(Counter|Gauge|Histogram|Span|Describe)\(\s*((?:"[^"]*"|[A-Za-z_][A-Za-z0-9_.\[\]()]*)(?:\s*\+\s*(?:"[^"]*"|[A-Za-z_][A-Za-z0-9_.\[\]()]*))*)`)
 	litRe := regexp.MustCompile(`"([^"]*)"`)
 	pieceOK := regexp.MustCompile(`^[a-z0-9._]*$`)
 	fullOK := regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
@@ -101,7 +101,7 @@ func TestMetricNameContract(t *testing.T) {
 				claim(name, kind, rel, p+"_total")
 			case "Gauge":
 				claim(name, kind, rel, p)
-			case "Histogram", "FixedHistogram":
+			case "Histogram":
 				claim(name, "histogram", rel, p+"_bucket", p+"_sum", p+"_count")
 			case "Span":
 				// A span records its duration into histogram span.<name>.

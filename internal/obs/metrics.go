@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math/bits"
-	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -73,10 +69,11 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 }
 
-// Observe records one value. Negative values clamp to bucket 0 — the
-// index never derives from an untrusted v's bit pattern, so a hostile
-// or buggy duration (math.MinInt64 included) cannot index outside the
-// bucket array. No-op on a nil receiver.
+// Observe records one value. Negative values clamp to 0 — the index
+// never derives from an untrusted v's bit pattern and the sum never
+// takes it, so a hostile or buggy duration (math.MinInt64 included)
+// can neither index outside the bucket array nor wrap _sum. No-op on a
+// nil receiver.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
@@ -86,10 +83,10 @@ func (h *Histogram) Observe(v int64) {
 		// bits.Len64 of a positive int64 is at most 63, safely inside
 		// the 65-bucket array.
 		i = bits.Len64(uint64(v))
+		h.sum.Add(v)
 	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
 }
 
 // Count returns the number of observations (0 on a nil receiver).
@@ -106,82 +103,4 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// HistBucket is one populated log2 bucket: Pow is the exponent (values
-// in [2^(Pow-1), 2^Pow)), Count the observations that landed in it.
-type HistBucket struct {
-	Pow   int   `json:"pow"`
-	Count int64 `json:"count"`
-}
-
-// HistSnapshot is a point-in-time copy of a histogram, carrying only
-// the populated buckets.
-type HistSnapshot struct {
-	Count   int64        `json:"count"`
-	Sum     int64        `json:"sum"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-// Snapshot is a point-in-time copy of every metric in a registry, the
-// shape serialized by the CLI -metrics flag.
-type Snapshot struct {
-	TimeUnixNano    int64                        `json:"t"`
-	UptimeNs        int64                        `json:"uptime_ns"`
-	Counters        map[string]int64             `json:"counters,omitempty"`
-	Gauges          map[string]int64             `json:"gauges,omitempty"`
-	Histograms      map[string]HistSnapshot      `json:"histograms,omitempty"`
-	FixedHistograms map[string]FixedHistSnapshot `json:"fixed_histograms,omitempty"`
-}
-
-// Snapshot copies the registry's current metric values. Nil-safe: a
-// nil registry yields an empty snapshot.
-func (r *Registry) Snapshot() *Snapshot {
-	now := time.Now()
-	s := &Snapshot{TimeUnixNano: now.UnixNano()}
-	if r == nil {
-		return s
-	}
-	s.UptimeNs = now.Sub(r.start).Nanoseconds()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			hs := HistSnapshot{Count: h.Count(), Sum: h.Sum()}
-			for i := range h.buckets {
-				if n := h.buckets[i].Load(); n != 0 {
-					hs.Buckets = append(hs.Buckets, HistBucket{Pow: i, Count: n})
-				}
-			}
-			sort.Slice(hs.Buckets, func(a, b int) bool { return hs.Buckets[a].Pow < hs.Buckets[b].Pow })
-			s.Histograms[name] = hs
-		}
-	}
-	if len(r.fixed) > 0 {
-		s.FixedHistograms = make(map[string]FixedHistSnapshot, len(r.fixed))
-		for name, h := range r.fixed {
-			s.FixedHistograms[name] = h.snapshot()
-		}
-	}
-	return s
-}
-
-// WriteJSON serializes the snapshot as indented JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

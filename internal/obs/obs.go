@@ -35,7 +35,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	fixed    map[string]*FixedHistogram
 	help     map[string]string
 }
 
@@ -49,7 +48,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		fixed:    make(map[string]*FixedHistogram),
 		help:     make(map[string]string),
 	}
 }
@@ -108,23 +106,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.hists[name] = h
-	}
-	return h
-}
-
-// FixedHistogram returns the named fixed-boundary histogram, creating
-// it with the given bucket upper bounds on first use (later calls
-// return the existing histogram regardless of bounds). Nil-safe.
-func (r *Registry) FixedHistogram(name string, bounds []float64) *FixedHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.fixed[name]
-	if !ok {
-		h = newFixedHistogram(bounds)
-		r.fixed[name] = h
 	}
 	return h
 }

@@ -32,19 +32,14 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if h.Count() != 6 {
 		t.Fatalf("hist count = %d, want 6", h.Count())
 	}
-	if h.Sum() != 0+1+2+3+1024-5 {
-		t.Fatalf("hist sum = %d", h.Sum())
+	if h.Sum() != 0+1+2+3+1024 {
+		t.Fatalf("hist sum = %d, want 1030 (the -5 clamps to 0)", h.Sum())
 	}
-	snap := r.Snapshot()
-	hs := snap.Histograms["h"]
 	// 0 and -5 in bucket 0; 1 in bucket 1; 2,3 in bucket 2; 1024 in bucket 11.
 	want := map[int]int64{0: 2, 1: 1, 2: 2, 11: 1}
-	if len(hs.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v", hs.Buckets)
-	}
-	for _, b := range hs.Buckets {
-		if want[b.Pow] != b.Count {
-			t.Fatalf("bucket pow %d = %d, want %d", b.Pow, b.Count, want[b.Pow])
+	for i := range h.buckets {
+		if got := h.buckets[i].Load(); got != want[i] {
+			t.Fatalf("bucket pow %d = %d, want %d", i, got, want[i])
 		}
 	}
 }
@@ -75,9 +70,9 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil span has elapsed time")
 	}
 	sp.End()
-	snap := r.Snapshot()
-	if snap == nil || len(snap.Counters) != 0 {
-		t.Fatalf("nil registry snapshot: %+v", snap)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry exposition: %q, %v", buf.String(), err)
 	}
 }
 
@@ -200,7 +195,7 @@ func TestCLIConfigStartDisabled(t *testing.T) {
 
 func TestCLIConfigStartFull(t *testing.T) {
 	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
+	metrics := filepath.Join(dir, "metrics.prom")
 	trace := filepath.Join(dir, "trace.ndjson")
 	stop, err := CLIConfig{Metrics: metrics, Trace: trace, PprofAddr: "127.0.0.1:0"}.Start()
 	if err != nil {
@@ -224,12 +219,15 @@ func TestCLIConfigStartFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	scrape, err := ParsePrometheus(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatalf("metrics file: %v\n%s", err, raw)
 	}
-	if snap.Counters["demo"] != 42 {
-		t.Fatalf("snapshot counters = %v", snap.Counters)
+	if scrape.Samples["demo_total"] != 42 {
+		t.Fatalf("metrics samples = %v", scrape.Samples)
+	}
+	if h := scrape.Hists["span_demo_stage"]; h == nil || h.Count != 1 {
+		t.Fatalf("span histogram = %+v, want one observation", h)
 	}
 	traw, err := os.ReadFile(trace)
 	if err != nil {

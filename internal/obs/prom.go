@@ -15,8 +15,8 @@ import (
 // the metric-name contract test keeps that mapping collision-free
 // across the whole registry. Counters gain the conventional _total
 // suffix; log2 histograms export exact integer upper bounds (bucket i
-// holds v < 2^i, so le = 2^i - 1 is exact for integer observations);
-// fixed-boundary histograms export their bounds as-is.
+// holds v < 2^i, so le = 2^i - 1 is exact for integer observations).
+// ParsePrometheus reads the same subset back.
 
 // PromContentType is the Content-Type of the exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -56,7 +56,6 @@ type promState struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	fixed    map[string]*FixedHistogram
 	help     map[string]string
 }
 
@@ -67,7 +66,6 @@ func (r *Registry) promState() promState {
 		counters: make(map[string]*Counter, len(r.counters)),
 		gauges:   make(map[string]*Gauge, len(r.gauges)),
 		hists:    make(map[string]*Histogram, len(r.hists)),
-		fixed:    make(map[string]*FixedHistogram, len(r.fixed)),
 		help:     make(map[string]string, len(r.help)),
 	}
 	for n, m := range r.counters {
@@ -78,9 +76,6 @@ func (r *Registry) promState() promState {
 	}
 	for n, m := range r.hists {
 		st.hists[n] = m
-	}
-	for n, m := range r.fixed {
-		st.fixed[n] = m
 	}
 	for n, h := range r.help {
 		st.help[n] = h
@@ -108,7 +103,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	st := r.promState()
 	bw := bufio.NewWriter(w)
 
-	names := make([]string, 0, len(st.counters)+len(st.gauges)+len(st.hists)+len(st.fixed))
+	names := make([]string, 0, len(st.counters)+len(st.gauges)+len(st.hists))
 	for n := range st.counters {
 		names = append(names, n)
 	}
@@ -116,9 +111,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, n)
 	}
 	for n := range st.hists {
-		names = append(names, n)
-	}
-	for n := range st.fixed {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -145,9 +137,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		if h, ok := st.hists[name]; ok {
 			writeLog2Hist(bw, st, name, h, seen)
-		}
-		if h, ok := st.fixed[name]; ok {
-			writeFixedHist(bw, st, name, h, seen)
 		}
 	}
 	return bw.Flush()
@@ -195,26 +184,85 @@ func writeLog2Hist(bw *bufio.Writer, st promState, name string, h *Histogram, se
 	fmt.Fprintf(bw, "%s_sum %d\n%s_count %d\n", fam, h.Sum(), fam, total)
 }
 
-// writeFixedHist exports one fixed-boundary histogram.
-func writeFixedHist(bw *bufio.Writer, st promState, name string, h *FixedHistogram, seen map[string]bool) {
-	fam := PromName(name)
-	if seen[fam] {
-		return
+// PromScrape is one parsed exposition: every sample outside the
+// _bucket series by full name (counters with their _total suffix,
+// gauges, histogram _sum and _count), and every histogram reassembled
+// from its _bucket series by family name.
+type PromScrape struct {
+	Samples map[string]float64
+	Hists   map[string]*PromHist
+}
+
+// PromHist is one histogram family: ascending upper bounds ending in
+// +Inf, the cumulative count at each, and the family's _sum/_count.
+type PromHist struct {
+	Bounds []float64
+	Counts []float64
+	Sum    float64
+	Count  float64
+}
+
+// ParsePrometheus parses the subset of the text format WritePrometheus
+// emits: comment lines, bare samples, and _bucket samples whose only
+// label is le. Any other line is an error naming it, so a truncated or
+// foreign exposition never reads as zeros.
+func ParsePrometheus(r io.Reader) (*PromScrape, error) {
+	s := &PromScrape{
+		Samples: make(map[string]float64),
+		Hists:   make(map[string]*PromHist),
 	}
-	seen[fam] = true
-	fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s histogram\n",
-		fam, st.helpFor(name, "histogram"), fam)
-	s := h.snapshot()
-	cum, total := int64(0), int64(0)
-	for _, c := range s.Counts {
-		total += c
+	type bucketSample struct{ le, v float64 }
+	buckets := make(map[string][]bucketSample)
+
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		// WritePrometheus never puts a space inside a label set, so the
+		// last space separates the series from its value.
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			return nil, fmt.Errorf("obs: metrics line %q: no value", line)
+		}
+		val, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: metrics line %q: %w", line, err)
+		}
+		name, labels, hasLabels := strings.Cut(strings.TrimSpace(line[:i]), "{")
+		if name == "" || strings.ContainsAny(name, " \t") {
+			return nil, fmt.Errorf("obs: metrics line %q: bad series name", line)
+		}
+		if !hasLabels {
+			s.Samples[name] = val
+			continue
+		}
+		base, isBucket := strings.CutSuffix(name, "_bucket")
+		le, ok := strings.CutPrefix(labels, `le="`)
+		le, ok2 := strings.CutSuffix(le, `"}`)
+		if !isBucket || !ok || !ok2 {
+			return nil, fmt.Errorf("obs: metrics line %q: want a _bucket series with one le label", line)
+		}
+		bound, err := strconv.ParseFloat(le, 64) // accepts "+Inf"
+		if err != nil {
+			return nil, fmt.Errorf("obs: metrics line %q: %w", line, err)
+		}
+		buckets[base] = append(buckets[base], bucketSample{bound, val})
 	}
-	for i, bound := range s.Bounds {
-		cum += s.Counts[i]
-		fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n",
-			fam, strconv.FormatFloat(bound, 'g', -1, 64), cum)
+	if err := sc.Err(); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", fam, total)
-	fmt.Fprintf(bw, "%s_sum %s\n%s_count %d\n",
-		fam, strconv.FormatFloat(s.Sum, 'g', -1, 64), fam, total)
+
+	for base, bs := range buckets {
+		sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
+		h := &PromHist{Sum: s.Samples[base+"_sum"], Count: s.Samples[base+"_count"]}
+		for _, b := range bs {
+			h.Bounds = append(h.Bounds, b.le)
+			h.Counts = append(h.Counts, b.v)
+		}
+		s.Hists[base] = h
+	}
+	return s, nil
 }

@@ -2,8 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,62 +24,51 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// parseProm pulls the samples and the HELP/TYPE sets out of an
-// exposition for assertions.
-func parseProm(t *testing.T, text string) (samples map[string]string, help, typ map[string]string) {
+// promMeta pulls the HELP and TYPE lines out of an exposition; the
+// samples are ParsePrometheus's.
+func promMeta(t *testing.T, text string) (help, typ map[string]string) {
 	t.Helper()
-	samples = make(map[string]string)
 	help = make(map[string]string)
 	typ = make(map[string]string)
 	for _, line := range strings.Split(text, "\n") {
-		if line == "" {
-			continue
-		}
 		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
 			name, h, _ := strings.Cut(rest, " ")
 			help[name] = h
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
 			name, k, _ := strings.Cut(rest, " ")
 			typ[name] = k
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
+		} else if strings.HasPrefix(line, "#") {
 			t.Fatalf("unknown comment line %q", line)
 		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("sample line without value: %q", line)
-		}
-		samples[line[:i]] = line[i+1:]
 	}
-	return samples, help, typ
+	return help, typ
 }
 
+// TestWritePrometheusFormat writes a registry out and parses it back:
+// every counter, gauge, histogram bucket, count and sum must survive.
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ninecd.http.requests").Add(7)
 	r.Gauge("ninecd.inflight").Set(3)
 	r.Describe("ninecd.http.requests", "total requests served")
-	h := r.Histogram("ninecd.encode.us")
+	h := r.Histogram("span.ninecd.http.encode")
 	for _, v := range []int64{0, 1, 2, 3, 1024} {
 		h.Observe(v)
 	}
-	f := r.FixedHistogram("ninecd.http.encode.latency_seconds", []float64{0.001, 0.01, 0.1})
-	f.Observe(0.0005)
-	f.Observe(0.05)
-	f.Observe(99) // overflow bucket
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	samples, help, typ := parseProm(t, text)
+	help, typ := promMeta(t, text)
+	s, err := ParsePrometheus(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("own exposition does not parse: %v\n%s", err, text)
+	}
 
-	if samples["ninecd_http_requests_total"] != "7" {
-		t.Errorf("counter sample = %q, want 7", samples["ninecd_http_requests_total"])
+	if got := s.Samples["ninecd_http_requests_total"]; got != 7 {
+		t.Errorf("counter sample = %v, want 7", got)
 	}
 	if typ["ninecd_http_requests_total"] != "counter" {
 		t.Errorf("counter TYPE = %q", typ["ninecd_http_requests_total"])
@@ -87,58 +76,94 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if help["ninecd_http_requests_total"] != "total requests served" {
 		t.Errorf("Describe()d help lost: %q", help["ninecd_http_requests_total"])
 	}
-	if samples["ninecd_inflight"] != "3" || typ["ninecd_inflight"] != "gauge" {
-		t.Errorf("gauge: %q / %q", samples["ninecd_inflight"], typ["ninecd_inflight"])
+	if s.Samples["ninecd_inflight"] != 3 || typ["ninecd_inflight"] != "gauge" {
+		t.Errorf("gauge: %v / %q", s.Samples["ninecd_inflight"], typ["ninecd_inflight"])
 	}
 
 	// Log2 histogram: exact integer bounds, cumulative, +Inf == _count.
-	if typ["ninecd_encode_us"] != "histogram" {
-		t.Errorf("hist TYPE = %q", typ["ninecd_encode_us"])
+	if typ["span_ninecd_http_encode"] != "histogram" {
+		t.Errorf("hist TYPE = %q", typ["span_ninecd_http_encode"])
 	}
-	wantBuckets := map[string]string{
-		`ninecd_encode_us_bucket{le="0"}`:    "1",
-		`ninecd_encode_us_bucket{le="1"}`:    "2",
-		`ninecd_encode_us_bucket{le="3"}`:    "4",
-		`ninecd_encode_us_bucket{le="2047"}`: "5",
-		`ninecd_encode_us_bucket{le="+Inf"}`: "5",
-		"ninecd_encode_us_count":             "5",
-		"ninecd_encode_us_sum":               "1030",
+	ph := s.Hists["span_ninecd_http_encode"]
+	if ph == nil {
+		t.Fatalf("histogram not recovered:\n%s", text)
 	}
-	for series, want := range wantBuckets {
-		if got := samples[series]; got != want {
-			t.Errorf("%s = %q, want %q", series, got, want)
-		}
+	wantBounds := []float64{0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 2047, math.Inf(1)}
+	wantCounts := []float64{1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5}
+	if fmt.Sprint(ph.Bounds) != fmt.Sprint(wantBounds) || fmt.Sprint(ph.Counts) != fmt.Sprint(wantCounts) {
+		t.Errorf("buckets = %v / %v, want %v / %v", ph.Bounds, ph.Counts, wantBounds, wantCounts)
+	}
+	if ph.Count != 5 || ph.Sum != 1030 {
+		t.Errorf("count/sum = %v/%v, want 5/1030", ph.Count, ph.Sum)
 	}
 
-	// Fixed histogram: bounds as written, le inclusive, overflow in +Inf.
-	wantFixed := map[string]string{
-		`ninecd_http_encode_latency_seconds_bucket{le="0.001"}`: "1",
-		`ninecd_http_encode_latency_seconds_bucket{le="0.01"}`:  "1",
-		`ninecd_http_encode_latency_seconds_bucket{le="0.1"}`:   "2",
-		`ninecd_http_encode_latency_seconds_bucket{le="+Inf"}`:  "3",
-		"ninecd_http_encode_latency_seconds_count":              "3",
-	}
-	for series, want := range wantFixed {
-		if got := samples[series]; got != want {
-			t.Errorf("%s = %q, want %q", series, got, want)
-		}
-	}
-
-	// Every sample family must carry HELP and TYPE.
-	for series := range samples {
-		name, _, _ := strings.Cut(series, "{")
+	// Every family must carry HELP and TYPE.
+	fams := make([]string, 0, len(s.Samples)+len(s.Hists))
+	for name := range s.Samples {
 		base := name
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if b, ok := strings.CutSuffix(name, suf); ok {
+		for _, suf := range []string{"_sum", "_count"} {
+			if b, ok := strings.CutSuffix(name, suf); ok && s.Hists[b] != nil {
 				base = b
-				break
 			}
 		}
-		if typ[base] == "" {
-			t.Errorf("series %s has no TYPE for family %s", series, base)
+		fams = append(fams, base)
+	}
+	for name := range s.Hists {
+		fams = append(fams, name)
+	}
+	for _, fam := range fams {
+		if typ[fam] == "" || help[fam] == "" {
+			t.Errorf("family %s lacks HELP or TYPE", fam)
 		}
-		if help[base] == "" {
-			t.Errorf("series %s has no HELP for family %s", series, base)
+	}
+}
+
+const promFixture = `# HELP ninecd_http_requests_total ninecd.http.requests (counter)
+# TYPE ninecd_http_requests_total counter
+ninecd_http_requests_total 100
+# TYPE ninecd_inflight gauge
+ninecd_inflight 3
+# TYPE span_ninecd_http_encode histogram
+span_ninecd_http_encode_bucket{le="0"} 0
+span_ninecd_http_encode_bucket{le="1048575"} 40
+span_ninecd_http_encode_bucket{le="524287"} 10
+span_ninecd_http_encode_bucket{le="+Inf"} 60
+span_ninecd_http_encode_sum 1.5e+09
+span_ninecd_http_encode_count 60
+`
+
+func TestParsePrometheus(t *testing.T) {
+	s, err := ParsePrometheus(strings.NewReader(promFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Samples["ninecd_http_requests_total"]; got != 100 {
+		t.Errorf("requests_total = %v, want 100", got)
+	}
+	if got := s.Samples["ninecd_inflight"]; got != 3 {
+		t.Errorf("inflight = %v, want 3", got)
+	}
+	h := s.Hists["span_ninecd_http_encode"]
+	if h == nil {
+		t.Fatal("latency histogram not reassembled")
+	}
+	// Buckets come back sorted by bound whatever their order on the wire.
+	if len(h.Bounds) != 4 || h.Bounds[1] != 524287 || !math.IsInf(h.Bounds[3], 1) {
+		t.Fatalf("bounds = %v, want 4 ascending, ending in +Inf", h.Bounds)
+	}
+	if h.Counts[2] != 40 || h.Count != 60 || h.Sum != 1.5e9 {
+		t.Errorf("hist = %+v, want counts[2]=40 count=60 sum=1.5e9", h)
+	}
+
+	for _, bad := range []string{
+		"ninecd_inflight",                          // no value
+		"ninecd_inflight three",                    // value not a number
+		`span_x_bucket{quantile="0.5"} 1`,          // bucket without le
+		`span_x_bucket{le="fast"} 1`,               // le not a number
+		`ninecd_http_requests_total{code="200"} 1`, // labels off a bucket
+	} {
+		if _, err := ParsePrometheus(strings.NewReader(promFixture + bad + "\n")); err == nil {
+			t.Errorf("malformed line %q parsed without error", bad)
 		}
 	}
 }
@@ -167,7 +192,6 @@ func TestPrometheusConsistentUnderConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			h := r.Histogram("hammer.log2")
-			f := r.FixedHistogram("hammer.fixed", []float64{1, 10, 100})
 			c := r.Counter("hammer.count")
 			for i := 0; ; i++ {
 				select {
@@ -176,7 +200,6 @@ func TestPrometheusConsistentUnderConcurrentWriters(t *testing.T) {
 				default:
 				}
 				h.Observe(int64(i % 5000))
-				f.Observe(float64(i % 200))
 				c.Inc()
 			}
 		}(w)
@@ -186,117 +209,31 @@ func TestPrometheusConsistentUnderConcurrentWriters(t *testing.T) {
 		if err := r.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		samples, _, _ := parseProm(t, buf.String())
-		for _, fam := range []string{"hammer_log2", "hammer_fixed"} {
-			var inf, maxBucket int64
-			for series, val := range samples {
-				if !strings.HasPrefix(series, fam+"_bucket") {
-					continue
-				}
-				v, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					t.Fatalf("%s = %q: %v", series, val, err)
-				}
-				if strings.Contains(series, "+Inf") {
-					inf = v
-				} else if v > maxBucket {
-					maxBucket = v
-				}
+		s, err := ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Hists["hammer_log2"]
+		if h == nil {
+			continue // no writer has run yet
+		}
+		for i := 1; i < len(h.Counts); i++ {
+			if h.Counts[i] < h.Counts[i-1] {
+				t.Fatalf("scrape %d: cumulative buckets decrease: %v", scrapes, h.Counts)
 			}
-			count, _ := strconv.ParseInt(samples[fam+"_count"], 10, 64)
-			if inf != count {
-				t.Fatalf("scrape %d: %s +Inf bucket %d != _count %d", scrapes, fam, inf, count)
-			}
-			if maxBucket > inf {
-				t.Fatalf("scrape %d: %s cumulative bucket %d exceeds +Inf %d", scrapes, fam, maxBucket, inf)
-			}
+		}
+		if inf := h.Counts[len(h.Counts)-1]; inf != h.Count {
+			t.Fatalf("scrape %d: +Inf bucket %v != _count %v", scrapes, inf, h.Count)
 		}
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestSnapshotConsistentUnderConcurrentWriters pins the JSON snapshot
-// path under the race detector: bucket sums never exceed the count
-// recorded in the same snapshot by more than the writers still in
-// flight could explain, and the snapshot itself never tears.
-func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
-	r := NewRegistry()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := r.Histogram("snap.h")
-			f := r.FixedHistogram("snap.f", DefaultLatencyBounds)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Observe(int64(i))
-				f.Observe(float64(i%100) / 100)
-				r.Counter("snap.c").Inc()
-				r.Gauge("snap.g").Set(int64(i))
-			}
-		}()
-	}
-	for i := 0; i < 100; i++ {
-		s := r.Snapshot()
-		if s.TimeUnixNano == 0 {
-			t.Fatal("snapshot missing timestamp")
-		}
-		if hs, ok := s.Histograms["snap.h"]; ok {
-			var sum int64
-			for _, b := range hs.Buckets {
-				sum += b.Count
-			}
-			if sum < 0 {
-				t.Fatalf("bucket sum overflowed: %d", sum)
-			}
-		}
-		if fs, ok := s.FixedHistograms["snap.f"]; ok {
-			if len(fs.Counts) != len(fs.Bounds)+1 {
-				t.Fatalf("fixed snapshot shape: %d counts for %d bounds", len(fs.Counts), len(fs.Bounds))
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestFixedHistogramObserve(t *testing.T) {
-	h := newFixedHistogram([]float64{10, 1, 1, math.Inf(1), math.NaN(), 5})
-	// Bounds sort, dedupe, and drop non-finite: {1, 5, 10}.
-	if len(h.bounds) != 3 || h.bounds[0] != 1 || h.bounds[2] != 10 {
-		t.Fatalf("bounds = %v, want [1 5 10]", h.bounds)
-	}
-	h.Observe(1) // le inclusive: lands in bucket 0
-	h.Observe(2)
-	h.Observe(100)          // overflow
-	h.Observe(-7)           // clamps to first bucket
-	h.Observe(math.NaN())   // clamps to first bucket
-	h.Observe(math.Inf(-1)) // negative infinity clamps too
-	s := h.snapshot()
-	if s.Counts[0] != 4 || s.Counts[1] != 1 || s.Counts[3] != 1 {
-		t.Errorf("counts = %v, want [4 1 0 1]", s.Counts)
-	}
-	if s.Count != 6 {
-		t.Errorf("count = %d, want 6", s.Count)
-	}
-
-	// Empty bounds fall back to the latency defaults.
-	d := newFixedHistogram(nil)
-	if len(d.bounds) != len(DefaultLatencyBounds) {
-		t.Errorf("fallback bounds = %v", d.bounds)
-	}
 }
 
 // TestHistogramNegativeClamp pins the hardening contract: any negative
 // value — math.MinInt64 included, whose bit pattern is hostile to
-// naive bucket math — lands in bucket 0 and never corrupts the array.
+// naive bucket math — lands in bucket 0 as a 0, so it never corrupts
+// the array or wraps the sum.
 func TestHistogramNegativeClamp(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{-1, -1024, math.MinInt64, 0} {
@@ -312,5 +249,8 @@ func TestHistogramNegativeClamp(t *testing.T) {
 	}
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
+	}
+	if h.Sum() != 0 {
+		t.Fatalf("sum = %d, want 0: negative values must not reach _sum", h.Sum())
 	}
 }

@@ -1,10 +1,9 @@
 #!/bin/sh
 # serve-smoke gate: boot ninecd on an ephemeral port, round-trip the
-# example cube set through /encode -> /decode with curl, scrape both
-# metric expositions (Prometheus text at /metrics, JSON at
-# /metrics.json), check the X-Request-ID echo, drive ninestat -once
-# against the live daemon under curl load, then prove SIGTERM drains
-# gracefully (exit 0, drain log).
+# example cube set through /encode -> /decode with curl, scrape the
+# Prometheus text exposition at /metrics, check the X-Request-ID echo,
+# drive ninestat -once against the live daemon under curl load, then
+# prove SIGTERM drains gracefully (exit 0, drain log).
 set -eu
 
 GO=${GO:-go}
@@ -96,19 +95,19 @@ case $prom in
 	;;
 esac
 
-# JSON snapshot moved to /metrics.json.
-metrics=$(curl -fsS "$base/metrics.json")
-case $metrics in
-*'"ninecd.encode.requests"'*) ;;
+# The one smoke /encode so far is counted by its route.
+case $prom in
+*'ninecd_http_encode_requests_total 1'*) ;;
 *)
-	echo "serve-smoke: /metrics.json missing the encode counter:" >&2
-	echo "$metrics" >&2
+	echo "serve-smoke: /metrics missing ninecd_http_encode_requests_total 1:" >&2
+	echo "$prom" | grep ninecd_http_encode >&2
 	exit 1
 	;;
 esac
 
 # ninestat -once against the live daemon while curl generates load: the
-# summary must be JSON reporting non-zero req/s.
+# summary must be JSON reporting non-zero req/s and a non-zero encode
+# p50 and p99.
 (
 	i=0
 	while [ $i -lt 50 ]; do
@@ -124,6 +123,16 @@ rps=$(sed -n 's/^[[:space:]]*"req_per_sec": \([0-9.]*\).*/\1/p' "$tmp/stat.json"
 case $rps in
 '' | 0 | 0.0)
 	echo "serve-smoke: ninestat -once reported req/s '$rps' under load:" >&2
+	cat "$tmp/stat.json" >&2
+	exit 1
+	;;
+esac
+lat=$(awk '/"route": "encode"/ { e = 1 }
+	e && /"p50_ms"/ { p50 = $2 }
+	e && /"p99_ms"/ { print p50, $2; exit }' "$tmp/stat.json" | tr -d ',')
+case $lat in
+'' | '0 '* | *' 0')
+	echo "serve-smoke: ninestat -once reported encode p50/p99 '$lat' under load:" >&2
 	cat "$tmp/stat.json" >&2
 	exit 1
 	;;
