@@ -157,14 +157,18 @@ overhead-guard:
 	$(GO) test ./internal/core -run TestDisabledTelemetryOverhead -count=1
 
 ## fuzz-smoke: run every native fuzz target for FUZZTIME each — the
-## container reader, the 9C stream decoder, the streamed v4 decode with
-## and without the per-K kernels, each baseline codec family,
-## the text parsers, and the word-parallel 01X reader against its
-## per-trit reference. Any panic or unclassified error is a failure.
+## container reader, the 9C stream decoder, the streamed v4 decode along
+## the text kernel, the plane kernel and the generic decoder, the per-K
+## kernels and every encode option against the generic and reference
+## encoders, each baseline codec family, the text parsers, and the
+## word-parallel 01X reader against its per-trit reference. Any panic,
+## disagreement or unclassified error is a failure.
 fuzz-smoke:
 	$(GO) test ./internal/container -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeCube$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzStreamDecodeDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEncodeDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzRunLengthDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzVIHCDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzLZWDecode$$' -fuzztime $(FUZZTIME)

@@ -67,9 +67,14 @@ func (t *codecTable) getAssign(k int, a core.Assignment) (*core.Codec, error) {
 // a default-assignment codec depends only on K.
 var codecs codecTable
 
-// textBufPool recycles the per-row 01X emission buffers of the decode
-// handlers.
+// textBufPool recycles the 01X emission buffers of the decode handler.
 var textBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodeSlab is the size at which /decode hands its buffered rows to
+// the ResponseWriter: large enough that the per-Write cost vanishes,
+// small enough that a large container's response starts streaming
+// long before its body has fully arrived.
+const decodeSlab = 32 << 10
 
 // config carries the daemon's serving parameters; zero fields take the
 // defaults applied by newServer.
@@ -488,49 +493,53 @@ func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 	// faults still map onto a status code. After that the stream is
 	// committed: a later fault terminates the body with a '#' comment
 	// the 01X parser ignores-but-a-human sees, plus the fault counter.
-	var bw *bufio.Writer
+	// Rows are decoded straight to text into one pooled buffer, which
+	// goes out in slabs of at least decodeSlab bytes.
 	bufp := textBufPool.Get().(*[]byte)
-	defer textBufPool.Put(bufp)
+	buf := (*bufp)[:0]
+	defer func() { *bufp = buf; textBufPool.Put(bufp) }()
+	started := false
 	ctx := r.Context()
 	for {
 		if err := ctx.Err(); err != nil {
-			if bw == nil {
+			if !started {
 				return err
 			}
-			fmt.Fprintf(bw, "# decode aborted: %v\n", err)
-			return bw.Flush()
+			buf = fmt.Appendf(buf, "# decode aborted: %v\n", err)
+			break
 		}
-		p, err := dec.ReadPattern()
+		next, err := dec.AppendText(buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			if bw == nil {
+			if !started {
 				return err
 			}
 			s.reg.Counter("ninecd.decode.fault." + errClass(err)).Inc()
-			fmt.Fprintf(bw, "# decode aborted after %d patterns: %v\n", dec.Patterns(), err)
-			return bw.Flush()
+			buf = fmt.Appendf(buf, "# decode aborted after %d patterns: %v\n", dec.Patterns(), err)
+			break
 		}
-		if bw == nil {
+		if !started {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			w.Header().Set("X-Set-Name", h.Name)
-			bw = bufio.NewWriter(w)
+			started = true
 		}
-		*bufp = p.AppendTextRange((*bufp)[:0], 0, p.Len())
-		if _, err := bw.Write(*bufp); err != nil {
-			return nil // client went away; nothing useful left to do
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return nil
+		if buf = append(next, '\n'); len(buf) >= decodeSlab {
+			if _, err := w.Write(buf); err != nil {
+				return nil // client went away; nothing useful left to do
+			}
+			buf = buf[:0]
 		}
 	}
-	if bw == nil {
+	if !started {
 		// Zero patterns: an empty but valid container.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		bw = bufio.NewWriter(w)
 	}
-	return bw.Flush()
+	// As above, a failed write means the client went away: nothing
+	// left to report to it.
+	_, _ = w.Write(buf)
+	return nil
 }
 
 // openContainer returns a container body as a source of verified

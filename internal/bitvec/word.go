@@ -251,6 +251,14 @@ func init() {
 	}
 }
 
+// TextNibble returns the 01X text of the low four trits of the packed
+// care/val words, packed little-endian (trit 0 in the low byte): one
+// textNibble lookup, for decoders that write text straight from
+// stream planes.
+func TextNibble(care, val uint64) uint32 {
+	return textNibble[care&15<<4|val&15]
+}
+
 // AppendTextRange appends the 01X text of trits [lo, hi) to dst and
 // returns the extended slice, reading the planes a word at a time and
 // emitting four trits per textNibble lookup. Positions beyond the cube
@@ -270,11 +278,11 @@ func (c *Cube) AppendTextRange(dst []byte, lo, hi int) []byte {
 		n := min(hi-off, wordBits)
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			binary.LittleEndian.PutUint32(seg[j:], textNibble[care&15<<4|val&15])
+			binary.LittleEndian.PutUint32(seg[j:], TextNibble(care, val))
 			care >>= 4
 			val >>= 4
 		}
-		for t := textNibble[care&15<<4|val&15]; j < n; j, t = j+1, t>>8 {
+		for t := TextNibble(care, val); j < n; j, t = j+1, t>>8 {
 			seg[j] = byte(t)
 		}
 	}

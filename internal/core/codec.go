@@ -40,11 +40,13 @@ type Codec struct {
 	packed [NumCases]packedCode // codewords packed for word appending
 	table  *decodeTable         // codeword trie, immutable after construction
 
-	// Per-K kernel state (see kernel.go); kenc/kdec stay nil for block
-	// sizes without a specialized kernel and the generic path runs.
+	// Per-K kernel state (see kernel.go, textkernel.go); kdec/ktext
+	// stay nil for block sizes without a specialized kernel and the
+	// generic decoder runs.
 	kcodes   [NumCases]kernelCode
 	kenc     kernelEncode
 	kdec     kernelDecode
+	ktext    kernelText
 	kc1      kernelCode // 64/K C1 codewords packed as one append
 	kc1ok    bool
 	maxCode  int      // longest codeword length

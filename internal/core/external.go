@@ -26,11 +26,24 @@ func AssignmentFromCodes(codes []string) (Assignment, error) {
 // stream by walking exactly blocks block encodings. It validates
 // framing as a side effect: a truncated, malformed or over-long stream
 // is a classified error.
+//
+// Codecs with a decode LUT walk the blocks one table lookup per
+// codeword, skipping shipped halves; the codeword trie takes over from
+// the first block the table does not vouch for, so errors and their
+// positions are the trie's.
 func CountsOfStream(c *Codec, stream *bitvec.Cube, blocks int) (Counts, error) {
 	var counts Counts
 	r := &streamReader{src: NewCubeSource(stream)}
 	h := c.k / 2
-	for b := 0; b < blocks; b++ {
+	b := 0
+	if c.hasDecodeKernel() {
+		if r.prefetch(stream.Len()); r.buf != nil {
+			care, val := r.buf.RawWords()
+			r.pos, b = countBlocks(c, care, val, r.buf.Len(), 0, blocks, &counts)
+			r.consumed = r.pos
+		}
+	}
+	for ; b < blocks; b++ {
 		cs, err := nextCase(c.table, r)
 		if err != nil {
 			return counts, fmt.Errorf("core: block %d: %w", b, err)

@@ -70,6 +70,7 @@ func init() {
 		if v, ok := cs.matchedRight(); ok && v == bitvec.One {
 			rvalTab[cs] = ^uint64(0)
 		}
+		textTab8[cs] = newTextCase8(cs)
 	}
 }
 
@@ -114,14 +115,15 @@ const maxLUTBits = 11
 
 // kernelEncode / kernelDecode are the per-K entry points installed on a
 // Codec at construction. Every codec has a kernelEncode (encodeGeneric
-// when K has no specialized one); kernelDecode is nil without one.
+// when K has no specialized one); kernelDecode and kernelText
+// (textkernel.go) are nil without one.
 type kernelEncode func(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts)
 type kernelDecode func(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool)
 
 // initKernel prepares the per-K kernel state: packed codeword masks,
 // the repeated-C1 batch word, the decode LUT, and the dispatch
 // functions. For unsupported K the codec installs encodeGeneric, keeps
-// kdec nil, and every decode takes the generic path.
+// kdec and ktext nil, and every decode takes the generic path.
 func (c *Codec) initKernel() {
 	for i, p := range c.packed {
 		c.kcodes[i] = kernelCode{bits: p.bits, mask: lowMask64(p.n), n: p.n}
@@ -131,13 +133,13 @@ func (c *Codec) initKernel() {
 	}
 	switch c.k {
 	case 4:
-		c.kenc, c.kdec = encodeK4, decodeK4
+		c.kenc, c.kdec, c.ktext = encodeK4, decodeK4, textKernel
 	case 8:
-		c.kenc, c.kdec = encodeK8, decodeK8
+		c.kenc, c.kdec, c.ktext = encodeK8, decodeK8, textK8
 	case 16:
-		c.kenc, c.kdec = encodeK16, decodeK16
+		c.kenc, c.kdec, c.ktext = encodeK16, decodeK16, textKernel
 	case 32:
-		c.kenc, c.kdec = encodeK32, decodeK32
+		c.kenc, c.kdec, c.ktext = encodeK32, decodeK32, textKernel
 	default:
 		c.kenc = encodeGeneric
 		return
@@ -156,19 +158,23 @@ func (c *Codec) initKernel() {
 		c.kc1ok = true
 	}
 	if c.maxCode <= maxLUTBits {
-		c.klut = buildCodeLUT(c.packed, c.maxCode)
+		c.klut = buildCodeLUT(c.packed, c.maxCode, c.k/2)
 		c.klutMask = lowMask64(c.maxCode)
 	}
 }
 
 // buildCodeLUT builds the flat decode table: entry i (for every window
-// whose low bits spell a codeword) packs case | length<<4. Unreachable
-// windows (possible only for incomplete prefix codes) stay 0, which the
-// decoder treats as "fall back to the generic path".
-func buildCodeLUT(packed [NumCases]packedCode, maxCode int) []uint16 {
+// whose low bits spell a codeword) packs case | length<<4 | span<<8,
+// where span is the length plus the h-trit halves the case ships — the
+// block's whole footprint in the stream. Unreachable windows (possible
+// only for incomplete prefix codes) stay 0, which the decoder treats as
+// "fall back to the generic path".
+func buildCodeLUT(packed [NumCases]packedCode, maxCode, h int) []uint16 {
 	lut := make([]uint16, 1<<uint(maxCode))
 	for i, p := range packed {
-		e := uint16(i+1) | uint16(p.n)<<4
+		m := misTab[i+1]
+		span := p.n + h*int(m&1+m>>1)
+		e := uint16(i+1) | uint16(p.n)<<4 | uint16(span)<<8
 		for hi := uint64(0); hi < 1<<uint(maxCode-p.n); hi++ {
 			lut[p.bits|hi<<uint(p.n)] = e
 		}
@@ -480,7 +486,7 @@ func decodeK4(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWr
 	lut, lmask := c.klut, c.klutMask
 	for b := 0; b < blocks; b++ {
 		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4)
+		n := int(e >> 4 & 0xf)
 		cmask := uint64(1)<<uint(n) - 1
 		if n == 0 || window64(scare, pos)&cmask != cmask {
 			return pos, false
@@ -523,7 +529,7 @@ func decodeK8(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWr
 	lut, lmask := c.klut, c.klutMask
 	for b := 0; b < blocks; b++ {
 		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4)
+		n := int(e >> 4 & 0xf)
 		cmask := uint64(1)<<uint(n) - 1
 		if n == 0 || window64(scare, pos)&cmask != cmask {
 			return pos, false
@@ -566,7 +572,7 @@ func decodeK16(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelW
 	lut, lmask := c.klut, c.klutMask
 	for b := 0; b < blocks; b++ {
 		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4)
+		n := int(e >> 4 & 0xf)
 		cmask := uint64(1)<<uint(n) - 1
 		if n == 0 || window64(scare, pos)&cmask != cmask {
 			return pos, false
@@ -609,7 +615,7 @@ func decodeK32(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelW
 	lut, lmask := c.klut, c.klutMask
 	for b := 0; b < blocks; b++ {
 		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4)
+		n := int(e >> 4 & 0xf)
 		cmask := uint64(1)<<uint(n) - 1
 		if n == 0 || window64(scare, pos)&cmask != cmask {
 			return pos, false
@@ -643,6 +649,28 @@ func decodeK32(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelW
 		}
 	}
 	return pos, true
+}
+
+// countBlocks walks up to blocks block encodings from bit pos with one
+// LUT lookup per codeword, tallying the cases and skipping the shipped
+// halves, under the decode kernels' validity checks. It stops before the first block it does not vouch
+// for and returns that block's position and index (blocks when every
+// block walked cleanly).
+func countBlocks(c *Codec, scare, sval []uint64, slen, pos, blocks int, counts *Counts) (int, int) {
+	lut, lmask := c.klut, c.klutMask
+	for b := 0; b < blocks; b++ {
+		cw, vw := window64(scare, pos), window64(sval, pos)
+		e := lut[vw&lmask]
+		n := uint(e >> 4 & 0xf)
+		cmask := uint64(1)<<n - 1
+		next := pos + int(e>>8)
+		if n == 0 || cw&cmask != cmask || next > slen {
+			return pos, b
+		}
+		counts[e&0xf-1]++
+		pos = next
+	}
+	return pos, blocks
 }
 
 // hasDecodeKernel reports whether the fast table decoder is available

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -159,8 +160,8 @@ func TestKernelDecodeMatchesGeneric(t *testing.T) {
 
 // TestKernelDecodeHostileMatchesGeneric mutilates valid streams and
 // asserts the kernel codec reports byte-identical errors to the
-// generic one: the fast path must abandon anything suspicious and let
-// the generic decoder classify it.
+// generic one, in DecodeSet and in CountsOfStream: the fast path must
+// abandon anything suspicious and let the generic decoder classify it.
 func TestKernelDecodeHostileMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for _, k := range kernelKs {
@@ -197,7 +198,19 @@ func TestKernelDecodeHostileMatchesGeneric(t *testing.T) {
 			mutants = append(mutants, m)
 		}
 
+		mutants = append(mutants, stream)
 		for mi, m := range mutants {
+			// The container validation walk: same counts, same error.
+			fastCounts, fastErr := CountsOfStream(cdc, m, enc.Blocks)
+			refCounts, refErr := CountsOfStream(gen, m, enc.Blocks)
+			if fmt.Sprint(fastErr) != fmt.Sprint(refErr) || fastCounts != refCounts {
+				t.Fatalf("K=%d mutant %d: CountsOfStream kernel %v %v, generic %v %v",
+					k, mi, fastCounts, fastErr, refCounts, refErr)
+			}
+			if m == stream && (refErr != nil || refCounts != enc.Counts) {
+				t.Fatalf("K=%d: CountsOfStream of the valid stream: %v %v, want %v", k, refCounts, refErr, enc.Counts)
+			}
+
 			fastSet, fastErr := cdc.DecodeSet(m, width, set.Len())
 			refSet, refErr := gen.DecodeSet(m, width, set.Len())
 			if (fastErr == nil) != (refErr == nil) {
@@ -218,7 +231,8 @@ func TestKernelDecodeHostileMatchesGeneric(t *testing.T) {
 
 // FuzzKernelDifferential hunts for disagreements between the per-K
 // kernels and the generic path on both encode and decode, plus error
-// equivalence on arbitrary (mostly invalid) streams.
+// equivalence (DecodeCube and CountsOfStream) on arbitrary, mostly
+// invalid, streams.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add("0000X1X011111111", uint8(0), "110")
 	f.Add("XXXXXXXX01", uint8(1), "")
@@ -262,6 +276,12 @@ func FuzzKernelDifferential(f *testing.F) {
 			}
 			if fe == nil && !fd.Equal(gd) {
 				t.Fatalf("K=%d hostile: decodes differ", k)
+			}
+			blocks := (flat.Len() + k - 1) / k
+			fc, fe := CountsOfStream(cdc, hostile, blocks)
+			gc, ge := CountsOfStream(gen, hostile, blocks)
+			if fmt.Sprint(fe) != fmt.Sprint(ge) || fc != gc {
+				t.Fatalf("K=%d hostile: CountsOfStream %v %v vs %v %v", k, fc, fe, gc, ge)
 			}
 		}
 	})

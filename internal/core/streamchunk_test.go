@@ -16,19 +16,37 @@ import (
 )
 
 // chunkedOutcome is what a streamed v4 decode emits: the 01X rows up
-// to the first fault, and the fault's text and class ("" at a clean
-// end).
+// to the first fault, the fault's text and class ("" at a clean end),
+// and the decoder's final Patterns and TritsConsumed.
 type chunkedOutcome struct {
-	rows  []string
-	err   string
-	class string
+	rows     []string
+	err      string
+	class    string
+	patterns int
+	consumed int
+}
+
+// decodeMode is one of the three decode paths the differential tests
+// hold against each other.
+type decodeMode int
+
+const (
+	modeText    decodeMode = iota // AppendText, the ninecd /decode loop
+	modePlanes                    // ReadPattern, then the cube's text
+	modeGeneric                   // ReadPattern with the kernels disabled
+)
+
+var decodeModes = []decodeMode{modeText, modePlanes, modeGeneric}
+
+func (m decodeMode) String() string {
+	return [...]string{"text kernel", "plane kernel", "generic"}[m]
 }
 
 // decodeChunked streams a v4 container through ChunkReader and
-// StreamDecoder exactly as the ninecd /decode handler does; generic
-// disables the per-K kernels. ok=false means the header was rejected
-// before a decoder existed.
-func decodeChunked(data []byte, generic bool) (o chunkedOutcome, ok bool) {
+// StreamDecoder as the ninecd /decode handler does, along the given
+// path. ok=false means the header was rejected before a decoder
+// existed.
+func decodeChunked(data []byte, mode decodeMode) (o chunkedOutcome, ok bool) {
 	lim := robust.DecodeLimits{}
 	chr, err := container.NewChunkReader(bytes.NewReader(data), lim)
 	if err != nil {
@@ -39,24 +57,58 @@ func decodeChunked(data []byte, generic bool) (o chunkedOutcome, ok bool) {
 	if err != nil {
 		return o, false
 	}
-	if generic {
+	if mode == modeGeneric {
 		cdc = core.ForceGeneric(cdc)
 	}
 	dec, err := cdc.NewStreamDecoder(chr, h.Width, lim)
 	if err != nil {
 		return o, false
 	}
+	var buf []byte
 	for {
-		p, err := dec.ReadPattern()
-		if err == io.EOF {
-			return o, true
+		if mode == modeText {
+			buf, err = dec.AppendText(buf[:0])
+		} else {
+			var p *bitvec.Cube
+			if p, err = dec.ReadPattern(); p != nil {
+				buf = p.AppendTextRange(buf[:0], 0, p.Len())
+			}
 		}
 		if err != nil {
-			o.err, o.class = err.Error(), robust.Classify(err)
+			if err != io.EOF {
+				o.err, o.class = err.Error(), robust.Classify(err)
+			}
+			o.patterns, o.consumed = dec.Patterns(), dec.TritsConsumed()
 			return o, true
 		}
-		o.rows = append(o.rows, p.String())
+		o.rows = append(o.rows, string(buf))
 	}
+}
+
+// decodeChunked3 decodes data along all three paths and reports the
+// first disagreement in header verdict, rows, error text or accounting.
+func decodeChunked3(data []byte) (chunkedOutcome, bool, error) {
+	ref, ok := decodeChunked(data, modeGeneric)
+	for _, mode := range decodeModes[:2] {
+		got, gotOK := decodeChunked(data, mode)
+		if gotOK != ok {
+			return ref, ok, fmt.Errorf("header verdicts differ: %v %v, generic %v", mode, gotOK, ok)
+		}
+		if got.err != ref.err || len(got.rows) != len(ref.rows) {
+			return ref, ok, fmt.Errorf("%v emitted %d patterns then %q, generic %d then %q",
+				mode, len(got.rows), got.err, len(ref.rows), ref.err)
+		}
+		for i := range got.rows {
+			if got.rows[i] != ref.rows[i] {
+				return ref, ok, fmt.Errorf("%v: pattern %d differs", mode, i)
+			}
+		}
+		if got.patterns != ref.patterns || got.consumed != ref.consumed {
+			return ref, ok, fmt.Errorf("%v ended at %d patterns / %d trits, generic %d / %d",
+				mode, got.patterns, got.consumed, ref.patterns, ref.consumed)
+		}
+	}
+	return ref, ok, nil
 }
 
 // chunkedContainer encodes a random set and frames it as v4.
@@ -90,66 +142,54 @@ func chunkedContainer(t testing.TB, k, patterns, width int, seed int64) ([]byte,
 
 // TestStreamDecodeChunkCRCMidStream corrupts a chunk in the middle of a
 // multi-chunk container: the kernel decoder prefetches across chunk
-// boundaries, yet it must emit exactly the patterns the generic decoder
-// emits before the bad chunk and then report the same checksum error.
+// boundaries, yet the text and plane kernels must emit exactly the
+// patterns the generic decoder emits before the bad chunk and then
+// report the same checksum error.
 func TestStreamDecodeChunkCRCMidStream(t *testing.T) {
 	for _, k := range []int{4, 8, 16, 32} {
 		data, set := chunkedContainer(t, k, 150, 1000, int64(k))
 		for _, at := range []int{len(data) / 3, len(data) / 2, 2 * len(data) / 3} {
 			bad := bytes.Clone(data)
 			bad[at] ^= 0x10
-			fast, ok1 := decodeChunked(bad, false)
-			ref, ok2 := decodeChunked(bad, true)
 			label := fmt.Sprintf("K=%d flip at byte %d", k, at)
-			if !ok1 || !ok2 {
+			ref, ok, err := decodeChunked3(bad)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !ok {
 				t.Fatalf("%s: header rejected", label)
 			}
-			if fast.err != ref.err || len(fast.rows) != len(ref.rows) {
-				t.Fatalf("%s: kernel emitted %d patterns then %q, generic %d then %q",
-					label, len(fast.rows), fast.err, len(ref.rows), ref.err)
-			}
-			for i := range fast.rows {
-				if fast.rows[i] != ref.rows[i] {
-					t.Fatalf("%s: pattern %d differs", label, i)
-				}
-			}
-			if !strings.Contains(fast.err, "CRC32C") || len(fast.rows) == 0 || len(fast.rows) >= set.Len() {
+			if !strings.Contains(ref.err, "CRC32C") || len(ref.rows) == 0 || len(ref.rows) >= set.Len() {
 				t.Fatalf("%s: want a checksum fault after a partial prefix, got %d of %d patterns then %q",
-					label, len(fast.rows), set.Len(), fast.err)
+					label, len(ref.rows), set.Len(), ref.err)
 			}
 		}
 	}
 }
 
 // FuzzStreamDecodeDifferential feeds arbitrary bytes through
-// ChunkReader and StreamDecoder with and without the per-K kernels:
-// both must emit the same patterns and the same classified error, and
-// neither may panic.
+// ChunkReader and StreamDecoder along the text kernel, the plane kernel
+// and the generic decoder: all three must emit the same patterns, the
+// same classified error and the same accounting, and none may panic.
 func FuzzStreamDecodeDifferential(f *testing.F) {
-	for _, k := range []int{4, 8, 16, 32} {
-		data, _ := chunkedContainer(f, k, 5, 2*k+3, int64(k))
-		f.Add(data)
-		f.Add(data[:len(data)-7])
-		flipped := bytes.Clone(data)
-		flipped[len(flipped)/2] ^= 1
-		f.Add(flipped)
+	// Kernel and generic block sizes, at widths below K and not a
+	// multiple of it.
+	for _, k := range []int{2, 4, 6, 8, 16, 32, 130} {
+		for _, width := range []int{k - 1, 2*k + 3} {
+			data, _ := chunkedContainer(f, k, 5, width, int64(k))
+			f.Add(data)
+			f.Add(data[:len(data)-7])
+			flipped := bytes.Clone(data)
+			flipped[len(flipped)/2] ^= 1
+			f.Add(flipped)
+		}
 	}
 	f.Add([]byte("N9C4"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, ok1 := decodeChunked(data, false)
-		ref, ok2 := decodeChunked(data, true)
-		if ok1 != ok2 {
-			t.Fatalf("header verdicts differ: kernel %v, generic %v", ok1, ok2)
-		}
-		if fast.err != ref.err || len(fast.rows) != len(ref.rows) {
-			t.Fatalf("kernel emitted %d patterns then %q, generic %d then %q",
-				len(fast.rows), fast.err, len(ref.rows), ref.err)
-		}
-		for i := range fast.rows {
-			if fast.rows[i] != ref.rows[i] {
-				t.Fatalf("pattern %d differs", i)
-			}
+		ref, _, err := decodeChunked3(data)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if ref.err != "" && ref.class == "" {
 			t.Fatalf("unclassified error %q", ref.err)

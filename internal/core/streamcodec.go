@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/robust"
@@ -174,7 +175,8 @@ func (r *streamReader) readRaw(out *bitvec.Cube, lo, hi int) error {
 //
 // Codecs with a decode kernel run it over the buffered planes: each
 // pattern first prefetches one worst-case pattern of trits (or up to
-// the end of the source), then decodes in one kernel call. Anything the
+// the end of the source), then decodes in one kernel call — to planes
+// for ReadPattern, straight to 01X bytes for AppendText. Anything the
 // kernel rejects is re-decoded by the generic path from the same
 // position, so errors and their positions are those of the generic
 // decoder.
@@ -213,24 +215,60 @@ func (c *Codec) NewStreamDecoder(src StreamSource, width int, lim robust.DecodeL
 // — truncation mid-pattern, an invalid codeword, a source error, or a
 // pattern count beyond the limits — is a classified error.
 func (d *StreamDecoder) ReadPattern() (*bitvec.Cube, error) {
-	if d.done {
-		return nil, io.EOF
-	}
-	if err := d.r.ensure(1); err != nil {
-		if errors.Is(err, ErrTruncated) && d.r.unread() == 0 {
-			// No trits left and the source is drained: clean end.
-			d.done = true
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("core: pattern %d: %w", d.patterns, err)
-	}
-	if d.patterns >= d.lim.MaxPatterns {
-		return nil, fmt.Errorf("core: stream exceeds %d patterns: %w", d.lim.MaxPatterns, robust.ErrLimitExceeded)
+	if err := d.begin(); err != nil {
+		return nil, err
 	}
 	if p, ok := d.readPatternFast(); ok {
 		d.patterns++
 		return p, nil
 	}
+	return d.readPatternGeneric()
+}
+
+// AppendText decodes the next scan load straight to its 01X text,
+// appending exactly width bytes to dst. It ends and fails exactly as
+// ReadPattern does; on error dst is returned unextended. With a reused
+// dst the kernel path allocates nothing.
+func (d *StreamDecoder) AppendText(dst []byte) ([]byte, error) {
+	if err := d.begin(); err != nil {
+		return dst, err
+	}
+	if out, ok := d.appendTextFast(dst); ok {
+		d.patterns++
+		return out, nil
+	}
+	p, err := d.readPatternGeneric()
+	if err != nil {
+		return dst, err
+	}
+	return p.AppendTextRange(dst, 0, d.width), nil
+}
+
+// begin is the preamble of every pattern read: io.EOF at a clean end,
+// a classified error when the stream fails before the pattern starts or
+// the pattern would exceed MaxPatterns.
+func (d *StreamDecoder) begin() error {
+	if d.done {
+		return io.EOF
+	}
+	if err := d.r.ensure(1); err != nil {
+		if errors.Is(err, ErrTruncated) && d.r.unread() == 0 {
+			// No trits left and the source is drained: clean end.
+			d.done = true
+			return io.EOF
+		}
+		return fmt.Errorf("core: pattern %d: %w", d.patterns, err)
+	}
+	if d.patterns >= d.lim.MaxPatterns {
+		return fmt.Errorf("core: stream exceeds %d patterns: %w", d.lim.MaxPatterns, robust.ErrLimitExceeded)
+	}
+	return nil
+}
+
+// readPatternGeneric decodes the next pattern with the generic block
+// decoder: the path of codecs without a kernel, and of every pattern a
+// kernel declined, so its errors are the classified ones.
+func (d *StreamDecoder) readPatternGeneric() (*bitvec.Cube, error) {
 	out, err := decodeBlocksPartial(d.c, d.r, d.blocksPer)
 	if err != nil {
 		return nil, fmt.Errorf("core: pattern %d: %w", d.patterns, err)
@@ -248,17 +286,46 @@ func (d *StreamDecoder) readPatternFast() (*bitvec.Cube, bool) {
 	if !d.c.hasDecodeKernel() {
 		return nil, false
 	}
-	r := d.r
-	r.prefetch(d.worst)
-	care, val := r.buf.RawWords()
+	care, val := d.kernelWindow()
 	d.w.reset(d.blocksPer * d.c.k)
-	pos, ok := d.c.kdec(d.c, care, val, r.buf.Len(), r.pos, d.blocksPer, &d.w)
+	pos, ok := d.c.kdec(d.c, care, val, d.r.buf.Len(), d.r.pos, d.blocksPer, &d.w)
 	if !ok {
 		return nil, false
 	}
-	r.consumed += pos - r.pos
-	r.pos = pos
+	d.advance(pos)
 	return bitvec.NewCubeCopyWords(d.width, d.w.care, d.w.val), true
+}
+
+// appendTextFast is readPatternFast for text: the per-K text kernel
+// writes the pattern's 01X bytes into dst directly from the stream
+// planes. ok=false returns dst unextended and the reader unmoved.
+func (d *StreamDecoder) appendTextFast(dst []byte) ([]byte, bool) {
+	if !d.c.hasDecodeKernel() {
+		return dst, false
+	}
+	care, val := d.kernelWindow()
+	start, n := len(dst), d.blocksPer*d.c.k
+	dst = slices.Grow(dst, n+textSlack)
+	pos, ok := d.c.ktext(d.c, care, val, d.r.buf.Len(), d.r.pos, d.blocksPer, dst[start:start+n+textSlack])
+	if !ok {
+		return dst, false
+	}
+	d.advance(pos)
+	return dst[:start+d.width], true
+}
+
+// kernelWindow buffers one worst-case pattern of trits (or up to the
+// end of what the source delivers) and returns the buffered planes for
+// a kernel to read from the current position.
+func (d *StreamDecoder) kernelWindow() (care, val []uint64) {
+	d.r.prefetch(d.worst)
+	return d.r.buf.RawWords()
+}
+
+// advance moves the reader past the trits a kernel consumed.
+func (d *StreamDecoder) advance(pos int) {
+	d.r.consumed += pos - d.r.pos
+	d.r.pos = pos
 }
 
 // Patterns returns the number of patterns decoded so far.
