@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race netlines bench bench-json bench-gate bench-smoke bench-campaign campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke vuln
+.PHONY: check fmt vet build test race netlines bench-pairs bench bench-json bench-gate bench-smoke bench-campaign campaign-smoke telemetry-smoke serve-smoke train-smoke chaos-smoke cache-smoke resilience-soak metriclint overhead-guard fuzz-smoke vuln
 
 ## check: the full pre-merge gate — formatting, vet, build, race tests,
 ## the campaign-equivalence smoke, telemetry smoke, the ninecd serving
@@ -40,6 +40,16 @@ race:
 BASE ?= HEAD~1
 netlines:
 	sh scripts/netlines.sh $(BASE)
+
+## bench-pairs: A/B one package's benchmarks between BASE and the
+## working tree: N alternating runs of each side's `go test -c` binary
+## at -cpu 1,2, then per benchmark each side's median ns/op with its
+## [min, max] and the working tree's wins. Evidence for a per-layer
+## table; not part of check and gates nothing.
+##   make bench-pairs BASE=HEAD~1 PKG=./internal/core BENCH='EncodeSetK' N=6
+N ?= 6
+bench-pairs:
+	GO="$(GO)" sh scripts/bench_pairs.sh $(BASE) $(PKG) '$(BENCH)' $(N)
 
 ## bench: the 9C hot-path benchmarks (encode/decode, reference, parallel scaling).
 bench:
@@ -158,7 +168,7 @@ overhead-guard:
 
 ## fuzz-smoke: run every native fuzz target for FUZZTIME each — the
 ## container reader, the 9C stream decoder, the streamed v4 decode along
-## the text kernel, the plane kernel and the generic decoder, the per-K
+## the text kernel, the plane kernel and the generic decoder, the word
 ## kernels and every encode option against the generic and reference
 ## encoders, each baseline codec family, the text parsers, and the
 ## word-parallel 01X reader against its per-trit reference. Any panic,

@@ -28,7 +28,7 @@ import (
 
 // gateDefaultMatch selects the hot-path metrics the regression gate
 // guards: the serving-path encode/decode benchmarks (including the
-// per-K kernel variants), block classification, the v4 wire layers
+// per-K benchmarks), block classification, the v4 wire layers
 // (streamed decode, chunk read, v4 framing, text output), the 01X parse
 // stage (tcube.Read and its ParseCube kernel), the ninecd handler stack
 // (ServeEncode, ServeDecode), and the fault-sim campaign. Cold-path and

@@ -260,6 +260,8 @@ func TestStatusMapping(t *testing.T) {
 		{"bad-text", "/encode", []byte("01X\n01@\n"), http.StatusBadRequest, "bad_request"},
 		{"empty-set", "/encode", []byte("# only a comment\n"), http.StatusBadRequest, "corrupt"},
 		{"bad-k", "/encode?k=7", []byte("0101\n"), http.StatusBadRequest, "bad_request"},
+		// Past core.MaxK: no container reader would accept the output.
+		{"huge-k", "/encode?k=2097152", []byte("0101\n"), http.StatusBadRequest, "bad_request"},
 		// A set name the decoded 01X text could not carry.
 		{"name-newline", "/encode?name=a%0A0101", []byte("0101\n"), http.StatusBadRequest, "bad_request"},
 		{"name-del", "/encode?name=a%7F", []byte("0101\n"), http.StatusBadRequest, "bad_request"},

@@ -166,7 +166,7 @@ func (c *Cube) Compat(lo, hi int) (zeroOK, oneOK bool) {
 }
 
 // RawWords exposes the cube's packed planes for word-at-a-time readers
-// (the 9C per-K kernels): bit i of word i/64 is the care/val bit of
+// (the 9C word kernels): bit i of word i/64 is the care/val bit of
 // trit i, and bits at or beyond Len() are zero. The slices alias the
 // cube's storage and MUST NOT be modified; writers go through
 // WriteWord/SetRun or a CubeBuilder instead.

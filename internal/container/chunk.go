@@ -147,7 +147,7 @@ func NewChunkReader(rd io.Reader, lim robust.DecodeLimits) (*ChunkReader, error)
 // checks here mirror the front half of validateGeometry; the totals
 // half runs against the trailer once it is reached.
 func newChunkReader(rd io.Reader, h *headerInfo, lim robust.DecodeLimits) (*ChunkReader, error) {
-	if h.k < 2 || h.k%2 != 0 || h.k > 1<<20 {
+	if h.k < 2 || h.k%2 != 0 || h.k > core.MaxK {
 		return nil, fmt.Errorf("container: implausible block size K=%d: %w", h.k, robust.ErrCorrupt)
 	}
 	if h.width < 1 {

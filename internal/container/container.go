@@ -407,7 +407,7 @@ func finishResult(h *headerInfo, stream *bitvec.Cube, lenient bool, diag *Diag) 
 // produced for some input, and inside the caller's budget. All
 // arithmetic is in int64 so forged 32-bit extremes cannot overflow.
 func validateGeometry(k, patterns, width, origBits, blocks, streamBits int, lim robust.DecodeLimits) error {
-	if k > 1<<20 {
+	if k > core.MaxK {
 		return fmt.Errorf("container: implausible block size K=%d: %w", k, robust.ErrCorrupt)
 	}
 	if k < 2 || k%2 != 0 || origBits < 0 || blocks < 0 || streamBits < 0 {

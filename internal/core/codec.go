@@ -40,12 +40,10 @@ type Codec struct {
 	packed [NumCases]packedCode // codewords packed for word appending
 	table  *decodeTable         // codeword trie, immutable after construction
 
-	// Per-K kernel state (see kernel.go, textkernel.go); kdec/ktext
-	// stay nil for block sizes without a specialized kernel and the
-	// generic decoder runs.
+	// Kernel state (see kernel.go, textkernel.go); klut and ktext stay
+	// nil for block sizes without a kernel and the generic decoder runs.
 	kcodes   [NumCases]kernelCode
 	kenc     kernelEncode
-	kdec     kernelDecode
 	ktext    kernelText
 	kc1      kernelCode // 64/K C1 codewords packed as one append
 	kc1ok    bool
@@ -54,9 +52,13 @@ type Codec struct {
 	klutMask uint64
 }
 
+// MaxK is the largest block size a codec accepts, and the largest a
+// container reader admits: a stream's worst case grows linearly in K.
+const MaxK = 1 << 20
+
 // New returns a Codec for block size k with the default codeword
-// assignment. k must be an even integer ≥ 2 so the block splits into
-// two equal halves.
+// assignment. k must be an even integer in [2, MaxK] so the block
+// splits into two equal halves.
 func New(k int) (*Codec, error) {
 	return NewWithAssignment(k, DefaultAssignment())
 }
@@ -66,6 +68,9 @@ func New(k int) (*Codec, error) {
 func NewWithAssignment(k int, a Assignment) (*Codec, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("core: block size K=%d must be an even integer >= 2", k)
+	}
+	if k > MaxK {
+		return nil, fmt.Errorf("core: block size K=%d exceeds %d", k, MaxK)
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err

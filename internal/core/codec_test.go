@@ -30,12 +30,12 @@ func mustCodec(t *testing.T, k int) *Codec {
 }
 
 func TestNewRejectsBadK(t *testing.T) {
-	for _, k := range []int{-2, 0, 1, 3, 7} {
+	for _, k := range []int{-2, 0, 1, 3, 7, MaxK + 2} {
 		if _, err := New(k); err == nil {
 			t.Errorf("K=%d accepted", k)
 		}
 	}
-	for _, k := range []int{2, 4, 8, 12, 16, 32, 48, 64} {
+	for _, k := range []int{2, 4, 8, 12, 16, 32, 48, 64, MaxK} {
 		if _, err := New(k); err != nil {
 			t.Errorf("K=%d rejected: %v", k, err)
 		}

@@ -4,14 +4,19 @@ import (
 	"repro/internal/bitvec"
 )
 
-// This file is the per-K hot path of the 9C codec: specialized encode
-// and decode kernels for the production block sizes K ∈ {4, 8, 16, 32}.
-// Every other K encodes through encodeGeneric, which writes into the
-// same kernelWriter, so one encode loop serves every block size. The
-// generic decoder (decodeBlocksPartial) remains the fallback for other
-// K values, for exotic assignments, and for hostile streams. Both
-// generic paths serve as the differential oracle the kernels are
-// pinned against.
+// This file is the word-parallel hot path of the 9C codec. Like the
+// paper's decoder, whose FSM is the same for every block size and only
+// sizes a log2(K/2) counter and a K/2-bit shifter by K, it has one
+// K-parametric kernel per direction for the block sizes that divide a
+// plane word, K ∈ {4, 8, 16, 32}: encodeWords and decodeKernel. A K is
+// specialized further only where a bench workload runs it and an
+// end-to-end A/B shows the gain; today that is textK8 (textkernel.go),
+// K=8 being the block size every workload runs at. Every other K
+// encodes through encodeGeneric into the same kernelWriter, so one
+// encode loop serves every block size. The generic decoder
+// (decodeBlocksPartial) remains the fallback for other K, for exotic
+// assignments, and for hostile streams. Both generic paths are the
+// differential oracle the kernels are pinned against.
 //
 // The kernels get their speed from three ideas:
 //
@@ -29,11 +34,12 @@ import (
 //     absorbs the second write when the append does not straddle).
 //
 //  3. Table decode. The decoder indexes a flat LUT with the next
-//     maxCode stream bits and gets (case, length) in one load, then
-//     emits whole halves as word appends. Anything the fast path is
-//     not sure about — an X inside a codeword window, an unassigned
-//     LUT entry, truncation — abandons the fast decode entirely and
-//     reruns the generic path so error reporting stays byte-identical.
+//     maxCode stream bits and gets (case, length, span) in one load,
+//     then emits the whole block as one word append. Anything the fast
+//     path is not sure about — an X inside a codeword window, an
+//     unassigned LUT entry, a block running past the stream end —
+//     abandons the fast decode and reruns the generic path so error
+//     reporting stays byte-identical.
 
 // caseTab maps the four half-compatibility flags to the 9C case:
 // index = l0 | l1<<1 | r0<<2 | r1<<3 where l0/l1 (r0/r1) report the
@@ -113,17 +119,16 @@ type kernelCode struct {
 // assignment is far below it (max codeword length 5).
 const maxLUTBits = 11
 
-// kernelEncode / kernelDecode are the per-K entry points installed on a
-// Codec at construction. Every codec has a kernelEncode (encodeGeneric
-// when K has no specialized one); kernelDecode and kernelText
-// (textkernel.go) are nil without one.
+// kernelEncode is the encode entry point installed on a Codec at
+// construction: every codec has one (encodeGeneric when K has no word
+// kernel). The text entry point (kernelText, textkernel.go) is nil
+// without a kernel.
 type kernelEncode func(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts)
-type kernelDecode func(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool)
 
-// initKernel prepares the per-K kernel state: packed codeword masks,
-// the repeated-C1 batch word, the decode LUT, and the dispatch
-// functions. For unsupported K the codec installs encodeGeneric, keeps
-// kdec and ktext nil, and every decode takes the generic path.
+// initKernel prepares the kernel state: packed codeword masks, the
+// repeated-C1 batch word, the decode LUT, and the dispatch functions.
+// For K without a kernel the codec installs encodeGeneric, keeps klut
+// and ktext nil, and every decode takes the generic path.
 func (c *Codec) initKernel() {
 	for i, p := range c.packed {
 		c.kcodes[i] = kernelCode{bits: p.bits, mask: lowMask64(p.n), n: p.n}
@@ -132,20 +137,16 @@ func (c *Codec) initKernel() {
 		}
 	}
 	switch c.k {
-	case 4:
-		c.kenc, c.kdec, c.ktext = encodeK4, decodeK4, textKernel
 	case 8:
-		c.kenc, c.kdec, c.ktext = encodeK8, decodeK8, textK8
-	case 16:
-		c.kenc, c.kdec, c.ktext = encodeK16, decodeK16, textKernel
-	case 32:
-		c.kenc, c.kdec, c.ktext = encodeK32, decodeK32, textKernel
+		c.kenc, c.ktext = encodeWords, textK8
+	case 4, 16, 32:
+		c.kenc, c.ktext = encodeWords, textKernel
 	default:
 		c.kenc = encodeGeneric
 		return
 	}
 	// An all-zero plane word means 64/K consecutive C1 blocks; when the
-	// repeated C1 codeword fits one word, the kernels emit it in a
+	// repeated C1 codeword fits one word, encodeWords emits it in a
 	// single append.
 	perWord := 64 / c.k
 	c1 := c.kcodes[CaseAll0-1]
@@ -268,8 +269,7 @@ func (w *kernelWriter) takeCopy() *bitvec.Cube {
 // encBlock encodes one K-bit block given its packed care/val bits
 // (already masked to K bits, pad bits zero): classify both halves
 // branchlessly, append the codeword, append whatever the case ships
-// verbatim. k, h and lh are the block size, half size and half mask —
-// constants at every call site.
+// verbatim. k, h and lh are the block size, half size and half mask.
 func encBlock(w *kernelWriter, codes *[NumCases]kernelCode, counts *Counts, bc, bv uint64, k, h int, lh uint64) {
 	zeros := bc &^ bv
 	idx := b2i(bv&lh == 0) | b2i(zeros&lh == 0)<<1 |
@@ -295,132 +295,33 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Each encodeK* kernel walks whole plane words (64/K blocks per read),
-// with an all-zero-word fast path (every half 0-compatible ⇒ 64/K C1
-// blocks in one append) and a masked tail for the final partial word.
-// Bits past the cube end read as zero in both planes — exactly the
-// "pad with X" rule, since X is 0-compatible first in priority order.
-
-func encodeK4(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
-	const k, h = 4, 2
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	const perWord = 64 / k
-	codes := &c.kcodes
-	wi := 0
-	for ; blocks >= perWord; blocks, wi = blocks-perWord, wi+1 {
+// encodeWords is the word kernel for every K that divides 64: it reads
+// the planes a word (64/K blocks) at a time, with an all-zero-word
+// fast path (every half 0-compatible ⇒ 64/K C1 blocks in one append)
+// and a shorter walk over the final partial word. Bits past the cube
+// end read as zero in both planes — exactly the "pad with X" rule,
+// since X is 0-compatible first in priority order.
+func encodeWords(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
+	k, h := c.k, c.k/2
+	lh, bm := lowMask64(h), lowMask64(k)
+	perWord := 64 / k
+	for wi := 0; blocks > 0; wi++ {
 		cw, vw := care[wi], val[wi]
-		if vw == 0 && c.kc1ok {
+		if vw == 0 && c.kc1ok && blocks >= perWord {
 			counts[CaseAll0-1] += perWord
 			w.append(c.kc1.mask, c.kc1.bits, c.kc1.n)
+			blocks -= perWord
 			continue
 		}
-		encBlock(w, codes, counts, cw&bm, vw&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>4&bm, vw>>4&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>8&bm, vw>>8&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>12&bm, vw>>12&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>16&bm, vw>>16&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>20&bm, vw>>20&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>24&bm, vw>>24&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>28&bm, vw>>28&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>32&bm, vw>>32&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>36&bm, vw>>36&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>40&bm, vw>>40&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>44&bm, vw>>44&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>48&bm, vw>>48&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>52&bm, vw>>52&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>56&bm, vw>>56&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>60&bm, vw>>60&bm, k, h, lh)
-	}
-	encodeTail(c, care, val, wi, blocks, w, counts, k, h, lh, bm)
-}
-
-func encodeK8(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
-	const k, h = 8, 4
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	const perWord = 64 / k
-	codes := &c.kcodes
-	wi := 0
-	for ; blocks >= perWord; blocks, wi = blocks-perWord, wi+1 {
-		cw, vw := care[wi], val[wi]
-		if vw == 0 && c.kc1ok {
-			counts[CaseAll0-1] += perWord
-			w.append(c.kc1.mask, c.kc1.bits, c.kc1.n)
-			continue
+		n := min(blocks, perWord)
+		blocks -= n
+		for sh := 0; sh < n*k; sh += k {
+			encBlock(w, &c.kcodes, counts, cw>>uint(sh)&bm, vw>>uint(sh)&bm, k, h, lh)
 		}
-		encBlock(w, codes, counts, cw&bm, vw&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>8&bm, vw>>8&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>16&bm, vw>>16&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>24&bm, vw>>24&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>32&bm, vw>>32&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>40&bm, vw>>40&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>48&bm, vw>>48&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>56&bm, vw>>56&bm, k, h, lh)
-	}
-	encodeTail(c, care, val, wi, blocks, w, counts, k, h, lh, bm)
-}
-
-func encodeK16(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
-	const k, h = 16, 8
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	const perWord = 64 / k
-	codes := &c.kcodes
-	wi := 0
-	for ; blocks >= perWord; blocks, wi = blocks-perWord, wi+1 {
-		cw, vw := care[wi], val[wi]
-		if vw == 0 && c.kc1ok {
-			counts[CaseAll0-1] += perWord
-			w.append(c.kc1.mask, c.kc1.bits, c.kc1.n)
-			continue
-		}
-		encBlock(w, codes, counts, cw&bm, vw&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>16&bm, vw>>16&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>32&bm, vw>>32&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>48&bm, vw>>48&bm, k, h, lh)
-	}
-	encodeTail(c, care, val, wi, blocks, w, counts, k, h, lh, bm)
-}
-
-func encodeK32(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
-	const k, h = 32, 16
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	const perWord = 64 / k
-	codes := &c.kcodes
-	wi := 0
-	for ; blocks >= perWord; blocks, wi = blocks-perWord, wi+1 {
-		cw, vw := care[wi], val[wi]
-		if vw == 0 && c.kc1ok {
-			counts[CaseAll0-1] += perWord
-			w.append(c.kc1.mask, c.kc1.bits, c.kc1.n)
-			continue
-		}
-		encBlock(w, codes, counts, cw&bm, vw&bm, k, h, lh)
-		encBlock(w, codes, counts, cw>>32&bm, vw>>32&bm, k, h, lh)
-	}
-	encodeTail(c, care, val, wi, blocks, w, counts, k, h, lh, bm)
-}
-
-// encodeTail encodes the final partial word: the remaining blocks all
-// live in word wi (fewer than 64/K of them), possibly past the plane
-// end, where both planes read as zero (X padding).
-func encodeTail(c *Codec, care, val []uint64, wi, blocks int, w *kernelWriter, counts *Counts, k, h int, lh, bm uint64) {
-	if blocks <= 0 {
-		return
-	}
-	var cw, vw uint64
-	if wi < len(care) {
-		cw, vw = care[wi], val[wi]
-	}
-	codes := &c.kcodes
-	for sh := uint(0); blocks > 0; blocks, sh = blocks-1, sh+uint(k) {
-		encBlock(w, codes, counts, cw>>sh&bm, vw>>sh&bm, k, h, lh)
 	}
 }
 
-// encodeGeneric is the block encoder for every K without a specialized
+// encodeGeneric is the block encoder for every K without a word
 // kernel, any even size including blocks wider than a word: each half
 // is classified by scanning its plane bits a word at a time, then the
 // codeword and any mismatch halves are appended as in encBlock.
@@ -469,183 +370,41 @@ func window64(words []uint64, pos int) uint64 {
 	return w
 }
 
-// Each decodeK* kernel consumes blocks block encodings from the raw
-// stream planes starting at bit pos, appending K decoded trits per
-// block to w. It returns the new position and ok=false the moment it
-// meets anything but a well-formed block — an unassigned LUT window,
-// an X or a truncation inside a codeword (care bits below the codeword
-// length not all ones), or verbatim data running past the stream end.
-// On ok=false the caller reruns the generic decoder from scratch so
-// the classified error (and its bit position) is byte-identical to the
-// pre-kernel behavior.
-
-func decodeK4(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool) {
-	const k, h = 4, 2
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
+// decodeKernel is the plane decode kernel for every kernel K: it
+// consumes blocks block encodings from the raw stream planes starting
+// at bit pos, appending K decoded trits per block to w, and returns the
+// new position. It makes textKernel's and countBlocks' validity checks
+// and returns ok=false the moment a block fails one — an unassigned
+// LUT window, an X or a truncation inside a codeword (care bits below
+// the codeword length not all ones), or a span running past the stream
+// end. On ok=false the caller reruns the generic decoder from the same
+// position, so the classified error (and its bit position) is the
+// generic decoder's. A block's codeword and shipped halves span at most
+// maxLUTBits+32 bits, so one 64-bit window read covers it.
+func decodeKernel(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool) {
+	k, h := c.k, uint(c.k/2)
+	lh, bm := lowMask64(int(h)), lowMask64(k)
 	lut, lmask := c.klut, c.klutMask
 	for b := 0; b < blocks; b++ {
-		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4 & 0xf)
-		cmask := uint64(1)<<uint(n) - 1
-		if n == 0 || window64(scare, pos)&cmask != cmask {
+		cw, vw := window64(scare, pos), window64(sval, pos)
+		e := lut[vw&lmask]
+		n := uint(e >> 4 & 0xf)
+		cmask := uint64(1)<<n - 1
+		if n == 0 || cw&cmask != cmask || pos+int(e>>8) > slen {
 			return pos, false
 		}
 		cs := Case(e & 0xf)
-		pos += n
+		pos += int(e >> 8)
+		cw, vw = cw>>n, vw>>n
 		switch misTab[cs] {
 		case 0:
-			w.append(lh, lvalTab[cs]&lh, h)
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 1:
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 2:
-			w.append(lh, lvalTab[cs]&lh, h)
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
+			w.append(bm, lvalTab[cs]&lh|rvalTab[cs]&lh<<h, k)
+		case 1: // left shipped
+			w.append(cw&lh|lh<<h, vw&lh|rvalTab[cs]&lh<<h, k)
+		case 2: // right shipped
+			w.append(lh|cw<<h&bm, lvalTab[cs]&lh|vw<<h&bm, k)
 		default:
-			if pos+k > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&bm, window64(sval, pos)&bm, k)
-			pos += k
-		}
-	}
-	return pos, true
-}
-
-func decodeK8(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool) {
-	const k, h = 8, 4
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	lut, lmask := c.klut, c.klutMask
-	for b := 0; b < blocks; b++ {
-		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4 & 0xf)
-		cmask := uint64(1)<<uint(n) - 1
-		if n == 0 || window64(scare, pos)&cmask != cmask {
-			return pos, false
-		}
-		cs := Case(e & 0xf)
-		pos += n
-		switch misTab[cs] {
-		case 0:
-			w.append(lh, lvalTab[cs]&lh, h)
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 1:
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 2:
-			w.append(lh, lvalTab[cs]&lh, h)
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-		default:
-			if pos+k > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&bm, window64(sval, pos)&bm, k)
-			pos += k
-		}
-	}
-	return pos, true
-}
-
-func decodeK16(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool) {
-	const k, h = 16, 8
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	lut, lmask := c.klut, c.klutMask
-	for b := 0; b < blocks; b++ {
-		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4 & 0xf)
-		cmask := uint64(1)<<uint(n) - 1
-		if n == 0 || window64(scare, pos)&cmask != cmask {
-			return pos, false
-		}
-		cs := Case(e & 0xf)
-		pos += n
-		switch misTab[cs] {
-		case 0:
-			w.append(lh, lvalTab[cs]&lh, h)
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 1:
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 2:
-			w.append(lh, lvalTab[cs]&lh, h)
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-		default:
-			if pos+k > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&bm, window64(sval, pos)&bm, k)
-			pos += k
-		}
-	}
-	return pos, true
-}
-
-func decodeK32(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool) {
-	const k, h = 32, 16
-	const lh = uint64(1)<<h - 1
-	const bm = uint64(1)<<k - 1
-	lut, lmask := c.klut, c.klutMask
-	for b := 0; b < blocks; b++ {
-		e := lut[window64(sval, pos)&lmask]
-		n := int(e >> 4 & 0xf)
-		cmask := uint64(1)<<uint(n) - 1
-		if n == 0 || window64(scare, pos)&cmask != cmask {
-			return pos, false
-		}
-		cs := Case(e & 0xf)
-		pos += n
-		switch misTab[cs] {
-		case 0:
-			w.append(lh, lvalTab[cs]&lh, h)
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 1:
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-			w.append(lh, rvalTab[cs]&lh, h)
-		case 2:
-			w.append(lh, lvalTab[cs]&lh, h)
-			if pos+h > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&lh, window64(sval, pos)&lh, h)
-			pos += h
-		default:
-			if pos+k > slen {
-				return pos, false
-			}
-			w.append(window64(scare, pos)&bm, window64(sval, pos)&bm, k)
-			pos += k
+			w.append(cw&bm, vw&bm, k)
 		}
 	}
 	return pos, true
@@ -653,9 +412,9 @@ func decodeK32(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelW
 
 // countBlocks walks up to blocks block encodings from bit pos with one
 // LUT lookup per codeword, tallying the cases and skipping the shipped
-// halves, under the decode kernels' validity checks. It stops before the first block it does not vouch
-// for and returns that block's position and index (blocks when every
-// block walked cleanly).
+// halves, under the decode kernels' validity checks. It stops before
+// the first block it does not vouch for and returns that block's
+// position and index (blocks when every block walked cleanly).
 func countBlocks(c *Codec, scare, sval []uint64, slen, pos, blocks int, counts *Counts) (int, int) {
 	lut, lmask := c.klut, c.klutMask
 	for b := 0; b < blocks; b++ {
@@ -673,6 +432,7 @@ func countBlocks(c *Codec, scare, sval []uint64, slen, pos, blocks int, counts *
 	return pos, blocks
 }
 
-// hasDecodeKernel reports whether the fast table decoder is available
-// (requires both a per-K kernel and a LUT-sized assignment).
-func (c *Codec) hasDecodeKernel() bool { return c.kdec != nil && c.klut != nil }
+// hasDecodeKernel reports whether the fast table decoders are available:
+// initKernel builds the LUT only for a kernel K and a LUT-sized
+// assignment.
+func (c *Codec) hasDecodeKernel() bool { return c.klut != nil }

@@ -17,7 +17,7 @@ var kernelKs = []int{4, 8, 16, 32}
 // kernel is dropped. Used as the differential oracle.
 func forceGeneric(c *Codec) *Codec {
 	g := *c
-	g.kenc, g.kdec, g.klut = encodeGeneric, nil, nil
+	g.kenc, g.klut = encodeGeneric, nil
 	return &g
 }
 
@@ -285,4 +285,77 @@ func FuzzKernelDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEncodeWordsC1Batch drives encodeWords' all-zero-word C1 batch on
+// both sides of its guard: at K=4 a word holds 16 blocks, so a 4-bit C1
+// fills the batched append exactly (64 bits) and a 5-bit C1 overflows
+// it, leaving every word to the per-block walk. All-X, all-0 and mixed
+// rows at widths around one word are pinned to encodeGeneric and the
+// trit-level reference.
+func TestEncodeWordsC1Batch(t *testing.T) {
+	for _, tc := range []struct {
+		c1    int
+		batch bool
+	}{{4, true}, {5, false}} {
+		a, err := AssignmentFromLengths([NumCases]int{tc.c1, 2, 3, 3, 3, 4, 4, 4, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdc, err := NewWithAssignment(4, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cdc.kc1ok != tc.batch {
+			t.Fatalf("|C1|=%d: kc1ok %v, want %v", tc.c1, cdc.kc1ok, tc.batch)
+		}
+		gen := forceGeneric(cdc)
+		for _, width := range []int{63, 64, 65, 1000} {
+			set := tcube.NewSet("c1", width)
+			for ri, row := range c1BatchRows(width) {
+				set.MustAppend(row)
+				label := fmt.Sprintf("|C1|=%d w=%d row %d", tc.c1, width, ri)
+				fast, err := cdc.EncodeCube(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := cdc.EncodeCubeReference(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameResult(t, label, fast, ref)
+			}
+			label := fmt.Sprintf("|C1|=%d w=%d", tc.c1, width)
+			fast, err := cdc.EncodeSet(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := gen.EncodeSet(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameResult(t, label+" generic", fast, want)
+			if want, err = cdc.EncodeSetReference(set); err != nil {
+				t.Fatal(err)
+			}
+			checkSameResult(t, label+" reference", fast, want)
+		}
+	}
+}
+
+// c1BatchRows returns an all-X row, an all-0 row (both all-zero val
+// words throughout) and a mixed row whose words alternate between
+// all-zero val (0s and Xs) and words holding 1s.
+func c1BatchRows(width int) []*bitvec.Cube {
+	allX, all0, mixed := bitvec.NewCube(width), bitvec.NewCube(width), bitvec.NewCube(width)
+	for i := 0; i < width; i++ {
+		all0.Set(i, bitvec.Zero)
+		switch {
+		case i/64%2 == 0 && i%3 == 0:
+			mixed.Set(i, bitvec.Zero)
+		case i/64%2 == 1:
+			mixed.Set(i, bitvec.Trit(i%3))
+		}
+	}
+	return []*bitvec.Cube{allX, all0, mixed}
 }

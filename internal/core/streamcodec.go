@@ -277,7 +277,7 @@ func (d *StreamDecoder) readPatternGeneric() (*bitvec.Cube, error) {
 	return out.Slice(0, d.width), nil
 }
 
-// readPatternFast decodes the next pattern with the per-K kernel.
+// readPatternFast decodes the next pattern with the plane kernel.
 // ok=false leaves the reader where it was, for the generic path: the
 // codec has no decode kernel, or the kernel met something it does not
 // vouch for (a malformed codeword, or data behind the end of what the
@@ -288,7 +288,7 @@ func (d *StreamDecoder) readPatternFast() (*bitvec.Cube, bool) {
 	}
 	care, val := d.kernelWindow()
 	d.w.reset(d.blocksPer * d.c.k)
-	pos, ok := d.c.kdec(d.c, care, val, d.r.buf.Len(), d.r.pos, d.blocksPer, &d.w)
+	pos, ok := decodeKernel(d.c, care, val, d.r.buf.Len(), d.r.pos, d.blocksPer, &d.w)
 	if !ok {
 		return nil, false
 	}
@@ -296,7 +296,7 @@ func (d *StreamDecoder) readPatternFast() (*bitvec.Cube, bool) {
 	return bitvec.NewCubeCopyWords(d.width, d.w.care, d.w.val), true
 }
 
-// appendTextFast is readPatternFast for text: the per-K text kernel
+// appendTextFast is readPatternFast for text: the codec's text kernel
 // writes the pattern's 01X bytes into dst directly from the stream
 // planes. ok=false returns dst unextended and the reader unmoved.
 func (d *StreamDecoder) appendTextFast(dst []byte) ([]byte, bool) {

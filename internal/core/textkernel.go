@@ -14,18 +14,18 @@ import (
 // shipped half goes through bitvec's nibble table. There is no plane
 // writer, no cube and no copy in between.
 //
-// The text kernels read the stream exactly as the plane kernels
-// (decodeK*) do and make exactly their validity checks — an unassigned
+// The text kernels read the stream exactly as the plane kernel
+// (decodeKernel) does and make exactly its validity checks — an unassigned
 // LUT window, a codeword whose care bits are not all ones, shipped data
 // running past the stream end — so on ok=false the caller reruns the
 // generic decoder from the same position and errors stay
 // byte-identical.
 
-// kernelText is the decode-to-text entry point installed next to
-// kernelDecode: it decodes blocks blocks from bit pos of the stream
-// planes into out, K bytes per block, and returns the new position.
-// out must hold blocks·K bytes plus 8 bytes of slack, which a kernel
-// may overwrite.
+// kernelText is the decode-to-text entry point installed on a kernel
+// codec: it decodes blocks blocks from bit pos of the stream planes
+// into out, K bytes per block, and returns the new position. out must
+// hold blocks·K bytes plus 8 bytes of slack, which a kernel may
+// overwrite.
 type kernelText func(c *Codec, scare, sval []uint64, slen, pos, blocks int, out []byte) (int, bool)
 
 // textSlack is the spare tail a kernelText may write past blocks·K.
