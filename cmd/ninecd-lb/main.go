@@ -1,10 +1,18 @@
 // Command ninecd-lb fronts a fleet of ninecd backends with
 // consistent-hash routing: every POST body is hashed and the request
-// forwarded to the ring owner of that digest, so all replays of the
+// forwarded to the ring owner of that key, so all replays of the
 // same test set land on the same backend and that backend's
 // content-addressed cache absorbs the full duplicate stream. The lb
 // speaks the existing ninecd HTTP API unchanged — clients cannot tell
 // it from a single daemon (except for the X-Backend header it adds).
+//
+// A forward costs one pass and one copy of the body: it is read once
+// into a buffer sized from Content-Length (up to 1 MiB ahead of the
+// bytes), keyed with hardware CRC-32C (hashring.HashTagged), and sent
+// to the backend from that same buffer. The key only places load; the
+// collision-resistant sha256 key is the backend cache's. A ring-aware
+// ninecdclient computes the same key, so both place a body on the same
+// backend when built from the same version.
 //
 // Usage:
 //
@@ -32,6 +40,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -142,6 +151,23 @@ type lb struct {
 	healthyGauge *obs.Gauge
 }
 
+// forwardIdlePerHost is the idle connection pool kept per backend.
+// http.DefaultTransport keeps two: with more forwards than that in
+// flight to one backend, every connection returned past the second
+// would be closed and the next forward would dial again. The lb's
+// concurrency toward a backend is set by its clients, not by a flag,
+// so the pool is sized for a busy front rather than derived from one.
+const forwardIdlePerHost = 64
+
+// forwardTransport is http.DefaultTransport with an idle pool of
+// forwardIdlePerHost connections to each of n backends.
+func forwardTransport(n int) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = n * forwardIdlePerHost
+	t.MaxIdleConnsPerHost = forwardIdlePerHost
+	return t
+}
+
 // newLB parses the backend list and assembles the routing handler.
 func newLB(backendsCSV string, vnodes int, maxBody int64, checkTimeout time.Duration) (*lb, error) {
 	var backends []string
@@ -168,7 +194,7 @@ func newLB(backendsCSV string, vnodes int, maxBody int64, checkTimeout time.Dura
 		backends: backends,
 		// Forwards inherit the inbound request context — no global
 		// timeout here; the backend owns the per-request deadline.
-		hc:           &http.Client{},
+		hc:           &http.Client{Transport: forwardTransport(len(backends))},
 		probe:        &http.Client{Timeout: checkTimeout},
 		maxBody:      maxBody,
 		reg:          reg,
@@ -238,10 +264,42 @@ func (l *lb) handleRing(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, "]}\n")
 }
 
-// forward routes one POST to the ring owner of its body digest,
-// failing over along the ring's successor order when a backend cannot
-// be reached at all. A backend that answers — with any status — ends
-// the attempt chain: its verdict is the fleet's verdict.
+// maxPresize bounds how much of a declared Content-Length readBody
+// allocates before the bytes arrive: a client may declare anything up
+// to -max-body and then send nothing, so past 1 MiB the buffer grows
+// only with what has actually been read.
+const maxPresize = 1 << 20
+
+// readBody reads the whole request body into one buffer under the
+// lb's cap: a declared length past the cap is a 413 before any byte is
+// read, a longer body a 413 once the cap is crossed, and a failed read
+// a 400 — net/http fails the read of a body that ends short of its
+// declared length with io.ErrUnexpectedEOF. Forwarding needs the body
+// whole, because a failover resends it to the next ring successor.
+func (l *lb) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > l.maxBody {
+		http.Error(w, "request body exceeds limit", http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	// ReadFrom keeps bytes.MinRead free before each read, so a buffer
+	// that fits the declared length plus MinRead never regrows.
+	buf := bytes.NewBuffer(make([]byte, 0, max(min(r.ContentLength, maxPresize), 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, l.maxBody+1)); err != nil {
+		http.Error(w, "reading request body", http.StatusBadRequest)
+		return nil, false
+	}
+	body := buf.Bytes()
+	if int64(len(body)) > l.maxBody {
+		http.Error(w, "request body exceeds limit", http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
+}
+
+// forward routes one POST to the ring owner of its body, failing over
+// along the ring's successor order when a backend cannot be reached
+// at all. A backend that answers — with any status — ends the attempt
+// chain: its verdict is the fleet's verdict.
 func (l *lb) forward(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -249,27 +307,32 @@ func (l *lb) forward(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	l.requests.Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, l.maxBody+1))
-	if err != nil {
-		http.Error(w, "reading request body", http.StatusBadRequest)
+	body, ok := l.readBody(w, r)
+	if !ok {
 		return
 	}
-	if int64(len(body)) > l.maxBody {
-		http.Error(w, "request body exceeds limit", http.StatusRequestEntityTooLarge)
-		return
-	}
-
 	// The shard key folds in the codec profile (empty for fixed-code
 	// requests, where HashTagged degenerates to Hash): a profiled
 	// encode of some body is a different response than its fixed
 	// encode, so the two must place independently or one backend's
 	// cache would interleave both families.
-	order := l.ring.PickN(hashring.HashTagged(r.Header.Get("X-Codec-Profile"), body), len(l.backends))
+	resp, backend, ok := l.forwardOrdered(w, r, hashring.HashTagged(r.Header.Get("X-Codec-Profile"), body), body)
+	if !ok {
+		return
+	}
+	relay(w, resp, backend)
+}
+
+// forwardOrdered posts body along the ring's failover order for key,
+// returning the first backend that answered. On failure it has
+// already written the 502/503 and returns ok == false.
+func (l *lb) forwardOrdered(w http.ResponseWriter, r *http.Request, key uint64, body []byte) (*http.Response, string, bool) {
+	order := l.ring.PickN(key, len(l.backends))
 	if len(order) == 0 {
 		l.noBackend.Inc()
 		w.Header().Set("Retry-After", "2")
 		http.Error(w, "no healthy backends", http.StatusServiceUnavailable)
-		return
+		return nil, "", false
 	}
 	url := r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -285,17 +348,17 @@ func (l *lb) forward(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		relay(w, resp, backend)
-		return
+		return resp, backend, true
 	}
 	l.noBackend.Inc()
 	log.Printf("ninecd-lb: all %d backends failed for %s: %v", len(order), r.URL.Path, lastErr)
 	w.Header().Set("Retry-After", "2")
 	http.Error(w, "all backends unreachable", http.StatusBadGateway)
+	return nil, "", false
 }
 
 func (l *lb) post(r *http.Request, url string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func (l *lb) handleTrain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, backend, ok := l.forwardOrdered(w, r, body)
+	resp, backend, ok := l.forwardOrdered(w, r, hashring.Hash(body), body)
 	if !ok {
 		return
 	}
@@ -173,55 +173,6 @@ func (l *lb) syncProfile(r *http.Request, trained string, canonical []byte) {
 		}
 		l.reg.Counter("ninecdlb.profile_syncs").Inc()
 	}
-}
-
-// readBody drains the request body under the lb's cap.
-func (l *lb) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, l.maxBody+1))
-	if err != nil {
-		http.Error(w, "reading request body", http.StatusBadRequest)
-		return nil, false
-	}
-	if int64(len(body)) > l.maxBody {
-		http.Error(w, "request body exceeds limit", http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	return body, true
-}
-
-// forwardOrdered posts body along the ring's failover order for its
-// digest, returning the first backend that answered. Mirrors forward's
-// transport semantics but hands the response back instead of relaying,
-// so callers can inspect it first.
-func (l *lb) forwardOrdered(w http.ResponseWriter, r *http.Request, body []byte) (*http.Response, string, bool) {
-	order := l.ring.PickN(hashring.Hash(body), len(l.backends))
-	if len(order) == 0 {
-		l.noBackend.Inc()
-		w.Header().Set("Retry-After", "2")
-		http.Error(w, "no healthy backends", http.StatusServiceUnavailable)
-		return nil, "", false
-	}
-	url := r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	var lastErr error
-	for i, backend := range order {
-		if i > 0 {
-			l.failovers.Inc()
-		}
-		resp, err := l.post(r, backend+url, body)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return resp, backend, true
-	}
-	l.noBackend.Inc()
-	log.Printf("ninecd-lb: all %d backends failed for %s: %v", len(order), r.URL.Path, lastErr)
-	w.Header().Set("Retry-After", "2")
-	http.Error(w, "all backends unreachable", http.StatusBadGateway)
-	return nil, "", false
 }
 
 // relayBytes is relay for a response whose body has already been read.

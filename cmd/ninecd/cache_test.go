@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/container"
+	"repro/internal/core"
 	"repro/internal/robust"
 )
 
@@ -153,7 +155,7 @@ func TestCachedContainerTruncationSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdc, err := codecs.getAssign(full.K, full.Assign)
+	cdc, err := core.NewWithAssignment(full.K, full.Assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +276,11 @@ func TestDecodeMultiChunkFullContainer(t *testing.T) {
 	}
 }
 
-// TestCodecTableConcurrentInit: racing first-use builds all resolve to
-// one shared codec instance, and invalid block sizes never poison the
-// table. Run with -race to make this a real check.
+// TestCodecTableConcurrentInit: concurrent requests for the -k
+// default all share one codec instance, and invalid block sizes error
+// every time. Run with -race to make this a real check.
 func TestCodecTableConcurrentInit(t *testing.T) {
-	var tbl codecTable
+	tbl := newCodecTable(8)
 	const workers = 64
 	ptrs := make([]any, workers)
 	var wg sync.WaitGroup
@@ -304,15 +306,48 @@ func TestCodecTableConcurrentInit(t *testing.T) {
 		t.Fatal("odd k accepted")
 	}
 	if _, err := tbl.get(3); err == nil {
-		t.Fatal("odd k accepted on second probe — was the error cached as a codec?")
+		t.Fatal("odd k accepted on second probe")
 	}
-	// The canonical assignment routes through the shared table; a
+	if _, err := newCodecTable(3).get(3); err == nil {
+		t.Fatal("odd -k default accepted")
+	}
+	// The canonical assignment routes through the shared codec; a
 	// non-canonical one builds fresh.
 	c1, err := tbl.getAssign(8, defaultAssign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c1 != ptrs[0] {
-		t.Fatal("getAssign(default) bypassed the shared table")
+		t.Fatal("getAssign(default) bypassed the shared codec")
+	}
+}
+
+// TestCodecTableBounded: a client sending many distinct block sizes
+// gets a correct container for each, while only the -k default is
+// kept: it stays one pointer, and every other K is built per request.
+func TestCodecTableBounded(t *testing.T) {
+	ts, s := newTestServer(t, config{CacheOff: true})
+	text := []byte(strings.ReplaceAll(sampleText(6, 90, 3), "X", "1"))
+	for k := 2; k <= 400; k += 2 {
+		resp, cont := post(t, fmt.Sprintf("%s/encode?k=%d", ts.URL, k), text)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: encode status %d: %s", k, resp.StatusCode, cont)
+		}
+		resp, out := post(t, ts.URL+"/decode", cont)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: decode status %d: %s", k, resp.StatusCode, out)
+		}
+		if want := strings.SplitN(string(text), "\n", 2)[1]; string(out) != want {
+			t.Fatalf("k=%d: round trip differs:\n%s\nwant\n%s", k, out, want)
+		}
+	}
+	def, _ := s.codecs.get(8)
+	if c, _ := s.codecs.get(8); def == nil || c != def {
+		t.Fatal("the -k default is not one shared codec")
+	}
+	c1, _ := s.codecs.get(16)
+	c2, _ := s.codecs.get(16)
+	if c1 == nil || c1 == c2 {
+		t.Fatal("a K other than -k is kept instead of built per request")
 	}
 }

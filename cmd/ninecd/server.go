@@ -29,29 +29,31 @@ import (
 // container's codec can come from the shared cache.
 var defaultAssign = core.DefaultAssignment()
 
-// codecTable reuses default-assignment codecs across requests; a Codec
-// is immutable after construction, so sharing is free. Keyed by K.
-// Frequency-directed codecs depend on per-request counts and are built
-// per request. The zero value is ready to use.
+// codecTable shares the default-assignment codec of the server's -k
+// block size across requests; a Codec is immutable after construction,
+// so sharing is free. Any other valid K is built per request, so a
+// client cycling through /encode?k= values cannot grow the server.
+// Frequency-directed and profile codecs depend on more than K and are
+// built per request too.
 type codecTable struct {
-	m sync.Map // int -> *core.Codec
+	defaultK int
+	def      *core.Codec // nil when -k is not a valid block size
 }
 
-// get returns the shared default-assignment codec for block size k,
-// building it on first use. Invalid k errors without caching. Racing
-// first-use builds may construct duplicates, but every caller —
-// including the losers — receives the single stored instance, so "the
-// codec for K" stays one pointer for the process lifetime.
+// newCodecTable builds the shared codec for defaultK. An invalid
+// defaultK is not fatal here: get reports it on each request for it.
+func newCodecTable(defaultK int) *codecTable {
+	c, _ := core.New(defaultK)
+	return &codecTable{defaultK: defaultK, def: c}
+}
+
+// get returns the default-assignment codec for block size k: the
+// shared one for the -k default, a fresh build otherwise.
 func (t *codecTable) get(k int) (*core.Codec, error) {
-	if c, ok := t.m.Load(k); ok {
-		return c.(*core.Codec), nil
+	if k == t.defaultK && t.def != nil {
+		return t.def, nil
 	}
-	c, err := core.New(k)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := t.m.LoadOrStore(k, c)
-	return actual.(*core.Codec), nil
+	return core.New(k)
 }
 
 // getAssign is get when the assignment is the canonical one, and a
@@ -62,10 +64,6 @@ func (t *codecTable) getAssign(k int, a core.Assignment) (*core.Codec, error) {
 	}
 	return core.NewWithAssignment(k, a)
 }
-
-// codecs is the process-wide table; server instances share it because
-// a default-assignment codec depends only on K.
-var codecs codecTable
 
 // textBufPool recycles the 01X emission buffers of the decode handler.
 var textBufPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -192,7 +190,8 @@ type server struct {
 	enc    *batchenc.Encoder // the encode-and-frame step
 
 	profiles *codecopt.Store // resident tuned-codec profiles (profiles.go)
-	trains   trainJobs       // async /train job registry
+	codecs   *codecTable
+	trains   trainJobs // async /train job registry
 
 	draining atomic.Bool // set by StartDrain; flips /readyz to 503
 	queued   *obs.Gauge  // requests waiting for a worker slot
@@ -228,7 +227,6 @@ func newServer(cfg config, reg *obs.Registry) *server {
 	s.prio = make(chan struct{}, cfg.PrioSlots)
 	s.queued = reg.Gauge("ninecd.queued")
 	s.heap = reg.Gauge("runtime.heap_alloc_bytes")
-	s.enc = batchenc.New(batchenc.Config{Codec: codecs.get})
 	if !cfg.CacheOff {
 		s.cache = cachex.New(cachex.Config{
 			MaxBytes: cfg.CacheBytes,
@@ -237,6 +235,8 @@ func newServer(cfg config, reg *obs.Registry) *server {
 		})
 	}
 	s.profiles = codecopt.NewStore(cfg.ProfileCap, reg)
+	s.codecs = newCodecTable(cfg.K)
+	s.enc = batchenc.New(batchenc.Config{Codec: s.codecs.get})
 	s.mux.HandleFunc("POST /encode", s.instrument("encode", true, s.guard("encode", s.handleEncode)))
 	s.mux.HandleFunc("POST /decode", s.instrument("decode", true, s.guard("decode", s.handleDecode)))
 	// Control plane: training is heavy but rare, so it rides the worker
@@ -480,7 +480,7 @@ func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		return nil
 	}
-	cdc, err := codecs.getAssign(h.K, h.Assign)
+	cdc, err := s.codecs.getAssign(h.K, h.Assign)
 	if err != nil {
 		return fmt.Errorf("%w: %v", robust.ErrCorrupt, err)
 	}

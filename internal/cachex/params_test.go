@@ -1,6 +1,10 @@
 package cachex
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
 
 // TestEncodeParamsProfileDistinctKeys is the cache/profile coherence
 // regression test: two encodes of the *identical body* under different
@@ -78,5 +82,26 @@ func TestEncodeParamsKeyAllocs(t *testing.T) {
 	// itself stays allocation-free.
 	if allocs > 1 {
 		t.Fatalf("Key allocates %.1f times per call, want <= 1", allocs)
+	}
+}
+
+// keySink keeps the benchmarked key from being optimised away.
+var keySink Key
+
+// BenchmarkEncodeParamsKey is the backend's per-request cache key:
+// sha256 over the parameters and an 01X body of each size the replay
+// corpus sends. Set it against BenchmarkHash in internal/hashring, the
+// lb's routing key over the same bodies.
+func BenchmarkEncodeParamsKey(b *testing.B) {
+	p := EncodeParams{K: 8, Name: "request"}
+	for _, kb := range []int{24, 100, 200} {
+		body := bytes.Repeat([]byte("01XX0110X1XX01X0\n"), (kb<<10)/17)
+		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keySink = p.Key(body)
+			}
+		})
 	}
 }

@@ -1,8 +1,14 @@
 // Package hashring is a consistent-hash ring with virtual nodes, the
-// routing fabric of cluster-mode ninecd: requests shard on the digest
-// of their test-set bytes, so every replay of the same set lands on
-// the same backend and that backend's content-addressed cache sees the
+// routing fabric of cluster-mode ninecd: requests shard on a hash of
+// their test-set bytes, so every replay of the same set lands on the
+// same backend and that backend's content-addressed cache sees the
 // full duplicate stream instead of 1/N of it.
+//
+// The ring key only has to be deterministic, not collision-resistant:
+// two bodies that share a key merely share a backend, which skews load
+// but never serves a wrong response (the backend's own cache key is
+// sha256, see internal/cachex). So the key is the cheapest full pass
+// over the body the hardware offers, CRC-32C.
 //
 // Each node is placed on the ring at VNodes pseudo-random points
 // (hashes of "node#i"), which evens out the keyspace split and makes
@@ -15,63 +21,50 @@ package hashring
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"sync"
 )
 
-// Hash is the ring's key hash: FNV-1a over the key bytes run through
-// a splitmix64 finalizer. Raw FNV-1a is not enough here — inputs that
+// castagnoli is the CRC-32C table; crc32.Update recognises it and runs
+// the SSE4.2/ARMv8 CRC instructions where the CPU has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// tagSep ends a routing tag: a byte outside the tag's alphabet
+// (profile IDs are hex), so a tag cannot bleed into the body bytes.
+var tagSep = []byte{0xFF}
+
+// Hash is the ring's key hash: CRC-32C over the key bytes, with the
+// key's length in the low word, run through a splitmix64 finalizer.
+// The finalizer is load-bearing. A CRC is linear, so inputs that
 // differ only near their tail (serial corpus names, neighbouring port
-// numbers in backend URLs) land within a narrow band of each other,
-// narrower than a ring arc, so whole request families collapse onto
-// one node. The full-avalanche finalizer spreads any single-bit input
+// numbers in backend URLs, "node#0".."node#63") have checksums related
+// by a fixed XOR pattern. Placed raw, whole request families would
+// fall into a band narrower than a ring arc and collapse onto one
+// node. The full-avalanche finalizer spreads any single-bit input
 // difference across all 64 output bits, which is what both key
-// placement and vnode placement actually need.
-func Hash(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return h
-}
+// placement and vnode placement need.
+func Hash(b []byte) uint64 { return HashTagged("", b) }
 
 // HashTagged is Hash with a routing tag folded in ahead of the body:
 // the same test-set bytes encoded under different codec profiles are
 // different responses, so they must be distinct ring keys or one
 // backend's cache would hold both families while its peers hold
-// neither. An empty tag is the untagged fast path — HashTagged("", b)
-// equals Hash(b) exactly, so existing placements never move.
+// neither. An empty tag is the untagged key: HashTagged("", b) equals
+// Hash(b).
+//
+// Every placement depends on this function, so a change to it moves
+// every key: an lb and a ring-aware ninecdclient built from different
+// versions disagree on placement, and backend caches re-warm once.
+// TestHashGolden pins it.
 func HashTagged(tag string, b []byte) uint64 {
-	if tag == "" {
-		return Hash(b)
+	var crc uint32
+	if tag != "" {
+		crc = crc32.Update(0, castagnoli, []byte(tag))
+		crc = crc32.Update(crc, castagnoli, tagSep)
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(tag); i++ {
-		h ^= uint64(tag[i])
-		h *= prime64
-	}
-	// Separator outside the tag's alphabet (profile IDs are hex), so a
-	// tag cannot bleed into the body bytes.
-	h ^= 0xFF
-	h *= prime64
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
+	crc = crc32.Update(crc, castagnoli, b)
+	h := uint64(crc)<<32 ^ uint64(len(b))
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27

@@ -1,6 +1,7 @@
 package hashring
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -236,5 +237,67 @@ func BenchmarkPick(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Pick(uint64(i) * 0x9E3779B97F4A7C15)
+	}
+}
+
+// TestHashGolden pins the ring key on fixed inputs. Every placement in
+// the fleet — the lb's and the ring-aware client's — is a function of
+// these values, so a change here moves every key and re-warms every
+// backend cache once; it must be deliberate.
+func TestHashGolden(t *testing.T) {
+	profile := "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+	for _, c := range []struct {
+		tag  string
+		body string
+		want uint64
+	}{
+		{"", "", 0},
+		{"", "0", 0xbc1fd868a93cfc3c},
+		{"", "01X-\n10X1\n", 0x1eaf7cf9a292b874},
+		{"", "http://127.0.0.1:9314#0", 0xc3758b8416b0bf06},
+		{profile, "", 0xa3bcf36a3055d345},
+		{profile, "01X-\n10X1\n", 0x50606c9cce7d71bf},
+	} {
+		if got := HashTagged(c.tag, []byte(c.body)); got != c.want {
+			t.Errorf("HashTagged(%q, %q) = %#x, want %#x", c.tag, c.body, got, c.want)
+		}
+		if c.tag == "" {
+			if got := Hash([]byte(c.body)); got != c.want {
+				t.Errorf("Hash(%q) = %#x, want %#x", c.body, got, c.want)
+			}
+		}
+	}
+}
+
+// TestHashTagSeparatesKeys: the tag and the length are part of the
+// key, so neither a tagged body nor one whose bytes spell out a tag
+// and separator shares a key with the plain body.
+func TestHashTagSeparatesKeys(t *testing.T) {
+	body := []byte("0101XX10\n")
+	plain := Hash(body)
+	if HashTagged("ab", body) == plain {
+		t.Fatal("tagged key equals untagged key")
+	}
+	spelled := append([]byte("ab\xff"), body...)
+	if Hash(spelled) == HashTagged("ab", body) {
+		t.Fatal("body spelling out tag+separator collides with the tagged key")
+	}
+}
+
+// hashSink keeps the benchmarked hash from being optimised away.
+var hashSink uint64
+
+// BenchmarkHash is the lb's per-request routing cost for a fixed-code
+// request: one key over 01X bodies of the sizes the replay corpus sends.
+func BenchmarkHash(b *testing.B) {
+	for _, kb := range []int{24, 100, 200} {
+		body := bytes.Repeat([]byte("01XX0110X1XX01X0\n"), (kb<<10)/17)
+		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink = Hash(body)
+			}
+		})
 	}
 }

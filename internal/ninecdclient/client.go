@@ -59,9 +59,12 @@ type Config struct {
 	// hash of their body across these daemon roots — the same placement
 	// a ninecd-lb front computes, so pointing a client directly at the
 	// backends bypasses the lb without scattering each set's duplicates
-	// across every backend cache. Retries walk the ring's failover
-	// order (owner first, then successors). Observability calls (Ready,
-	// Metrics) target BaseURL when set, else the first backend.
+	// across every backend cache. The placement is hashring.HashTagged,
+	// so it agrees with an lb built from the same version; across
+	// versions that changed the hash, backend caches re-warm once.
+	// Retries walk the ring's failover order (owner first, then
+	// successors). Observability calls (Ready, Metrics) target BaseURL
+	// when set, else the first backend.
 	Backends []string
 	// VNodes is the virtual-node count per backend for ring routing
 	// (default hashring.DefaultVNodes). Must match the lb's -vnodes for
