@@ -10,9 +10,9 @@
 // into a buffer sized from Content-Length (up to 1 MiB ahead of the
 // bytes), keyed with hardware CRC-32C (hashring.HashTagged), and sent
 // to the backend from that same buffer. The key only places load; the
-// collision-resistant sha256 key is the backend cache's. A ring-aware
-// ninecdclient computes the same key, so both place a body on the same
-// backend when built from the same version.
+// backend cache keys on a secret-keyed MAC (internal/cachex). A
+// ring-aware ninecdclient computes the same key, so both place a body
+// on the same backend when built from the same version.
 //
 // Usage:
 //

@@ -64,6 +64,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cachex"
 	"repro/internal/obs"
 	"repro/internal/robust"
 )
@@ -115,6 +116,15 @@ func realMain(args []string) (code int) {
 		return 2
 	}
 	cfg.CacheOff = !cacheOn
+	if !cfg.CacheOff {
+		// The cache key is a per-process AES-GMAC tag. Build its MAC
+		// now: a process that cannot (GCM is refused under
+		// GODEBUG=fips140=only) exits here, not with a 500 per /encode.
+		if err := cachex.CheckKey(); err != nil {
+			fmt.Fprintln(os.Stderr, "ninecd: cache:", err)
+			return 1
+		}
+	}
 
 	// The daemon always runs with telemetry on: /metrics serves the
 	// registry snapshot, and library spans/counters feed it for free.

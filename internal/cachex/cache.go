@@ -2,14 +2,14 @@
 // fleet-scale ninecd serving path. Both 9C endpoints are pure
 // functions of (input bytes, codec parameters) — the paper's encoding
 // is deterministic, and the evolutionary code-based variants share the
-// property — so a digest of the request fully identifies its response
+// property — so a key over the request fully identifies its response
 // and caching is correctness-free: a hit is byte-identical to a fresh
 // encode by construction.
 //
 // The cache is three mechanisms in one type:
 //
-//   - a sharded-mutex LRU bounded by bytes: keys spread across
-//     fixed shards by their digest, each shard owning an intrusive
+//   - a sharded-mutex LRU bounded by bytes: entries spread across
+//     fixed shards by their key, each shard owning an intrusive
 //     recency list, so concurrent hits on different shards never
 //     contend on one lock;
 //   - singleflight coalescing: N concurrent requests for the same key
@@ -19,6 +19,13 @@
 //   - telemetry: ninecd.cache.hit / .miss / .coalesced /
 //     .evicted_bytes counters and bytes/entries gauges, nil-safe so a
 //     cache built without a registry costs nothing extra.
+//
+// The key (key.go) is a keyed MAC, not a digest: one AES-GMAC pass
+// over (params, body) under an AES key drawn from crypto/rand once per
+// process. GHASH runs at memory speed on AES-NI and PCLMULQDQ hardware,
+// and a secret key keeps collisions out of an attacker's reach with no
+// stored copy of the body to compare against — an entry holds only its
+// result. KeyOf documents the collision bound.
 //
 // The hit path — KeyOf plus Get — allocates nothing (pinned by
 // AllocsPerRun in the tests), which is what lets a duplicate-heavy
@@ -35,7 +42,6 @@ package cachex
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"sync"
 
@@ -49,27 +55,8 @@ import (
 // never complete.
 var ErrComputePanicked = errors.New("cachex: compute function panicked")
 
-// Key is the content address: a SHA-256 digest over the codec
-// parameters and the input bytes. Comparable, so it indexes shard maps
-// directly with no per-lookup allocation.
-type Key [32]byte
-
-// KeyOf computes the content address of (params, body). The two parts
-// are digested separately and the pair of digests re-digested, so the
-// boundary between parameters and payload is unambiguous — no choice
-// of param bytes can collide with a body that merely contains them.
-// Allocation-free.
-func KeyOf(params, body []byte) Key {
-	pd := sha256.Sum256(params)
-	bd := sha256.Sum256(body)
-	var both [64]byte
-	copy(both[:32], pd[:])
-	copy(both[32:], bd[:])
-	return sha256.Sum256(both[:])
-}
-
 // numShards fixes the lock striping; a power of two so the shard index
-// is a mask over the digest's first byte.
+// is a mask over the key's first byte.
 const numShards = 16
 
 // entryOverhead approximates the per-entry bookkeeping (map slot, list

@@ -89,7 +89,7 @@ func TestEncodeParamsKeyAllocs(t *testing.T) {
 var keySink Key
 
 // BenchmarkEncodeParamsKey is the backend's per-request cache key:
-// sha256 over the parameters and an 01X body of each size the replay
+// one AES-GMAC tag over the parameters and an 01X body of each size the replay
 // corpus sends. Set it against BenchmarkHash in internal/hashring, the
 // lb's routing key over the same bodies.
 func BenchmarkEncodeParamsKey(b *testing.B) {

@@ -6,9 +6,9 @@
 //
 // The ring key only has to be deterministic, not collision-resistant:
 // two bodies that share a key merely share a backend, which skews load
-// but never serves a wrong response (the backend's own cache key is
-// sha256, see internal/cachex). So the key is the cheapest full pass
-// over the body the hardware offers, CRC-32C.
+// but never serves a wrong response (the backend's own cache key is a
+// secret-keyed AES-GMAC tag, see internal/cachex). So the key is the
+// cheapest full pass over the body the hardware offers, CRC-32C.
 //
 // Each node is placed on the ring at VNodes pseudo-random points
 // (hashes of "node#i"), which evens out the keyspace split and makes
