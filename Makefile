@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 ## check: the full pre-merge gate — formatting, vet, build, race tests,
 ## the campaign-equivalence smoke, telemetry smoke, the ninecd serving
 ## smoke, the seeded codec-training smoke, the seeded chaos/SLO smoke,
-## the result-cache smoke, the client resilience soak, the metric-name
+## the result-cache smoke, the client retry soak, the metric-name
 ## contract lint, the disabled-telemetry overhead guard, a short fuzz
 ## pass over every hostile-input decoder, the bench regression gate
 ## over the two newest snapshots, the bench module's own tests, and
@@ -140,11 +140,12 @@ chaos-smoke:
 cache-smoke:
 	GO="$(GO)" sh scripts/cache_smoke.sh
 
-## resilience-soak: a short -race soak of the client retry path —
-## concurrent goroutines through retrier, breaker, and limiter against
-## a misbehaving server, asserting budgets and classification.
+## resilience-soak: a short -race soak of the client's one policy, its
+## retry loop — concurrent goroutines against a misbehaving server,
+## asserting budgets and classification — plus ring failover past a
+## dead backend, at -cpu 1,2.
 resilience-soak:
-	$(GO) test -race ./internal/ninecdclient -run 'Soak' -count=1
+	$(GO) test -race -cpu 1,2 ./internal/ninecdclient -run 'Soak|RingRoutingFailsOver' -count=1
 
 ## metriclint: enforce the metric-name contract — dot-separated
 ## lowercase names whose Prometheus mapping is stable and

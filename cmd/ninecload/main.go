@@ -1,6 +1,6 @@
 // Command ninecload is the SLO harness for ninecd: it replays a mixed
 // encode/decode workload against a live daemon — optionally through
-// the seeded chaos proxy — using the resilient ninecdclient, then
+// the seeded chaos proxy — using the retrying ninecdclient, then
 // asserts service-level objectives against both its own client-observed
 // numbers and the daemon's /metrics.
 //
@@ -47,7 +47,6 @@ import (
 	"repro/internal/inject"
 	"repro/internal/ninecdclient"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/tcube"
 )
 
@@ -86,8 +85,6 @@ type options struct {
 	retries        int
 	budget         time.Duration
 	attemptTimeout time.Duration
-	hedge          time.Duration
-	rate           float64
 
 	sloP99     time.Duration
 	sloSuccess float64
@@ -121,8 +118,6 @@ func realMain(args []string, out io.Writer) int {
 	fs.IntVar(&o.retries, "retries", 5, "max attempts per request")
 	fs.DurationVar(&o.budget, "budget", 10*time.Second, "overall retry budget per request")
 	fs.DurationVar(&o.attemptTimeout, "attempt-timeout", 2*time.Second, "per-attempt deadline")
-	fs.DurationVar(&o.hedge, "hedge", 0, "hedge delay for decode requests (0 = off)")
-	fs.Float64Var(&o.rate, "rate", 0, "client-side request rate limit in req/s (0 = unlimited)")
 	fs.DurationVar(&o.sloP99, "slo-p99", 0, "client-observed p99 latency objective (0 = skip)")
 	fs.Float64Var(&o.sloSuccess, "slo-success", 0.99, "required success fraction after retries")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the report as JSON")
@@ -138,8 +133,8 @@ func realMain(args []string, out io.Writer) int {
 		return 2
 	}
 
-	// The harness's own registry collects the client's resilience
-	// counters (retries, recoveries, hedges) for the report.
+	// The harness's own registry collects the client's retry counters
+	// (retries, recoveries, budget denials) for the report.
 	reg := obs.NewRegistry()
 	obs.Enable(reg)
 	defer obs.Disable()
@@ -198,15 +193,12 @@ func run(o options, reg *obs.Registry) (*report, error) {
 		// where connection setup would otherwise dominate the cache-hit
 		// path being measured.
 		HTTPClient: &http.Client{Transport: &http.Transport{DisableKeepAlives: !o.keepalive}},
-		Retry: resilience.Policy{
+		Retry: ninecdclient.Policy{
 			MaxAttempts:    o.retries,
 			AttemptTimeout: o.attemptTimeout,
 			Budget:         o.budget,
 		},
-		Seed:       o.seed,
-		HedgeDelay: o.hedge,
-		Rate:       o.rate,
-		Burst:      o.c,
+		Seed: o.seed,
 	})
 	if err != nil {
 		return nil, err

@@ -164,6 +164,10 @@ func TestChaosPathRecovers(t *testing.T) {
 	if rep.Proxy == nil || rep.Proxy.Conns == 0 {
 		t.Fatal("chaos run reported no proxied connections")
 	}
+	// The run must exercise the retry path it claims to test.
+	if rep.Proxy.Resets < 1 || rep.Retries < 1 {
+		t.Fatalf("resets=%d retries=%d, want at least one of each", rep.Proxy.Resets, rep.Retries)
+	}
 	if rep.Unclassified != 0 {
 		t.Fatalf("%d unclassified errors under chaos", rep.Unclassified)
 	}
@@ -200,5 +204,21 @@ func TestTextReport(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestOverrunCountsFailedCalls: a call that ran far past its budget is
+// an overrun violation even when it failed, so the check cannot miss
+// the calls most likely to overrun.
+func TestOverrunCountsFailedCalls(t *testing.T) {
+	o := options{budget: time.Second, attemptTimeout: time.Second}
+	samples := []sample{
+		{op: "encode", dur: 10 * time.Millisecond},
+		{op: "decode", dur: time.Minute, class: "deadline"},
+	}
+	rep := buildReport(o, samples, time.Minute, obs.NewRegistry())
+	joined := strings.Join(rep.Violations, "; ")
+	if !strings.Contains(joined, "overran the 1s retry budget") {
+		t.Fatalf("violations = %v, want a budget overrun", rep.Violations)
 	}
 }

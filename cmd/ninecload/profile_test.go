@@ -20,14 +20,16 @@ import (
 // profiledStub speaks the daemon's profile surface using the same
 // internal kernels (codecopt.Search, batchenc) the real daemon uses,
 // so ninecload's -profile path is tested against honest bytes without
-// booting the full server.
+// booting the full server. A non-empty id replaces the trained
+// profile's content address as the ID /train reports and /encode
+// accepts.
 type profiledStub struct {
 	mu       sync.Mutex
 	profiles map[string]codecopt.Profile
 	missing  int // encodes that arrived without X-Codec-Profile
 }
 
-func newProfiledStub(t *testing.T) (*httptest.Server, *profiledStub) {
+func newProfiledStub(t *testing.T, id string) (*httptest.Server, *profiledStub) {
 	t.Helper()
 	st := &profiledStub{profiles: map[string]codecopt.Profile{}}
 	enc := batchenc.New(batchenc.Config{})
@@ -49,6 +51,9 @@ func newProfiledStub(t *testing.T) (*httptest.Server, *profiledStub) {
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
+		}
+		if id != "" {
+			rep.ProfileID = id
 		}
 		st.mu.Lock()
 		st.profiles[rep.ProfileID] = rep.Profile
@@ -103,7 +108,7 @@ func newProfiledStub(t *testing.T) (*httptest.Server, *profiledStub) {
 // carries the trained profile, and -verify holds the responses to the
 // local profiled reference byte for byte.
 func TestProfileReplayVerifies(t *testing.T) {
-	ts, st := newProfiledStub(t)
+	ts, st := newProfiledStub(t, "")
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "40", "-c", "4", "-seed", "9",
@@ -148,5 +153,23 @@ func TestProfileModeTrainFailureIsSetupError(t *testing.T) {
 	code := realMain([]string{"-addr", ts.URL, "-n", "5", "-c", "1", "-profile", "-json"}, &out)
 	if code != 2 {
 		t.Fatalf("exit %d, want 2 (setup failure): %s", code, out.String())
+	}
+}
+
+// TestTextReportShortProfileID: the text report prints the trained
+// profile ID as the daemon sent it, even one shorter than the 12
+// characters it shortens long IDs to.
+func TestTextReportShortProfileID(t *testing.T) {
+	ts, _ := newProfiledStub(t, "p1")
+	var out bytes.Buffer
+	code := realMain([]string{
+		"-addr", ts.URL, "-n", "8", "-c", "2", "-seed", "9",
+		"-corpus", "2", "-profile", "-verify",
+	}, &out)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, out.String())
+	}
+	if !bytes.Contains(out.Bytes(), []byte("  profile  p1 uplift=")) {
+		t.Fatalf("report missing the short profile line:\n%s", out.String())
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // sample is one request as the client observed it: duration including
-// every retry and hedge, and the error taxonomy class on failure.
+// every retry, and the error taxonomy class on failure.
 type sample struct {
 	op     string
 	dur    time.Duration
@@ -20,7 +20,7 @@ type sample struct {
 }
 
 // report is the harness verdict: client-observed latency and goodput,
-// the error taxonomy, the client's own resilience counters, the chaos
+// the error taxonomy, the client's own retry counters, the chaos
 // proxy's fault ledger, and the daemon-side evidence — plus the list of
 // SLO violations (empty means exit 0).
 type report struct {
@@ -40,7 +40,6 @@ type report struct {
 
 	Retries      int64 `json:"retries"`
 	Recovered    int64 `json:"recovered"`
-	Hedges       int64 `json:"hedges"`
 	BudgetDenied int64 `json:"budget_denied"`
 
 	ByClass      map[string]int64 `json:"errors_by_class,omitempty"`
@@ -97,7 +96,9 @@ func buildReport(o options, samples []sample, elapsed time.Duration, reg *obs.Re
 		WallClockMs: ms(elapsed),
 	}
 	var okDurs []time.Duration
+	var slowest time.Duration // over every sample, failed ones too
 	for _, s := range samples {
+		slowest = max(slowest, s.dur)
 		if s.op == "decode" {
 			rep.Decodes++
 		} else {
@@ -126,7 +127,6 @@ func buildReport(o options, samples []sample, elapsed time.Duration, reg *obs.Re
 	for _, route := range []string{"ninecd.encode", "ninecd.decode"} {
 		rep.Retries += reg.Counter("resilience." + route + ".retries").Value()
 		rep.Recovered += reg.Counter("resilience." + route + ".recovered").Value()
-		rep.Hedges += reg.Counter("resilience." + route + ".hedges").Value()
 		rep.BudgetDenied += reg.Counter("resilience." + route + ".budget_exhausted").Value()
 	}
 
@@ -151,10 +151,11 @@ func buildReport(o options, samples []sample, elapsed time.Duration, reg *obs.Re
 			fmt.Sprintf("client p99 %.1fms exceeds objective %v", rep.P99Ms, o.sloP99))
 	}
 	// A request that ran past its budget (plus scheduling slack) means
-	// the retrier's deadline accounting is broken — always a violation.
-	if slack := o.budget + o.attemptTimeout + 2*time.Second; o.budget > 0 && rep.MaxMs > ms(slack) {
+	// the retry loop's deadline accounting is broken — always a
+	// violation, whether the call then succeeded or failed.
+	if slack := o.budget + o.attemptTimeout + 2*time.Second; o.budget > 0 && slowest > slack {
 		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("slowest call %.1fms overran the %v retry budget", rep.MaxMs, o.budget))
+			fmt.Sprintf("slowest call %.1fms overran the %v retry budget", ms(slowest), o.budget))
 	}
 	return rep
 }
@@ -165,8 +166,8 @@ func (r *report) writeText(w io.Writer) {
 	fmt.Fprintf(w, "  latency  p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n",
 		r.P50Ms, r.P95Ms, r.P99Ms, r.MaxMs)
 	fmt.Fprintf(w, "  goodput  %.1f req/s\n", r.GoodputRPS)
-	fmt.Fprintf(w, "  client   retries=%d recovered=%d hedges=%d budget_denied=%d\n",
-		r.Retries, r.Recovered, r.Hedges, r.BudgetDenied)
+	fmt.Fprintf(w, "  client   retries=%d recovered=%d budget_denied=%d\n",
+		r.Retries, r.Recovered, r.BudgetDenied)
 	if len(r.ByClass) > 0 {
 		fmt.Fprintf(w, "  errors  ")
 		classes := make([]string, 0, len(r.ByClass))
@@ -184,8 +185,13 @@ func (r *report) writeText(w io.Writer) {
 			r.Proxy.Conns, r.Proxy.Resets, r.Proxy.SlowLoris, r.Proxy.Truncates, r.Proxy.Duplicates)
 	}
 	fmt.Fprintf(w, "  daemon   panics=%d 5xx=%d\n", r.DaemonPanics, r.Daemon5xx)
-	if r.TrainedProfile != "" {
-		fmt.Fprintf(w, "  profile  %s uplift=%.2fpp\n", r.TrainedProfile[:12], r.TrainUpliftPct)
+	if id := r.TrainedProfile; id != "" {
+		// The ID is whatever the daemon's /train reply carried, which
+		// may be shorter than the 12 characters shown.
+		if len(id) > 12 {
+			id = id[:12]
+		}
+		fmt.Fprintf(w, "  profile  %s uplift=%.2fpp\n", id, r.TrainUpliftPct)
 	}
 	if r.CacheHits+r.CacheMisses > 0 {
 		fmt.Fprintf(w, "  cache    hits=%d misses=%d coalesced=%d hit_ratio=%.3f\n",

@@ -1,8 +1,9 @@
-// Package ninecdclient is the resilient Go client for the ninecd HTTP
-// API: it wraps /encode and /decode with the internal/resilience
-// policies — seeded full-jitter retry under a deadline budget, a
-// failure-rate circuit breaker, a client-side token-bucket limiter,
-// and hedged requests for the idempotent decode path.
+// Package ninecdclient is the retrying Go client for the ninecd HTTP
+// API. It has one policy: /encode and /decode run under a seeded
+// full-jitter retry loop with a per-attempt timeout and a hard deadline
+// budget, and with Config.Backends each retry walks the consistent-hash
+// ring's failover order, so a dead backend costs one attempt rather
+// than the call.
 //
 // Retry semantics follow the daemon's status contract: 400 and 413
 // responses are the caller's own fault and never retry; 429 and 503
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -31,7 +33,6 @@ import (
 
 	"repro/internal/hashring"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // normalizeBase canonicalizes a daemon root: trimmed, no trailing
@@ -73,40 +74,23 @@ type Config struct {
 	// HTTPClient overrides the transport (default: a fresh http.Client;
 	// per-attempt deadlines come from Retry.AttemptTimeout).
 	HTTPClient *http.Client
-	// Retry is the backoff policy (defaults per resilience.Policy).
-	Retry resilience.Policy
+	// Retry is the backoff policy (defaults per Policy).
+	Retry Policy
 	// Seed determines the jitter stream; same seed, same delays.
 	Seed int64
-	// Breaker is the circuit-breaker policy; DisableBreaker turns the
-	// breaker off entirely.
-	Breaker        resilience.BreakerConfig
-	DisableBreaker bool
-	// Rate/Burst configure the client-side token bucket limiter in
-	// requests/second (Rate <= 0 = unlimited).
-	Rate  float64
-	Burst int
-	// HedgeDelay arms request hedging on Decode (idempotent): when an
-	// attempt has not answered after this long, up to HedgeMax extra
-	// attempts race it (HedgeMax default 1). 0 disables hedging.
-	HedgeDelay time.Duration
-	HedgeMax   int
-	// MaxErrorBody caps how many bytes of an error response body are
-	// retained on an HTTPError (default 4096).
-	MaxErrorBody int64
 }
+
+// maxErrorBody caps how many bytes of an error response body are
+// retained on an HTTPError.
+const maxErrorBody = 4096
 
 // Client talks to one ninecd instance — or, with Config.Backends, to a
 // consistent-hash ring of them. Safe for concurrent use.
 type Client struct {
-	base       string
-	ring       *hashring.Ring
-	hc         *http.Client
-	retr       *resilience.Retrier
-	breaker    *resilience.Breaker
-	limiter    *resilience.Limiter
-	hedgeDelay time.Duration
-	hedgeMax   int
-	maxErrBody int64
+	base string
+	ring *hashring.Ring
+	hc   *http.Client
+	retr *retrier
 }
 
 // New validates cfg and builds a Client.
@@ -144,37 +128,13 @@ func New(cfg Config) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	var breaker *resilience.Breaker
-	if !cfg.DisableBreaker {
-		bc := cfg.Breaker
-		if bc.Name == "" {
-			bc.Name = "ninecd_client"
-		}
-		breaker = resilience.NewBreaker(bc)
-	}
-	hedgeMax := cfg.HedgeMax
-	if hedgeMax <= 0 {
-		hedgeMax = 1
-	}
-	maxErrBody := cfg.MaxErrorBody
-	if maxErrBody <= 0 {
-		maxErrBody = 4096
-	}
 	return &Client{
-		base:       base,
-		ring:       ring,
-		hc:         hc,
-		retr:       resilience.NewRetrier(cfg.Retry, ClassifyRetry, cfg.Seed),
-		breaker:    breaker,
-		limiter:    resilience.NewLimiter(cfg.Rate, cfg.Burst),
-		hedgeDelay: cfg.HedgeDelay,
-		hedgeMax:   hedgeMax,
-		maxErrBody: maxErrBody,
+		base: base,
+		ring: ring,
+		hc:   hc,
+		retr: newRetrier(cfg.Retry, cfg.Seed),
 	}, nil
 }
-
-// BreakerState reports the circuit state (Closed when disabled).
-func (c *Client) BreakerState() resilience.BreakerState { return c.breaker.State() }
 
 // baseFor resolves the daemon root for one attempt at a request whose
 // body hashes to h. Without ring routing every attempt goes to the
@@ -215,40 +175,36 @@ func (e *HTTPError) Error() string {
 	return msg
 }
 
-// ClassifyRetry is the retry policy over client errors, exported so
-// callers composing their own Retrier keep the same semantics:
+// ClassifyRetry is the client's retry verdict on one failed attempt:
+// whether to retry, and the server-directed minimum wait (a parsed
+// Retry-After) that floors the jittered backoff.
 //   - 429/503 retry, honoring Retry-After
 //   - 502/504 (a fronting proxy's trouble) retry
 //   - every other HTTP status is a terminal verdict: 400/413 mean the
 //     request itself is bad, 500 means a daemon bug worth surfacing
-//   - a short-circuited breaker retries (the backoff waits out the
-//     open window)
 //   - context cancellation/expiry never retries
 //   - everything else is transport-level (reset, refused, truncated)
 //     and retries: both endpoints are pure, so replay is safe
-func ClassifyRetry(err error) resilience.Decision {
+func ClassifyRetry(err error) (retry bool, after time.Duration) {
 	var he *HTTPError
 	if errors.As(err, &he) {
 		switch he.Status {
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			return resilience.Decision{Retry: true, After: he.RetryAfter}
+			return true, he.RetryAfter
 		case http.StatusBadGateway, http.StatusGatewayTimeout:
-			return resilience.Decision{Retry: true}
+			return true, 0
 		}
-		return resilience.Decision{}
-	}
-	if errors.Is(err, resilience.ErrBreakerOpen) {
-		return resilience.Decision{Retry: true}
+		return false, 0
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return resilience.Decision{}
+		return false, 0
 	}
-	return resilience.Decision{Retry: true}
+	return true, 0
 }
 
 // ErrorClass labels err with a stable operator-facing class. Every
-// failure mode the daemon, the resilience layer, or the Go transport
-// can produce maps to a known label; "unclassified" is reserved for
+// failure mode the daemon, the retry loop, or the Go transport can
+// produce maps to a known label; "unclassified" is reserved for
 // genuinely novel failures and load harnesses assert it never appears.
 func ErrorClass(err error) string {
 	if err == nil {
@@ -262,8 +218,6 @@ func ErrorClass(err error) string {
 		return "http_" + strconv.Itoa(he.Status)
 	}
 	switch {
-	case errors.Is(err, resilience.ErrBreakerOpen):
-		return "breaker_open"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
 	case errors.Is(err, context.Canceled):
@@ -284,27 +238,33 @@ func ErrorClass(err error) string {
 	// The Go HTTP transport reports several chaos-visible failures as
 	// fmt.Errorf strings with no sentinel to errors.Is against; match
 	// the stable message fragments so chaos runs stay fully classified.
+	// The first matching fragment wins, so the more specific ones come
+	// first: `malformed HTTP response "EOF"` is malformed, not eof.
 	msg := err.Error()
-	for frag, class := range map[string]string{
-		"connection reset":       "conn_reset",
-		"connection refused":     "conn_refused",
-		"broken pipe":            "broken_pipe",
-		"EOF":                    "eof",
-		"malformed HTTP":         "malformed_response",
-		"bad chunk":              "malformed_response",
-		"server closed":          "server_closed",
-		"body length mismatch":   "truncated_response",
-		"unexpected content":     "malformed_response",
-		"timeout":                "timeout",
-		"deadline":               "deadline",
-		"no such host":           "dns",
-		"network is unreachable": "unreachable",
-	} {
-		if strings.Contains(msg, frag) {
-			return class
+	for _, f := range messageClasses {
+		if strings.Contains(msg, f.frag) {
+			return f.class
 		}
 	}
 	return "unclassified"
+}
+
+// messageClasses maps transport error message fragments to classes,
+// most specific first (see ErrorClass).
+var messageClasses = []struct{ frag, class string }{
+	{"malformed HTTP", "malformed_response"},
+	{"bad chunk", "malformed_response"},
+	{"unexpected content", "malformed_response"},
+	{"body length mismatch", "truncated_response"},
+	{"server closed", "server_closed"},
+	{"connection reset", "conn_reset"},
+	{"connection refused", "conn_refused"},
+	{"broken pipe", "broken_pipe"},
+	{"no such host", "dns"},
+	{"network is unreachable", "unreachable"},
+	{"timeout", "timeout"},
+	{"deadline", "deadline"},
+	{"EOF", "eof"},
 }
 
 // EncodeResult is a successful /encode response.
@@ -363,12 +323,9 @@ func (c *Client) EncodeWith(ctx context.Context, opts EncodeOpts, text []byte) (
 		hdr = http.Header{"X-Codec-Profile": []string{opts.Profile}}
 	}
 	h := hashring.HashTagged(opts.Profile, text)
-	attempt := 0
 	var res *EncodeResult
-	err := c.retr.Do(ctx, "ninecd.encode", func(ctx context.Context) error {
-		base := c.baseFor(h, attempt)
-		attempt++
-		body, rh, err := c.roundTrip(ctx, base, path, "text/plain; charset=utf-8", hdr, text)
+	err := c.retr.do(ctx, "ninecd.encode", func(ctx context.Context, try int) error {
+		body, rh, err := c.roundTrip(ctx, c.baseFor(h, try), path, "text/plain; charset=utf-8", hdr, text)
 		if err != nil {
 			return err
 		}
@@ -455,26 +412,12 @@ func (c *Client) ProfileText(ctx context.Context, id string) ([]byte, error) {
 }
 
 // Decode posts a container (any version) and returns the decoded 01X
-// text. Decode is idempotent, so when HedgeDelay is armed each retry
-// attempt may race a hedge against a stalled primary.
+// text, retrying under the client's policy.
 func (c *Client) Decode(ctx context.Context, cont []byte) ([]byte, error) {
 	h := hashring.Hash(cont)
-	attempt := 0
 	var out []byte
-	err := c.retr.Do(ctx, "ninecd.decode", func(ctx context.Context) error {
-		base := c.baseFor(h, attempt)
-		attempt++
-		body, err := resilience.Hedged(ctx, "ninecd.decode", c.hedgeDelay, c.hedgeMax,
-			func(ctx context.Context, hedge int) ([]byte, error) {
-				// A hedge races the stalled primary from the next ring
-				// position — same failover order the retry path walks.
-				hb := base
-				if hedge > 0 {
-					hb = c.baseFor(h, attempt-1+hedge)
-				}
-				b, _, err := c.roundTrip(ctx, hb, "/decode", "application/octet-stream", nil, cont)
-				return b, err
-			})
+	err := c.retr.do(ctx, "ninecd.decode", func(ctx context.Context, try int) error {
+		body, _, err := c.roundTrip(ctx, c.baseFor(h, try), "/decode", "application/octet-stream", nil, cont)
 		if err != nil {
 			return err
 		}
@@ -509,7 +452,7 @@ func (c *Client) Metrics(ctx context.Context) (*obs.PromScrape, error) {
 }
 
 // get is a plain single-shot GET (observability endpoints are probes,
-// not workloads: no retry, no breaker, no limiter).
+// not workloads: no retry).
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
@@ -526,33 +469,12 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// roundTrip performs one POST attempt under the limiter and breaker,
-// returning the full response body on 200 and a classified error
-// otherwise. The body is rebuilt from the byte slice per attempt, so
-// retries and hedges never share a consumed reader. extra carries
-// request headers beyond Content-Type (nil for none).
+// roundTrip performs one POST attempt, returning the full response
+// body on 200 and a classified error otherwise. The body is rebuilt
+// from the byte slice per attempt, so retries never share a consumed
+// reader. extra carries request headers beyond Content-Type (nil for
+// none).
 func (c *Client) roundTrip(ctx context.Context, base, path, contentType string, extra http.Header, body []byte) ([]byte, http.Header, error) {
-	if err := c.limiter.Wait(ctx); err != nil {
-		return nil, nil, err
-	}
-	done, err := c.breaker.Allow()
-	if err != nil {
-		return nil, nil, err
-	}
-	b, hdr, err := c.post(ctx, base, path, contentType, extra, body)
-	// Only daemon-side pressure and transport loss count against the
-	// breaker; a 400/413 verdict on this request's own bytes says
-	// nothing about the server's health.
-	var he *HTTPError
-	if err != nil && errors.As(err, &he) && he.Status < 500 && he.Status != http.StatusTooManyRequests {
-		done(true)
-	} else {
-		done(err == nil)
-	}
-	return b, hdr, err
-}
-
-func (c *Client) post(ctx context.Context, base, path, contentType string, extra http.Header, body []byte) ([]byte, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
@@ -579,11 +501,7 @@ func (c *Client) post(ctx context.Context, base, path, contentType string, extra
 // httpError drains a bounded prefix of an error response into an
 // *HTTPError, parsing Retry-After and X-Error-Class.
 func (c *Client) httpError(resp *http.Response) error {
-	limit := c.maxErrBody
-	if limit <= 0 {
-		limit = 4096
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, limit))
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	he := &HTTPError{
 		Status: resp.StatusCode,
 		Class:  resp.Header.Get("X-Error-Class"),
@@ -601,16 +519,23 @@ func (c *Client) httpError(resp *http.Response) error {
 // (equally valid on the wire) had its advice silently dropped and the
 // retrier fell back to blind backoff — often hammering a server that
 // had named an exact reopening time. A negative delay or a date in the
-// past clamps to zero (retry immediately); a value in neither form
-// reports false and the caller keeps its own schedule.
+// past clamps to zero (retry immediately); a delay too long for a
+// time.Duration clamps to the largest one, so a budgeted retry loop
+// gives up rather than wrapping negative and retrying at once; a
+// value in neither form reports false and the caller keeps its own
+// schedule.
 func parseRetryAfter(raw string, now time.Time) (time.Duration, bool) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(raw); err == nil {
-		if secs < 0 {
+	// ParseInt saturates on overflow and says so with ErrRange.
+	if secs, err := strconv.ParseInt(raw, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs < 0:
 			return 0, true
+		case secs > int64(math.MaxInt64/time.Second):
+			return math.MaxInt64, true
 		}
 		return time.Duration(secs) * time.Second, true
 	}

@@ -1,26 +1,28 @@
-package resilience
+package ninecdclient
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 )
 
+// errFlaky is a transport-shaped failure: ClassifyRetry retries it.
 var errFlaky = errors.New("flaky")
 
 // TestBackoffDeterministic: two retriers with the same seed draw the
 // same jitter sequence; a different seed draws a different one.
 func TestBackoffDeterministic(t *testing.T) {
 	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second}
-	a := NewRetrier(p, nil, 42)
-	b := NewRetrier(p, nil, 42)
-	c := NewRetrier(p, nil, 43)
+	a := newRetrier(p, 42)
+	b := newRetrier(p, 42)
+	c := newRetrier(p, 43)
 	var sameAsC int
 	for i := 1; i <= 32; i++ {
-		da, db, dc := a.Backoff(i), b.Backoff(i), c.Backoff(i)
+		da, db, dc := a.backoff(i), b.backoff(i), c.backoff(i)
 		if da != db {
 			t.Fatalf("attempt %d: same seed diverged: %v vs %v", i, da, db)
 		}
@@ -33,18 +35,18 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestBackoffCeilings: every draw respects the per-attempt ceiling and
-// the MaxDelay cap.
+// TestBackoffCeilings: every draw respects the per-attempt ceiling,
+// which doubles from BaseDelay, and the MaxDelay cap.
 func TestBackoffCeilings(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2}
-	r := NewRetrier(p, nil, 7)
+	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
+	r := newRetrier(p, 7)
 	for attempt := 1; attempt <= 10; attempt++ {
 		ceil := 10 * time.Millisecond << (attempt - 1)
 		if ceil > 80*time.Millisecond {
 			ceil = 80 * time.Millisecond
 		}
 		for i := 0; i < 100; i++ {
-			if d := r.Backoff(attempt); d < 0 || d >= ceil {
+			if d := r.backoff(attempt); d < 0 || d >= ceil {
 				t.Fatalf("attempt %d: draw %v outside [0, %v)", attempt, d, ceil)
 			}
 		}
@@ -52,17 +54,21 @@ func TestBackoffCeilings(t *testing.T) {
 }
 
 // TestDoRetriesUntilSuccess: transient failures retry, the recovery is
-// reported as success, and the sleep sequence replays from the seed.
+// reported as success, each attempt sees its 0-based index, and the
+// sleep sequence replays from the seed.
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	run := func(seed int64) []time.Duration {
-		r := NewRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}, nil, seed)
+		r := newRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}, seed)
 		var slept []time.Duration
 		r.sleep = func(_ context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
 		}
 		calls := 0
-		err := r.Do(context.Background(), "test", func(context.Context) error {
+		err := r.do(context.Background(), "test", func(_ context.Context, try int) error {
+			if try != calls {
+				t.Fatalf("call %d got try index %d", calls, try)
+			}
 			calls++
 			if calls < 4 {
 				return errFlaky
@@ -70,7 +76,7 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("Do: %v", err)
+			t.Fatalf("do: %v", err)
 		}
 		if calls != 4 {
 			t.Fatalf("calls = %d, want 4", calls)
@@ -82,30 +88,27 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 	}
 }
 
-// TestDoNonRetryable: a classifier veto returns the error unwrapped,
+// TestDoNonRetryable: a terminal verdict (a 400) is returned unwrapped,
 // after exactly one attempt.
 func TestDoNonRetryable(t *testing.T) {
-	fatal := errors.New("fatal")
-	classify := func(err error) Decision {
-		return Decision{Retry: !errors.Is(err, fatal)}
-	}
-	r := NewRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}, classify, 1)
+	fatal := &HTTPError{Status: 400, Class: "corrupt"}
+	r := newRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}, 1)
 	calls := 0
-	err := r.Do(context.Background(), "test", func(context.Context) error {
+	err := r.do(context.Background(), "test", func(context.Context, int) error {
 		calls++
 		return fatal
 	})
-	if !errors.Is(err, fatal) || calls != 1 {
-		t.Fatalf("err=%v calls=%d, want the fatal error after 1 call", err, calls)
+	if err != error(fatal) || calls != 1 {
+		t.Fatalf("err=%v calls=%d, want the 400 unwrapped after 1 call", err, calls)
 	}
 }
 
 // TestDoAttemptsExhausted: MaxAttempts failures wrap the last error in
 // ErrAttemptsExhausted, still reachable through errors.Is.
 func TestDoAttemptsExhausted(t *testing.T) {
-	r := NewRetrier(Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}, nil, 1)
+	r := newRetrier(Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}, 1)
 	calls := 0
-	err := r.Do(context.Background(), "test", func(context.Context) error {
+	err := r.do(context.Background(), "test", func(context.Context, int) error {
 		calls++
 		return errFlaky
 	})
@@ -117,41 +120,42 @@ func TestDoAttemptsExhausted(t *testing.T) {
 	}
 }
 
-// TestDoRetryAfterFloor: a server-directed After lifts the wait above
-// the jittered draw.
+// TestDoRetryAfterFloor: a 503's Retry-After lifts the wait above the
+// jittered draw.
 func TestDoRetryAfterFloor(t *testing.T) {
-	classify := func(error) Decision { return Decision{Retry: true, After: 250 * time.Millisecond} }
-	r := NewRetrier(Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}, classify, 1)
+	r := newRetrier(Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}, 1)
 	var slept time.Duration
 	r.sleep = func(_ context.Context, d time.Duration) error {
 		slept = d
 		return nil
 	}
-	r.Do(context.Background(), "test", func(context.Context) error { return errFlaky })
+	r.do(context.Background(), "test", func(context.Context, int) error {
+		return &HTTPError{Status: 503, RetryAfter: 250 * time.Millisecond}
+	})
 	if slept != 250*time.Millisecond {
 		t.Fatalf("slept %v, want the 250ms Retry-After floor", slept)
 	}
 }
 
-// TestDoBudgetNeverExceeded drives many concurrent Do calls against an
+// TestDoBudgetNeverExceeded drives many concurrent calls against an
 // always-failing op under the race detector and asserts no call ever
 // overruns its budget (plus scheduling slack) — the wall-clock
-// contract the ninecd client depends on.
+// contract ninecload's overrun check depends on.
 func TestDoBudgetNeverExceeded(t *testing.T) {
 	const budget = 100 * time.Millisecond
-	r := NewRetrier(Policy{
+	r := newRetrier(Policy{
 		MaxAttempts: 1000, // budget, not attempts, must be the binding constraint
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    40 * time.Millisecond,
 		Budget:      budget,
-	}, nil, 7)
+	}, 7)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			start := time.Now()
-			err := r.Do(context.Background(), "soak", func(ctx context.Context) error {
+			err := r.do(context.Background(), "soak", func(context.Context, int) error {
 				return errFlaky
 			})
 			elapsed := time.Since(start)
@@ -165,59 +169,47 @@ func TestDoBudgetNeverExceeded(t *testing.T) {
 			// Generous slack: the contract is "never starts a sleep that
 			// would overrun", so the overshoot is bounded by one attempt.
 			if elapsed > budget+80*time.Millisecond {
-				t.Errorf("Do ran %v, budget %v", elapsed, budget)
+				t.Errorf("do ran %v, budget %v", elapsed, budget)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestDoBudgetStopsBeforeSleep: the retrier refuses to start a sleep
-// that would overrun the budget, reporting ErrBudgetExhausted rather
-// than sleeping into the deadline.
+// TestDoBudgetStopsBeforeSleep: the loop refuses to start a sleep that
+// would overrun the budget — here a 503 asking for an hour, or for the
+// clamped longest delay a huge Retry-After parses to — reporting
+// ErrBudgetExhausted rather than sleeping into the deadline.
 func TestDoBudgetStopsBeforeSleep(t *testing.T) {
-	classify := func(error) Decision { return Decision{Retry: true, After: time.Hour} }
-	r := NewRetrier(Policy{MaxAttempts: 10, Budget: 50 * time.Millisecond}, classify, 1)
-	slept := false
-	r.sleep = func(_ context.Context, d time.Duration) error {
-		slept = true
-		return nil
-	}
-	err := r.Do(context.Background(), "test", func(context.Context) error { return errFlaky })
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if slept {
-		t.Fatal("retrier slept into a budget it could not afford")
-	}
-}
-
-// TestNilRetrier: the nil retrier runs the op exactly once.
-func TestNilRetrier(t *testing.T) {
-	var r *Retrier
-	calls := 0
-	err := r.Do(context.Background(), "test", func(context.Context) error {
-		calls++
-		return errFlaky
-	})
-	if !errors.Is(err, errFlaky) || calls != 1 {
-		t.Fatalf("nil retrier: err=%v calls=%d", err, calls)
-	}
-	if d := r.Backoff(3); d != 0 {
-		t.Fatalf("nil Backoff = %v", d)
+	for _, after := range []time.Duration{time.Hour, math.MaxInt64} {
+		r := newRetrier(Policy{MaxAttempts: 10, Budget: 50 * time.Millisecond}, 1)
+		slept := false
+		r.sleep = func(_ context.Context, d time.Duration) error {
+			slept = true
+			return nil
+		}
+		err := r.do(context.Background(), "test", func(context.Context, int) error {
+			return &HTTPError{Status: 503, RetryAfter: after}
+		})
+		if !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("Retry-After %v: err = %v, want ErrBudgetExhausted", after, err)
+		}
+		if slept {
+			t.Fatalf("Retry-After %v: retry loop slept into a budget it could not afford", after)
+		}
 	}
 }
 
 // TestDoCancelDuringBackoff: a context cancelled mid-backoff surfaces
 // both the cancellation and the underlying error.
 func TestDoCancelDuringBackoff(t *testing.T) {
-	r := NewRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Hour, MaxDelay: time.Hour}, nil, 1)
+	r := newRetrier(Policy{MaxAttempts: 5, BaseDelay: time.Hour, MaxDelay: time.Hour}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	err := r.Do(ctx, "test", func(context.Context) error { return errFlaky })
+	err := r.do(ctx, "test", func(context.Context, int) error { return errFlaky })
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, errFlaky) {
 		t.Fatalf("err = %v, want Canceled wrapping errFlaky", err)
 	}

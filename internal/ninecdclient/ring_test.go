@@ -102,7 +102,6 @@ func TestRingRoutingFailsOverToSuccessor(t *testing.T) {
 	c := newTestClient(t, "", func(cfg *Config) {
 		cfg.BaseURL = ""
 		cfg.Backends = []string{alive.srv.URL, dead.URL}
-		cfg.DisableBreaker = true
 	})
 	// Drive enough distinct bodies that some are owned by the dead node.
 	for i := 0; i < 20; i++ {

@@ -9,14 +9,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // TestSoakRetryPath is the short -race soak of the client retry path
 // wired into `make resilience-soak`: many goroutines hammer a server
 // that fails ~35% of requests (503s, connection slams, stalls) through
-// one shared Client — retrier, breaker, and limiter all under
+// one shared Client, its retry loop and seeded jitter stream under
 // concurrent fire. The assertions are the resilience contract:
 //
 //   - every call either succeeds or fails with a classified error
@@ -55,18 +53,13 @@ func TestSoakRetryPath(t *testing.T) {
 	defer ts.Close()
 
 	c := newTestClient(t, ts.URL, func(cfg *Config) {
-		cfg.Retry = resilience.Policy{
+		cfg.Retry = Policy{
 			MaxAttempts:    6,
 			BaseDelay:      2 * time.Millisecond,
 			MaxDelay:       20 * time.Millisecond,
 			AttemptTimeout: 500 * time.Millisecond,
 			Budget:         budget,
 		}
-		// Breaker tuned not to trip on a 35% failure rate: the soak
-		// exercises the closed-state accounting under contention.
-		cfg.Breaker = resilience.BreakerConfig{MinSamples: 50, FailureRate: 0.9, OpenFor: 50 * time.Millisecond}
-		cfg.Rate, cfg.Burst = 5000, 100
-		cfg.HedgeDelay = 100 * time.Millisecond
 	})
 
 	var ok, failed, unclassified atomic.Int64

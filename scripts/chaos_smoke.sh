@@ -4,8 +4,10 @@
 # slow-loris drips — and require a clean SLO verdict: every request
 # lands or fails with a classified error, nothing overruns its retry
 # budget, the daemon never panics, and client p99 stays inside a
-# CI-generous objective. Finishes by proving SIGTERM still drains
-# (readyz flips to 503 before the listener closes).
+# CI-generous objective. The run must also exercise the retry loop: at
+# least one reset fired, retried and recovered. Finishes by proving
+# SIGTERM still drains (readyz flips to 503 before the listener
+# closes).
 set -eu
 
 GO=${GO:-go}
@@ -48,8 +50,13 @@ fi
 # objective is generous because CI machines are noisy; the invariants
 # that must hold exactly (zero unclassified, zero panics, budgets
 # respected, success rate) are enforced by ninecload itself.
+#
+# The proxy plans each reset at a downstream byte offset in [0, 4096),
+# so a reset only fires on a response longer than that. 256 patterns
+# of 64 bits make every response longer: ~16.6 KB of decoded text,
+# ~5 KB of container.
 if ! "$tmp/ninecload" \
-	-addr "$addr" -n 120 -c 8 -seed 9314 \
+	-addr "$addr" -n 120 -c 8 -seed 9314 -patterns 256 \
 	-chaos -chaos-latency 5ms -chaos-reset 0.05 -chaos-slowloris 0.05 \
 	-retries 6 -budget 20s -attempt-timeout 5s \
 	-slo-p99 15s -slo-success 0.99 \
@@ -65,6 +72,20 @@ fi
 for want in '"unclassified": 0' '"daemon_panics": 0'; do
 	if ! grep -q "$want" "$tmp/report.json"; then
 		echo "chaos-smoke: report missing $want:" >&2
+		cat "$tmp/report.json" >&2
+		exit 1
+	fi
+done
+
+# The faults must have reached the retry loop, or the smoke proves
+# nothing about it: at least one reset, one retry, one recovery.
+field() {
+	sed -n "s/^ *\"$1\": \([0-9][0-9]*\).*/\1/p" "$tmp/report.json" | head -n 1
+}
+for f in resets retries recovered; do
+	n=$(field "$f")
+	if [ "${n:-0}" -lt 1 ]; then
+		echo "chaos-smoke: report has $f=${n:-missing}, want >= 1:" >&2
 		cat "$tmp/report.json" >&2
 		exit 1
 	fi
