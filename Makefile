@@ -171,7 +171,8 @@ overhead-guard:
 ## container reader, the 9C stream decoder, the streamed v4 decode along
 ## the text kernel, the plane kernel and the generic decoder, the word
 ## kernels and every encode option against the generic and reference
-## encoders, each baseline codec family, the text parsers, and the
+## encoders, /encode's text path against the parser path (container
+## bytes or error string), each baseline codec family, the text parsers, and the
 ## word-parallel 01X reader against its per-trit reference. Any panic,
 ## disagreement or unclassified error is a failure.
 fuzz-smoke:
@@ -180,6 +181,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzStreamDecodeDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzKernelDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEncodeDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/batchenc -run '^$$' -fuzz '^FuzzEncodeText$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzRunLengthDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzVIHCDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzLZWDecode$$' -fuzztime $(FUZZTIME)

@@ -9,9 +9,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/batchenc"
+	"repro/internal/cachex"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/robust"
+	"repro/internal/synth"
 )
 
 // TestEncodeCacheHitByteIdentical: a repeated /encode is answered from
@@ -349,5 +352,44 @@ func TestCodecTableBounded(t *testing.T) {
 	c2, _ := s.codecs.get(16)
 	if c1 == nil || c1 == c2 {
 		t.Fatal("a K other than -k is kept instead of built per request")
+	}
+}
+
+// TestEncodeCacheChargesContainerCap: a cached /encode result is
+// charged for the memory its container holds. The container of every
+// Mintest profile is exact-size (cap == len), so the cache charges the
+// response length plus encodeResultSize's 64 and cachex's per-entry
+// overhead.
+func TestEncodeCacheChargesContainerCap(t *testing.T) {
+	ts, s := newTestServer(t, config{})
+	var want int64
+	for _, cs := range synth.Benchmarks {
+		set, err := synth.MintestLike(cs.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		if err := set.Write(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp, cont := post(t, ts.URL+"/encode?name="+cs.Name, body.Bytes())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", cs.Name, resp.StatusCode)
+		}
+		v, ok := s.cache.Get(cachex.EncodeParams{K: s.cfg.K, Name: cs.Name}.Key(body.Bytes()))
+		if !ok {
+			t.Fatalf("%s: no cache entry after a miss", cs.Name)
+		}
+		got := v.(batchenc.Result).Container
+		if cap(got) != len(got) || !bytes.Equal(got, cont) {
+			t.Fatalf("%s: cached container len %d cap %d, response %d bytes", cs.Name, len(got), cap(got), len(cont))
+		}
+		want += encodeResultSize(v) + 128
+		if encodeResultSize(v) != int64(len(cont))+64 {
+			t.Fatalf("%s: charged %d for a %d-byte container", cs.Name, encodeResultSize(v), len(cont))
+		}
+	}
+	if got := s.cache.Bytes(); got != want {
+		t.Fatalf("cache charges %d bytes, want %d", got, want)
 	}
 }

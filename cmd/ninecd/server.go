@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/robust"
-	"repro/internal/tcube"
 )
 
 // defaultAssign is the canonical assignment, for deciding whether a
@@ -350,10 +349,11 @@ func (s *server) guard(name string, h func(http.ResponseWriter, *http.Request) e
 	}
 }
 
-// encodeResultSize charges a cached encode result for its container
-// plus the struct's own fields.
+// encodeResultSize charges a cached encode result for the memory its
+// container holds (its capacity; batchenc allocates it exact-size) plus
+// the struct's own fields.
 func encodeResultSize(v any) int64 {
-	return int64(len(v.(batchenc.Result).Container)) + 64
+	return int64(cap(v.(batchenc.Result).Container)) + 64
 }
 
 // bodyBufPool recycles the /encode body buffers; a request body must
@@ -426,14 +426,7 @@ func (s *server) handleEncode(w http.ResponseWriter, r *http.Request) error {
 	body := buf.Bytes()
 
 	encode := func() (batchenc.Result, error) {
-		set, err := tcube.Read(name, bytes.NewReader(body))
-		if err != nil {
-			return batchenc.Result{}, err
-		}
-		if set == nil || set.Len() == 0 {
-			return batchenc.Result{}, fmt.Errorf("empty test set: %w", robust.ErrCorrupt)
-		}
-		return s.enc.Encode(r.Context(), batchenc.Request{Set: set, K: k, FD: fd, Name: name, Profile: prof})
+		return s.enc.Encode(r.Context(), batchenc.Request{Text: body, K: k, FD: fd, Name: name, Profile: prof})
 	}
 
 	var res batchenc.Result

@@ -44,12 +44,12 @@ func transpose8(x uint64) uint64 {
 	return x ^ t ^ t<<28
 }
 
-// parse64 classifies 64 text bytes: bit j of care/val describes byte j
+// Parse64 classifies 64 text bytes: bit j of care/val describes byte j
 // as a trit, and bit j of bad is set where byte j is not 01X text.
 // Load k leaves its flag for byte i at bit 8i+7; shifting it right by
 // 7-k moves it to bit 8i+k, and the transpose puts it at bit 8k+i. The
 // eight loads are unrolled: constant shifts keep the chains short.
-func parse64(p *[64]byte) (care, val, bad uint64) {
+func Parse64(p *[64]byte) (care, val, bad uint64) {
 	c0, v0, b0 := classify8(binary.LittleEndian.Uint64(p[0:]))
 	c1, v1, b1 := classify8(binary.LittleEndian.Uint64(p[8:]))
 	c2, v2, b2 := classify8(binary.LittleEndian.Uint64(p[16:]))
@@ -90,7 +90,7 @@ func ParseCubeWords(care, val []uint64, s []byte) error {
 			}
 			chunk = tail[:]
 		}
-		c, v, bad := parse64((*[64]byte)(chunk))
+		c, v, bad := Parse64((*[64]byte)(chunk))
 		if bad != 0 {
 			i := w*wordBits + bits.TrailingZeros64(bad)
 			return fmt.Errorf("bitvec: invalid cube character %q at %d", s[i], i)

@@ -62,53 +62,66 @@ type StreamTrailer struct {
 	StreamBits int
 }
 
-// writeV4 frames an encoded set as a chunked v4 container: the header,
-// the stream cut into DefaultChunkTrits slices (the last one shorter),
-// the terminator, and the trailer from r's totals. v4 is set-oriented,
-// so a bare-cube result (Width 0) is rejected.
-func writeV4(w io.Writer, r *core.Result) (err error) {
-	if r.Width < 1 {
-		return fmt.Errorf("container: chunked width %d, want >= 1", r.Width)
-	}
-	sp := obs.Active().Span("container.write_chunked")
-	cw := &countingWriter{w: w}
-	defer func() { observeIO(sp, "container.writes", "container.bytes_written", cw.n, err) }()
-	if _, err := cw.Write(buildHeader(Magic4, r.K, 0, r.Width, 0, 0, 0, r.Assign, r.Name)); err != nil {
-		return err
-	}
-	n := r.Stream.Len()
-	for off := 0; off < n; off += DefaultChunkTrits {
-		if err := emit(cw, r.Stream.Slice(off, min(off+DefaultChunkTrits, n))); err != nil {
-			return err
-		}
-	}
-	var tail [24]byte // terminator + trailer + trailer CRC
-	binary.LittleEndian.PutUint32(tail[4:], uint32(r.Patterns))
-	binary.LittleEndian.PutUint32(tail[8:], uint32(r.OrigBits))
-	binary.LittleEndian.PutUint32(tail[12:], uint32(r.Blocks))
-	binary.LittleEndian.PutUint32(tail[16:], uint32(n))
-	binary.LittleEndian.PutUint32(tail[20:], crc32.Checksum(tail[4:20], castagnoli))
-	_, err = cw.Write(tail[:])
-	return err
+// MarshalV4 frames an encoded set as a chunked v4 container in one
+// exact-size buffer (cap == len): the header, the stream cut into
+// DefaultChunkTrits chunks (the last one shorter), the terminator and
+// the trailer from r's totals. A chunk starts on a plane word, so its
+// planes are read straight from the stream words, and each CRC runs
+// over the bytes already in place. v4 is set-oriented, so a bare-cube
+// result (Width 0) is rejected, as is a set name with a control byte.
+// WriteVersion(w, r, Magic4) writes exactly these bytes.
+func MarshalV4(r *core.Result) ([]byte, error) {
+	return frameV4(nil, r)
 }
 
-// emit writes one framed chunk.
-func emit(w io.Writer, c *bitvec.Cube) error {
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(c.Len()))
-	val, mask := planes(c)
-	h := crc32.New(castagnoli)
-	h.Write(cnt[:])
-	h.Write(val)
-	h.Write(mask)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], h.Sum32())
-	for _, b := range [][]byte{cnt[:], val, mask, crc[:]} {
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
+// frameV4 is the one v4 writer behind MarshalV4 and WriteVersion: it
+// frames r and, for a non-nil w, writes the bytes to w. The telemetry
+// counts the bytes w accepted and its error, or the buffer's length
+// when w is nil.
+func frameV4(w io.Writer, r *core.Result) (out []byte, err error) {
+	if err := checkName(r.Name); err != nil {
+		return nil, err
 	}
-	return nil
+	if r.Width < 1 {
+		return nil, fmt.Errorf("container: chunked width %d, want >= 1", r.Width)
+	}
+	sp := obs.Active().Span("container.write_chunked")
+	var written int
+	defer func() { observeIO(sp, "container.writes", "container.bytes_written", int64(written), err) }()
+	out = appendV4(r)
+	if w == nil {
+		written = len(out)
+		return out, nil
+	}
+	written, err = w.Write(out)
+	return out, err
+}
+
+// appendV4 lays out r's v4 container in one exact-size buffer.
+func appendV4(r *core.Result) []byte {
+	n := r.Stream.Len()
+	size := headerSize(r.Name) + 24 // terminator + trailer + trailer CRC
+	for off := 0; off < n; off += DefaultChunkTrits {
+		size += 8 + 2*((min(DefaultChunkTrits, n-off)+7)/8)
+	}
+	out := appendHeader(make([]byte, 0, size), Magic4, r.K, 0, r.Width, 0, 0, 0, r.Assign, r.Name)
+	care, val := r.Stream.RawWords()
+	for off := 0; off < n; off += DefaultChunkTrits {
+		cn := min(DefaultChunkTrits, n-off)
+		nb := (cn + 7) / 8
+		start := len(out)
+		out = binary.LittleEndian.AppendUint32(out, uint32(cn))
+		out = out[:start+4+2*nb]
+		putPlanes(out[start+4:start+4+nb], out[start+4+nb:], care[off/64:], val[off/64:], cn)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[start:], castagnoli))
+	}
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	tr := len(out)
+	out = binary.LittleEndian.AppendUint32(out, uint32(r.Patterns))
+	out = binary.LittleEndian.AppendUint32(out, uint32(r.OrigBits))
+	out = binary.LittleEndian.AppendUint32(out, uint32(r.Blocks))
+	out = binary.LittleEndian.AppendUint32(out, uint32(n))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[tr:], castagnoli))
 }
 
 // ChunkReader reads a chunked v4 container incrementally. It

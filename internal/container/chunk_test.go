@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/robust"
 	"repro/internal/tcube"
 )
@@ -174,12 +176,68 @@ func TestWriteVersionV4(t *testing.T) {
 		t.Fatal("v4 in-memory write does not round-trip")
 	}
 
+	// The buffer is exact-size for any name, a truncated long one too.
+	for _, name := range []string{"", strings.Repeat("n", maxNameLen), strings.Repeat("n", maxNameLen+9)} {
+		r.Name = name
+		m, err := MarshalV4(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(m) != len(m) {
+			t.Fatalf("name of %d bytes: MarshalV4 len %d cap %d", len(name), len(m), cap(m))
+		}
+	}
+
 	cube, err := cdc.EncodeCube(bitvec.NewCube(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteVersion(&bytes.Buffer{}, cube, Magic4); err == nil {
 		t.Fatal("bare-cube result accepted by v4")
+	}
+}
+
+// shortWriter accepts n bytes and then fails.
+type shortWriter struct{ n int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, io.ErrShortWrite
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteVersionV4Counters pins the v4 writer's telemetry: a failing
+// writer counts one error and only the bytes it accepted, and
+// MarshalV4 counts the whole buffer.
+func TestWriteVersionV4Counters(t *testing.T) {
+	cdc, err := core.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cdc.EncodeSet(randomSet(5, 12, 40, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	defer obs.Disable()
+
+	if err := WriteVersion(&shortWriter{n: 10}, r, Magic4); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("failing writer: err %v, want io.ErrShortWrite", err)
+	}
+	if w, b, e := reg.Counter("container.writes").Value(), reg.Counter("container.bytes_written").Value(), reg.Counter("container.errors").Value(); w != 1 || b != 10 || e != 1 {
+		t.Fatalf("failing writer: writes %d bytes %d errors %d, want 1 10 1", w, b, e)
+	}
+	m, err := MarshalV4(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, b, e := reg.Counter("container.writes").Value(), reg.Counter("container.bytes_written").Value(), reg.Counter("container.errors").Value(); w != 2 || b != 10+int64(len(m)) || e != 1 {
+		t.Fatalf("MarshalV4: writes %d bytes %d errors %d, want 2 %d 1", w, b, e, 10+len(m))
 	}
 }
 

@@ -34,7 +34,6 @@
 package container
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -76,11 +75,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // name holding a control byte is refused, since the 01X text a decode
 // emits could not carry it.
 func WriteVersion(w io.Writer, r *core.Result, magic string) (err error) {
-	if err := checkName(r.Name); err != nil {
+	if magic == Magic4 {
+		_, err := frameV4(w, r)
 		return err
 	}
-	if magic == Magic4 {
-		return writeV4(w, r)
+	if err := checkName(r.Name); err != nil {
+		return err
 	}
 	if magic != Magic {
 		return fmt.Errorf("container: unknown version %q", magic)
@@ -89,7 +89,7 @@ func WriteVersion(w io.Writer, r *core.Result, magic string) (err error) {
 	cw := &countingWriter{w: w}
 	defer func() { observeIO(sp, "container.writes", "container.bytes_written", cw.n, err) }()
 
-	hdr := buildHeader(magic, r.K, r.Patterns, r.Width, r.OrigBits, r.Blocks, r.Stream.Len(), r.Assign, r.Name)
+	hdr := appendHeader(nil, magic, r.K, r.Patterns, r.Width, r.OrigBits, r.Blocks, r.Stream.Len(), r.Assign, r.Name)
 	if _, err := cw.Write(hdr); err != nil {
 		return err
 	}
@@ -122,39 +122,36 @@ func checkName(name string) error {
 	return nil
 }
 
-// buildHeader assembles the header bytes, magic through set name plus
-// the header CRC32C. The same layout serves v3 and v4; a v4 header
-// stores zero for the four stream totals, which live in the trailer
-// instead.
-func buildHeader(magic string, k, patterns, width, origBits, blocks, streamBits int, assign core.Assignment, name string) []byte {
-	var hdr bytes.Buffer
-	hdr.WriteString(magic)
-	var fields [24]byte
-	binary.LittleEndian.PutUint32(fields[0:], uint32(k))
-	binary.LittleEndian.PutUint32(fields[4:], uint32(patterns))
-	binary.LittleEndian.PutUint32(fields[8:], uint32(width))
-	binary.LittleEndian.PutUint32(fields[12:], uint32(origBits))
-	binary.LittleEndian.PutUint32(fields[16:], uint32(blocks))
-	binary.LittleEndian.PutUint32(fields[20:], uint32(streamBits))
-	hdr.Write(fields[:])
+// headerSize is the byte length of the header appendHeader writes for
+// a set name: magic, six fields, the codeword table, the name (clipped
+// to maxNameLen) and the CRC.
+func headerSize(name string) int {
+	return 4 + 24 + core.NumCases*9 + 2 + min(len(name), maxNameLen) + 4
+}
+
+// appendHeader appends the header bytes, magic through set name plus
+// the header CRC32C, to dst. The same layout serves v3 and v4; a v4
+// header stores zero for the four stream totals, which live in the
+// trailer instead. A name longer than maxNameLen is truncated.
+func appendHeader(dst []byte, magic string, k, patterns, width, origBits, blocks, streamBits int, assign core.Assignment, name string) []byte {
+	if len(name) > maxNameLen {
+		name = name[:maxNameLen]
+	}
+	start := len(dst)
+	dst = append(dst, magic...)
+	for _, f := range [...]int{k, patterns, width, origBits, blocks, streamBits} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
+	}
 	for cs := core.CaseAll0; cs <= core.CaseMisMis; cs++ {
 		code := assign.Code(cs)
 		var entry [9]byte
 		entry[0] = byte(len(code))
 		copy(entry[1:], code)
-		hdr.Write(entry[:])
+		dst = append(dst, entry[:]...)
 	}
-	if len(name) > maxNameLen {
-		name = name[:maxNameLen]
-	}
-	var nlen [2]byte
-	binary.LittleEndian.PutUint16(nlen[:], uint16(len(name)))
-	hdr.Write(nlen[:])
-	hdr.WriteString(name)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(hdr.Bytes(), castagnoli))
-	hdr.Write(crc[:])
-	return hdr.Bytes()
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // Options selects how strictly ReadWithOptions treats the input.
@@ -452,25 +449,31 @@ func validateGeometry(k, patterns, width, origBits, blocks, streamBits int, lim 
 }
 
 // planes splits a ternary stream into (value bits, X mask) byte planes,
-// bit i at byte i/8 bit i%8. Byte i of a plane is byte i%8 of the
-// little-endian plane word i/8, so each 64 trits move as one word: the
-// value plane is the cube's val word and the X mask its inverted care
-// word, clipped at the stream end so pad bits stay zero.
+// bit i at byte i/8 bit i%8 (see putPlanes).
 func planes(c *bitvec.Cube) (val, mask []byte) {
 	n := c.Len()
 	nb := (n + 7) / 8
 	buf := make([]byte, 2*nb)
 	val, mask = buf[:nb:nb], buf[nb:]
 	care, vw := c.RawWords()
-	for i := 0; 64*i < n; i++ {
-		x := ^care[i]
-		if rem := n - 64*i; rem < 64 {
-			x &= uint64(1)<<uint(rem) - 1
-		}
-		putLE64(val, 8*i, vw[i])
-		putLE64(mask, 8*i, x)
-	}
+	putPlanes(val, mask, care, vw, n)
 	return val, mask
+}
+
+// putPlanes fills the value and X-mask planes of the first n trits of
+// the care/val words: ceil(n/8) bytes each. Byte i of a plane is byte
+// i%8 of the little-endian plane word i/8, so each 64 trits move as one
+// word: the value plane is the val word and the X mask the inverted
+// care word, clipped at n so pad bits stay zero.
+func putPlanes(val, mask []byte, care, vw []uint64, n int) {
+	for i := 0; 64*i < n; i++ {
+		m := ^uint64(0)
+		if rem := n - 64*i; rem < 64 {
+			m = uint64(1)<<uint(rem) - 1
+		}
+		putLE64(val, 8*i, vw[i]&m)
+		putLE64(mask, 8*i, ^care[i]&m)
+	}
 }
 
 // unplanes rebuilds the ternary stream from planes of exactly

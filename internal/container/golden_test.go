@@ -136,5 +136,12 @@ func TestGoldenContainers(t *testing.T) {
 				t.Errorf("%s %s: sha256 %s, want %s", in.name, v.magic, got, v.want)
 			}
 		}
+		m, err := MarshalV4(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(m) != len(m) {
+			t.Errorf("%s: MarshalV4 len %d cap %d, want exact size", in.name, len(m), cap(m))
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/bitvec"
 )
 
@@ -8,12 +10,16 @@ import (
 // paper's decoder, whose FSM is the same for every block size and only
 // sizes a log2(K/2) counter and a K/2-bit shifter by K, it has one
 // K-parametric kernel per direction for the block sizes that divide a
-// plane word, K ∈ {4, 8, 16, 32}: encodeWords and decodeKernel. A K is
-// specialized further only where a bench workload runs it and an
-// end-to-end A/B shows the gain; today that is textK8 (textkernel.go),
-// K=8 being the block size every workload runs at. Every other K
-// encodes through encodeGeneric into the same kernelWriter, so one
-// encode loop serves every block size. The generic decoder
+// plane word, K ∈ {4, 8, 16, 32}: wordEnc and decodeKernel. wordEnc
+// has two feeders: the plane words of a parsed Set (encodePlanes, for
+// Codec.Encode and EncodeCube) and /encode's 01X text, parsed 64 trits
+// at a time straight from the row bytes (EncodeText, textencode.go),
+// which refuses any body it does not vouch for so the caller falls
+// back to tcube.Read and Encode. A K is specialized further only where
+// a bench workload runs it and an end-to-end A/B shows the gain; today
+// that is textK8 (textkernel.go), K=8 being the block size every
+// workload runs at. Every other K encodes through encodeGeneric into
+// the same kernelWriter and has no text feeder. The generic decoder
 // (decodeBlocksPartial) remains the fallback for other K, for exotic
 // assignments, and for hostile streams. Both generic paths are the
 // differential oracle the kernels are pinned against.
@@ -23,15 +29,18 @@ import (
 //  1. Word-batched classification. Blocks of the supported sizes never
 //     straddle a 64-bit plane word (patterns are padded independently,
 //     so block b of a pattern occupies bits [b·K, (b+1)·K) of that
-//     pattern's planes). One word read yields 64/K whole blocks, and a
-//     half is 0-compatible iff its val bits are zero, 1-compatible iff
-//     its care&^val bits are zero — four flag bits that index a
-//     16-entry case table. No per-trit work, no branches per trit.
+//     pattern's planes). A half holds a 1 iff its val bits are nonzero
+//     and a 0 iff its care&^val bits are; one SWAR "nonzero per K/2-bit
+//     field" test per plane gives those four flags for every block of
+//     the word at once, as a 4-bit op-table index per block, and
+//     popcounts of their combinations give the word's case counts.
 //
-//  2. Branchless appending. kernelWriter pre-zeroes its planes and
-//     appends n ≤ 64 bits with two unconditional OR-writes per plane,
-//     exploiting Go's defined x>>64 == 0 semantics (a spare word
-//     absorbs the second write when the append does not straddle).
+//  2. A register accumulator. Each block is one entry of a per-codec
+//     16-entry op table (codeword, shipped-half mask and shift, total
+//     length) and one OR into a 64-bit care/val accumulator, with no
+//     branch on its case; the planes see only whole-word stores.
+//     kernelWriter pre-zeroes its planes, so the generic path appends
+//     with two unconditional OR-writes per plane instead.
 //
 //  3. Table decode. The decoder indexes a flat LUT with the next
 //     maxCode stream bits and gets (case, length, span) in one load,
@@ -119,16 +128,19 @@ type kernelCode struct {
 // assignment is far below it (max codeword length 5).
 const maxLUTBits = 11
 
-// kernelEncode is the encode entry point installed on a Codec at
-// construction: every codec has one (encodeGeneric when K has no word
-// kernel). The text entry point (kernelText, textkernel.go) is nil
+// kernelEncode is the per-pattern plane encode installed on a Codec at
+// construction: encodePlanes for a kernel K, encodeGeneric otherwise
+// (and when a codeword is so long that a block's stream image would
+// not fit wordEnc's 64-bit accumulator, which leaves kops nil). The
+// decode-to-text entry point (kernelText, textkernel.go) is nil
 // without a kernel.
 type kernelEncode func(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts)
 
 // initKernel prepares the kernel state: packed codeword masks, the
-// repeated-C1 batch word, the decode LUT, and the dispatch functions.
-// For K without a kernel the codec installs encodeGeneric, keeps klut
-// and ktext nil, and every decode takes the generic path.
+// encode op table, the repeated-C1 batch word, the decode LUT, and the
+// dispatch functions. For K without a kernel the codec installs
+// encodeGeneric, keeps kops, klut and ktext nil, and every decode takes
+// the generic path.
 func (c *Codec) initKernel() {
 	for i, p := range c.packed {
 		c.kcodes[i] = kernelCode{bits: p.bits, mask: lowMask64(p.n), n: p.n}
@@ -138,24 +150,24 @@ func (c *Codec) initKernel() {
 	}
 	switch c.k {
 	case 8:
-		c.kenc, c.ktext = encodeWords, textK8
+		c.ktext = textK8
 	case 4, 16, 32:
-		c.kenc, c.ktext = encodeWords, textKernel
+		c.ktext = textKernel
 	default:
 		c.kenc = encodeGeneric
 		return
 	}
+	c.kenc = encodeGeneric
+	if c.maxCode+c.k < 64 { // every block's stream image fits the accumulator
+		c.kenc, c.kops = encodePlanes, newBlockOps(&c.kcodes, c.k)
+	}
 	// An all-zero plane word means 64/K consecutive C1 blocks; when the
-	// repeated C1 codeword fits one word, encodeWords emits it in a
+	// repeated C1 codeword fits one word, the kernel emits it in a
 	// single append.
 	perWord := 64 / c.k
 	c1 := c.kcodes[CaseAll0-1]
-	if perWord*c1.n <= 64 {
-		var bits uint64
-		for i := 0; i < perWord; i++ {
-			bits |= c1.bits << uint(i*c1.n)
-		}
-		c.kc1 = kernelCode{bits: bits, mask: lowMask64(perWord * c1.n), n: perWord * c1.n}
+	if n := perWord * c1.n; n <= 64 {
+		c.kc1 = kernelCode{bits: repeat64(c1.bits, c1.n) & lowMask64(n), mask: lowMask64(n), n: n}
 		c.kc1ok = true
 	}
 	if c.maxCode <= maxLUTBits {
@@ -231,6 +243,23 @@ func (w *kernelWriter) reset(capBits int) {
 	w.n = 0
 }
 
+// grow makes room for moreBits past the current length, keeping what
+// is written: when the planes are short it moves them into new ones at
+// least twice as long, so a writer grown row by row copies each word a
+// bounded number of times.
+func (w *kernelWriter) grow(moreBits int) {
+	words := (w.n+moreBits)>>6 + 2
+	if words <= len(w.care) {
+		return
+	}
+	words = max(words, 2*len(w.care))
+	used := min(w.n>>6+2, len(w.care)) // the words append may have touched
+	care, val := make([]uint64, words), make([]uint64, words)
+	copy(care, w.care[:used])
+	copy(val, w.val[:used])
+	w.care, w.val = care, val
+}
+
 // append writes the low n bits of the packed care/val words at the
 // tail. The inputs must already be masked to n bits and satisfy
 // val ⊆ care; all kernel call sites guarantee both.
@@ -266,65 +295,209 @@ func (w *kernelWriter) takeCopy() *bitvec.Cube {
 	return bitvec.NewCubeCopyWords(w.n, w.care, w.val)
 }
 
-// encBlock encodes one K-bit block given its packed care/val bits
-// (already masked to K bits, pad bits zero): classify both halves
-// branchlessly, append the codeword, append whatever the case ships
-// verbatim. k, h and lh are the block size, half size and half mask.
-func encBlock(w *kernelWriter, codes *[NumCases]kernelCode, counts *Counts, bc, bv uint64, k, h int, lh uint64) {
-	zeros := bc &^ bv
-	idx := b2i(bv&lh == 0) | b2i(zeros&lh == 0)<<1 |
-		b2i(bv>>uint(h) == 0)<<2 | b2i(zeros>>uint(h) == 0)<<3
-	cs := caseTab[idx]
-	counts[cs-1]++
-	p := &codes[cs-1]
-	w.append(p.mask, p.bits, p.n)
-	switch misTab[cs] {
-	case 1: // left verbatim
-		w.append(bc&lh, bv&lh, h)
-	case 2: // right verbatim
-		w.append(bc>>uint(h), bv>>uint(h), h)
-	case 3: // both verbatim: one contiguous K-bit append
-		w.append(bc, bv, k)
-	}
+// blockOp is one entry of a codec's encode op table: everything the
+// word kernel needs to emit a block of one case. The block's stream
+// image is the codeword (all care bits set, val = code) followed by
+// the shipped trits, which are the block's own care/val bits shifted
+// right by dataShift and masked by dataMask (K/2 or K ones, or none).
+type blockOp struct {
+	code, codeMask uint64
+	dataMask       uint64
+	dataShift      uint8 // K/2 when only the right half ships, else 0
+	codeLen        uint8 // the shipped trits land above the codeword
+	n              uint8 // total stream trits of the block
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// encodeWords is the word kernel for every K that divides 64: it reads
-// the planes a word (64/K blocks) at a time, with an all-zero-word
-// fast path (every half 0-compatible ⇒ 64/K C1 blocks in one append)
-// and a shorter walk over the final partial word. Bits past the cube
-// end read as zero in both planes — exactly the "pad with X" rule,
-// since X is 0-compatible first in priority order.
-func encodeWords(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
-	k, h := c.k, c.k/2
-	lh, bm := lowMask64(h), lowMask64(k)
-	perWord := 64 / k
-	for wi := 0; blocks > 0; wi++ {
-		cw, vw := care[wi], val[wi]
-		if vw == 0 && c.kc1ok && blocks >= perWord {
-			counts[CaseAll0-1] += perWord
-			w.append(c.kc1.mask, c.kc1.bits, c.kc1.n)
-			blocks -= perWord
-			continue
+// newBlockOps builds the op table, indexed by the flag nibble the word
+// kernel computes for a block: bit 0 = the left half holds a 1, bit 1
+// = it holds a 0, bits 2 and 3 the same for the right half. That is
+// the complement of caseTab's index, so the two share one priority
+// order.
+func newBlockOps(codes *[NumCases]kernelCode, k int) *[16]blockOp {
+	h := k / 2
+	ops := new([16]blockOp)
+	for nidx := range ops {
+		cs := caseTab[nidx^15]
+		p := codes[cs-1]
+		op := blockOp{code: p.bits, codeMask: p.mask, codeLen: uint8(p.n)}
+		switch misTab[cs] {
+		case 1:
+			op.dataMask = lowMask64(h)
+		case 2:
+			op.dataMask, op.dataShift = lowMask64(h), uint8(h)
+		case 3:
+			op.dataMask = lowMask64(k)
 		}
+		op.n = uint8(p.n + cs.DataBits(k))
+		ops[nidx] = op
+	}
+	return ops
+}
+
+// repeat64 repeats the low w bits of x (zero above them) across the
+// word, the top copy cut at bit 63.
+func repeat64(x uint64, w int) uint64 {
+	for ; w < 64; w *= 2 {
+		x |= x << uint(w)
+	}
+	return x
+}
+
+// wordEnc is the encode kernel for every K that divides 64. It holds
+// the writer's planes and the partial output word in a register pair
+// (accC, accV, nacc bits), so a block costs one op-table load and one
+// OR into the accumulator, and the planes see only whole-word stores.
+// Load it from a writer with wordEncoder and store it back with close.
+type wordEnc struct {
+	c          *Codec
+	care, val  []uint64 // the writer's planes
+	wi         int      // the plane word accC/accV will be stored to
+	accC, accV uint64
+	nacc       uint // valid low bits of accC/accV, < 64
+	counts     *Counts
+}
+
+// wordEncoder loads w's tail into a kernel that appends after it and
+// adds its case counts to counts.
+func (c *Codec) wordEncoder(w *kernelWriter, counts *Counts) wordEnc {
+	wi := w.n >> 6
+	return wordEnc{c: c, care: w.care, val: w.val, wi: wi,
+		accC: w.care[wi], accV: w.val[wi], nacc: uint(w.n) & 63, counts: counts}
+}
+
+// reserve makes room in w for bits more output, growing its planes
+// when they are short.
+func (e *wordEnc) reserve(w *kernelWriter, bits int) {
+	if (e.wi<<6+int(e.nacc)+bits)>>6+2 <= len(e.care) {
+		return
+	}
+	e.close(w)
+	w.grow(bits)
+	*e = e.c.wordEncoder(w, e.counts)
+}
+
+// close stores the partial word back and sets w's length.
+func (e *wordEnc) close(w *kernelWriter) {
+	e.care[e.wi], e.val[e.wi] = e.accC, e.accV
+	w.n = e.wi<<6 + int(e.nacc)
+}
+
+// encode appends the encodings of blocks blocks read from the care/val
+// plane words, 64/K blocks per word. Bits past the data read as zero in
+// both planes — exactly the "pad with X" rule, since X is 0-compatible
+// first in priority order.
+//
+// One SWAR pass per word classifies all of its blocks at once. A K/2-bit
+// field is nonzero iff (x&low + low | x) has its top bit set (low holds
+// the lower K/2-1 bits of every field, so the add carries into the top
+// bit and never out of the field). Applied to val ("holds a 1") and to
+// care&^val ("holds a 0"), the four top bits of a block, shifted down to
+// its bits 0..3, are the block's op-table index; the same four masks,
+// combined in the classifier's priority order and popcounted, give the
+// word's case counts. An all-zero val word is 64/K C1 blocks and, when
+// their codewords fit one word, one append.
+func (e *wordEnc) encode(care, val []uint64, blocks int) {
+	c, ops := e.c, e.c.kops
+	k := uint(c.k)
+	h := k / 2
+	perWord := 64 / int(k)
+	hiL := repeat64(1<<(h-1), int(k)) // top bit of every left half
+	hiR := hiL << h                   // top bit of every right half
+	low := ^(hiL | hiR)               // the other bits of every half
+	base := repeat64(1, int(k))       // bit 0 of every block
+	dst, dstV, wi := e.care, e.val, e.wi
+	accC, accV, nacc := e.accC, e.accV, e.nacc
+	var cnt Counts
+	for i := 0; blocks > 0; i++ {
+		cw, vw := care[i], val[i]
 		n := min(blocks, perWord)
 		blocks -= n
-		for sh := 0; sh < n*k; sh += k {
-			encBlock(w, &c.kcodes, counts, cw>>uint(sh)&bm, vw>>uint(sh)&bm, k, h, lh)
+		if vw == 0 && n == perWord && c.kc1ok {
+			cnt[CaseAll0-1] += perWord
+			b := c.kc1
+			accC |= b.mask << nacc
+			accV |= b.bits << nacc
+			if nacc += uint(b.n); nacc >= 64 {
+				dst[wi], dstV[wi] = accC, accV
+				wi++
+				nacc -= 64
+				// A 64-trit batch shifts by 64 here, which yields 0.
+				accC, accV = b.mask>>(uint(b.n)-nacc), b.bits>>(uint(b.n)-nacc)
+			}
+			continue
+		}
+		ones := (vw&low + low | vw) & (hiL | hiR)
+		zw := cw &^ vw
+		zeros := (zw&low + low | zw) & (hiL | hiR)
+		idx := (ones&hiL)>>(h-1) | (zeros&hiL)>>(h-2) | (ones&hiR)>>(k-3) | (zeros&hiR)>>(k-4)
+		countCases(&cnt, idx, base&lowMask64(n*int(k)))
+		for ; n > 0; n-- {
+			op := &ops[idx&15]
+			bc := op.codeMask | (cw>>(op.dataShift&63)&op.dataMask)<<(op.codeLen&63)
+			bv := op.code | (vw>>(op.dataShift&63)&op.dataMask)<<(op.codeLen&63)
+			accC |= bc << (nacc & 63)
+			accV |= bv << (nacc & 63)
+			if nacc += uint(op.n); nacc >= 64 {
+				dst[wi], dstV[wi] = accC, accV
+				wi++
+				nacc -= 64
+				sh := (uint(op.n) - nacc) & 63 // in [1, 40]: a block is < 64 trits
+				accC, accV = bc>>sh, bv>>sh
+			}
+			idx, cw, vw = idx>>k, cw>>k, vw>>k
 		}
 	}
+	e.wi, e.accC, e.accV, e.nacc = wi, accC, accV, nacc
+	for i, v := range cnt {
+		e.counts[i] += v
+	}
+}
+
+// countCases adds the case counts of one word's blocks to cnt. idx
+// holds each block's op-table index at its bit 0..3 and base marks bit
+// 0 of every block to count; the masks below resolve the four flags in
+// classifyFlags' priority order, one case per block.
+func countCases(cnt *Counts, idx, base uint64) {
+	l0, l1 := base&^idx, base&^(idx>>1)
+	r0, r1 := base&^(idx>>2), base&^(idx>>3)
+	m1 := l0 & r0
+	rest := base &^ m1
+	m2 := rest & l1 & r1
+	rest &^= m2
+	m3 := rest & l0 & r1
+	rest &^= m3
+	m4 := rest & l1 & r0
+	rest &^= m4
+	m5 := rest & l0
+	rest &^= m5
+	m6 := rest & r0
+	rest &^= m6
+	m7 := rest & l1
+	rest &^= m7
+	m8 := rest & r1
+	cnt[0] += bits.OnesCount64(m1)
+	cnt[1] += bits.OnesCount64(m2)
+	cnt[2] += bits.OnesCount64(m3)
+	cnt[3] += bits.OnesCount64(m4)
+	cnt[4] += bits.OnesCount64(m5)
+	cnt[5] += bits.OnesCount64(m6)
+	cnt[6] += bits.OnesCount64(m7)
+	cnt[7] += bits.OnesCount64(m8)
+	cnt[8] += bits.OnesCount64(rest &^ m8)
+}
+
+// encodePlanes is the plane feeder of the word kernel: one pattern's
+// care/val words straight into w.
+func encodePlanes(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
+	e := c.wordEncoder(w, counts)
+	e.encode(care, val, blocks)
+	e.close(w)
 }
 
 // encodeGeneric is the block encoder for every K without a word
 // kernel, any even size including blocks wider than a word: each half
 // is classified by scanning its plane bits a word at a time, then the
-// codeword and any mismatch halves are appended as in encBlock.
+// codeword and any mismatch halves are appended.
 func encodeGeneric(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts) {
 	k, h := c.k, c.k/2
 	for off := 0; blocks > 0; blocks, off = blocks-1, off+k {

@@ -287,7 +287,7 @@ func FuzzKernelDifferential(f *testing.F) {
 	})
 }
 
-// TestEncodeWordsC1Batch drives encodeWords' all-zero-word C1 batch on
+// TestEncodeWordsC1Batch drives the word kernel's all-zero-word C1 batch on
 // both sides of its guard: at K=4 a word holds 16 blocks, so a 4-bit C1
 // fills the batched append exactly (64 bits) and a 5-bit C1 overflows
 // it, leaving every word to the per-block walk. All-X, all-0 and mixed
@@ -358,4 +358,11 @@ func c1BatchRows(width int) []*bitvec.Cube {
 		}
 	}
 	return []*bitvec.Cube{allX, all0, mixed}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fastRetry is a policy tight enough for tests.
@@ -188,12 +190,15 @@ func TestHardDownServerLabels(t *testing.T) {
 }
 
 // TestAttemptTimeoutCutsStalledServer: a response that stalls is cut
-// off by AttemptTimeout long before the budget, and the failure keeps
-// the deadline class.
+// off by AttemptTimeout long before the budget; every one of the
+// MaxAttempts attempts stalls and is cut, and the failure keeps the
+// deadline class.
 func TestAttemptTimeoutCutsStalledServer(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
+	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		// Drain the body first: the server only arms its client-gone
 		// detection (which cancels r.Context) once the body hits EOF.
 		io.Copy(io.Discard, r.Body)
@@ -213,8 +218,53 @@ func TestAttemptTimeoutCutsStalledServer(t *testing.T) {
 	if class := ErrorClass(err); class != "deadline" {
 		t.Fatalf("ErrorClass = %q, want deadline (%v)", class, err)
 	}
+	if !errors.Is(err, ErrAttemptsExhausted) {
+		t.Fatalf("err = %v, want ErrAttemptsExhausted", err)
+	}
+	if got := calls.Load(); got != int64(fastRetry.MaxAttempts) {
+		t.Fatalf("server saw %d attempts, want %d", got, fastRetry.MaxAttempts)
+	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stalled attempt held the call for %v", elapsed)
+		t.Fatalf("stalled attempts held the call for %v", elapsed)
+	}
+}
+
+// TestAttemptTimeoutRetried: an attempt cut by AttemptTimeout is a
+// transient fault while the call's budget is live. The first attempt
+// stalls, the second answers, and the call succeeds as one recovery.
+func TestAttemptTimeoutRetried(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	defer obs.Disable()
+	release := make(chan struct{})
+	defer close(release)
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if calls.Add(1) == 1 {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		w.Write([]byte("answered"))
+	}))
+	defer ts.Close()
+
+	c := newTestClient(t, ts.URL, func(cfg *Config) {
+		cfg.Retry.AttemptTimeout = 50 * time.Millisecond
+		cfg.Retry.Budget = 10 * time.Second
+	})
+	out, err := c.Decode(context.Background(), []byte("x"))
+	if err != nil || string(out) != "answered" {
+		t.Fatalf("Decode = %q, %v; want the second attempt's answer", out, err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("server saw %d attempts, want 2", got)
+	}
+	if got := reg.Counter("resilience.ninecd.decode.recovered").Value(); got != 1 {
+		t.Fatalf("recovered = %d, want 1", got)
 	}
 }
 

@@ -93,7 +93,8 @@ func (r *retrier) backoff(attempt int) time.Duration {
 }
 
 // do runs op until it succeeds, ClassifyRetry refuses a retry, the
-// attempts run out, or the budget would be overrun. op gets the
+// attempts run out, or the budget would be overrun. An attempt cut by
+// AttemptTimeout is retried while the call's own context is live. op gets the
 // attempt's context (carrying the attempt timeout and the budget
 // deadline) and its 0-based index, which ring routing maps to the
 // failover order. name labels the telemetry counters
@@ -119,6 +120,11 @@ func (r *retrier) do(ctx context.Context, name string, op func(ctx context.Conte
 			return nil
 		}
 		retry, after := ClassifyRetry(err)
+		if !retry && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+			// The deadline was the attempt's own AttemptTimeout: the
+			// call (and its budget) is still live, so try again.
+			retry = true
+		}
 		if !retry {
 			return err
 		}

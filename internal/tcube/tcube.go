@@ -217,10 +217,14 @@ func (p *slab) take(words, cubes int) (care, val []uint64) {
 	return care, val
 }
 
+// MaxLineBytes is the longest line Read accepts: a line of this many
+// bytes or more, newline excluded, fails with bufio.ErrTooLong.
+const MaxLineBytes = 1 << 24
+
 // Read parses the 01X text format. All cubes must share one width.
-// Lines may run to 16 MiB; the scanner starts with a small buffer and
-// grows it only as far as the longest line needs, so small inputs do
-// not pay for the cap. Rows are parsed a word at a time straight from
+// Lines may run to MaxLineBytes; the scanner starts with a small
+// buffer and grows it only as far as the longest line needs, so small
+// inputs do not pay for the cap. Rows are parsed a word at a time straight from
 // the scanner's buffer into plane slabs. A reader that reports its
 // remaining length (bytes.Reader, strings.Reader, bytes.Buffer) bounds
 // the cube count, so the first slab is sized once: every cube line but
@@ -231,7 +235,7 @@ func Read(name string, r io.Reader) (*Set, error) {
 		size = l.Len()
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 1<<24)
+	sc.Buffer(nil, MaxLineBytes)
 	set := NewSet(name, 0)
 	var planes slab
 	line := 0
