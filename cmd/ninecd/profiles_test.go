@@ -199,6 +199,49 @@ func TestProfileInstallAndGet(t *testing.T) {
 	}
 }
 
+// TestLongestProfileRoundTrip: a profile whose codewords are as long as
+// a codec accepts (core.MaxCodeLen bits) installs, encodes and decodes
+// back to the source through the daemon; one bit longer is refused at
+// install, so no /encode can write a container /decode refuses.
+func TestLongestProfileRoundTrip(t *testing.T) {
+	ts, _ := newTestServer(t, config{})
+	for _, n := range []string{"9", "79"} {
+		resp, body := post(t, ts.URL+"/profiles", []byte("9cprof/1 k=8 fill=none lens=1,2,3,4,5,6,7,"+n+","+n+"\n"))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s-bit codeword profile: %d %s, want 400", n, resp.StatusCode, body)
+		}
+	}
+	canon := []byte("9cprof/1 k=8 fill=none lens=1,2,3,4,5,6,7,8,8\n")
+	resp, body := post(t, ts.URL+"/profiles", canon)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("install: %d %s", resp.StatusCode, body)
+	}
+	var out map[string]string
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	corpus := skewedText(24, 64)
+	resp, cont := postProfiled(t, ts.URL+"/encode?name=long", out["id"], []byte(corpus))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profiled encode: %d %s", resp.StatusCode, cont)
+	}
+	resp, text := post(t, ts.URL+"/decode", cont)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("decode: %d %s", resp.StatusCode, text)
+	}
+	set, err := tcube.Read("src", strings.NewReader(corpus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := tcube.Read("dec", bytes.NewReader(text))
+	if err != nil {
+		t.Fatalf("decode output does not parse: %v", err)
+	}
+	if dec.Len() != set.Len() || !set.Covers(dec) {
+		t.Fatalf("decoded %d patterns that do not cover the %d source patterns", dec.Len(), set.Len())
+	}
+}
+
 // TestEncodeCacheProfileCoherence is the end-to-end face of the
 // cache-key bugfix: the same body encoded fixed, then under a profile,
 // must never share a cache entry. Before EncodeParams the second

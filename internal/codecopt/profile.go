@@ -84,12 +84,11 @@ func (f Fill) valid() bool {
 // format change changes every profile ID with it.
 const Version = 1
 
-// MaxCodeLen caps searched codeword lengths at 11 bits: the longest
-// codeword a core decode kernel will build its lookup table for
-// (core's maxLUTBits). Any Kraft-complete code over nine symbols needs
-// at most 8 bits more than the shortest codeword, so the cap costs the
-// search nothing while keeping tuned decodes on the fast path.
-const MaxCodeLen = 11
+// MaxCodeLen caps searched codeword lengths at core.MaxCodeLen, the
+// longest codeword a codec and a container accept. No complete prefix
+// code over nine symbols is longer, and a shorter complete code beats
+// any incomplete one, so the cap costs the search nothing.
+const MaxCodeLen = core.MaxCodeLen
 
 // SearchKs is the block-size axis of the search space.
 var SearchKs = []int{4, 8, 16, 32}

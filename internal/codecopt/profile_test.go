@@ -60,6 +60,8 @@ func TestParseProfileRejectsNonCanonical(t *testing.T) {
 		"9cprof/1 k=8 fill=rand lens=1,2,5,5,5,5,5,5,4\n",   // unknown fill
 		"9cprof/1 k=7 fill=none lens=1,2,5,5,5,5,5,5,4\n",   // odd K
 		"9cprof/1 k=8 fill=none lens=1,2,5,5,5,5,5,5,40\n",  // over MaxCodeLen
+		"9cprof/1 k=8 fill=none lens=1,2,3,4,5,6,7,9,9\n",   // 9 bits, Kraft < 1
+		"9cprof/1 k=8 fill=none lens=1,2,3,4,5,6,7,79,79\n", // 79 bits
 		"9cprof/1 k=8 fill=none lens=1,2,5,5,5,5,5,5,4 \n",  // trailing space
 		"9cprof/1  k=8 fill=none lens=1,2,5,5,5,5,5,5,4\n",  // double space
 		"9Cprof/1 k=8 fill=none lens=1,2,5,5,5,5,5,5,4\n",   // case-sensitive magic

@@ -315,7 +315,7 @@ func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
 		}
 		hcrc.Write(entry[:])
 		n := int(entry[0])
-		if n < 1 || n > 8 {
+		if n < 1 || n > core.MaxCodeLen {
 			return nil, fmt.Errorf("container: codeword %d has length %d: %w", i+1, n, robust.ErrCorrupt)
 		}
 		code := string(entry[1 : 1+n])

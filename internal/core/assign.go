@@ -6,6 +6,13 @@ import (
 	"strings"
 )
 
+// MaxCodeLen is the longest codeword an assignment may hold. A
+// container header stores each codeword in 8 bytes, and no complete
+// prefix code over the nine cases needs more than 8 bits (the longest
+// is 1, 2, …, 7, 8, 8), so the bound costs no useful code. It also
+// keeps every block's stream image inside the kernels' 64-bit words.
+const MaxCodeLen = 8
+
 // codewordLengths is the multiset of codeword lengths the paper fixes
 // for the nine cases in their default (Table I) order:
 // |C1|=1, |C2|=2, |C3..C8|=5, |C9|=4. They satisfy the Kraft inequality
@@ -56,7 +63,7 @@ func canonicalCodes(lengths [NumCases]int) ([NumCases]string, error) {
 	prevLen := 0
 	for rank, idx := range order {
 		l := lengths[idx]
-		if l <= 0 || l > 32 {
+		if l <= 0 || l > MaxCodeLen {
 			return out, fmt.Errorf("core: invalid codeword length %d", l)
 		}
 		if rank > 0 {
@@ -115,7 +122,7 @@ func FrequencyDirected(counts Counts) Assignment {
 // C_i receives a codeword of lengths[i-1] bits. Unlike the paper's
 // fixed multiset (DefaultAssignment) or its permutations
 // (FrequencyDirected), the lengths here are free: any vector in
-// [1,32]^9 that satisfies the Kraft inequality yields a valid,
+// [1,MaxCodeLen]^9 that satisfies the Kraft inequality yields a valid,
 // decodable assignment. This is the degree of freedom the codecopt
 // search engine optimizes over.
 func AssignmentFromLengths(lengths [NumCases]int) (Assignment, error) {
@@ -136,11 +143,14 @@ func (a Assignment) Lengths() [NumCases]int {
 }
 
 // Validate checks that the assignment is a prefix-free code over the
-// nine cases with no empty codeword.
+// nine cases with no empty codeword and none longer than MaxCodeLen.
 func (a Assignment) Validate() error {
 	for i, ci := range a.codes {
 		if ci == "" {
 			return fmt.Errorf("core: case C%d has empty codeword", i+1)
+		}
+		if len(ci) > MaxCodeLen {
+			return fmt.Errorf("core: case C%d codeword has %d bits, more than %d", i+1, len(ci), MaxCodeLen)
 		}
 		for _, ch := range ci {
 			if ch != '0' && ch != '1' {

@@ -47,6 +47,30 @@ func TestAssignmentLengthsMatchPaper(t *testing.T) {
 	}
 }
 
+// TestMaxCodeLen: a codeword longer than MaxCodeLen bits is refused by
+// every way an assignment is made, so no codec encodes a stream that a
+// container cannot describe; the longest complete code is accepted.
+func TestMaxCodeLen(t *testing.T) {
+	if _, err := AssignmentFromLengths([NumCases]int{1, 2, 3, 4, 5, 6, 7, 8, 8}); err != nil {
+		t.Fatalf("lengths 1..8,8 refused: %v", err)
+	}
+	for _, n := range []int{9, 79} {
+		if _, err := AssignmentFromLengths([NumCases]int{1, 2, 3, 4, 5, 6, 7, n, n}); err == nil {
+			t.Errorf("AssignmentFromLengths took a %d-bit codeword", n)
+		}
+		codes := []string{"0", "10", "110", "1110", "11110", "111110", "1111110",
+			"1111111" + strings.Repeat("0", n-7), "1111111" + strings.Repeat("1", n-7)}
+		if _, err := AssignmentFromCodes(codes); err == nil || !strings.Contains(err.Error(), "more than 8") {
+			t.Errorf("AssignmentFromCodes took a %d-bit codeword: %v", n, err)
+		}
+		var a Assignment
+		copy(a.codes[:], codes)
+		if _, err := NewWithAssignment(8, a); err == nil {
+			t.Errorf("NewWithAssignment took a %d-bit codeword", n)
+		}
+	}
+}
+
 func TestValidateCatchesBrokenCodes(t *testing.T) {
 	bad := Assignment{codes: [NumCases]string{"0", "01", "100", "101", "110", "1110", "11110", "111110", "111111"}}
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "prefix") {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/synth"
 	"repro/internal/tcube"
 )
 
@@ -212,6 +213,38 @@ func BenchmarkDecodeCube(b *testing.B) {
 		if _, err := cdc.DecodeCube(r.Stream, flat.Len()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNewCodec measures building a K=8 codec, which /encode?fd=,
+// ?k=, profiled encodes and /decode of a non-default container do per
+// request: the default code, and the frequency-directed code of a
+// Mintest profile.
+func BenchmarkNewCodec(b *testing.B) {
+	set, err := synth.MintestLike("s38417")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cdc, err := New(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := cdc.EncodeSet(set)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range []struct {
+		name   string
+		assign Assignment
+	}{{"default", DefaultAssignment()}, {"fd", FrequencyDirected(res.Counts)}} {
+		b.Run(a.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewWithAssignment(8, a.assign); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

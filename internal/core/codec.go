@@ -49,8 +49,9 @@ type Codec struct {
 	kc1      kernelCode // 64/K C1 codewords packed as one append
 	kc1ok    bool
 	maxCode  int      // longest codeword length
-	klut     []uint16 // flat codeword LUT, nil when maxCode > maxLUTBits
+	klut     []uint16 // flat codeword LUT
 	klutMask uint64
+	krun     *[256]uint32 // K=8 run table over klut, nil at other K
 }
 
 // MaxK is the largest block size a codec accepts, and the largest a

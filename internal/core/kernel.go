@@ -87,6 +87,9 @@ func init() {
 		}
 		textTab8[cs] = newTextCase8(cs)
 	}
+	for cs := CaseAll0; cs <= Case1Then0; cs++ {
+		runFill8[cs-1] = textTab8[cs].fill
+	}
 }
 
 // classifyFlags is the 9C priority switch over the four half
@@ -124,23 +127,19 @@ type kernelCode struct {
 	n    int
 }
 
-// maxLUTBits bounds the decode LUT at 2^11 entries; every canonical 9C
-// assignment is far below it (max codeword length 5).
-const maxLUTBits = 11
-
 // kernelEncode is the per-pattern plane encode installed on a Codec at
-// construction: encodePlanes for a kernel K, encodeGeneric otherwise
-// (and when a codeword is so long that a block's stream image would
-// not fit wordEnc's 64-bit accumulator, which leaves kops nil). The
-// decode-to-text entry point (kernelText, textkernel.go) is nil
+// construction: encodePlanes for a kernel K, encodeGeneric otherwise.
+// The decode-to-text entry point (kernelText, textkernel.go) is nil
 // without a kernel.
 type kernelEncode func(c *Codec, care, val []uint64, blocks int, w *kernelWriter, counts *Counts)
 
 // initKernel prepares the kernel state: packed codeword masks, the
-// encode op table, the repeated-C1 batch word, the decode LUT, and the
-// dispatch functions. For K without a kernel the codec installs
-// encodeGeneric, keeps kops, klut and ktext nil, and every decode takes
-// the generic path.
+// encode op table, the repeated-C1 batch word, the decode LUT (and at
+// K=8 its run table), and the dispatch functions. For K without a
+// kernel the codec installs encodeGeneric, keeps kops, klut and ktext
+// nil, and every decode takes the generic path. A kernel K is at most
+// 32 and a codeword at most MaxCodeLen bits, so a block's stream image
+// always fits wordEnc's 64-bit accumulator.
 func (c *Codec) initKernel() {
 	for i, p := range c.packed {
 		c.kcodes[i] = kernelCode{bits: p.bits, mask: lowMask64(p.n), n: p.n}
@@ -157,10 +156,7 @@ func (c *Codec) initKernel() {
 		c.kenc = encodeGeneric
 		return
 	}
-	c.kenc = encodeGeneric
-	if c.maxCode+c.k < 64 { // every block's stream image fits the accumulator
-		c.kenc, c.kops = encodePlanes, newBlockOps(&c.kcodes, c.k)
-	}
+	c.kenc, c.kops = encodePlanes, newBlockOps(&c.kcodes, c.k)
 	// An all-zero plane word means 64/K consecutive C1 blocks; when the
 	// repeated C1 codeword fits one word, the kernel emits it in a
 	// single append.
@@ -170,9 +166,10 @@ func (c *Codec) initKernel() {
 		c.kc1 = kernelCode{bits: repeat64(c1.bits, c1.n) & lowMask64(n), mask: lowMask64(n), n: n}
 		c.kc1ok = true
 	}
-	if c.maxCode <= maxLUTBits {
-		c.klut = buildCodeLUT(c.packed, c.maxCode, c.k/2)
-		c.klutMask = lowMask64(c.maxCode)
+	c.klut = buildCodeLUT(c.packed, c.maxCode, c.k/2)
+	c.klutMask = lowMask64(c.maxCode)
+	if c.k == 8 {
+		c.krun = buildRunTable(&c.kcodes)
 	}
 }
 
@@ -553,7 +550,7 @@ func window64(words []uint64, pos int) uint64 {
 // end. On ok=false the caller reruns the generic decoder from the same
 // position, so the classified error (and its bit position) is the
 // generic decoder's. A block's codeword and shipped halves span at most
-// maxLUTBits+32 bits, so one 64-bit window read covers it.
+// MaxCodeLen+32 bits, so one 64-bit window read covers it.
 func decodeKernel(c *Codec, scare, sval []uint64, slen, pos, blocks int, w *kernelWriter) (int, bool) {
 	k, h := c.k, uint(c.k/2)
 	lh, bm := lowMask64(int(h)), lowMask64(k)
@@ -606,6 +603,5 @@ func countBlocks(c *Codec, scare, sval []uint64, slen, pos, blocks int, counts *
 }
 
 // hasDecodeKernel reports whether the fast table decoders are available:
-// initKernel builds the LUT only for a kernel K and a LUT-sized
-// assignment.
+// initKernel builds the LUT only for a kernel K.
 func (c *Codec) hasDecodeKernel() bool { return c.klut != nil }

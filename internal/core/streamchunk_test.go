@@ -167,6 +167,83 @@ func TestStreamDecodeChunkCRCMidStream(t *testing.T) {
 	}
 }
 
+// runSeeds returns K=8 v4 containers whose rows hold eight or more
+// blocks, the rows on which textK8 tries its run table: sparse sets at
+// widths 64, 67 and 200, one under a frequency-directed code, all-X
+// rows of nine C1 blocks (a row ends one block after a run of eight),
+// and that stream with an X inside a run's codeword and cut mid-run.
+func runSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	encode := func(cdc *core.Codec, set *tcube.Set) *core.Result {
+		res, err := cdc.EncodeSet(set)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res
+	}
+	sparse := func(width int, seed int64) *tcube.Set {
+		rng := rand.New(rand.NewSource(seed))
+		set := tcube.NewSet("runs", width)
+		for i := 0; i < 5; i++ {
+			c := bitvec.NewCube(width)
+			for j := 0; j < width; j++ {
+				if rng.Intn(20) == 0 {
+					c.Set(j, bitvec.Trit(rng.Intn(2)))
+				}
+			}
+			set.MustAppend(c)
+		}
+		return set
+	}
+	def, err := core.New(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var results []*core.Result
+	for _, width := range []int{64, 67, 200} {
+		results = append(results, encode(def, sparse(width, int64(width))))
+	}
+	fd, err := core.NewWithAssignment(8, core.FrequencyDirected(results[2].Counts))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results = append(results, encode(fd, sparse(200, 200)))
+	allX := tcube.NewSet("allx", 67)
+	for i := 0; i < 4; i++ {
+		allX.MustAppend(bitvec.NewCube(67))
+	}
+	runs := encode(def, allX)
+	xin, cut := *runs, *runs
+	xin.Stream = runs.Stream.Clone()
+	xin.Stream.Set(3, bitvec.X)
+	cut.Stream = runs.Stream.Slice(0, 5)
+	results = append(results, runs, &xin, &cut)
+	var out [][]byte
+	for _, r := range results {
+		data, err := container.MarshalV4(r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// TestRunSeedsDecode: the run seeds decode alike along the three paths,
+// the valid ones in full and the X and cut ones to a classified fault.
+func TestRunSeedsDecode(t *testing.T) {
+	seeds := runSeeds(t)
+	for i, data := range seeds {
+		ref, ok, err := decodeChunked3(data)
+		if err != nil || !ok {
+			t.Fatalf("seed %d: header ok %v, %v", i, ok, err)
+		}
+		if faulty := i >= len(seeds)-2; faulty != (ref.err != "") || faulty && ref.class == "" {
+			t.Fatalf("seed %d: %d patterns then %q (class %q)", i, len(ref.rows), ref.err, ref.class)
+		}
+	}
+}
+
 // FuzzStreamDecodeDifferential feeds arbitrary bytes through
 // ChunkReader and StreamDecoder along the text kernel, the plane kernel
 // and the generic decoder: all three must emit the same patterns, the
@@ -183,6 +260,9 @@ func FuzzStreamDecodeDifferential(f *testing.F) {
 			flipped[len(flipped)/2] ^= 1
 			f.Add(flipped)
 		}
+	}
+	for _, data := range runSeeds(f) {
+		f.Add(data)
 	}
 	f.Add([]byte("N9C4"))
 	f.Add([]byte{})

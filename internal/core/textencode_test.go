@@ -158,13 +158,12 @@ func TestEncodeTextShapes(t *testing.T) {
 	}
 }
 
-// TestEncodeTextLongCodeword: an assignment with a codeword so long
-// that a K=32 block image would overflow the kernel's 64-bit
-// accumulator takes the generic encoder and no text path, and still
-// encodes as the reference does.
+// TestEncodeTextLongCodeword: an assignment holding the longest
+// codewords a codec accepts (MaxCodeLen bits) still gets the word
+// kernel at K=32, and the text path encodes as the plane path and the
+// reference do.
 func TestEncodeTextLongCodeword(t *testing.T) {
-	codes := []string{"0", "10", "110", "1110", "11110", "111110", "1111110", "11111110",
-		"111111110" + strings.Repeat("0", 31)}
+	codes := []string{"0", "10", "110", "1110", "11110", "111110", "1111110", "11111110", "11111111"}
 	a, err := AssignmentFromCodes(codes)
 	if err != nil {
 		t.Fatal(err)
@@ -173,26 +172,28 @@ func TestEncodeTextLongCodeword(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cdc.kops != nil {
-		t.Fatal("word kernel installed for a 40-trit codeword at K=32")
+	if cdc.kops == nil || !cdc.hasDecodeKernel() {
+		t.Fatal("no word kernel for 8-bit codewords at K=32")
 	}
 	text := []byte(strings.Repeat("01X1X0XX10011X01X1X01X0110X0X1X01X0X101\n", 3))
-	if _, ok := cdc.EncodeText(context.Background(), text, nil); ok {
-		t.Fatal("text path encoded without a word kernel")
+	got, ok := cdc.EncodeText(context.Background(), text, nil)
+	if !ok {
+		t.Fatal("text path refused a plain body")
 	}
 	set, err := tcube.Read("long", bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cdc.EncodeSet(set)
+	plane, err := cdc.EncodeSet(set)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSameResult(t, "long codeword plane", got, plane)
 	want, err := cdc.EncodeSetReference(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSameResult(t, "long codeword", got, want)
+	checkSameResult(t, "long codeword reference", got, want)
 }
 
 // TestEncodeTextLineCap: tcube.Read accepts a line one byte under
