@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 
 ## check: the full pre-merge gate — formatting, vet, build, race tests,
 ## the campaign-equivalence smoke, telemetry smoke, the ninecd serving
-## smoke, the seeded codec-training smoke, the seeded chaos/SLO smoke,
+## smoke, the codec-training smoke, the seeded chaos/SLO smoke,
 ## the result-cache smoke, the client retry soak, the metric-name
 ## contract lint, the disabled-telemetry overhead guard, a short fuzz
 ## pass over every hostile-input decoder, the bench regression gate
@@ -119,7 +119,7 @@ serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
 ## train-smoke: boot ninecd, train a tuned codec profile on the
-## example corpus with a fixed seed, and require a stable profile ID,
+## example corpus, and require a stable profile ID,
 ## non-negative CR uplift over the fixed 9C code, byte-identical
 ## profiled encodes, a full-pattern round trip, and a 404 on an
 ## unknown profile.

@@ -90,7 +90,7 @@ func TestTrainSyncsProfileFleetWide(t *testing.T) {
 	b3 := newProfileBackend(t, "b3", "prof1", testCanonical)
 	l := newTestLB(t, b1.srv.URL, b2.srv.URL, b3.srv.URL)
 
-	rec := postVia(t, l, "/train?seed=1", "0X1X\n")
+	rec := postVia(t, l, "/train", "0X1X\n")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("train via lb: %d %s", rec.Code, rec.Body.String())
 	}

@@ -22,7 +22,7 @@
 //
 //	POST /encode?k=8&fd=1&name=s          # 01X text -> v4 container
 //	POST /decode                          # container (v1-v4) -> 01X text
-//	POST /train?seed=1                    # 01X corpus -> tuned codec profile (async=1 for background)
+//	POST /train?k=8                       # 01X corpus -> tuned codec profile (async=1 for background)
 //	GET  /train/jobs/{id}                 # async train status
 //	POST /profiles                        # install a profile by canonical text
 //	GET  /profiles/{id}                   # fetch a resident profile's canonical text

@@ -97,17 +97,11 @@ func (t *trainJobs) get(id string) (trainJob, bool) {
 	return *j, true
 }
 
-// trainOptions parses the /train query parameters onto search options.
+// trainOptions parses the /train query parameters onto search options
+// and refuses a K or fill no profile can carry.
 func trainOptions(r *http.Request) (codecopt.Options, error) {
-	opts := codecopt.Options{Seed: 1}
+	var opts codecopt.Options
 	q := r.URL.Query()
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return opts, fmt.Errorf("bad seed %q: %w: %v", v, robust.ErrCorrupt, err)
-		}
-		opts.Seed = n
-	}
 	if v := q.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
@@ -121,21 +115,20 @@ func trainOptions(r *http.Request) (codecopt.Options, error) {
 	if q.Get("dict") == "0" {
 		opts.SkipDictionary = true
 	}
-	return opts, nil
+	return opts, opts.Validate()
 }
 
-// handleTrain accepts a 01X training corpus and searches the 9C code
-// space for its best profile. Synchronous by default: the response is
-// the full train report (profile ID, canonical encoding, tuned vs
-// fixed vs dictionary bits) and the winning profile is already
-// installed in the store. With async=1 the search runs in the
-// background — the 202 response carries a job ID to poll at
-// /train/jobs/{id} — with progress observable as codecopt.* spans on
-// the daemon's trace sink either way.
+// handleTrain accepts a 01X training corpus and computes its best 9C
+// profile. Synchronous by default: the response is the full train
+// report (profile ID, canonical encoding, tuned vs fixed vs dictionary
+// bits) and the winning profile is already installed in the store.
+// With async=1 the training runs in the background — the 202 response
+// carries a job ID to poll at /train/jobs/{id} — with progress
+// observable as codecopt.* spans on the daemon's trace sink either way.
 //
-// Query parameters: seed (default 1), k (restrict the block-size axis
-// to one K), fill (restrict the fill axis), dict=0 (skip the
-// dictionary baseline), async=1 (background job).
+// Query parameters: k (restrict the block-size axis to one K), fill
+// (restrict the fill axis), dict=0 (skip the dictionary baseline),
+// async=1 (background job). Any other parameter is ignored.
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) error {
 	opts, err := trainOptions(r)
 	if err != nil {

@@ -87,7 +87,7 @@ func postProfiled(t *testing.T, url, id string, body []byte) (*http.Response, []
 func TestTrainedProfileDifferentialRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t, config{})
 	corpus := skewedText(24, 64)
-	rep := trainReport(t, ts.URL, "?seed=5", corpus)
+	rep := trainReport(t, ts.URL, "", corpus)
 	if rep.UpliftPct < 0 {
 		t.Fatalf("tuned profile worse than fixed: uplift %.3f", rep.UpliftPct)
 	}
@@ -249,7 +249,7 @@ func TestLongestProfileRoundTrip(t *testing.T) {
 func TestEncodeCacheProfileCoherence(t *testing.T) {
 	ts, _ := newTestServer(t, config{})
 	corpus := skewedText(8, 32)
-	rep := trainReport(t, ts.URL, "?seed=2&k=8&fill=none&dict=0", corpus)
+	rep := trainReport(t, ts.URL, "?k=8&fill=none&dict=0", corpus)
 
 	body := []byte(corpus)
 	r1, _ := post(t, ts.URL+"/encode?name=c", body)
@@ -273,7 +273,7 @@ func TestEncodeCacheProfileCoherence(t *testing.T) {
 // polled to completion, winning profile resident.
 func TestTrainAsync(t *testing.T) {
 	ts, _ := newTestServer(t, config{})
-	resp, body := post(t, ts.URL+"/train?seed=3&k=8&fill=none&dict=0&async=1", []byte(skewedText(8, 32)))
+	resp, body := post(t, ts.URL+"/train?k=8&fill=none&dict=0&async=1", []byte(skewedText(8, 32)))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async train: %d %s, want 202", resp.StatusCode, body)
 	}
@@ -327,5 +327,55 @@ func TestTrainAsync(t *testing.T) {
 		default:
 			t.Fatalf("job status %q", job.Status)
 		}
+	}
+}
+
+// TestTrainRejectsUnusableAxes: a K that no profile can carry is a 400
+// before any training, in both modes, and installs nothing. K=66 is a
+// valid codec block size but not a valid profile, so /encode and
+// POST /profiles would refuse what /train produced.
+func TestTrainRejectsUnusableAxes(t *testing.T) {
+	ts, s := newTestServer(t, config{})
+	corpus := []byte(skewedText(8, 32))
+	resident := s.profiles.Len()
+	for _, q := range []string{"?k=66", "?k=7", "?k=66&async=1", "?fill=bogus"} {
+		resp, body := post(t, ts.URL+"/train"+q, corpus)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/train%s: %d %s, want 400", q, resp.StatusCode, body)
+		}
+	}
+	if got := s.profiles.Len(); got != resident {
+		t.Fatalf("resident profiles %d after refused trains, want %d", got, resident)
+	}
+}
+
+// TestTrainBaselineWithoutNone: with the fill axis pinned to zero, the
+// uplift is still measured against the paper code at fill=none.
+func TestTrainBaselineWithoutNone(t *testing.T) {
+	ts, s := newTestServer(t, config{})
+	corpus := skewedText(8, 32)
+	none := trainReport(t, ts.URL, "?k=8&fill=none&dict=0", corpus)
+	rep := trainReport(t, ts.URL, "?k=8&fill=zero&dict=0", corpus)
+	if rep.FixedBits <= 0 || rep.FixedK != 8 || rep.FixedBits != none.FixedBits {
+		t.Fatalf("fill=zero baseline %d bits at K=%d, want %d at K=8",
+			rep.FixedBits, rep.FixedK, none.FixedBits)
+	}
+	if !strings.Contains(rep.Canonical, "fill=zero") {
+		t.Fatalf("fill=zero train installed %q", rep.Canonical)
+	}
+	if got, want := s.reg.Gauge("ninecd.train.last_uplift_bp").Value(), int64(rep.UpliftPct*100); got != want {
+		t.Fatalf("last_uplift_bp %d, want %d", got, want)
+	}
+}
+
+// TestTrainIgnoresSeed: /train no longer takes a seed; callers that
+// still send one get the same 200 and the same profile.
+func TestTrainIgnoresSeed(t *testing.T) {
+	ts, _ := newTestServer(t, config{})
+	corpus := skewedText(8, 32)
+	a := trainReport(t, ts.URL, "?k=8&dict=0", corpus)
+	b := trainReport(t, ts.URL, "?k=8&dict=0&seed=7", corpus)
+	if a.ProfileID != b.ProfileID {
+		t.Fatalf("seed changed the profile: %s vs %s", a.ProfileID, b.ProfileID)
 	}
 }

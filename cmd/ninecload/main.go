@@ -225,7 +225,7 @@ func run(o options, reg *obs.Registry) (*report, error) {
 	if o.profile {
 		trainCtx, cancelTrain := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancelTrain()
-		trained, err = direct.Train(trainCtx, bytes.Join(texts, nil), o.seed)
+		trained, err = direct.Train(trainCtx, bytes.Join(texts, nil))
 		if err != nil {
 			return nil, fmt.Errorf("training profile: %w", err)
 		}

@@ -40,14 +40,17 @@ func newProfiledStub(t *testing.T, id string) (*httptest.Server, *profiledStub) 
 	})
 	mux.HandleFunc("/train", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		seed, _ := strconv.ParseInt(r.URL.Query().Get("seed"), 10, 64)
+		if r.URL.RawQuery != "" {
+			http.Error(w, "unexpected train query "+r.URL.RawQuery, http.StatusBadRequest)
+			return
+		}
 		set, err := tcube.Read("corpus", bytes.NewReader(body))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		rep, err := codecopt.Search([]*tcube.Set{set},
-			codecopt.Options{Seed: seed, Ks: []int{8}, SkipDictionary: true})
+			codecopt.Options{Ks: []int{8}, SkipDictionary: true})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

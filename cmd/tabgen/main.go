@@ -71,7 +71,7 @@ func run(table, figure int, extra string, scale int) error {
 		"reorder":  func() (*experiments.Table, error) { return experiments.ExtraReorder(scale) },
 		"cost":     experiments.ExtraCost,
 		"soc":      experiments.ExtraSoC,
-		"codecopt": func() (*experiments.Table, error) { return experiments.ExtraCodecopt(1) },
+		"codecopt": experiments.ExtraCodecopt,
 	}
 
 	selected := table != 0 || figure != 0 || extra != ""

@@ -1,10 +1,10 @@
 // Package cachex is the content-addressed result cache behind the
 // fleet-scale ninecd serving path. Both 9C endpoints are pure
 // functions of (input bytes, codec parameters) — the paper's encoding
-// is deterministic, and the evolutionary code-based variants share the
-// property — so a key over the request fully identifies its response
-// and caching is correctness-free: a hit is byte-identical to a fresh
-// encode by construction.
+// is deterministic, and corpus-tuned profiles share the property — so
+// a key over the request fully identifies its response and caching is
+// correctness-free: a hit is byte-identical to a fresh encode by
+// construction.
 //
 // The cache is three mechanisms in one type:
 //

@@ -1,17 +1,21 @@
-// Package codecopt searches the 9C code space for a corpus-tuned
-// codec. The paper fixes the nine codeword lengths (Table I) and, at
-// best, permutes them by case frequency (Table VII); Polian et al.
-// show the real win of code-based compression comes from *searching*
-// the code space per test-set corpus. This package does that search —
-// deterministic under a seed — over three axes:
+// Package codecopt tunes the 9C code to a test-set corpus. The paper
+// fixes the nine codeword lengths (Table I) and, at best, permutes
+// them by case frequency (Table VII). This package picks the best
+// configuration over three axes:
 //
-//   - the case→codeword-length vector (any [1..MaxCodeLen]^9 vector
-//     satisfying the Kraft inequality, realized as a canonical prefix
-//     code via core.AssignmentFromLengths);
+//   - the case→codeword-length vector, realized as a canonical prefix
+//     code via core.AssignmentFromLengths;
 //   - the block size K ∈ {4, 8, 16, 32};
 //   - the X-fill strategy applied before encoding (none/zero/one/
 //     adjacent — "none" preserves don't-cares, the others trade X
 //     transparency for run structure).
+//
+// Code-based compression in general needs a search over the code space
+// (Polian et al. use an evolutionary one). 9C does not: the case
+// statistics of a (K, fill) pair do not depend on the lengths, and the
+// encoded size is Σ N_i·len_i plus a length-free data term, so the
+// Huffman code over the case counts is the exact optimum of each pair.
+// Search computes it in closed form and keeps the best pair.
 //
 // The winning configuration is packaged as a Profile: a tiny, portable,
 // versioned artifact whose identity is the SHA-256 of its canonical
@@ -52,7 +56,7 @@ const (
 )
 
 // Fills is the search-space order of the fill strategies; fixed, so
-// seeded searches are reproducible.
+// ties between cells break the same way every run.
 var Fills = []Fill{FillNone, FillZero, FillOne, FillAdjacent}
 
 // Apply returns the set with the strategy applied; FillNone returns
@@ -84,10 +88,10 @@ func (f Fill) valid() bool {
 // format change changes every profile ID with it.
 const Version = 1
 
-// MaxCodeLen caps searched codeword lengths at core.MaxCodeLen, the
+// MaxCodeLen caps profile codeword lengths at core.MaxCodeLen, the
 // longest codeword a codec and a container accept. No complete prefix
-// code over nine symbols is longer, and a shorter complete code beats
-// any incomplete one, so the cap costs the search nothing.
+// code over nine symbols is longer, so every Huffman vector Search
+// builds fits under it.
 const MaxCodeLen = core.MaxCodeLen
 
 // SearchKs is the block-size axis of the search space.

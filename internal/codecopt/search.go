@@ -2,7 +2,6 @@ package codecopt
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/codecs"
@@ -11,20 +10,13 @@ import (
 	"repro/internal/tcube"
 )
 
-// Options tunes Search. The zero value takes the documented defaults;
-// every default is deterministic, so (Seed, corpus) fully determine
-// the result.
+// Options restricts Search. The zero value searches the whole space,
+// and the result is a function of (corpus, Options) alone.
 type Options struct {
-	// Seed fixes the evolutionary loop's random stream.
-	Seed int64
 	// Ks is the block-size axis (default SearchKs).
 	Ks []int
 	// Fills is the fill axis (default Fills).
 	Fills []Fill
-	// Population and Generations size the evolutionary loop per
-	// (K, fill) cell (defaults 24 and 40).
-	Population  int
-	Generations int
 	// SkipDictionary drops the codecs.BestDictionary baseline run —
 	// useful for tight training loops where only the tuned-9C side
 	// matters.
@@ -38,13 +30,22 @@ func (o Options) withDefaults() Options {
 	if len(o.Fills) == 0 {
 		o.Fills = Fills
 	}
-	if o.Population <= 0 {
-		o.Population = 24
-	}
-	if o.Generations <= 0 {
-		o.Generations = 40
-	}
 	return o
+}
+
+// Validate reports whether every (K, fill) on the axes makes a valid
+// Profile; Search refuses the options otherwise, before any encode.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	lens := core.DefaultAssignment().Lengths()
+	for _, k := range o.Ks {
+		for _, fill := range o.Fills {
+			if err := (Profile{K: k, Lengths: lens, Fill: fill}).Validate(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Report is the outcome of one Search: the winning profile, the exact
@@ -64,8 +65,9 @@ type Report struct {
 	// TunedBits is the exact encoded size of the corpus under Profile.
 	TunedBits int `json:"tuned_bits"`
 	// FixedBits is the best the *fixed* paper code (default assignment,
-	// no fill) achieves over the same K sweep, and FixedK that K — the
-	// uplift baseline.
+	// fill=none) achieves over the searched Ks, and FixedK that K — the
+	// uplift baseline. It is scored even when the fill axis leaves out
+	// fill=none.
 	FixedBits int `json:"fixed_bits"`
 	FixedK    int `json:"fixed_k"`
 	// DictBits/DictCodec are the codecs.BestDictionary competitor
@@ -76,15 +78,14 @@ type Report struct {
 	Winner string `json:"winner"`
 
 	// TunedCR/FixedCR are compression ratios in percent; UpliftPct is
-	// their difference in percentage points (>= 0 by construction: the
-	// fixed code is in the search space).
+	// their difference in percentage points. It is >= 0 whenever
+	// fill=none is searched: the Huffman code over the fill=none counts
+	// costs no more than the paper code over the same counts. A fill
+	// axis without none can lose to the baseline, and then UpliftPct
+	// is negative.
 	TunedCR   float64 `json:"tuned_cr"`
 	FixedCR   float64 `json:"fixed_cr"`
 	UpliftPct float64 `json:"uplift_pct"`
-
-	// Evals counts scored candidate length vectors across all cells.
-	Evals int   `json:"evals"`
-	Seed  int64 `json:"seed"`
 }
 
 // cell is the per-(K, fill) precomputation: case statistics are a
@@ -93,7 +94,6 @@ type Report struct {
 // scored in O(9).
 type cell struct {
 	k      int
-	fill   Fill
 	counts core.Counts
 }
 
@@ -108,22 +108,20 @@ func (c *cell) score(lengths [core.NumCases]int) int {
 	return total
 }
 
-// Search finds the best tuned-9C profile for the corpus. Per (K, fill)
-// cell it runs a seeded evolutionary loop (tournament selection,
-// length-transfer and swap mutations, uniform crossover with Kraft
-// repair) seeded with the strong analytic candidates — the paper's
-// default vector, the frequency-directed permutation, and the Huffman
-// code over the observed case counts — then polishes the winner with
-// steepest-ascent hill climbing. The global best across cells becomes
-// the Profile; codecs.BestDictionary competes on the same corpus so
-// the report is "best of tuned-9C vs dictionary".
-//
-// Search is deterministic: same seed, same corpus, same Options ⇒ the
-// same profile (and therefore the same profile ID), byte for byte.
+// Search finds the best tuned-9C profile for the corpus. A cell's
+// score is Σ N_i·len_i plus a data term that does not depend on the
+// lengths, so the best length vector of each (K, fill) cell is the
+// Huffman code over the cell's case counts; the best cell becomes the
+// Profile (the first in axis order on a tie). codecs.BestDictionary
+// competes on the same corpus, so the report is "best of tuned-9C vs
+// dictionary".
 func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("codecopt: empty training corpus")
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	sp := obs.Active().Span("codecopt.search")
 	defer sp.End()
@@ -132,34 +130,51 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 	for _, s := range corpus {
 		origBits += s.Bits()
 	}
-	sp.Set("sets", len(corpus)).Set("orig_bits", origBits).Set("seed", opts.Seed)
+	sp.Set("sets", len(corpus)).Set("orig_bits", origBits)
 
-	rep := &Report{OrigBits: origBits, Seed: opts.Seed, FixedBits: -1, TunedBits: -1}
-	defaultLens := core.DefaultAssignment().Lengths()
-	for ci, k := range opts.Ks {
-		for fi, fill := range opts.Fills {
-			c, err := buildCell(corpus, k, fill)
-			if err != nil {
+	// A fill does not depend on K, so each is applied once and its
+	// copy serves every K.
+	filled := map[Fill][]*tcube.Set{FillNone: corpus}
+	for _, fill := range opts.Fills {
+		if filled[fill] != nil {
+			continue
+		}
+		sets := make([]*tcube.Set, len(corpus))
+		for i, s := range corpus {
+			var err error
+			if sets[i], err = fill.Apply(s); err != nil {
 				return nil, err
 			}
-			// The fixed-9C baseline: paper lengths, X preserved.
-			if fill == FillNone {
-				if fb := c.score(defaultLens); rep.FixedBits < 0 || fb < rep.FixedBits {
-					rep.FixedBits, rep.FixedK = fb, k
+		}
+		filled[fill] = sets
+	}
+
+	rep := &Report{OrigBits: origBits, FixedBits: -1, TunedBits: -1}
+	defaultLens := core.DefaultAssignment().Lengths()
+	for _, k := range opts.Ks {
+		// The fixed-9C baseline: paper lengths, X preserved.
+		none, err := buildCell(corpus, k)
+		if err != nil {
+			return nil, err
+		}
+		if fb := none.score(defaultLens); rep.FixedBits < 0 || fb < rep.FixedBits {
+			rep.FixedBits, rep.FixedK = fb, k
+		}
+		for _, fill := range opts.Fills {
+			c := none
+			if fill != FillNone {
+				if c, err = buildCell(filled[fill], k); err != nil {
+					return nil, err
 				}
 			}
-			// Each cell draws from its own derived seed so adding a K or
-			// fill to the sweep never perturbs the other cells' streams.
-			rng := rand.New(rand.NewSource(opts.Seed + int64(ci)*257 + int64(fi)*8209))
-			lens, bits, evals := optimizeCell(c, rng, opts)
-			rep.Evals += evals
+			lens := huffmanLengths(c.counts)
+			bits := c.score(lens)
 			if rep.TunedBits < 0 || bits < rep.TunedBits {
 				rep.TunedBits = bits
 				rep.Profile = Profile{K: k, Lengths: lens, Fill: fill}
 			}
 			obs.Active().Span("codecopt.cell").
-				Set("k", k).Set("fill", string(fill)).
-				Set("bits", bits).Set("evals", evals).End()
+				Set("k", k).Set("fill", string(fill)).Set("bits", bits).End()
 		}
 	}
 
@@ -175,26 +190,22 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 		}
 	}
 	sp.Set("id", rep.ProfileID).Set("tuned_bits", rep.TunedBits).
-		Set("uplift_pct", rep.UpliftPct).Set("evals", rep.Evals)
+		Set("uplift_pct", rep.UpliftPct)
 	return rep, nil
 }
 
-// buildCell encodes the corpus once at (k, fill) with the default
-// assignment and accumulates the case statistics. Counts are additive
-// across sets, and CompressedSize is linear in them, so the summed
-// counts score the whole corpus at once.
-func buildCell(corpus []*tcube.Set, k int, fill Fill) (*cell, error) {
+// buildCell encodes the (already filled) corpus once at k with the
+// default assignment and accumulates the case statistics. Counts are
+// additive across sets, and CompressedSize is linear in them, so the
+// summed counts score the whole corpus at once.
+func buildCell(corpus []*tcube.Set, k int) (*cell, error) {
 	cdc, err := core.New(k)
 	if err != nil {
 		return nil, err
 	}
-	c := &cell{k: k, fill: fill}
+	c := &cell{k: k}
 	for _, s := range corpus {
-		filled, err := fill.Apply(s)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cdc.EncodeSet(filled)
+		res, err := cdc.EncodeSet(s)
 		if err != nil {
 			return nil, err
 		}
@@ -224,169 +235,12 @@ func addDictionaryBaseline(rep *Report, corpus []*tcube.Set) error {
 	return nil
 }
 
-// optimizeCell searches one (K, fill) cell's length-vector space and
-// returns the best vector, its exact bit cost, and the evaluation
-// count.
-func optimizeCell(c *cell, rng *rand.Rand, opts Options) ([core.NumCases]int, int, int) {
-	evals := 0
-	eval := func(l [core.NumCases]int) int { evals++; return c.score(l) }
-
-	// Analytic seeds: the paper's fixed vector, its frequency-directed
-	// permutation, and the Huffman optimum over the observed counts
-	// (exact for this cell up to the MaxCodeLen cap).
-	pop := [][core.NumCases]int{
-		core.DefaultAssignment().Lengths(),
-		core.FrequencyDirected(c.counts).Lengths(),
-		huffmanLengths(c.counts),
-	}
-	for len(pop) < opts.Population {
-		pop = append(pop, mutate(pop[rng.Intn(3)], rng))
-	}
-
-	type scored struct {
-		lens [core.NumCases]int
-		bits int
-	}
-	cur := make([]scored, len(pop))
-	for i, l := range pop {
-		cur[i] = scored{l, eval(l)}
-	}
-	best := cur[0]
-	for _, s := range cur[1:] {
-		if s.bits < best.bits {
-			best = s
-		}
-	}
-
-	tournament := func() scored {
-		w := cur[rng.Intn(len(cur))]
-		for t := 0; t < 2; t++ {
-			if ch := cur[rng.Intn(len(cur))]; ch.bits < w.bits {
-				w = ch
-			}
-		}
-		return w
-	}
-	for g := 0; g < opts.Generations; g++ {
-		next := make([]scored, 0, len(cur))
-		next = append(next, best) // elitism
-		for len(next) < len(cur) {
-			child := crossover(tournament().lens, tournament().lens, rng)
-			if rng.Intn(2) == 0 {
-				child = mutate(child, rng)
-			}
-			sc := scored{child, eval(child)}
-			if sc.bits < best.bits {
-				best = sc
-			}
-			next = append(next, sc)
-		}
-		cur = next
-	}
-
-	lens, bits, hcEvals := hillClimb(c, best.lens, best.bits)
-	return lens, bits, evals + hcEvals
-}
-
-// hillClimb polishes a vector with steepest-ascent moves: all pairwise
-// swaps and all single-bit length transfers (shorten one case, no
-// repair needed — dropping a length only loosens Kraft — or lengthen
-// one, which always stays valid). Terminates at a local optimum.
-func hillClimb(c *cell, lens [core.NumCases]int, bits int) ([core.NumCases]int, int, int) {
-	evals := 0
-	for {
-		bestMove, bestBits := lens, bits
-		try := func(l [core.NumCases]int) {
-			if !validLengths(l) {
-				return
-			}
-			evals++
-			if b := c.score(l); b < bestBits {
-				bestMove, bestBits = l, b
-			}
-		}
-		for i := 0; i < core.NumCases; i++ {
-			for j := i + 1; j < core.NumCases; j++ {
-				l := lens
-				l[i], l[j] = l[j], l[i]
-				try(l)
-			}
-			for d := -1; d <= 1; d += 2 {
-				l := lens
-				l[i] += d
-				try(l)
-			}
-		}
-		if bestBits >= bits {
-			return lens, bits, evals
-		}
-		lens, bits = bestMove, bestBits
-	}
-}
-
-// crossover mixes two parents gene-wise and Kraft-repairs the child.
-func crossover(a, b [core.NumCases]int, rng *rand.Rand) [core.NumCases]int {
-	child := a
-	for i := range child {
-		if rng.Intn(2) == 1 {
-			child[i] = b[i]
-		}
-	}
-	return repair(child)
-}
-
-// mutate applies one random move: swap two genes or transfer one bit
-// of length, then Kraft-repair.
-func mutate(l [core.NumCases]int, rng *rand.Rand) [core.NumCases]int {
-	i, j := rng.Intn(core.NumCases), rng.Intn(core.NumCases)
-	if rng.Intn(2) == 0 {
-		l[i], l[j] = l[j], l[i]
-	} else {
-		l[i]--
-		l[j]++
-	}
-	return repair(l)
-}
-
-// repair clamps lengths into [1, MaxCodeLen] and restores Kraft ≤ 1 by
-// lengthening the currently-shortest codewords — the move that costs
-// the fewest bits when the short codes belong to frequent cases, and
-// the only move guaranteed to converge (every step halves one term).
-func repair(l [core.NumCases]int) [core.NumCases]int {
-	for i := range l {
-		if l[i] < 1 {
-			l[i] = 1
-		}
-		if l[i] > MaxCodeLen {
-			l[i] = MaxCodeLen
-		}
-	}
-	for !kraftOK(l) {
-		short := 0
-		for i := 1; i < core.NumCases; i++ {
-			if l[i] < l[short] {
-				short = i
-			}
-		}
-		l[short]++
-	}
-	return l
-}
-
-func validLengths(l [core.NumCases]int) bool {
-	for _, v := range l {
-		if v < 1 || v > MaxCodeLen {
-			return false
-		}
-	}
-	return kraftOK(l)
-}
-
 // huffmanLengths builds the optimal prefix-code length vector for the
-// observed case counts (zero counts weighted 1 so every case keeps a
-// codeword — the encoder must be total even if the corpus never hit a
-// case), capped at MaxCodeLen via repair. Ties break by case index,
-// so the result is deterministic.
+// case counts. Unseen cases weigh 0 and still get a codeword, so the
+// encoder stays total. A Huffman tree over nine leaves is complete and
+// at most eight deep, so every vector is Kraft-exact and within
+// MaxCodeLen. Ties break by case index, then by merge order, so the
+// result is deterministic.
 func huffmanLengths(counts core.Counts) [core.NumCases]int {
 	type node struct {
 		weight int
@@ -395,11 +249,7 @@ func huffmanLengths(counts core.Counts) [core.NumCases]int {
 	}
 	nodes := make([]*node, core.NumCases)
 	for i := range nodes {
-		w := counts[i]
-		if w < 1 {
-			w = 1
-		}
-		nodes[i] = &node{weight: w, order: i, syms: []int{i}}
+		nodes[i] = &node{weight: counts[i], order: i, syms: []int{i}}
 	}
 	var lens [core.NumCases]int
 	next := core.NumCases
@@ -418,7 +268,7 @@ func huffmanLengths(counts core.Counts) [core.NumCases]int {
 		}
 		nodes = append([]*node{merged}, nodes[2:]...)
 	}
-	return repair(lens)
+	return lens
 }
 
 func crPct(orig, compressed int) float64 {

@@ -123,8 +123,8 @@ func FrequencyDirected(counts Counts) Assignment {
 // fixed multiset (DefaultAssignment) or its permutations
 // (FrequencyDirected), the lengths here are free: any vector in
 // [1,MaxCodeLen]^9 that satisfies the Kraft inequality yields a valid,
-// decodable assignment. This is the degree of freedom the codecopt
-// search engine optimizes over.
+// decodable assignment. This is the degree of freedom codecopt tunes
+// per corpus.
 func AssignmentFromLengths(lengths [NumCases]int) (Assignment, error) {
 	codes, err := canonicalCodes(lengths)
 	if err != nil {

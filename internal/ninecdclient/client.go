@@ -361,21 +361,16 @@ type TrainReport struct {
 	TunedCR   float64 `json:"tuned_cr"`
 	FixedCR   float64 `json:"fixed_cr"`
 	UpliftPct float64 `json:"uplift_pct"`
-	Evals     int     `json:"evals"`
-	Seed      int64   `json:"seed"`
 }
 
-// Train posts a 01X training corpus and returns the search report; the
+// Train posts a 01X training corpus and returns the train report; the
 // winning profile is resident on the trained daemon afterwards (behind
 // a ninecd-lb, on every healthy backend). A single attempt, no retry:
-// the search is deterministic but expensive, and a timeout here should
-// surface rather than silently triple the bill.
-func (c *Client) Train(ctx context.Context, corpus []byte, seed int64) (*TrainReport, error) {
-	path := "/train"
-	if seed != 0 {
-		path += "?seed=" + strconv.FormatInt(seed, 10)
-	}
-	body, _, err := c.roundTrip(ctx, c.base, path, "text/plain; charset=utf-8", nil, corpus)
+// training is deterministic but encodes the corpus once per (K, fill)
+// cell, and a timeout here should surface rather than silently triple
+// the bill.
+func (c *Client) Train(ctx context.Context, corpus []byte) (*TrainReport, error) {
+	body, _, err := c.roundTrip(ctx, c.base, "/train", "text/plain; charset=utf-8", nil, corpus)
 	if err != nil {
 		return nil, err
 	}

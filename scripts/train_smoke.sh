@@ -1,7 +1,7 @@
 #!/bin/sh
 # train-smoke gate: boot ninecd, train a tuned codec profile on the
-# example corpus with a fixed seed, and require (1) a stable profile
-# ID — training twice yields the same sha256, (2) non-negative CR
+# example corpus, and require (1) a stable profile ID — training twice
+# yields the same sha256, (2) non-negative CR
 # uplift over the fixed 9C code, (3) byte-identical profiled encodes
 # that still decode back to the full pattern count, (4) the canonical
 # profile text retrievable at /profiles/{id}.
@@ -45,11 +45,10 @@ base="http://$addr"
 
 curl -fsS "$base/healthz" >/dev/null
 
-# Train with a fixed seed; the search is deterministic, so the profile
-# ID (sha256 of the canonical profile) must come out identical on a
-# second run over the same corpus.
-curl -fsS -o "$tmp/train1.json" --data-binary @examples/cubes.txt "$base/train?seed=7"
-curl -fsS -o "$tmp/train2.json" --data-binary @examples/cubes.txt "$base/train?seed=7"
+# Training is deterministic, so the profile ID (sha256 of the canonical
+# profile) must come out identical on a second run over the same corpus.
+curl -fsS -o "$tmp/train1.json" --data-binary @examples/cubes.txt "$base/train"
+curl -fsS -o "$tmp/train2.json" --data-binary @examples/cubes.txt "$base/train"
 id=$(sed -n 's/.*"id":"\([0-9a-f]\{64\}\)".*/\1/p' "$tmp/train1.json" | head -n 1)
 id2=$(sed -n 's/.*"id":"\([0-9a-f]\{64\}\)".*/\1/p' "$tmp/train2.json" | head -n 1)
 if [ -z "$id" ]; then
@@ -58,11 +57,12 @@ if [ -z "$id" ]; then
 	exit 1
 fi
 if [ "$id" != "$id2" ]; then
-	echo "train-smoke: same corpus + seed produced different profiles: $id vs $id2" >&2
+	echo "train-smoke: same corpus produced different profiles: $id vs $id2" >&2
 	exit 1
 fi
 
-# The fixed code is inside the search space, so tuned can never lose.
+# fill=none is searched, and Huffman over its counts costs no more than
+# the fixed code, so tuned can never lose.
 uplift=$(sed -n 's/.*"uplift_pct":\(-\{0,1\}[0-9.]*\).*/\1/p' "$tmp/train1.json" | head -n 1)
 case $uplift in
 '' | -*)
