@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // profileBackend is a fake backend with a real-enough profile surface:
@@ -82,33 +89,116 @@ func (b *profileBackend) installCount() int {
 
 const testCanonical = "9cprof/1 k=8 fill=none lens=1,2,5,5,5,5,5,5,4\n"
 
-// TestTrainSyncsProfileFleetWide: one backend runs the search, every
-// other healthy backend receives the winning profile.
-func TestTrainSyncsProfileFleetWide(t *testing.T) {
-	b1 := newProfileBackend(t, "b1", "prof1", testCanonical)
-	b2 := newProfileBackend(t, "b2", "prof1", testCanonical)
-	b3 := newProfileBackend(t, "b3", "prof1", testCanonical)
-	l := newTestLB(t, b1.srv.URL, b2.srv.URL, b3.srv.URL)
+// buildNinecd builds the real daemon for tests that need its /train.
+func buildNinecd(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "ninecd")
+	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/ninecd").CombinedOutput(); err != nil {
+		t.Fatalf("go build ninecd: %v\n%s", err, out)
+	}
+	return bin
+}
 
-	rec := postVia(t, l, "/train", "0X1X\n")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("train via lb: %d %s", rec.Code, rec.Body.String())
+// startNinecd runs the daemon binary on a free loopback port and
+// returns its base URL; the process is killed at cleanup. One goroutine
+// reads stderr to its end, finding the listen address on the way, so
+// Wait runs only after every read of the pipe is done.
+func startNinecd(t *testing.T, bin string) string {
+	t.Helper()
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(rec.Body.String(), `"uplift_pct":1.25`) {
-		t.Fatalf("owner's report not relayed: %s", rec.Body.String())
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	trained := 0
-	for _, b := range []*profileBackend{b1, b2, b3} {
-		b.mu.Lock()
-		trained += b.trains
-		b.mu.Unlock()
-		if b.installCount() == 0 {
-			t.Errorf("backend %s never received the trained profile", b.name)
+	addr := make(chan string, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			if _, a, ok := strings.Cut(sc.Text(), "ninecd: listening on "); ok {
+				select {
+				case addr <- a:
+				default:
+				}
+			}
+		}
+		io.Copy(io.Discard, stderr)
+	}()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-done
+		cmd.Wait()
+	})
+	select {
+	case a := <-addr:
+		return "http://" + a
+	case <-done:
+		t.Fatal("ninecd exited without a listen address")
+		return ""
+	}
+}
+
+// TestTrainSyncsProfileFleetWide: through the lb, one real ninecd runs
+// the search, its 200 report is relayed, and every other backend
+// receives the winning profile. async=1 is one input: the daemon
+// ignores it, so the lb still gets the report it syncs from.
+func TestTrainSyncsProfileFleetWide(t *testing.T) {
+	bin := buildNinecd(t)
+	corpus, err := os.ReadFile("../../examples/cubes.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"", "?async=1"} {
+		urls := []string{startNinecd(t, bin), startNinecd(t, bin), startNinecd(t, bin)}
+		l := newTestLB(t, urls...)
+		rec := postVia(t, l, "/train"+q, string(corpus))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/train%s via lb: %d %s", q, rec.Code, rec.Body.String())
+		}
+		var rep struct {
+			ID      string `json:"id"`
+			Profile string `json:"profile"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || rep.ID == "" {
+			t.Fatalf("/train%s via lb: report %s (%v)", q, rec.Body.String(), err)
+		}
+		trained := 0.0
+		for _, u := range urls {
+			if got := httpGet(t, u+"/profiles/"+rep.ID); got != rep.Profile {
+				t.Errorf("/train%s: backend %s holds %q, want the trained profile %q", q, u, got, rep.Profile)
+			}
+			s, err := obs.ParsePrometheus(strings.NewReader(httpGet(t, u+"/metrics")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			trained += s.Samples["ninecd_train_requests_total"]
+		}
+		if trained != 1 {
+			t.Fatalf("/train%s: search ran on %v backends, want exactly 1", q, trained)
 		}
 	}
-	if trained != 1 {
-		t.Fatalf("search ran on %d backends, want exactly 1", trained)
+}
+
+// httpGet returns the body of a GET, or "" for a non-200 answer.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return ""
+	}
+	return string(body)
 }
 
 // TestProfileInstallFansOut: POST /profiles reaches every healthy

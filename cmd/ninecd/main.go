@@ -12,18 +12,16 @@
 //	ninecd -max-patterns 4096 -max-bits N # decode limits (robust policy)
 //	ninecd -trace trace.ndjson            # structured span events
 //	ninecd -access-log access.ndjson      # NDJSON access log
-//	ninecd -slo-window 5m -slo-latency 250ms  # /readyz objectives
+//	ninecd -slo-window 5m                 # /readyz objective window
 //	ninecd -shed-queue 64 -shed-mem 1073741824  # adaptive load shedding
 //	ninecd -prio-bytes 65536 -prio-slots 2      # small-decode priority lane
 //	ninecd -cache=false -cache-bytes 268435456  # /encode result cache
-//	ninecd -profile-cap 64                      # resident tuned-profile bound
 //
 // Endpoints:
 //
 //	POST /encode?k=8&fd=1&name=s          # 01X text -> v4 container
 //	POST /decode                          # container (v1-v4) -> 01X text
-//	POST /train?k=8                       # 01X corpus -> tuned codec profile (async=1 for background)
-//	GET  /train/jobs/{id}                 # async train status
+//	POST /train?k=8&fill=none             # 01X corpus -> tuned codec profile, installed
 //	POST /profiles                        # install a profile by canonical text
 //	GET  /profiles/{id}                   # fetch a resident profile's canonical text
 //	GET  /healthz                         # liveness
@@ -92,7 +90,6 @@ func realMain(args []string) (code int) {
 	fs := flag.NewFlagSet("ninecd", flag.ContinueOnError)
 	fs.BoolVar(&cacheOn, "cache", true, "content-addressed /encode result cache (-cache=off via -cache=false)")
 	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "result-cache resident bound in bytes (0 = 256 MiB)")
-	fs.IntVar(&cfg.ProfileCap, "profile-cap", 0, "resident tuned-codec profiles, LRU (0 = 64)")
 	fs.StringVar(&cfg.Addr, "addr", "localhost:9314", "listen address")
 	fs.IntVar(&cfg.K, "k", 8, "default block size K for /encode (even, >= 2)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "worker-pool size (0 = GOMAXPROCS)")
@@ -109,9 +106,6 @@ func realMain(args []string) (code int) {
 	fs.StringVar(&trace, "trace", "", "append structured JSON trace events to this file")
 	fs.StringVar(&accessLog, "access-log", "", "append an NDJSON access-log line per request to this file")
 	fs.DurationVar(&cfg.SLOWindow, "slo-window", 0, "rolling SLO window for /readyz (0 = 5m)")
-	fs.Float64Var(&cfg.SLOAvailability, "slo-availability", 0, "availability objective, fraction of non-5xx responses (0 = 0.999)")
-	fs.DurationVar(&cfg.SLOLatency, "slo-latency", 0, "per-request latency objective (0 = 250ms)")
-	fs.Float64Var(&cfg.SLOLatencyTarget, "slo-latency-target", 0, "fraction of requests that must meet -slo-latency (0 = 0.99)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

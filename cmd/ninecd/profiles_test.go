@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -269,69 +270,56 @@ func TestEncodeCacheProfileCoherence(t *testing.T) {
 	}
 }
 
-// TestTrainAsync drives the background job path: 202 with a job ID,
-// polled to completion, winning profile resident.
+// TestTrainAsync: async=1 and dict=0 are ignored. The train answers
+// 200 with its report in the same request, the profile is resident,
+// and there is no job endpoint to poll.
 func TestTrainAsync(t *testing.T) {
 	ts, _ := newTestServer(t, config{})
-	resp, body := post(t, ts.URL+"/train?k=8&fill=none&dict=0&async=1", []byte(skewedText(8, 32)))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async train: %d %s, want 202", resp.StatusCode, body)
-	}
-	var ack map[string]string
-	if err := json.Unmarshal(body, &ack); err != nil {
+	rep := trainReport(t, ts.URL, "?k=8&fill=none&dict=0&async=1", skewedText(8, 32))
+	pr, err := http.Get(ts.URL + "/profiles/" + rep.ProfileID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loc := resp.Header.Get("Location")
-	if ack["job"] == "" || loc != "/train/jobs/"+ack["job"] {
-		t.Fatalf("async ack %s location %q", body, loc)
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusOK {
+		t.Fatalf("trained profile not resident: %d", pr.StatusCode)
 	}
+	job, err := http.Get(ts.URL + "/train/jobs/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.Body.Close()
+	if job.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /train/jobs/x: %d, want 404", job.StatusCode)
+	}
+}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		r, err := http.Get(ts.URL + loc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var job struct {
-			Status string           `json:"status"`
-			Error  string           `json:"error"`
-			Report *codecopt.Report `json:"report"`
-		}
-		dec := json.NewDecoder(r.Body)
-		if err := dec.Decode(&job); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		switch job.Status {
-		case "running":
-			if time.Now().After(deadline) {
-				t.Fatal("async train did not finish")
-			}
-			time.Sleep(20 * time.Millisecond)
-			continue
-		case "failed":
-			t.Fatalf("async train failed: %s", job.Error)
-		case "done":
-			if job.Report == nil || job.Report.ProfileID == "" {
-				t.Fatalf("done job missing report")
-			}
-			pr, err := http.Get(ts.URL + "/profiles/" + job.Report.ProfileID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr.Body.Close()
-			if pr.StatusCode != http.StatusOK {
-				t.Fatalf("trained profile not resident: %d", pr.StatusCode)
-			}
-			return
-		default:
-			t.Fatalf("job status %q", job.Status)
-		}
+// TestTrainHonoursDeadline: a train whose request deadline has passed
+// fails with the deadline class, which answers 503, and installs
+// nothing. The handler is driven directly with an already-expired
+// context: through guard, admission would race the done context
+// against a free worker slot.
+func TestTrainHonoursDeadline(t *testing.T) {
+	_, s := newTestServer(t, config{})
+	resident := s.profiles.Len()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/train", strings.NewReader(skewedText(8, 32))).WithContext(ctx)
+	err := s.handleTrain(httptest.NewRecorder(), req)
+	if err == nil || statusFor(err) != http.StatusServiceUnavailable || errClass(err) != "deadline" {
+		t.Fatalf("expired train: %v (status %d), want a 503 deadline error", err, statusFor(err))
+	}
+	if got := s.profiles.Len(); got != resident {
+		t.Fatalf("resident profiles %d after an expired train, want %d", got, resident)
+	}
+	if got := s.reg.Counter("ninecd.train.failures").Value(); got != 1 {
+		t.Fatalf("ninecd.train.failures = %d, want 1", got)
 	}
 }
 
 // TestTrainRejectsUnusableAxes: a K that no profile can carry is a 400
-// before any training, in both modes, and installs nothing. K=66 is a
+// before any training, with or without the ignored async=1, and
+// installs nothing. K=66 is a
 // valid codec block size but not a valid profile, so /encode and
 // POST /profiles would refuse what /train produced.
 func TestTrainRejectsUnusableAxes(t *testing.T) {

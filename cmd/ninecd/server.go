@@ -105,19 +105,10 @@ type config struct {
 	CacheOff   bool
 	CacheBytes int64
 
-	// ProfileCap bounds the resident tuned-codec profiles (LRU;
-	// 0 = codecopt.DefaultStoreCap). Profiles arrive via POST /train
-	// (searched in place) or POST /profiles (installed from another
-	// instance's train) and are selected per request with the
-	// X-Codec-Profile header on /encode.
-	ProfileCap int
-
-	// SLO objectives backing /readyz (zero fields take the obs
-	// defaults: 5m window, 99.9% availability, 250ms at p99).
-	SLOWindow        time.Duration
-	SLOAvailability  float64
-	SLOLatency       time.Duration
-	SLOLatencyTarget float64
+	// SLOWindow is the rolling window of the /readyz objectives
+	// (0 = 5m); the objectives themselves are the obs defaults: 99.9%
+	// availability, 250ms at p99.
+	SLOWindow time.Duration
 
 	// Access is the NDJSON access log; nil (the default) disables it.
 	Access *obs.AccessLog
@@ -190,7 +181,6 @@ type server struct {
 
 	profiles *codecopt.Store // resident tuned-codec profiles (profiles.go)
 	codecs   *codecTable
-	trains   trainJobs // async /train job registry
 
 	draining atomic.Bool // set by StartDrain; flips /readyz to 503
 	queued   *obs.Gauge  // requests waiting for a worker slot
@@ -214,12 +204,7 @@ func newServer(cfg config, reg *obs.Registry) *server {
 		sem:    make(chan struct{}, cfg.Workers),
 		mux:    http.NewServeMux(),
 		traces: obs.NewTraceBuffer(traceRecent, traceSlowest),
-		slo: obs.NewSLOTracker(obs.SLOConfig{
-			Window:           cfg.SLOWindow,
-			Availability:     cfg.SLOAvailability,
-			LatencyObjective: cfg.SLOLatency,
-			LatencyTarget:    cfg.SLOLatencyTarget,
-		}),
+		slo:    obs.NewSLOTracker(obs.SLOConfig{Window: cfg.SLOWindow}),
 		rc:     obs.NewRuntimeCollector(reg),
 		access: cfg.Access,
 	}
@@ -233,15 +218,17 @@ func newServer(cfg config, reg *obs.Registry) *server {
 			Registry: reg,
 		})
 	}
-	s.profiles = codecopt.NewStore(cfg.ProfileCap, reg)
+	// Tuned-codec profiles arrive via POST /train or POST /profiles
+	// and are selected per /encode with the X-Codec-Profile header.
+	s.profiles = codecopt.NewStore(codecopt.DefaultStoreCap, reg)
 	s.codecs = newCodecTable(cfg.K)
 	s.enc = batchenc.New(batchenc.Config{Codec: s.codecs.get})
 	s.mux.HandleFunc("POST /encode", s.instrument("encode", true, s.guard("encode", s.handleEncode)))
 	s.mux.HandleFunc("POST /decode", s.instrument("decode", true, s.guard("decode", s.handleDecode)))
 	// Control plane: training is heavy but rare, so it rides the worker
-	// pool (guard) without charging the serving SLO (instrument's false).
+	// pool and deadline (guard) without charging the serving SLO
+	// (instrument's false).
 	s.mux.HandleFunc("POST /train", s.instrument("train", false, s.guard("train", s.handleTrain)))
-	s.mux.HandleFunc("GET /train/jobs/{id}", s.instrument("train_job", false, s.guard("train_job", s.handleTrainJob)))
 	s.mux.HandleFunc("POST /profiles", s.instrument("profile_install", false, s.guard("profile_install", s.handleProfileInstall)))
 	s.mux.HandleFunc("GET /profiles/{id}", s.instrument("profile_get", false, s.guard("profile_get", s.handleProfileGet)))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", false, s.handleHealthz))

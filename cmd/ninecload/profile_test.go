@@ -49,8 +49,7 @@ func newProfiledStub(t *testing.T, id string) (*httptest.Server, *profiledStub) 
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		rep, err := codecopt.Search([]*tcube.Set{set},
-			codecopt.Options{Ks: []int{8}, SkipDictionary: true})
+		rep, err := codecopt.Search(r.Context(), []*tcube.Set{set}, codecopt.Options{Ks: []int{8}})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

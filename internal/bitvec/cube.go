@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -134,17 +135,23 @@ func (c *Cube) CompatibleOne(lo, hi int) bool {
 	return oneOK
 }
 
-// FillConst returns a copy with every X replaced by v.
+// FillConst returns a copy with every X replaced by v. It works a
+// word at a time: the X positions of a word are ^care, which become
+// specified, and for One also set in val.
 func (c *Cube) FillConst(v Trit) *Cube {
-	if v == X {
-		panic("bitvec: FillConst with X")
+	if v != Zero && v != One {
+		panic(fmt.Sprintf("bitvec: FillConst with %v", v))
 	}
 	out := c.Clone()
-	for i := 0; i < out.Len(); i++ {
-		if out.Get(i) == X {
-			out.Set(i, v)
+	care, val := out.care.words, out.val.words
+	for i, w := range care {
+		care[i] = ^uint64(0)
+		if v == One {
+			val[i] |= ^w
 		}
 	}
+	out.care.clip()
+	out.val.clip()
 	return out
 }
 
@@ -168,23 +175,45 @@ func (c *Cube) FillRandom(rng *rand.Rand) *Cube {
 // nearest specified position to its left (minimum-transition fill, the
 // standard power-aware fill the paper alludes to). A leading run of X
 // takes the value of the first specified bit, or 0 for an all-X cube.
+// Each X run is found by a word scan of the care plane and filled with
+// one SetRun.
 func (c *Cube) FillAdjacent() *Cube {
 	out := c.Clone()
+	n := out.Len()
 	last := Zero
-	for i := 0; i < out.Len(); i++ {
-		if t := out.Get(i); t != X {
-			last = t
-			break
-		}
+	if first := nextCare(out.care.words, 0, n, true); first < n && out.val.Get(first) {
+		last = One
 	}
-	for i := 0; i < out.Len(); i++ {
-		if t := out.Get(i); t != X {
-			last = t
-		} else {
-			out.Set(i, last)
+	for lo := nextCare(out.care.words, 0, n, false); lo < n; {
+		hi := nextCare(out.care.words, lo, n, true)
+		if lo > 0 {
+			last = Zero
+			if out.val.Get(lo - 1) {
+				last = One
+			}
 		}
+		out.SetRun(lo, hi, last)
+		lo = nextCare(out.care.words, hi, n, false)
 	}
 	return out
+}
+
+// nextCare returns the first position in [i, n) whose care bit is
+// specified (or, with specified false, X), or a position >= n if there
+// is none.
+func nextCare(care []uint64, i, n int, specified bool) int {
+	for i < n {
+		wi := i / wordBits
+		w := care[wi]
+		if !specified {
+			w = ^w
+		}
+		if w &= ^uint64(0) << uint(i%wordBits); w != 0 {
+			return wi*wordBits + bits.TrailingZeros64(w)
+		}
+		i = (wi + 1) * wordBits
+	}
+	return n
 }
 
 // String renders the cube as a string over {0,1,X}.

@@ -1,10 +1,10 @@
 package codecopt
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/tcube"
@@ -17,10 +17,6 @@ type Options struct {
 	Ks []int
 	// Fills is the fill axis (default Fills).
 	Fills []Fill
-	// SkipDictionary drops the codecs.BestDictionary baseline run —
-	// useful for tight training loops where only the tuned-9C side
-	// matters.
-	SkipDictionary bool
 }
 
 func (o Options) withDefaults() Options {
@@ -49,9 +45,8 @@ func (o Options) Validate() error {
 }
 
 // Report is the outcome of one Search: the winning profile, the exact
-// encoded-bits ledger it was scored on, and the baselines it beat (or
-// lost to — the dictionary baseline can win, and the report says so
-// rather than hiding it).
+// encoded-bits ledger it was scored on, and the fixed-code baseline it
+// is measured against.
 type Report struct {
 	// Profile is the best tuned-9C configuration found; ProfileID its
 	// content address.
@@ -70,12 +65,6 @@ type Report struct {
 	// fill=none.
 	FixedBits int `json:"fixed_bits"`
 	FixedK    int `json:"fixed_k"`
-	// DictBits/DictCodec are the codecs.BestDictionary competitor
-	// (0/"" when skipped).
-	DictBits  int    `json:"dict_bits,omitempty"`
-	DictCodec string `json:"dict_codec,omitempty"`
-	// Winner is "tuned9c" or "dictionary" — the smaller of the two.
-	Winner string `json:"winner"`
 
 	// TunedCR/FixedCR are compression ratios in percent; UpliftPct is
 	// their difference in percentage points. It is >= 0 whenever
@@ -112,10 +101,10 @@ func (c *cell) score(lengths [core.NumCases]int) int {
 // score is Σ N_i·len_i plus a data term that does not depend on the
 // lengths, so the best length vector of each (K, fill) cell is the
 // Huffman code over the cell's case counts; the best cell becomes the
-// Profile (the first in axis order on a tie). codecs.BestDictionary
-// competes on the same corpus, so the report is "best of tuned-9C vs
-// dictionary".
-func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
+// Profile (the first in axis order on a tie). ctx is checked before
+// each fill and each cell and inside every encode; once it is done,
+// Search returns its error and no report.
+func Search(ctx context.Context, corpus []*tcube.Set, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("codecopt: empty training corpus")
@@ -139,6 +128,9 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 		if filled[fill] != nil {
 			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sets := make([]*tcube.Set, len(corpus))
 		for i, s := range corpus {
 			var err error
@@ -153,7 +145,7 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 	defaultLens := core.DefaultAssignment().Lengths()
 	for _, k := range opts.Ks {
 		// The fixed-9C baseline: paper lengths, X preserved.
-		none, err := buildCell(corpus, k)
+		none, err := buildCell(ctx, corpus, k)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +155,7 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 		for _, fill := range opts.Fills {
 			c := none
 			if fill != FillNone {
-				if c, err = buildCell(filled[fill], k); err != nil {
+				if c, err = buildCell(ctx, filled[fill], k); err != nil {
 					return nil, err
 				}
 			}
@@ -183,12 +175,6 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 	rep.TunedCR = crPct(origBits, rep.TunedBits)
 	rep.FixedCR = crPct(origBits, rep.FixedBits)
 	rep.UpliftPct = rep.TunedCR - rep.FixedCR
-	rep.Winner = "tuned9c"
-	if !opts.SkipDictionary {
-		if err := addDictionaryBaseline(rep, corpus); err != nil {
-			return nil, err
-		}
-	}
 	sp.Set("id", rep.ProfileID).Set("tuned_bits", rep.TunedBits).
 		Set("uplift_pct", rep.UpliftPct)
 	return rep, nil
@@ -198,14 +184,17 @@ func Search(corpus []*tcube.Set, opts Options) (*Report, error) {
 // default assignment and accumulates the case statistics. Counts are
 // additive across sets, and CompressedSize is linear in them, so the
 // summed counts score the whole corpus at once.
-func buildCell(corpus []*tcube.Set, k int) (*cell, error) {
+func buildCell(ctx context.Context, corpus []*tcube.Set, k int) (*cell, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cdc, err := core.New(k)
 	if err != nil {
 		return nil, err
 	}
 	c := &cell{k: k}
 	for _, s := range corpus {
-		res, err := cdc.EncodeSet(s)
+		res, err := cdc.Encode(ctx, s, core.EncodeOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -214,25 +203,6 @@ func buildCell(corpus []*tcube.Set, k int) (*cell, error) {
 		}
 	}
 	return c, nil
-}
-
-// addDictionaryBaseline runs codecs.BestDictionary over the corpus and
-// lets it compete with the tuned profile.
-func addDictionaryBaseline(rep *Report, corpus []*tcube.Set) error {
-	total, name := 0, ""
-	for _, s := range corpus {
-		r, err := codecs.BestDictionary(s)
-		if err != nil {
-			return err
-		}
-		total += r.CompressedBits
-		name = r.Codec
-	}
-	rep.DictBits, rep.DictCodec = total, name
-	if total < rep.TunedBits {
-		rep.Winner = "dictionary"
-	}
-	return nil
 }
 
 // huffmanLengths builds the optimal prefix-code length vector for the

@@ -2,12 +2,15 @@ package codecopt
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/synth"
@@ -39,11 +42,11 @@ func trainingCorpus(t *testing.T) []*tcube.Set {
 
 func TestSearchDeterministic(t *testing.T) {
 	corpus := trainingCorpus(t)
-	a, err := Search(corpus, Options{})
+	a, err := Search(context.Background(), corpus, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	b, err := Search(corpus, Options{})
+	b, err := Search(context.Background(), corpus, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -59,7 +62,7 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 func TestSearchUpliftNonNegative(t *testing.T) {
-	rep, err := Search(trainingCorpus(t), Options{})
+	rep, err := Search(context.Background(), trainingCorpus(t), Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -71,12 +74,6 @@ func TestSearchUpliftNonNegative(t *testing.T) {
 		t.Fatalf("tuned %d bits > fixed %d bits despite fixed being in the search space",
 			rep.TunedBits, rep.FixedBits)
 	}
-	if rep.DictBits <= 0 || rep.DictCodec == "" {
-		t.Fatalf("dictionary baseline missing from report: %+v", rep)
-	}
-	if rep.Winner != "tuned9c" && rep.Winner != "dictionary" {
-		t.Fatalf("winner %q", rep.Winner)
-	}
 	if err := rep.Profile.Validate(); err != nil {
 		t.Fatalf("winning profile invalid: %v", err)
 	}
@@ -87,7 +84,7 @@ func TestSearchUpliftNonNegative(t *testing.T) {
 // under the winning profile's codec.
 func TestSearchScoreIsExact(t *testing.T) {
 	corpus := trainingCorpus(t)
-	rep, err := Search(corpus, Options{SkipDictionary: true})
+	rep, err := Search(context.Background(), corpus, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -117,7 +114,7 @@ func TestSearchScoreIsExact(t *testing.T) {
 // and decode it back — every specified source bit must survive.
 func TestTunedProfileRoundTripsCore(t *testing.T) {
 	corpus := trainingCorpus(t)
-	rep, err := Search(corpus, Options{SkipDictionary: true})
+	rep, err := Search(context.Background(), corpus, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -146,8 +143,8 @@ func TestTunedProfileRoundTripsCore(t *testing.T) {
 
 // TestSearchHonorsRestrictedAxes pins Options.Ks/Fills filtering.
 func TestSearchHonorsRestrictedAxes(t *testing.T) {
-	rep, err := Search(trainingCorpus(t), Options{
-		Ks: []int{8}, Fills: []Fill{FillNone}, SkipDictionary: true,
+	rep, err := Search(context.Background(), trainingCorpus(t), Options{
+		Ks: []int{8}, Fills: []Fill{FillNone},
 	})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
@@ -160,8 +157,31 @@ func TestSearchHonorsRestrictedAxes(t *testing.T) {
 	}
 }
 
+// TestSearchHonoursContext: a cancelled or expired context stops
+// Search with the context's error and no report.
+func TestSearchHonoursContext(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	for _, tc := range []struct {
+		ctx  context.Context
+		want error
+		opts Options
+	}{
+		{cancelled, context.Canceled, Options{}},
+		{expired, context.DeadlineExceeded, Options{}},
+		{expired, context.DeadlineExceeded, Options{Fills: []Fill{FillNone}}},
+	} {
+		rep, err := Search(tc.ctx, trainingCorpus(t), tc.opts)
+		if !errors.Is(err, tc.want) || rep != nil {
+			t.Errorf("Search(%+v) under a done context = %v, %v; want nil, %v", tc.opts, rep, err, tc.want)
+		}
+	}
+}
+
 func TestSearchEmptyCorpus(t *testing.T) {
-	if _, err := Search(nil, Options{}); err == nil {
+	if _, err := Search(context.Background(), nil, Options{}); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
 }
@@ -249,7 +269,7 @@ func oracleCounts(t *testing.T) (names []string, counts []core.Counts) {
 				t.Fatal(err)
 			}
 			for _, k := range SearchKs {
-				c, err := buildCell([]*tcube.Set{filled}, k)
+				c, err := buildCell(context.Background(), []*tcube.Set{filled}, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -384,7 +404,7 @@ func TestSearchPinnedProfiles(t *testing.T) {
 			all = append(all, set)
 			tc.corpus = func() []*tcube.Set { return []*tcube.Set{set} }
 		}
-		rep, err := Search(tc.corpus(), Options{SkipDictionary: true})
+		rep, err := Search(context.Background(), tc.corpus(), Options{})
 		if err != nil {
 			t.Fatalf("%s: Search: %v", tc.name, err)
 		}
@@ -402,11 +422,11 @@ func TestSearchPinnedProfiles(t *testing.T) {
 func TestSearchFillWins(t *testing.T) {
 	row := strings.Repeat(strings.Repeat("X", 32)+strings.Repeat("1", 32), 16) + "\n"
 	corpus := []*tcube.Set{mustSet(t, "fillwins", strings.Repeat(row, 16))}
-	none, err := Search(corpus, Options{Fills: []Fill{FillNone}, SkipDictionary: true})
+	none, err := Search(context.Background(), corpus, Options{Fills: []Fill{FillNone}})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	rep, err := Search(corpus, Options{SkipDictionary: true})
+	rep, err := Search(context.Background(), corpus, Options{})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -428,7 +448,7 @@ func TestSearchRejectsInvalidAxes(t *testing.T) {
 		{Ks: []int{8, 0}},
 		{Fills: []Fill{"bogus"}},
 	} {
-		if rep, err := Search(trainingCorpus(t), opts); err == nil {
+		if rep, err := Search(context.Background(), trainingCorpus(t), opts); err == nil {
 			t.Errorf("Search(%+v) = %s, want an error", opts, rep.Canonical)
 		}
 	}
@@ -438,11 +458,11 @@ func TestSearchRejectsInvalidAxes(t *testing.T) {
 // code at fill=none even when the fill axis leaves none out.
 func TestSearchBaselineWithoutNone(t *testing.T) {
 	corpus := trainingCorpus(t)
-	want, err := Search(corpus, Options{Ks: []int{8}, Fills: []Fill{FillNone}, SkipDictionary: true})
+	want, err := Search(context.Background(), corpus, Options{Ks: []int{8}, Fills: []Fill{FillNone}})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
-	rep, err := Search(corpus, Options{Ks: []int{8}, Fills: []Fill{FillZero}, SkipDictionary: true})
+	rep, err := Search(context.Background(), corpus, Options{Ks: []int{8}, Fills: []Fill{FillZero}})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -452,5 +472,26 @@ func TestSearchBaselineWithoutNone(t *testing.T) {
 	}
 	if rep.Profile.Fill != FillZero {
 		t.Fatalf("search escaped its fill axis: %+v", rep.Profile)
+	}
+}
+
+// BenchmarkSearch times a default Search (four Ks, four fills) on a
+// corpus of twenty copies of the s38417 Mintest-profile set, about
+// 3.3 M trits, the per-layer cost of a default /train.
+func BenchmarkSearch(b *testing.B) {
+	set, err := synth.MintestLike("s38417")
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus := make([]*tcube.Set, 20)
+	for i := range corpus {
+		corpus[i] = set
+	}
+	b.SetBytes(int64(len(corpus) * set.Bits()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Search(context.Background(), corpus, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/codecopt"
@@ -23,7 +24,7 @@ func ExtraCodecopt() (*Table, error) {
 		Title:  "Tuned 9C profiles vs the fixed paper code (codecopt Huffman per K and fill)",
 		Header: []string{"Circuit", "Fixed CR%", "Tuned CR%", "Uplift pp", "K", "Fill"},
 	}
-	opts := codecopt.Options{SkipDictionary: true}
+	ctx := context.Background()
 	var corpus []*tcube.Set
 	for _, cs := range synth.Benchmarks {
 		set, err := synth.MintestLike(cs.Name)
@@ -31,13 +32,13 @@ func ExtraCodecopt() (*Table, error) {
 			return nil, err
 		}
 		corpus = append(corpus, set)
-		rep, err := codecopt.Search([]*tcube.Set{set}, opts)
+		rep, err := codecopt.Search(ctx, []*tcube.Set{set}, codecopt.Options{})
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, codecoptRow(cs.Name, rep))
 	}
-	rep, err := codecopt.Search(corpus, opts)
+	rep, err := codecopt.Search(ctx, corpus, codecopt.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -355,9 +355,6 @@ type TrainReport struct {
 	TunedBits int     `json:"tuned_bits"`
 	FixedBits int     `json:"fixed_bits"`
 	FixedK    int     `json:"fixed_k"`
-	DictBits  int     `json:"dict_bits"`
-	DictCodec string  `json:"dict_codec"`
-	Winner    string  `json:"winner"`
 	TunedCR   float64 `json:"tuned_cr"`
 	FixedCR   float64 `json:"fixed_cr"`
 	UpliftPct float64 `json:"uplift_pct"`
