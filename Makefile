@@ -51,7 +51,7 @@ N ?= 6
 bench-pairs:
 	GO="$(GO)" sh scripts/bench_pairs.sh $(BASE) $(PKG) '$(BENCH)' $(N)
 
-## bench: the 9C hot-path benchmarks (encode/decode, reference, parallel scaling).
+## bench: the 9C hot-path benchmarks (encode/decode, word kernels, reference).
 bench:
 	$(GO) test -bench 'Encode|Decode|Classify' -run XXX -benchtime 1s ./internal/core/
 
@@ -170,8 +170,8 @@ overhead-guard:
 ## fuzz-smoke: run every native fuzz target for FUZZTIME each — the
 ## container reader, the 9C stream decoder, the streamed v4 decode along
 ## the text kernel, the plane kernel and the generic decoder, the word
-## kernels and every encode option against the generic and reference
-## encoders, /encode's text path against the parser path (container
+## kernels and the fresh and workspace set encodes against the generic
+## and reference encoders, /encode's text path against the parser path (container
 ## bytes or error string), each baseline codec family, the text parsers, and the
 ## word-parallel 01X reader against its per-trit reference. Any panic,
 ## disagreement or unclassified error is a failure.

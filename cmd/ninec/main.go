@@ -9,14 +9,12 @@
 //	ninec -sweep cubes.txt                # CR/LX over the Table II K sweep
 //	ninec -k 8 -verify cubes.txt          # compress + decode + cross-check
 //	ninec -k 8 -p 16 cubes.txt            # TAT at f_scan = 16 f_ate
-//	ninec -k 8 -workers 4 cubes.txt       # encode with 4 parallel workers
 //	ninec -k 8 -json cubes.txt            # machine-readable encode report
 //	ninec -k 8 -o out.9c cubes.txt        # write the compressed N9C4 container
 //	ninec -d out.9c                       # decompress a container to stdout
 //
 // Robustness controls:
 //
-//	ninec -timeout 30s ...                # cancel the encode at a deadline
 //	ninec -d -max-patterns 4096 out.9c    # cap header-driven allocations
 //	ninec -d -max-bits 1048576 out.9c     # cap the stored |T_E| payload
 //	ninec -d -strict=false out.9c         # salvage the prefix of a corrupt container
@@ -29,13 +27,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -60,9 +56,7 @@ type runOpts struct {
 	Out     string
 	Chains  int
 	Reorder bool
-	Workers int
 	JSON    bool
-	Timeout time.Duration
 }
 
 // decOpts carries every flag of the decompress path.
@@ -104,9 +98,7 @@ func realMain(args []string) (code int) {
 	dec := fs.Bool("d", false, "treat the input as a container and decompress to stdout")
 	fs.IntVar(&o.Chains, "chains", 1, "encode for this many parallel scan chains (vertical order, one ATE pin)")
 	fs.BoolVar(&o.Reorder, "reorder", false, "greedily reorder scan cells for compatibility before encoding")
-	fs.IntVar(&o.Workers, "workers", 0, "parallel encode workers (0 = GOMAXPROCS; output is identical to serial)")
 	fs.BoolVar(&o.JSON, "json", false, "emit the encode report as one JSON object on stdout")
-	fs.DurationVar(&o.Timeout, "timeout", 0, "abort the encode after this duration (0 = no limit)")
 	var d decOpts
 	fs.BoolVar(&d.Strict, "strict", true, "with -d: reject any corruption; -strict=false salvages the decodable prefix")
 	fs.IntVar(&d.MaxPatterns, "max-patterns", 0, "with -d: reject containers claiming more patterns (0 = default limit)")
@@ -251,12 +243,6 @@ func run(path string, o runOpts) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
 	say := func(format string, args ...any) {
 		if !o.JSON {
 			fmt.Printf(format, args...)
@@ -299,7 +285,7 @@ func run(path string, o runOpts) error {
 	if o.Sweep {
 		fmt.Printf("%4s %8s %8s %10s\n", "K", "CR%", "LX%", "|T_E|")
 		for _, kk := range []int{4, 8, 12, 16, 20, 24, 28, 32} {
-			r, err := encode(ctx, set, kk, o.FD, o.Workers)
+			r, err := encode(set, kk, o.FD)
 			if err != nil {
 				return err
 			}
@@ -308,7 +294,7 @@ func run(path string, o runOpts) error {
 		return nil
 	}
 
-	r, err := encode(ctx, set, o.K, o.FD, o.Workers)
+	r, err := encode(set, o.K, o.FD)
 	if err != nil {
 		return err
 	}
@@ -375,7 +361,6 @@ func writeJSONReport(w *os.File, set *tcube.Set, r *core.Result, rep *ate.Report
 		"width":           r.Width,
 		"k":               r.K,
 		"fd":              o.FD,
-		"workers":         o.Workers,
 		"chains":          o.Chains,
 		"orig_bits":       r.OrigBits,
 		"compressed_bits": r.CompressedBits(),
@@ -421,23 +406,18 @@ func readCubes(path string) (*tcube.Set, error) {
 	return tcube.Read(path, f)
 }
 
-// encode runs the encoder on workers goroutines (≤ 0 selects
-// GOMAXPROCS) under the caller's context (the -timeout deadline); its
-// output is bit-identical to the serial path, so every downstream
-// report is unaffected by workers.
-func encode(ctx context.Context, set *tcube.Set, k int, fd bool, workers int) (*core.Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	opt := core.EncodeOptions{Workers: workers}
+// encode runs the encoder at block size k; with fd it encodes twice,
+// the second time under the frequency-directed assignment of the
+// first pass's case counts.
+func encode(set *tcube.Set, k int, fd bool) (*core.Result, error) {
 	cdc, err := core.New(k)
 	if err != nil {
 		return nil, err
 	}
 	if !fd {
-		return cdc.Encode(ctx, set, opt)
+		return cdc.EncodeSet(set)
 	}
-	first, err := cdc.Encode(ctx, set, opt)
+	first, err := cdc.EncodeSet(set)
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +425,7 @@ func encode(ctx context.Context, set *tcube.Set, k int, fd bool, workers int) (*
 	if err != nil {
 		return nil, err
 	}
-	return cdc.Encode(ctx, set, opt)
+	return cdc.EncodeSet(set)
 }
 
 func codecFor(k int, fd bool, r *core.Result) (*core.Codec, error) {

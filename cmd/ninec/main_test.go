@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/container"
 	"repro/internal/core"
@@ -178,25 +176,6 @@ func TestRunMultiChain(t *testing.T) {
 	}
 }
 
-func TestRunParallelWorkersIdentical(t *testing.T) {
-	path := writeCubes(t)
-	serial, err := captureStdout(t, func() error {
-		return run(path, runOpts{K: 8, P: 8, Workers: 1})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := captureStdout(t, func() error {
-		return run(path, runOpts{K: 8, P: 8, Workers: 3})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
-		t.Fatalf("worker count changed the report:\nserial: %q\nparallel: %q", serial, parallel)
-	}
-}
-
 func TestRunReadsSTIL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cubes.stil")
@@ -313,22 +292,6 @@ func TestDecompressKeepsSetName(t *testing.T) {
 	}
 	if strings.Contains(banner, "out.9c") {
 		t.Fatalf("decompress banner %q still names the container path", banner)
-	}
-}
-
-// TestRunTimeout asserts an already-expired -timeout aborts the encode
-// with a deadline error, and a generous one changes nothing.
-func TestRunTimeout(t *testing.T) {
-	path := writeCubes(t)
-	if _, err := captureStdout(t, func() error {
-		return run(path, runOpts{K: 8, P: 8, Timeout: time.Nanosecond})
-	}); err == nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err %v, want context.DeadlineExceeded", err)
-	}
-	if _, err := captureStdout(t, func() error {
-		return run(path, runOpts{K: 8, P: 8, Timeout: time.Minute})
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -535,7 +498,7 @@ func TestTelemetrySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := captureStdout(t, func() error {
-		return run(path, runOpts{K: 8, P: 8, Verify: true, Workers: 2})
+		return run(path, runOpts{K: 8, P: 8, Verify: true})
 	}); err != nil {
 		stop()
 		t.Fatal(err)
@@ -565,17 +528,17 @@ func TestTelemetrySmoke(t *testing.T) {
 	if len(lines) == 0 {
 		t.Fatal("no trace events")
 	}
-	sawWorker := false
+	sawEncode := false
 	for _, line := range lines {
 		var ev obs.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("trace line %q: %v", line, err)
 		}
-		if ev.Name == "core.encode_worker" {
-			sawWorker = true
+		if ev.Name == "core.encode_set" {
+			sawEncode = true
 		}
 	}
-	if !sawWorker {
-		t.Fatal("no per-worker span in trace")
+	if !sawEncode {
+		t.Fatal("no encode span in trace")
 	}
 }

@@ -101,7 +101,7 @@ func TestBodyReadEdges(t *testing.T) {
 		mu.Unlock()
 	}))
 	t.Cleanup(backend.Close)
-	l, err := newLB(backend.URL, 0, limit, time.Second)
+	l, err := newLB(backend.URL, limit, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func BenchmarkForward(b *testing.B) {
 		io.WriteString(w, "ok")
 	}))
 	defer backend.Close()
-	l, err := newLB(backend.URL, 0, 64<<20, time.Second)
+	l, err := newLB(backend.URL, 64<<20, time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 // Usage:
 //
 //	ninecd-lb -addr :9414 -backends host1:9314,host2:9314,host3:9314
-//	ninecd-lb -vnodes 64 -check-interval 2s   # ring + health cadence
+//	ninecd-lb -check-interval 2s              # health-check cadence
 //
 // Endpoints:
 //
@@ -27,7 +27,7 @@
 //	GET  /profiles/{id}     # served by the first healthy backend holding it
 //	GET  /healthz           # lb liveness
 //	GET  /readyz            # 200 while >= 1 backend is healthy
-//	GET  /ring              # topology: backends, health, vnodes
+//	GET  /ring              # topology: backends and their health
 //	GET  /metrics           # lb's own Prometheus exposition
 //
 // Backends are health-checked via their /readyz on -check-interval;
@@ -66,7 +66,6 @@ func realMain(args []string) int {
 	var (
 		addr          string
 		backendsCSV   string
-		vnodes        int
 		checkInterval time.Duration
 		checkTimeout  time.Duration
 		maxBody       int64
@@ -75,7 +74,6 @@ func realMain(args []string) int {
 	fs := flag.NewFlagSet("ninecd-lb", flag.ContinueOnError)
 	fs.StringVar(&addr, "addr", "localhost:9414", "listen address")
 	fs.StringVar(&backendsCSV, "backends", "", "comma-separated ninecd backends (host:port or URL), required")
-	fs.IntVar(&vnodes, "vnodes", hashring.DefaultVNodes, "virtual nodes per backend on the hash ring")
 	fs.DurationVar(&checkInterval, "check-interval", 2*time.Second, "backend /readyz poll interval")
 	fs.DurationVar(&checkTimeout, "check-timeout", time.Second, "per-probe timeout for backend health checks")
 	fs.Int64Var(&maxBody, "max-body", 64<<20, "request body cap in bytes")
@@ -84,7 +82,7 @@ func realMain(args []string) int {
 		return 2
 	}
 
-	lb, err := newLB(backendsCSV, vnodes, maxBody, checkTimeout)
+	lb, err := newLB(backendsCSV, maxBody, checkTimeout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ninecd-lb:", err)
 		return 2
@@ -169,7 +167,7 @@ func forwardTransport(n int) *http.Transport {
 }
 
 // newLB parses the backend list and assembles the routing handler.
-func newLB(backendsCSV string, vnodes int, maxBody int64, checkTimeout time.Duration) (*lb, error) {
+func newLB(backendsCSV string, maxBody int64, checkTimeout time.Duration) (*lb, error) {
 	var backends []string
 	for _, raw := range strings.Split(backendsCSV, ",") {
 		b := strings.TrimSuffix(strings.TrimSpace(raw), "/")
@@ -184,7 +182,7 @@ func newLB(backendsCSV string, vnodes int, maxBody int64, checkTimeout time.Dura
 	if len(backends) == 0 {
 		return nil, errors.New("-backends required (comma-separated host:port list)")
 	}
-	ring, err := hashring.New(backends, vnodes)
+	ring, err := hashring.New(backends)
 	if err != nil {
 		return nil, err
 	}

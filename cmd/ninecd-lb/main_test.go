@@ -38,7 +38,7 @@ func fakeBackend(t *testing.T, name string) *httptest.Server {
 
 func newTestLB(t *testing.T, backends ...string) *lb {
 	t.Helper()
-	l, err := newLB(strings.Join(backends, ","), 0, 1<<20, time.Second)
+	l, err := newLB(strings.Join(backends, ","), 1<<20, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestNoBackends(t *testing.T) {
 
 func TestBodyCap(t *testing.T) {
 	b1 := fakeBackend(t, "b1")
-	l, err := newLB(b1.URL, 0, 16, time.Second)
+	l, err := newLB(b1.URL, 16, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +317,10 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 func TestNewLBRejectsEmptyBackends(t *testing.T) {
-	if _, err := newLB("", 0, 1<<20, time.Second); err == nil {
+	if _, err := newLB("", 1<<20, time.Second); err == nil {
 		t.Fatal("empty backend list accepted")
 	}
-	if _, err := newLB(" , ,", 0, 1<<20, time.Second); err == nil {
+	if _, err := newLB(" , ,", 1<<20, time.Second); err == nil {
 		t.Fatal("blank backend list accepted")
 	}
 }

@@ -9,20 +9,17 @@ import (
 )
 
 // Adaptive admission: the daemon sheds load before it collapses rather
-// than queueing requests it cannot serve in time. Two pressure signals
-// gate admission ahead of the worker pool:
-//
-//   - queue depth: when more requests are already waiting than the pool
-//     can plausibly clear, new arrivals get an immediate 429 instead of
-//     burning their queue wait to learn the same thing;
-//   - memory: when the heap exceeds -shed-mem, large work is refused
-//     until GC catches up (0 disables the check).
+// than queueing requests it cannot serve in time. When more requests
+// are already waiting than the pool can plausibly clear (-shed-queue),
+// new arrivals get an immediate 429 instead of burning their queue
+// wait to learn the same thing.
 //
 // Every 429 carries a Retry-After derived from live queue depth and the
 // SLO burn state — an honest estimate, not a constant — clamped to
-// [1,30] seconds. Small /decode requests ride a separate priority lane
-// (-prio-slots extra workers) so interactive decodes are not starved
-// behind huge /encode jobs occupying the main pool.
+// [1,30] seconds. Small /decode requests (declared bodies up to
+// prioBytes) ride a separate priority lane of max(1, workers/4) extra
+// slots, so interactive decodes are not starved behind huge /encode
+// jobs occupying the main pool.
 
 // StartDrain flips the daemon into draining mode: /readyz reports 503
 // immediately so load balancers stop routing here, while in-flight
@@ -34,31 +31,16 @@ func (s *server) StartDrain() {
 	}
 }
 
+// prioBytes is the largest declared /decode body the priority lane
+// takes.
+const prioBytes = 64 << 10
+
 // isPriority reports whether the request qualifies for the priority
-// lane: a /decode whose declared body fits under -prio-bytes. Unknown
+// lane: a /decode whose declared body fits under prioBytes. Unknown
 // lengths (chunked uploads) do not qualify — the lane is reserved for
 // work that is provably small before any byte is read.
-func (s *server) isPriority(name string, r *http.Request) bool {
-	return name == "decode" && r.ContentLength >= 0 && r.ContentLength <= s.cfg.PrioBytes
-}
-
-// shedReason returns a non-empty reason when the request should be
-// refused before queueing. Priority-lane requests skip the queue-depth
-// check (they have their own slots) but not the memory check — memory
-// pressure is global.
-func (s *server) shedReason(name string, r *http.Request) string {
-	if s.queued.Value() >= int64(s.cfg.ShedQueue) && !s.isPriority(name, r) {
-		return "queue"
-	}
-	if s.cfg.ShedMemBytes > 0 {
-		// Sample is internally rate-limited, so hot-path calls are a
-		// cheap atomic check most of the time.
-		s.rc.Sample()
-		if s.heap.Value() > s.cfg.ShedMemBytes {
-			return "memory"
-		}
-	}
-	return ""
+func isPriority(name string, r *http.Request) bool {
+	return name == "decode" && r.ContentLength >= 0 && r.ContentLength <= prioBytes
 }
 
 // retryAfterSecs estimates when a retry has a real chance of being
@@ -95,9 +77,12 @@ func (s *server) reject(w http.ResponseWriter, msg, class string) {
 // caller must invoke release when the request finishes. prioLane is
 // the route's ninecd.<name>.prio_lane counter, resolved once by guard.
 func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if reason := s.shedReason(name, r); reason != "" {
-		s.reg.Counter("ninecd." + name + ".shed." + reason).Inc()
-		s.reject(w, "overloaded, shedding ("+reason+")", "shed_"+reason)
+	// Priority-lane requests skip the queue-depth check: they have
+	// their own slots.
+	prio := isPriority(name, r)
+	if s.queued.Value() >= int64(s.cfg.ShedQueue) && !prio {
+		s.reg.Counter("ninecd." + name + ".shed.queue").Inc()
+		s.reject(w, "overloaded, shedding (queue)", "shed_queue")
 		return nil, false
 	}
 
@@ -106,9 +91,9 @@ func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter
 	enqueued := time.Now()
 	wait := time.NewTimer(s.cfg.QueueWait)
 	defer wait.Stop()
-	var prio chan struct{}
-	if s.isPriority(name, r) {
-		prio = s.prio
+	var lane chan struct{}
+	if prio {
+		lane = s.prio
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -116,7 +101,7 @@ func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter
 			info.queueWait = time.Since(enqueued)
 		}
 		return func() { <-s.sem }, true
-	case prio <- struct{}{}:
+	case lane <- struct{}{}:
 		prioLane.Inc()
 		if info := reqInfoFrom(r.Context()); info != nil {
 			info.queueWait = time.Since(enqueued)

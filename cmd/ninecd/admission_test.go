@@ -176,15 +176,15 @@ func TestQueueShed(t *testing.T) {
 // huge) encodes, a small decode still serves through the priority lane
 // instead of starving, and a queue-shed front door lets it through.
 func TestPriorityLane(t *testing.T) {
-	ts, s := newTestServer(t, config{Workers: 1, PrioSlots: 1, ShedQueue: 1, QueueWait: 10 * time.Second})
+	ts, s := newTestServer(t, config{Workers: 1, ShedQueue: 1, QueueWait: 10 * time.Second})
 
 	// A container to decode, produced before the pool is saturated.
 	resp, cont := post(t, ts.URL+"/encode?name=prio", []byte(sampleText(4, 16, 9)))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("setup encode: %d", resp.StatusCode)
 	}
-	if int64(len(cont)) > s.cfg.PrioBytes {
-		t.Fatalf("test container %d bytes exceeds PrioBytes %d", len(cont), s.cfg.PrioBytes)
+	if len(cont) > prioBytes {
+		t.Fatalf("test container %d bytes exceeds prioBytes %d", len(cont), prioBytes)
 	}
 
 	s.sem <- struct{}{} // the only main worker is busy
@@ -217,46 +217,38 @@ func TestPriorityLane(t *testing.T) {
 	}
 }
 
-// TestMemoryShed: with -shed-mem set below any real heap, every
-// request — priority lane included, memory pressure is global — is
-// refused with the memory class.
-func TestMemoryShed(t *testing.T) {
-	ts, s := newTestServer(t, config{ShedMemBytes: 1})
-	resp, _ := post(t, ts.URL+"/encode", []byte("0101\n"))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("memory shed: %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Error-Class"); got != "shed_memory" {
-		t.Fatalf("shed class %q", got)
-	}
-	resp, _ = post(t, ts.URL+"/decode", []byte("small"))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("priority decode under memory shed: %d, want 429", resp.StatusCode)
-	}
-	if got := s.reg.Counter("ninecd.encode.shed.memory").Value() +
-		s.reg.Counter("ninecd.decode.shed.memory").Value(); got != 2 {
-		t.Fatalf("shed.memory counters = %d, want 2", got)
-	}
-}
-
 // TestPriorityRequiresKnownLength: a chunked decode (unknown
-// ContentLength) does not qualify for the lane.
+// ContentLength) does not qualify for the lane, and a known one
+// qualifies up to 64 KiB.
 func TestPriorityRequiresKnownLength(t *testing.T) {
-	s := newServer(config{}, obs.NewRegistry())
 	r, _ := http.NewRequest(http.MethodPost, "/decode", io.NopCloser(bytes.NewReader([]byte("x"))))
 	r.ContentLength = -1
-	if s.isPriority("decode", r) {
+	if isPriority("decode", r) {
 		t.Fatal("unknown-length decode qualified for the priority lane")
 	}
 	r.ContentLength = 10
-	if !s.isPriority("decode", r) {
+	if !isPriority("decode", r) {
 		t.Fatal("small decode did not qualify")
 	}
-	if s.isPriority("encode", r) {
+	if isPriority("encode", r) {
 		t.Fatal("encode qualified for the decode priority lane")
 	}
-	r.ContentLength = s.cfg.PrioBytes + 1
-	if s.isPriority("decode", r) {
+	r.ContentLength = 64 << 10
+	if !isPriority("decode", r) {
+		t.Fatal("a 64 KiB decode did not qualify")
+	}
+	r.ContentLength = 64<<10 + 1
+	if isPriority("decode", r) {
 		t.Fatal("oversized decode qualified")
+	}
+}
+
+// TestPriorityLaneSize: the lane has max(1, workers/4) slots.
+func TestPriorityLaneSize(t *testing.T) {
+	for workers, want := range map[int]int{1: 1, 3: 1, 4: 1, 8: 2, 13: 3} {
+		s := newServer(config{Workers: workers}, obs.NewRegistry())
+		if got := cap(s.prio); got != want {
+			t.Errorf("workers=%d: %d priority slots, want %d", workers, got, want)
+		}
 	}
 }

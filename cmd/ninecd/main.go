@@ -13,8 +13,7 @@
 //	ninecd -trace trace.ndjson            # structured span events
 //	ninecd -access-log access.ndjson      # NDJSON access log
 //	ninecd -slo-window 5m                 # /readyz objective window
-//	ninecd -shed-queue 64 -shed-mem 1073741824  # adaptive load shedding
-//	ninecd -prio-bytes 65536 -prio-slots 2      # small-decode priority lane
+//	ninecd -shed-queue 64                 # queue depth that sheds arrivals
 //	ninecd -cache=false -cache-bytes 268435456  # /encode result cache
 //
 // Endpoints:
@@ -40,9 +39,10 @@
 //
 // Status codes: 400 for corrupt/truncated/checksum-failed input, 413
 // when a request or its decode limits are exceeded, 429 when admission
-// sheds load (queue depth or memory pressure) or the worker pool stays
-// saturated past -queue-wait — always with a Retry-After derived from
-// live queue depth and SLO burn, clamped to [1,30]s — 503 when the
+// sheds load (queue depth) or the worker pool stays saturated past
+// -queue-wait — always with a Retry-After derived from live queue
+// depth and SLO burn, clamped to [1,30]s — 408 (class client_gone)
+// when the client hangs up before the response starts, 503 when the
 // per-request deadline expires, 500 only for a recovered panic.
 // SIGTERM/SIGINT drain gracefully: /readyz flips to 503 immediately,
 // in-flight requests finish (up to -drain), new connections are
@@ -100,9 +100,6 @@ func realMain(args []string) (code int) {
 	fs.IntVar(&cfg.MaxBits, "max-bits", 0, "reject containers whose stored stream exceeds this many bits (0 = default limit)")
 	fs.DurationVar(&cfg.Drain, "drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	fs.IntVar(&cfg.ShedQueue, "shed-queue", 0, "queued-request depth that sheds new arrivals with 429 (0 = workers*8)")
-	fs.Int64Var(&cfg.ShedMemBytes, "shed-mem", 0, "heap bytes above which requests are shed (0 = disabled)")
-	fs.Int64Var(&cfg.PrioBytes, "prio-bytes", 0, "max /decode body size for the priority lane (0 = 64KiB)")
-	fs.IntVar(&cfg.PrioSlots, "prio-slots", 0, "priority-lane worker slots for small decodes (0 = max(1, workers/4))")
 	fs.StringVar(&trace, "trace", "", "append structured JSON trace events to this file")
 	fs.StringVar(&accessLog, "access-log", "", "append an NDJSON access-log line per request to this file")
 	fs.DurationVar(&cfg.SLOWindow, "slo-window", 0, "rolling SLO window for /readyz (0 = 5m)")

@@ -317,6 +317,25 @@ func TestTrainHonoursDeadline(t *testing.T) {
 	}
 }
 
+// TestTrainClientGone: a client that hangs up during a train is a 408
+// of class client_gone, not a bad request, and installs nothing. The
+// handler is driven directly with an already-cancelled context, as in
+// TestTrainHonoursDeadline.
+func TestTrainClientGone(t *testing.T) {
+	_, s := newTestServer(t, config{})
+	resident := s.profiles.Len()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/train", strings.NewReader(skewedText(8, 32))).WithContext(ctx)
+	err := s.handleTrain(httptest.NewRecorder(), req)
+	if err == nil || statusFor(err) != http.StatusRequestTimeout || errClass(err) != "client_gone" {
+		t.Fatalf("cancelled train: %v (status %d, class %s), want a 408 client_gone error", err, statusFor(err), errClass(err))
+	}
+	if got := s.profiles.Len(); got != resident {
+		t.Fatalf("resident profiles %d after a cancelled train, want %d", got, resident)
+	}
+}
+
 // TestTrainRejectsUnusableAxes: a K that no profile can carry is a 400
 // before any training, with or without the ignored async=1, and
 // installs nothing. K=66 is a

@@ -86,16 +86,9 @@ type config struct {
 	MaxBits     int           // decode limit on stored |T_E| (0 = default)
 	Drain       time.Duration // graceful-shutdown budget
 
-	// Adaptive admission (see admission.go). ShedQueue is the queued-
-	// request depth at which new arrivals are refused immediately
-	// (0 = Workers*8); ShedMemBytes sheds when the heap exceeds it
-	// (0 = disabled). PrioBytes bounds the /decode body size that
-	// qualifies for the priority lane (0 = 64 KiB) and PrioSlots sizes
-	// that lane (0 = max(1, Workers/4)).
-	ShedQueue    int
-	ShedMemBytes int64
-	PrioBytes    int64
-	PrioSlots    int
+	// ShedQueue is the queued-request depth at which new arrivals are
+	// refused immediately (0 = Workers*8; see admission.go).
+	ShedQueue int
 
 	// Fleet-scale serving (see internal/cachex). CacheOff disables the
 	// content-addressed /encode result cache (on by default — both
@@ -139,15 +132,6 @@ func (c config) withDefaults() config {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.PrioBytes <= 0 {
-		c.PrioBytes = 64 << 10
-	}
-	if c.PrioSlots <= 0 {
-		c.PrioSlots = c.Workers / 4
-		if c.PrioSlots < 1 {
-			c.PrioSlots = 1
-		}
-	}
 	return c
 }
 
@@ -184,7 +168,6 @@ type server struct {
 
 	draining atomic.Bool // set by StartDrain; flips /readyz to 503
 	queued   *obs.Gauge  // requests waiting for a worker slot
-	heap     *obs.Gauge  // runtime.heap_alloc_bytes, for memory shedding
 }
 
 // traceRecent/traceSlowest size the /debug/traces retention: bounded,
@@ -208,9 +191,8 @@ func newServer(cfg config, reg *obs.Registry) *server {
 		rc:     obs.NewRuntimeCollector(reg),
 		access: cfg.Access,
 	}
-	s.prio = make(chan struct{}, cfg.PrioSlots)
+	s.prio = make(chan struct{}, max(1, cfg.Workers/4))
 	s.queued = reg.Gauge("ninecd.queued")
-	s.heap = reg.Gauge("runtime.heap_alloc_bytes")
 	if !cfg.CacheOff {
 		s.cache = cachex.New(cachex.Config{
 			MaxBytes: cfg.CacheBytes,
@@ -253,8 +235,10 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // statusFor maps a handler error onto its status code: over-limit and
 // over-size requests are 413, a saturated pool 429 (handled in guard),
-// a missed deadline 503, and every other classified decode fault —
-// corrupt, truncated, checksum — plus malformed request text is 400.
+// a missed deadline 503, a client that hung up mid-request 408 (as
+// admit answers one that hangs up while queued), and every other
+// classified decode fault — corrupt, truncated, checksum — plus
+// malformed request text is 400.
 func statusFor(err error) int {
 	var mbe *http.MaxBytesError
 	switch {
@@ -262,6 +246,8 @@ func statusFor(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, context.Canceled):
+		return http.StatusRequestTimeout
 	case errors.Is(err, errProfileUnknown):
 		return http.StatusNotFound
 	default:
@@ -277,6 +263,9 @@ func errClass(err error) string {
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		return "deadline"
+	}
+	if errors.Is(err, context.Canceled) {
+		return "client_gone"
 	}
 	if errors.Is(err, errProfileUnknown) {
 		return "profile_unknown"
@@ -439,8 +428,10 @@ func (s *server) handleEncode(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Patterns", strconv.Itoa(res.Patterns))
 	w.Header().Set("X-Compressed-Bits", strconv.Itoa(res.CompressedBits))
-	_, err = w.Write(res.Container)
-	return err
+	// The response is committed: a failed write means the client went
+	// away, and there is nothing left to report to it.
+	_, _ = w.Write(res.Container)
+	return nil
 }
 
 // handleDecode reads a container from the request body and streams

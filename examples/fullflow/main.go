@@ -7,10 +7,8 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"runtime"
 
 	"repro/internal/ate"
 	"repro/internal/atpg"
@@ -47,13 +45,12 @@ func main() {
 	fmt.Printf("ATPG: %d collapsed faults -> %d cubes, campaign coverage %.2f%%, %.1f%% X\n",
 		stats.Faults, cubes.Len(), stats.CoveragePercent, cubes.XPercent())
 
-	// 3. 9C compression, fanned across the machine's cores (the stream
-	// is bit-identical to a serial encode).
+	// 3. 9C compression.
 	codec, err := core.New(8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := codec.Encode(context.Background(), cubes, core.EncodeOptions{Workers: runtime.GOMAXPROCS(0)})
+	r, err := codec.EncodeSet(cubes)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func buildCell(ctx context.Context, corpus []*tcube.Set, k int) (*cell, error) {
 	}
 	c := &cell{k: k}
 	for _, s := range corpus {
-		res, err := cdc.Encode(ctx, s, core.EncodeOptions{})
+		res, err := cdc.Encode(ctx, s)
 		if err != nil {
 			return nil, err
 		}

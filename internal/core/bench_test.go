@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -169,31 +167,6 @@ func BenchmarkEncodeSetWS(b *testing.B) {
 		if _, err := cdc.EncodeSetWS(ws, set); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEncodeSetParallel measures worker-pool scaling of Encode
-// against the serial baseline (workers=1 is the serial loop).
-func BenchmarkEncodeSetParallel(b *testing.B) {
-	set := benchSet(256, 2048)
-	cdc, err := New(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workerCounts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		workerCounts = append(workerCounts, p)
-	}
-	for _, w := range workerCounts {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			b.SetBytes(int64(set.Bits() / 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -140,35 +140,28 @@ func (c *Codec) EncodeCube(flat *bitvec.Cube) (*Result, error) {
 		K: c.k, Assign: c.assign, Stream: stream, Counts: counts,
 		OrigBits: flat.Len(), Blocks: blocks, LeftoverX: stream.XCount(),
 	}
-	observeEncode(sp, r, "cube")
+	observeEncode(sp, r)
 	return r, nil
-}
-
-// EncodeOptions selects where Encode writes its stream and how many
-// goroutines share the work. The zero value is a serial encode into a
-// freshly allocated stream.
-type EncodeOptions struct {
-	// WS, when non-nil, holds the stream and the Result: both alias
-	// the workspace and stay valid only until its next use or Release.
-	// A serial encode into a warm workspace allocates nothing.
-	WS *Workspace
-	// Workers > 1 splits the patterns into that many contiguous chunks
-	// (at most one per pattern), each encoded by its own goroutine.
-	// The stream is bit-identical whatever the count.
-	Workers int
 }
 
 // Encode compresses a test set pattern by pattern: each scan load is
 // padded independently to a multiple of K, preserving per-pattern
 // synchronization between the ATE and the decoder. ctx is checked
 // between patterns (a non-cancellable ctx costs nothing); on
-// cancellation, or if a worker panics, Encode returns the error and no
-// partial result.
-func (c *Codec) Encode(ctx context.Context, s *tcube.Set, opt EncodeOptions) (*Result, error) {
+// cancellation Encode returns the error and no partial result.
+func (c *Codec) Encode(ctx context.Context, s *tcube.Set) (*Result, error) {
+	return c.encode(ctx, s, nil)
+}
+
+// encode is Encode into ws when it is non-nil: the stream and the
+// Result then alias the workspace and stay valid only until its next
+// use or Release, and an encode into a warm workspace allocates
+// nothing.
+func (c *Codec) encode(ctx context.Context, s *tcube.Set, ws *Workspace) (*Result, error) {
 	var res *Result
 	var w *kernelWriter
-	if opt.WS != nil {
-		res, w = &opt.WS.res, &opt.WS.enc
+	if ws != nil {
+		res, w = &ws.res, &ws.enc
 	} else {
 		res, w = new(Result), new(kernelWriter)
 	}
@@ -180,54 +173,32 @@ func (c *Codec) Encode(ctx context.Context, s *tcube.Set, opt EncodeOptions) (*R
 		OrigBits: s.Bits(), Blocks: blocksPer * s.Len(),
 		Patterns: s.Len(), Width: s.Width(),
 	}
-	var sp *obs.Span
-	var err error
-	mode := "serial"
-	if workers := min(opt.Workers, s.Len()); workers > 1 {
-		sp = obs.SpanCtx(ctx, "core.encode_set_parallel").Set("workers", workers)
-		mode = "parallel"
-		err = c.encodeParallel(ctx, sp, s, workers, w, &res.Counts)
-	} else {
-		sp = obs.SpanCtx(ctx, "core.encode_set")
-		w.reset(c.worstBits(res.Blocks))
-		err = c.encodeRange(ctx, s, 0, s.Len(), w, &res.Counts)
+	sp := obs.SpanCtx(ctx, "core.encode_set")
+	w.reset(c.worstBits(res.Blocks))
+	cancellable := ctx.Done() != nil
+	for i := 0; i < s.Len(); i++ {
+		if cancellable {
+			if err := ctx.Err(); err != nil {
+				sp.Set("error", err.Error()).End()
+				return nil, err
+			}
+		}
+		care, val := s.Cube(i).RawWords()
+		c.kenc(c, care, val, blocksPer, w, &res.Counts)
 	}
-	if err != nil {
-		sp.Set("error", err.Error()).End()
-		return nil, err
-	}
-	if opt.WS != nil {
-		res.Stream = opt.WS.takeStream()
+	if ws != nil {
+		res.Stream = ws.takeStream()
 	} else {
 		res.Stream = w.take()
 	}
 	res.LeftoverX = res.Stream.XCount()
-	observeEncode(sp, res, mode)
+	observeEncode(sp, res)
 	return res, nil
 }
 
-// encodeRange appends the encodings of patterns [lo,hi) of s to w and
-// adds their codeword counts to counts, checking ctx between patterns
-// when it is cancellable. It is the one inner loop of every set encode.
-func (c *Codec) encodeRange(ctx context.Context, s *tcube.Set, lo, hi int, w *kernelWriter, counts *Counts) error {
-	blocksPer := (s.Width() + c.k - 1) / c.k
-	cancellable := ctx.Done() != nil
-	for i := lo; i < hi; i++ {
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		care, val := s.Cube(i).RawWords()
-		c.kenc(c, care, val, blocksPer, w, counts)
-	}
-	return nil
-}
-
-// EncodeSet is Encode with the zero options: serial, into a fresh
-// stream, under no context.
+// EncodeSet is Encode under no context.
 func (c *Codec) EncodeSet(s *tcube.Set) (*Result, error) {
-	return c.Encode(context.Background(), s, EncodeOptions{})
+	return c.Encode(context.Background(), s)
 }
 
 // decodeBlocksPartial is the generic decoder: it reads up to blocks

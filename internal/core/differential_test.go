@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -82,22 +81,22 @@ func TestDifferentialEncodeCube(t *testing.T) {
 	}
 }
 
-// encodeOptionMatrix is every option shape Encode takes: no workspace
-// or a warm one, times serial (0, 1), two workers, and more workers
-// than the machine has Ps.
-func encodeOptionMatrix(ws *Workspace) []EncodeOptions {
-	var out []EncodeOptions
-	for _, w := range []*Workspace{nil, ws} {
-		for _, n := range []int{0, 1, 2, runtime.GOMAXPROCS(0) + 3} {
-			out = append(out, EncodeOptions{WS: w, Workers: n})
-		}
+// encodeSetPaths is every way to encode a set: into a fresh stream,
+// or into a warm workspace.
+func encodeSetPaths(c *Codec, ws *Workspace) map[string]func(context.Context, *tcube.Set) (*Result, error) {
+	return map[string]func(context.Context, *tcube.Set) (*Result, error){
+		"fresh": c.Encode,
+		"ws": func(ctx context.Context, s *tcube.Set) (*Result, error) {
+			return c.EncodeSetWSCtx(ctx, ws, s)
+		},
 	}
-	return out
 }
 
-// TestDifferentialEncodeSet is the set-level cross-check: Encode under
-// every option in encodeOptionMatrix must match the reference, with
-// both the default and a frequency-directed codeword assignment.
+// TestDifferentialEncodeSet is the set-level cross-check: both
+// encodeSetPaths must match the reference, with both the default and
+// a frequency-directed codeword assignment. The result carries the
+// set's name and the codec's assignment, and an empty set encodes to
+// an empty stream with zero Counts.
 func TestDifferentialEncodeSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	ws := GetWorkspace()
@@ -125,54 +124,33 @@ func TestDifferentialEncodeSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := "K=" + itoa(k) + " " + itoa(geom.patterns) + "x" + itoa(geom.width)
-			for _, opt := range encodeOptionMatrix(ws) {
-				olabel := label + " ws=" + itoa(b2i(opt.WS != nil)) + " workers=" + itoa(opt.Workers)
-				got, err := cdc.Encode(ctx, set, opt)
+			fdPaths := encodeSetPaths(fd, ws)
+			for path, enc := range encodeSetPaths(cdc, ws) {
+				got, err := enc(ctx, set)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameResult(t, olabel, got, ref)
-				gotFD, err := fd.Encode(ctx, set, opt)
+				checkSameResult(t, label+" "+path, got, ref)
+				if got.Name != "diff" || got.Assign != cdc.Assignment() {
+					t.Fatalf("%s %s: name %q, assignment %s", label, path, got.Name, got.Assign)
+				}
+				if geom.patterns == 0 && (got.Stream.Len() != 0 || got.Counts != (Counts{}) || got.Blocks != 0) {
+					t.Fatalf("%s %s: empty set encoded to %d bits, counts %v, %d blocks",
+						label, path, got.Stream.Len(), got.Counts, got.Blocks)
+				}
+				gotFD, err := fdPaths[path](ctx, set)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameResult(t, olabel+" fd", gotFD, refFD)
-			}
-		}
-	}
-}
-
-// TestEncodeSetParallelIdentical asserts Encode's fan-out is
-// bit-identical to the serial path for several worker counts, as the
-// on-chip decoder requires (it replays one deterministic stream).
-func TestEncodeSetParallelIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, k := range []int{4, 16} {
-		cdc := mustCodec(t, k)
-		for _, patterns := range []int{0, 1, 2, 17, 64} {
-			width := 3*k + 5
-			set := tcube.NewSet("par", width)
-			for i := 0; i < patterns; i++ {
-				set.MustAppend(diffCube(rng, width, 0.5))
-			}
-			serial, err := cdc.EncodeSet(set)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range workerCounts {
-				par, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameResult(t, "K="+itoa(k)+" p="+itoa(patterns)+" w="+itoa(w), par, serial)
+				checkSameResult(t, label+" "+path+" fd", gotFD, refFD)
 			}
 		}
 	}
 }
 
 // FuzzEncodeDifferential lets the fuzzer hunt for inputs where the
-// word-parallel and reference encoders disagree.
+// word-parallel and reference encoders disagree: the cube encoder, and
+// both encodeSetPaths on the cube as a one-pattern set.
 func FuzzEncodeDifferential(f *testing.F) {
 	f.Add("0000X1X011111111", uint8(4))
 	f.Add("XXXXXXXX", uint8(1))
@@ -199,6 +177,21 @@ func FuzzEncodeDifferential(f *testing.F) {
 		if !fast.Stream.Equal(ref.Stream) || fast.Counts != ref.Counts {
 			t.Fatalf("encoders disagree on %q K=%d:\n fast %s\n ref  %s",
 				cubeTxt, k, fast.Stream, ref.Stream)
+		}
+		set := tcube.NewSet("fuzz", flat.Len())
+		set.MustAppend(flat)
+		refSet, err := cdc.EncodeSetReference(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := GetWorkspace()
+		defer ws.Release()
+		for path, enc := range encodeSetPaths(cdc, ws) {
+			got, err := enc(context.Background(), set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameResult(t, "K="+itoa(k)+" "+path, got, refSet)
 		}
 	})
 }

@@ -19,7 +19,7 @@ var caseCounters = [NumCases]string{
 // and the encode throughput gauge — then ends the stage span sp. When
 // telemetry is disabled both sp and the registry are nil and the call
 // reduces to two nil checks.
-func observeEncode(sp *obs.Span, r *Result, mode string) {
+func observeEncode(sp *obs.Span, r *Result) {
 	reg := obs.Active()
 	if reg == nil {
 		sp.End()
@@ -37,7 +37,7 @@ func observeEncode(sp *obs.Span, r *Result, mode string) {
 		reg.Gauge("core.encode.bits_per_sec").Set(
 			int64(float64(r.OrigBits) * float64(time.Second) / float64(ns)))
 	}
-	sp.Set("mode", mode).Set("k", r.K).Set("patterns", r.Patterns).
+	sp.Set("k", r.K).Set("patterns", r.Patterns).
 		Set("blocks", r.Blocks).Set("bits_in", r.OrigBits).
 		Set("bits_out", r.CompressedBits()).Set("leftover_x", r.LeftoverX).
 		End()

@@ -22,22 +22,31 @@ func appendBits(c *bitvec.Cube, n int) *bitvec.Cube {
 	return b.Build()
 }
 
+// mixedSet builds a deterministic mixed-density set.
+func mixedSet(name string, patterns, width int) *tcube.Set {
+	rng := rand.New(rand.NewSource(int64(patterns)*1000 + int64(width)))
+	s := tcube.NewSet(name, width)
+	for i := 0; i < patterns; i++ {
+		s.MustAppend(diffCube(rng, width, 0.6))
+	}
+	return s
+}
+
 // TestEncodeSetParallelCtxCanceled asserts a canceled context aborts
-// Encode promptly with context.Canceled and no partial
-// result, on both the pooled and single-worker paths.
+// Encode promptly with context.Canceled and no partial result. (The
+// EncodeSetParallel* names date from the removed worker fan-out; the
+// tests now pin the one serial encode's context handling.)
 func TestEncodeSetParallelCtxCanceled(t *testing.T) {
 	cdc := mustCodec(t, 8)
-	set := parallelEdgeSet("cancel", 64, 40)
+	set := mixedSet("cancel", 64, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		r, err := cdc.Encode(ctx, set, EncodeOptions{Workers: workers})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err %v, want context.Canceled", workers, err)
-		}
-		if r != nil {
-			t.Errorf("workers=%d: partial result survived cancellation", workers)
-		}
+	r, err := cdc.Encode(ctx, set)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err %v, want context.Canceled", err)
+	}
+	if r != nil {
+		t.Error("partial result survived cancellation")
 	}
 }
 
@@ -45,10 +54,10 @@ func TestEncodeSetParallelCtxCanceled(t *testing.T) {
 // as context.DeadlineExceeded.
 func TestEncodeSetParallelCtxDeadline(t *testing.T) {
 	cdc := mustCodec(t, 8)
-	set := parallelEdgeSet("deadline", 16, 40)
+	set := mixedSet("deadline", 16, 40)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := cdc.Encode(ctx, set, EncodeOptions{Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := cdc.Encode(ctx, set); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -59,7 +68,7 @@ func TestEncodeSetParallelCtxDeadline(t *testing.T) {
 // (the per-pattern checked path).
 func TestEncodeSetParallelCtxIdentical(t *testing.T) {
 	cdc := mustCodec(t, 8)
-	set := parallelEdgeSet("ident", 23, 40)
+	set := mixedSet("ident", 23, 40)
 	serial, err := cdc.EncodeSet(set)
 	if err != nil {
 		t.Fatal(err)
@@ -67,25 +76,23 @@ func TestEncodeSetParallelCtxIdentical(t *testing.T) {
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, ctx := range []context.Context{context.Background(), live} {
-		for _, workers := range []int{1, 2, 5} {
-			r, err := cdc.Encode(ctx, set, EncodeOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			checkSameResult(t, "ctx encode", r, serial)
+		r, err := cdc.Encode(ctx, set)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkSameResult(t, "ctx encode", r, serial)
 	}
 }
 
-// TestEncodeSetParallelCtxMidwayCancel cancels while workers are
-// running and accepts either outcome — a clean full result (the race
-// was won) or context.Canceled with no result — but never a partial.
+// TestEncodeSetParallelCtxMidwayCancel cancels while the encode runs
+// and accepts either outcome — a clean full result (the race was won)
+// or context.Canceled with no result — but never a partial.
 func TestEncodeSetParallelCtxMidwayCancel(t *testing.T) {
 	cdc := mustCodec(t, 8)
-	set := parallelEdgeSet("midway", 256, 64)
+	set := mixedSet("midway", 256, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	r, err := cdc.Encode(ctx, set, EncodeOptions{Workers: 4})
+	r, err := cdc.Encode(ctx, set)
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err %v, want context.Canceled", err)
@@ -100,27 +107,6 @@ func TestEncodeSetParallelCtxMidwayCancel(t *testing.T) {
 		t.Fatal(serr)
 	}
 	checkSameResult(t, "midway", r, serial)
-}
-
-// TestEncodeWorkerPanicContained injects a panic into one worker via
-// the test hook and asserts it is recovered into an error instead of
-// crashing the process, with all partial sub-streams discarded.
-func TestEncodeWorkerPanicContained(t *testing.T) {
-	encodeWorkerHook = func(worker int) {
-		if worker == 1 {
-			panic("injected")
-		}
-	}
-	defer func() { encodeWorkerHook = nil }()
-	cdc := mustCodec(t, 8)
-	set := parallelEdgeSet("boom", 32, 40)
-	r, err := cdc.Encode(context.Background(), set, EncodeOptions{Workers: 4})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err %v, want recovered worker panic", err)
-	}
-	if r != nil {
-		t.Fatal("partial result survived worker panic")
-	}
 }
 
 // TestDecodeCubePartial truncates an encoded cube stream and asserts
@@ -218,7 +204,7 @@ func TestDecodeSetPartial(t *testing.T) {
 // classified ErrCorrupt.
 func TestTrailingBitsClassified(t *testing.T) {
 	cdc := mustCodec(t, 8)
-	set := parallelEdgeSet("trail", 3, 20)
+	set := mixedSet("trail", 3, 20)
 	rs, err := cdc.EncodeSet(set)
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func (c *Codec) EncodeText(ctx context.Context, text []byte, ws *Workspace) (*Re
 		res.Stream = w.take()
 	}
 	res.LeftoverX = res.Stream.XCount()
-	observeEncode(sp, res, "serial")
+	observeEncode(sp, res)
 	return res, true
 }
 

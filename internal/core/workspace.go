@@ -10,7 +10,7 @@ import (
 
 // Workspace owns the reusable scratch of an encode: the stream plane
 // backings, a re-pointed stream cube, and a Result. With a warm
-// workspace, a serial Encode allocates nothing per call (pinned by an
+// workspace, an encode allocates nothing per call (pinned by an
 // AllocsPerRun test), which keeps the /encode request path and tight
 // re-encode loops off the garbage collector. Decoding needs no
 // workspace: a StreamDecoder reuses its own per-pattern scratch.
@@ -46,12 +46,12 @@ func (ws *Workspace) takeStream() *bitvec.Cube {
 	return ws.stream
 }
 
-// EncodeSetWS is Encode into ws, serial and under no context.
+// EncodeSetWS is Encode into ws, under no context.
 func (c *Codec) EncodeSetWS(ws *Workspace, s *tcube.Set) (*Result, error) {
-	return c.Encode(context.Background(), s, EncodeOptions{WS: ws})
+	return c.encode(context.Background(), s, ws)
 }
 
-// EncodeSetWSCtx is Encode into ws, serial, under ctx.
+// EncodeSetWSCtx is Encode into ws, under ctx.
 func (c *Codec) EncodeSetWSCtx(ctx context.Context, ws *Workspace, s *tcube.Set) (*Result, error) {
-	return c.Encode(ctx, s, EncodeOptions{WS: ws})
+	return c.encode(ctx, s, ws)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,23 +44,31 @@ func TestEncodeSetWSMatchesEncodeSet(t *testing.T) {
 }
 
 // TestWorkspaceZeroAlloc pins the zero-allocation steady state of the
-// serial encode: with a warm workspace, EncodeSetWS allocates nothing
-// per call for every kernel K and for a generic one (K=6).
+// encode: with a warm workspace, EncodeSetWS and EncodeSetWSCtx (under
+// a live cancellable context) allocate nothing per call for every
+// kernel K and for a generic one (K=6).
 func TestWorkspaceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, k := range append([]int{6}, kernelKs...) {
 		cdc := mustCodec(t, k)
 		set := wsTestSet(rng, 32, 300)
 		ws := GetWorkspace()
-		if _, err := cdc.EncodeSetWS(ws, set); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			if _, err := cdc.EncodeSetWS(ws, set); err != nil {
+		for name, enc := range map[string]func() (*Result, error){
+			"EncodeSetWS":    func() (*Result, error) { return cdc.EncodeSetWS(ws, set) },
+			"EncodeSetWSCtx": func() (*Result, error) { return cdc.EncodeSetWSCtx(ctx, ws, set) },
+		} {
+			if _, err := enc(); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs != 0 {
-			t.Errorf("K=%d: EncodeSetWS allocated %v per run", k, allocs)
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := enc(); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("K=%d: %s allocated %v per run", k, name, allocs)
+			}
 		}
 		ws.Release()
 	}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/ate"
 	"repro/internal/codecs"
@@ -40,9 +38,7 @@ func encode(set *tcube.Set, k int) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fan-out is bit-identical to the serial path, so every
-	// reproduced table stays deterministic.
-	return cdc.Encode(context.Background(), set, core.EncodeOptions{Workers: runtime.GOMAXPROCS(0)})
+	return cdc.EncodeSet(set)
 }
 
 // Table1 reproduces Table I: the 9C coding for K=8 — case symbols,

@@ -10,7 +10,7 @@
 // secret-keyed AES-GMAC tag, see internal/cachex). So the key is the
 // cheapest full pass over the body the hardware offers, CRC-32C.
 //
-// Each node is placed on the ring at VNodes pseudo-random points
+// Each node is placed on the ring at vnodes pseudo-random points
 // (hashes of "node#i"), which evens out the keyspace split and makes
 // membership changes cheap: adding or removing one node remaps only
 // the arcs it owned — on average 1/N of the keyspace — leaving every
@@ -73,9 +73,12 @@ func HashTagged(tag string, b []byte) uint64 {
 	return h
 }
 
-// DefaultVNodes is the virtual-node count per backend: enough that a
+// vnodes is the virtual-node count per backend: enough that a
 // three-node ring splits the keyspace within a few percent of evenly.
-const DefaultVNodes = 64
+// It is a constant, not a setting, because the lb and every ring-aware
+// client must place keys alike; changing it moves keys and re-warms
+// every backend cache once. TestPlacementGolden pins it.
+const vnodes = 64
 
 type point struct {
 	h    uint64
@@ -85,23 +88,18 @@ type point struct {
 // Ring is a consistent-hash ring over a fixed node registration with
 // dynamic health. Safe for concurrent use; Pick is lock-shared.
 type Ring struct {
-	vnodes int
-
 	mu     sync.RWMutex
 	nodes  []string // registration order, all nodes healthy or not
 	down   map[string]bool
 	points []point // sorted, healthy nodes only
 }
 
-// New builds a ring over nodes (all initially healthy). vnodes <= 0
-// takes DefaultVNodes. Duplicate nodes error: a double registration
-// would silently double that node's keyspace share.
-func New(nodes []string, vnodes int) (*Ring, error) {
+// New builds a ring over nodes (all initially healthy). Duplicate
+// nodes error: a double registration would silently double that
+// node's keyspace share.
+func New(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("hashring: no nodes")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -113,7 +111,7 @@ func New(nodes []string, vnodes int) (*Ring, error) {
 		}
 		seen[n] = true
 	}
-	r := &Ring{vnodes: vnodes, nodes: append([]string(nil), nodes...), down: make(map[string]bool)}
+	r := &Ring{nodes: append([]string(nil), nodes...), down: make(map[string]bool)}
 	r.rebuild()
 	return r, nil
 }
@@ -126,7 +124,7 @@ func (r *Ring) rebuild() {
 		if r.down[n] {
 			continue
 		}
-		for i := 0; i < r.vnodes; i++ {
+		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, point{h: Hash([]byte(fmt.Sprintf("%s#%d", n, i))), node: n})
 		}
 	}

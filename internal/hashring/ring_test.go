@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func mustRing(t *testing.T, nodes []string, vnodes int) *Ring {
+func mustRing(t *testing.T, nodes []string) *Ring {
 	t.Helper()
-	r, err := New(nodes, vnodes)
+	r, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,20 +18,20 @@ func mustRing(t *testing.T, nodes []string, vnodes int) *Ring {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("empty node list accepted")
 	}
-	if _, err := New([]string{"a", ""}, 0); err == nil {
+	if _, err := New([]string{"a", ""}); err == nil {
 		t.Fatal("empty node name accepted")
 	}
-	if _, err := New([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := New([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
 }
 
 func TestPickDeterministic(t *testing.T) {
-	r1 := mustRing(t, []string{"a", "b", "c"}, 0)
-	r2 := mustRing(t, []string{"a", "b", "c"}, 0)
+	r1 := mustRing(t, []string{"a", "b", "c"})
+	r2 := mustRing(t, []string{"a", "b", "c"})
 	for i := 0; i < 1000; i++ {
 		h := Hash([]byte(fmt.Sprintf("key-%d", i)))
 		n1, ok1 := r1.Pick(h)
@@ -42,10 +42,10 @@ func TestPickDeterministic(t *testing.T) {
 	}
 }
 
-// TestBalance: with default vnodes, a three-node ring should split
+// TestBalance: a three-node ring should split
 // 10k random keys within a loose factor of even.
 func TestBalance(t *testing.T) {
-	r := mustRing(t, []string{"a", "b", "c"}, 0)
+	r := mustRing(t, []string{"a", "b", "c"})
 	counts := map[string]int{}
 	rng := rand.New(rand.NewSource(7))
 	const n = 10000
@@ -72,7 +72,7 @@ func TestBalance(t *testing.T) {
 // TestMinimalDisruption: dropping one node must not remap keys owned
 // by the survivors — that is the whole point of consistent hashing.
 func TestMinimalDisruption(t *testing.T) {
-	r := mustRing(t, []string{"a", "b", "c"}, 0)
+	r := mustRing(t, []string{"a", "b", "c"})
 	const n = 5000
 	before := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -113,7 +113,7 @@ func TestMinimalDisruption(t *testing.T) {
 }
 
 func TestPickNDistinctAndOrdered(t *testing.T) {
-	r := mustRing(t, []string{"a", "b", "c", "d"}, 0)
+	r := mustRing(t, []string{"a", "b", "c", "d"})
 	for i := 0; i < 200; i++ {
 		h := Hash([]byte(fmt.Sprintf("key-%d", i)))
 		owner, _ := r.Pick(h)
@@ -141,7 +141,7 @@ func TestPickNDistinctAndOrdered(t *testing.T) {
 // TestFailoverSuccession: for any key, PickN[1] is the node that
 // inherits the key when PickN[0] goes down.
 func TestFailoverSuccession(t *testing.T) {
-	r := mustRing(t, []string{"a", "b", "c"}, 0)
+	r := mustRing(t, []string{"a", "b", "c"})
 	for i := 0; i < 300; i++ {
 		h := Hash([]byte(fmt.Sprintf("key-%d", i)))
 		order := r.PickN(h, 2)
@@ -158,7 +158,7 @@ func TestFailoverSuccession(t *testing.T) {
 }
 
 func TestAllDown(t *testing.T) {
-	r := mustRing(t, []string{"a", "b"}, 0)
+	r := mustRing(t, []string{"a", "b"})
 	r.SetHealthy("a", false)
 	r.SetHealthy("b", false)
 	if _, ok := r.Pick(1); ok {
@@ -173,7 +173,7 @@ func TestAllDown(t *testing.T) {
 }
 
 func TestSetHealthyTransitions(t *testing.T) {
-	r := mustRing(t, []string{"a", "b"}, 0)
+	r := mustRing(t, []string{"a", "b"})
 	if r.SetHealthy("a", true) {
 		t.Fatal("marking healthy node healthy reported a transition")
 	}
@@ -197,7 +197,7 @@ func TestSetHealthyTransitions(t *testing.T) {
 // TestConcurrentPickAndHealth is a race-detector hammer: health flaps
 // while readers pick.
 func TestConcurrentPickAndHealth(t *testing.T) {
-	r := mustRing(t, []string{"a", "b", "c", "d"}, 16)
+	r := mustRing(t, []string{"a", "b", "c", "d"})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -230,7 +230,7 @@ func TestConcurrentPickAndHealth(t *testing.T) {
 }
 
 func BenchmarkPick(b *testing.B) {
-	r, err := New([]string{"a", "b", "c", "d", "e"}, DefaultVNodes)
+	r, err := New([]string{"a", "b", "c", "d", "e"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,6 +265,34 @@ func TestHashGolden(t *testing.T) {
 			if got := Hash([]byte(c.body)); got != c.want {
 				t.Errorf("Hash(%q) = %#x, want %#x", c.body, got, c.want)
 			}
+		}
+	}
+}
+
+// TestPlacementGolden pins the failover order (owner, then successors)
+// of fixed keys on a three-node ring of backend URLs. Placement is a
+// function of Hash and the vnodes constant, so a failure here means
+// every key moved: the lb and ring-aware clients from another version
+// disagree, and every backend cache re-warms once. Changing either must
+// be a deliberate edit of this table.
+func TestPlacementGolden(t *testing.T) {
+	r := mustRing(t, []string{"http://127.0.0.1:9314", "http://127.0.0.1:9315", "http://127.0.0.1:9316"})
+	for _, c := range []struct {
+		key   string
+		order string // last digit of each backend's port, owner first
+	}{
+		{"set-00", "645"}, {"set-01", "645"}, {"set-02", "645"}, {"set-03", "564"},
+		{"set-04", "645"}, {"set-05", "645"}, {"set-06", "465"}, {"set-07", "654"},
+		{"set-08", "546"}, {"set-09", "654"}, {"set-10", "645"}, {"set-11", "456"},
+		{"set-12", "465"}, {"set-13", "654"}, {"set-14", "456"}, {"set-15", "546"},
+		{"set-16", "564"}, {"set-17", "546"}, {"set-18", "465"}, {"set-19", "456"},
+	} {
+		got := ""
+		for _, n := range r.PickN(Hash([]byte(c.key)), 3) {
+			got += n[len(n)-1:]
+		}
+		if got != c.order {
+			t.Errorf("%s: failover order %s, want %s", c.key, got, c.order)
 		}
 	}
 }

@@ -67,10 +67,6 @@ type Config struct {
 	// successors). Observability calls (Ready, Metrics) target BaseURL
 	// when set, else the first backend.
 	Backends []string
-	// VNodes is the virtual-node count per backend for ring routing
-	// (default hashring.DefaultVNodes). Must match the lb's -vnodes for
-	// placements to agree.
-	VNodes int
 	// HTTPClient overrides the transport (default: a fresh http.Client;
 	// per-attempt deadlines come from Retry.AttemptTimeout).
 	HTTPClient *http.Client
@@ -105,7 +101,7 @@ func New(cfg Config) (*Client, error) {
 		backends = append(backends, n)
 	}
 	if len(backends) > 0 {
-		r, err := hashring.New(backends, cfg.VNodes)
+		r, err := hashring.New(backends)
 		if err != nil {
 			return nil, fmt.Errorf("ninecdclient: %w", err)
 		}
