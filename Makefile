@@ -172,8 +172,9 @@ overhead-guard:
 ## the text kernel, the plane kernel and the generic decoder, the word
 ## kernels and the fresh and workspace set encodes against the generic
 ## and reference encoders, /encode's text path against the parser path (container
-## bytes or error string), each baseline codec family, the text parsers, and the
-## word-parallel 01X reader against its per-trit reference. Any panic,
+## bytes or error string), each baseline codec family, the text parsers, the
+## word-parallel 01X reader against its per-trit reference, and the 64-byte
+## chunk parser's canonical fast path against its exact classifier. Any panic,
 ## disagreement or unclassified error is a failure.
 fuzz-smoke:
 	$(GO) test ./internal/container -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
@@ -188,5 +189,6 @@ fuzz-smoke:
 	$(GO) test ./internal/codecs -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcube -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcube -run '^$$' -fuzz '^FuzzReadDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bitvec -run '^$$' -fuzz '^FuzzParse64$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stil -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)

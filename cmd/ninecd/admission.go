@@ -113,10 +113,16 @@ func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter
 		return nil, false
 	case <-r.Context().Done():
 		// The client abandoned the request while it was queued. That is
-		// not pool pressure: no 429, no Retry-After (nobody is listening
-		// for the body anyway), and its own counter so saturation
-		// dashboards stay honest.
-		s.reg.Counter("ninecd." + name + ".client_gone").Inc()
+		// not pool pressure: no 429 and no Retry-After (nobody is
+		// listening for the body anyway). It is counted, classed and
+		// answered as guard answers a client that leaves mid-handler,
+		// so one fault series holds every client that hung up.
+		const class = "client_gone"
+		if info := reqInfoFrom(r.Context()); info != nil {
+			info.errClass = class
+		}
+		s.reg.Counter("ninecd." + name + ".fault." + class).Inc()
+		w.Header().Set("X-Error-Class", class)
 		http.Error(w, "client closed request while queued", http.StatusRequestTimeout)
 		return nil, false
 	}

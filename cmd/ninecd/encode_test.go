@@ -95,3 +95,31 @@ func TestEncodeFailedWriteIsNotAFault(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeContentLength: /encode declares its container's size, so
+// the body goes out unchunked, on a cache miss, on a hit, and with the
+// cache off. The container is larger than the few KiB net/http buffers
+// before it falls back to chunked framing.
+func TestEncodeContentLength(t *testing.T) {
+	body := []byte(sampleText(64, 512, 7))
+	for _, tc := range []struct {
+		cacheOff bool
+		outcomes []string
+	}{{false, []string{"miss", "hit"}}, {true, []string{""}}} {
+		ts, _ := newTestServer(t, config{CacheOff: tc.cacheOff})
+		for _, outcome := range tc.outcomes {
+			resp, got := post(t, ts.URL+"/encode?k=8", body)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != outcome {
+				t.Fatalf("cache off %v: status %d X-Cache %q, want 200 %q",
+					tc.cacheOff, resp.StatusCode, resp.Header.Get("X-Cache"), outcome)
+			}
+			if len(got) < 8<<10 {
+				t.Fatalf("a %d-byte container is too small to need a Content-Length", len(got))
+			}
+			if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+				t.Fatalf("cache off %v, %q: Content-Length %d, transfer encoding %v, for a %d-byte container",
+					tc.cacheOff, outcome, resp.ContentLength, resp.TransferEncoding, len(got))
+			}
+		}
+	}
+}

@@ -626,7 +626,8 @@ func TestPanicRedaction(t *testing.T) {
 }
 
 // TestQueueClientGoneVsSaturation: a client that abandons the queue is
-// a 408 under its own counter — not a 429, which is reserved for pool
+// a 408 of class client_gone, counted in the same fault series as one
+// that leaves mid-handler — not a 429, which is reserved for pool
 // saturation (and keeps its Retry-After).
 func TestQueueClientGoneVsSaturation(t *testing.T) {
 	s := newServer(config{Workers: 1, QueueWait: 10 * time.Second}, obs.NewRegistry())
@@ -645,8 +646,14 @@ func TestQueueClientGoneVsSaturation(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "" {
 		t.Fatalf("client-gone response carries Retry-After %q", ra)
 	}
-	if got := s.reg.Counter("ninecd.encode.client_gone").Value(); got != 1 {
-		t.Fatalf("client_gone counter %d, want 1", got)
+	if got := rec.Header().Get("X-Error-Class"); got != "client_gone" {
+		t.Fatalf("client-gone X-Error-Class %q, want client_gone", got)
+	}
+	if got := s.reg.Counter("ninecd.encode.fault.client_gone").Value(); got != 1 {
+		t.Fatalf("client_gone fault counter %d, want 1", got)
+	}
+	if recent, _ := s.traces.Traces(); len(recent) != 1 || recent[0].ErrClass != "client_gone" {
+		t.Fatalf("traces %+v, want one of class client_gone", recent)
 	}
 	if got := s.reg.Counter("ninecd.encode.rejected").Value(); got != 0 {
 		t.Fatalf("rejected counter %d, want 0 for a client-gone request", got)
@@ -690,5 +697,53 @@ func TestRequestSteadyStateHeap(t *testing.T) {
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if perReq := growth / n; perReq > 512 {
 		t.Fatalf("live heap grew %d bytes over %d requests (%d/request), want steady state", growth, n, perReq)
+	}
+}
+
+// TestMaxBits drives -max-bits: config{MaxBits: n} bounds a container's
+// payload at 2·⌈n/8⌉ bytes, both planes of an n-bit stream. A v3
+// container, whose stream size /decode checks before it commits the
+// response, decodes when its stream is exactly n bits and is refused
+// with 413 class limit when it is one bit over a bound n on a byte
+// edge.
+func TestMaxBits(t *testing.T) {
+	for n, want := range map[int]int{1: 2, 8: 2, 9: 4, 4096: 1024, 4097: 1026} {
+		if got := (config{MaxBits: n}).limits().MaxPayloadBytes; got != want {
+			t.Errorf("MaxBits %d: MaxPayloadBytes %d, want %d", n, got, want)
+		}
+	}
+	cdc, err := core.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A set whose stream ends one bit past a byte edge.
+	var v3 bytes.Buffer
+	var bits int
+	for seed := int64(1); bits%8 != 1; seed++ {
+		set, err := tcube.Read("maxbits", strings.NewReader(sampleText(6, 40, seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := cdc.EncodeSet(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3.Reset()
+		if err := container.WriteVersion(&v3, r, container.Magic); err != nil {
+			t.Fatal(err)
+		}
+		bits = r.CompressedBits()
+	}
+	for _, tc := range []struct {
+		maxBits int
+		status  int
+		class   string
+	}{{bits, http.StatusOK, ""}, {bits - 1, http.StatusRequestEntityTooLarge, "limit"}} {
+		ts, _ := newTestServer(t, config{MaxBits: tc.maxBits})
+		resp, body := post(t, ts.URL+"/decode", v3.Bytes())
+		if resp.StatusCode != tc.status || resp.Header.Get("X-Error-Class") != tc.class {
+			t.Errorf("-max-bits %d, %d-bit stream: %d %q (%s), want %d %q",
+				tc.maxBits, bits, resp.StatusCode, resp.Header.Get("X-Error-Class"), body, tc.status, tc.class)
+		}
 	}
 }

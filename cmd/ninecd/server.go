@@ -428,6 +428,8 @@ func (s *server) handleEncode(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Patterns", strconv.Itoa(res.Patterns))
 	w.Header().Set("X-Compressed-Bits", strconv.Itoa(res.CompressedBits))
+	// The size is known, so the body goes out unchunked.
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.Container)))
 	// The response is committed: a failed write means the client went
 	// away, and there is nothing left to report to it.
 	_, _ = w.Write(res.Container)

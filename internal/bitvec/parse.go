@@ -6,11 +6,20 @@ import (
 	"math/bits"
 )
 
-// The 01X parser classifies eight text bytes per 64-bit load with exact
-// SWAR byte-equality tests, which leave one flag per byte in its bit 7.
-// The eight loads of a 64-byte chunk are merged into one word and an
-// 8x8 bit transpose turns the flags into packed care/val words, so a
-// 64-trit word costs eight loads instead of 64 bounds-checked Set calls.
+// The 01X parser reads eight text bytes per 64-bit load. The eight
+// loads of a 64-byte chunk are merged into one word of per-byte flags
+// and an 8x8 bit transpose turns the flags into packed care/val words,
+// so a 64-trit word costs eight loads instead of 64 bounds-checked Set
+// calls.
+//
+// Canonical text (the bytes 0, 1 and X that Set.Write, AppendText and
+// the load generators write) takes a fast path: of those three bytes
+// only X has bit 3 set and only 1 has bit 0 set, so care is ¬bit3 and
+// val is bit0, two mask operations per load. The path then checks
+// that each byte equals the canonical image of its two flags, which
+// holds exactly for 0, 1 and X. Any chunk that fails the check (x, -,
+// or a bad byte) is classified again by exact SWAR byte-equality tests,
+// so the results and errors of other text are unchanged.
 
 const (
 	lsbBytes = 0x0101010101010101 // bit 0 of every byte
@@ -46,10 +55,40 @@ func transpose8(x uint64) uint64 {
 
 // Parse64 classifies 64 text bytes: bit j of care/val describes byte j
 // as a trit, and bit j of bad is set where byte j is not 01X text.
-// Load k leaves its flag for byte i at bit 8i+7; shifting it right by
-// 7-k moves it to bit 8i+k, and the transpose puts it at bit 8k+i. The
-// eight loads are unrolled: constant shifts keep the chains short.
+// Load k's flag for byte i, moved to bit 8i+k, lands at bit 8k+i after
+// the transpose. The eight loads are unrolled: constant shifts keep the
+// chains short.
 func Parse64(p *[64]byte) (care, val, bad uint64) {
+	x0 := binary.LittleEndian.Uint64(p[0:])
+	x1 := binary.LittleEndian.Uint64(p[8:])
+	x2 := binary.LittleEndian.Uint64(p[16:])
+	x3 := binary.LittleEndian.Uint64(p[24:])
+	x4 := binary.LittleEndian.Uint64(p[32:])
+	x5 := binary.LittleEndian.Uint64(p[40:])
+	x6 := binary.LittleEndian.Uint64(p[48:])
+	x7 := binary.LittleEndian.Uint64(p[56:])
+	if noncanon(x0)|noncanon(x1)|noncanon(x2)|noncanon(x3)|noncanon(x4)|noncanon(x5)|noncanon(x6)|noncanon(x7) != 0 {
+		return parse64Exact(p)
+	}
+	const b3 = 8 * lsbBytes // the X flag, bit 3 of every byte
+	care = ^transpose8(x0&b3>>3 | x1&b3>>2 | x2&b3>>1 | x3&b3 | x4&b3<<1 | x5&b3<<2 | x6&b3<<3 | x7&b3<<4)
+	if val = x0&lsbBytes | x1&lsbBytes<<1 | x2&lsbBytes<<2 | x3&lsbBytes<<3 |
+		x4&lsbBytes<<4 | x5&lsbBytes<<5 | x6&lsbBytes<<6 | x7&lsbBytes<<7; val != 0 {
+		val = transpose8(val)
+	}
+	return care, val, 0
+}
+
+// noncanon is zero iff every byte of x is canonical text, the image of
+// its flags: 0x58 where bit 3 (X) is set, else 0x30 or 0x31.
+func noncanon(x uint64) uint64 {
+	xs := x >> 3 & lsbBytes
+	return (x ^ '0'*lsbBytes ^ xs*('X'^'0')) &^ (lsbBytes ^ xs)
+}
+
+// parse64Exact is Parse64 for any bytes: the exact classifier, whose
+// load k leaves its flag for byte i at bit 8i+7, shifted right by 7-k.
+func parse64Exact(p *[64]byte) (care, val, bad uint64) {
 	c0, v0, b0 := classify8(binary.LittleEndian.Uint64(p[0:]))
 	c1, v1, b1 := classify8(binary.LittleEndian.Uint64(p[8:]))
 	c2, v2, b2 := classify8(binary.LittleEndian.Uint64(p[16:]))

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -143,4 +144,65 @@ func BenchmarkParseCube(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// canonChunk is 64 bytes of canonical text (0, 1 and X) drawn from rng.
+func canonChunk(rng *rand.Rand) [64]byte {
+	var p [64]byte
+	for i := range p {
+		p[i] = "01X"[rng.Intn(3)]
+	}
+	return p
+}
+
+// checkParse64 pins Parse64, fast path or not, to the exact classifier.
+func checkParse64(t *testing.T, p *[64]byte) {
+	t.Helper()
+	c, v, bad := Parse64(p)
+	wc, wv, wbad := parse64Exact(p)
+	if c != wc || v != wv || bad != wbad {
+		t.Fatalf("Parse64(%q) = %#x %#x %#x, exact %#x %#x %#x", p[:], c, v, bad, wc, wv, wbad)
+	}
+}
+
+// TestParse64SplicedBytes: every byte value, spliced at every position
+// of a canonical chunk, parses as the exact classifier says. Only 0, 1
+// and X keep the chunk canonical; every other byte must leave the fast
+// path.
+func TestParse64SplicedBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < 4; i++ {
+		base := canonChunk(rng)
+		checkParse64(t, &base)
+		for pos := range base {
+			for b := 0; b < 256; b++ {
+				p := base
+				p[pos] = byte(b)
+				checkParse64(t, &p)
+			}
+		}
+	}
+	var zero [64]byte
+	checkParse64(t, &zero)
+}
+
+// FuzzParse64: the canonical fast path against the exact classifier on
+// arbitrary 64-byte chunks (shorter inputs are padded with X, longer
+// ones cut), seeded with canonical chunks into which one byte of x, -,
+// CR, NUL or a byte that shares bit 3 or bit 0 with a canonical one is
+// spliced.
+func FuzzParse64(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	for _, b := range []byte{'x', '-', '\r', 0x00, 0x38, 0x70, 0xd8} {
+		p := canonChunk(rng)
+		p[rng.Intn(64)] = b
+		f.Add(p[:])
+	}
+	p := canonChunk(rng)
+	f.Add(p[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := [64]byte(bytes.Repeat([]byte{'X'}, 64))
+		copy(p[:], data)
+		checkParse64(t, &p)
+	})
 }

@@ -44,7 +44,8 @@ type Codec struct {
 	// nil for block sizes without a kernel and the generic decoder runs.
 	kcodes   [NumCases]kernelCode
 	kenc     kernelEncode
-	kops     *[16]blockOp // word-kernel op table, nil without a kernel
+	kops     *[16]blockOp  // word-kernel op table, nil without a kernel
+	kslots   *[256]blockOp // word-kernel op table over two-block slots
 	ktext    kernelText
 	kc1      kernelCode // 64/K C1 codewords packed as one append
 	kc1ok    bool

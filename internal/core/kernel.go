@@ -32,13 +32,19 @@ import (
 //     pattern's planes). A half holds a 1 iff its val bits are nonzero
 //     and a 0 iff its care&^val bits are; one SWAR "nonzero per K/2-bit
 //     field" test per plane gives those four flags for every block of
-//     the word at once, as a 4-bit op-table index per block, and
-//     popcounts of their combinations give the word's case counts.
+//     the word at once, as a 4-bit op-table index per block.
 //
-//  2. A register accumulator. Each block is one entry of a per-codec
-//     16-entry op table (codeword, shipped-half mask and shift, total
-//     length) and one OR into a 64-bit care/val accumulator, with no
-//     branch on its case; the planes see only whole-word stores.
+//  2. Two blocks per lookup into a register accumulator. At K ≤ 16 two
+//     neighbouring blocks' flag nibbles index a per-codec 256-entry
+//     slot table whose entry holds both codewords joined, where each
+//     block's shipped halves land, the slot's total length and its
+//     case counts; at K = 32 a slot is one block. Cases 1–4 ship no
+//     data, and on the Mintest profiles most blocks are cases 1–4, so
+//     most slots emit two codewords as one constant. Each slot is one
+//     OR into a 64-bit care/val accumulator, with no branch on its
+//     cases; the planes see only whole-word stores. The case counts
+//     are summed as 7-bit fields of one word and flushed before any
+//     can overflow, so the paper's N1..N9 cost one add per slot.
 //     kernelWriter pre-zeroes its planes, so the generic path appends
 //     with two unconditional OR-writes per plane instead.
 //
@@ -157,6 +163,7 @@ func (c *Codec) initKernel() {
 		return
 	}
 	c.kenc, c.kops = encodePlanes, newBlockOps(&c.kcodes, c.k)
+	c.kslots = newSlotOps(c.kops, c.k)
 	// An all-zero plane word means 64/K consecutive C1 blocks; when the
 	// repeated C1 codeword fits one word, the kernel emits it in a
 	// single append.
@@ -292,43 +299,93 @@ func (w *kernelWriter) takeCopy() *bitvec.Cube {
 	return bitvec.NewCubeCopyWords(w.n, w.care, w.val)
 }
 
-// blockOp is one entry of a codec's encode op table: everything the
-// word kernel needs to emit a block of one case. The block's stream
-// image is the codeword (all care bits set, val = code) followed by
-// the shipped trits, which are the block's own care/val bits shifted
-// right by dataShift and masked by dataMask (K/2 or K ones, or none).
+// blockOp is one entry of a codec's encode op tables: everything the
+// word kernel needs to emit one slot of blocks in one step. A slot is
+// two blocks at K ≤ 16 and one at K = 32. The stream image is block
+// a's codeword, a's shipped trits, then block b's codeword and shipped
+// trits. The codewords are constants (all care bits set, val = code),
+// joined in code/codeMask. A block ships the trits under its data mask
+// (a half or the whole block, or none) of the slot's care/val words,
+// rotated left into place by its rot. cnt adds the slot's blocks to a
+// packed case count, one countBits-bit field per case.
 type blockOp struct {
-	code, codeMask uint64
-	dataMask       uint64
-	dataShift      uint8 // K/2 when only the right half ships, else 0
-	codeLen        uint8 // the shipped trits land above the codeword
-	n              uint8 // total stream trits of the block
+	cnt            uint64
+	dataA, dataB   uint64 // the trits a and b ship, in the slot's words
+	code, codeMask uint32
+	rotA, rotB     uint8 // where the shipped trits land, less where they sit, mod 64
+	n              uint8 // total stream trits of the slot
 }
+
+// image is op's stream image over the slot's care or val word w.
+func (op *blockOp) image(code uint32, w uint64) uint64 {
+	return uint64(code) | bits.RotateLeft64(w&op.dataA, int(op.rotA)) | bits.RotateLeft64(w&op.dataB, int(op.rotB))
+}
+
+// countBits is the width of one case's field in a packed case count:
+// nine fields fit a uint64, and a field holds up to countMax blocks.
+const (
+	countBits = 7
+	countMax  = 1<<countBits - 1
+)
 
 // newBlockOps builds the op table, indexed by the flag nibble the word
 // kernel computes for a block: bit 0 = the left half holds a 1, bit 1
 // = it holds a 0, bits 2 and 3 the same for the right half. That is
 // the complement of caseTab's index, so the two share one priority
-// order.
+// order. A mismatch half ships from its place in the block, right
+// after the codeword.
 func newBlockOps(codes *[NumCases]kernelCode, k int) *[16]blockOp {
 	h := k / 2
 	ops := new([16]blockOp)
 	for nidx := range ops {
 		cs := caseTab[nidx^15]
 		p := codes[cs-1]
-		op := blockOp{code: p.bits, codeMask: p.mask, codeLen: uint8(p.n)}
+		op := blockOp{code: uint32(p.bits), codeMask: uint32(p.mask), rotA: uint8(p.n),
+			cnt: 1 << (countBits * (cs - 1)), n: uint8(p.n + cs.DataBits(k))}
 		switch misTab[cs] {
 		case 1:
-			op.dataMask = lowMask64(h)
+			op.dataA = lowMask64(h)
 		case 2:
-			op.dataMask, op.dataShift = lowMask64(h), uint8(h)
+			op.dataA, op.rotA = lowMask64(h)<<h, uint8(p.n-h)&63
 		case 3:
-			op.dataMask = lowMask64(k)
+			op.dataA = lowMask64(k)
 		}
-		op.n = uint8(p.n + cs.DataBits(k))
 		ops[nidx] = op
 	}
 	return ops
+}
+
+// slotBlocks is the blocks one step of the word kernel covers: two,
+// or one at K = 32, where two blocks can need 80 trits, more than the
+// 64-bit accumulator holds.
+func slotBlocks(k int) int {
+	if k > 16 {
+		return 1
+	}
+	return 2
+}
+
+// newSlotOps builds the slot table, indexed by two blocks' flag
+// nibbles, the first block's in bits 0-3: the two blocks' ops joined,
+// at most 2·(MaxCodeLen+16) trits. At K = 32 a slot is one block, and
+// the entry is the first nibble's op.
+func newSlotOps(ops *[16]blockOp, k int) *[256]blockOp {
+	slots := new([256]blockOp)
+	for i := range slots {
+		a, b := ops[i&15], ops[i>>4]
+		if slotBlocks(k) == 1 {
+			slots[i] = a
+			continue
+		}
+		// b's trits sit K higher in the slot and land a.n higher.
+		a.dataB, a.rotB = b.dataA<<k, (b.rotA+a.n-uint8(k))&63
+		a.cnt += b.cnt
+		a.code |= b.code << a.n
+		a.codeMask |= b.codeMask << a.n
+		a.n += b.n
+		slots[i] = a
+	}
+	return slots
 }
 
 // repeat64 repeats the low w bits of x (zero above them) across the
@@ -342,15 +399,17 @@ func repeat64(x uint64, w int) uint64 {
 
 // wordEnc is the encode kernel for every K that divides 64. It holds
 // the writer's planes and the partial output word in a register pair
-// (accC, accV, nacc bits), so a block costs one op-table load and one
-// OR into the accumulator, and the planes see only whole-word stores.
+// (accC, accV, nacc bits), so a step costs one table load and one OR
+// into the accumulator, and the planes see only whole-word stores.
 // Load it from a writer with wordEncoder and store it back with close.
 type wordEnc struct {
 	c          *Codec
 	care, val  []uint64 // the writer's planes
 	wi         int      // the plane word accC/accV will be stored to
 	accC, accV uint64
-	nacc       uint // valid low bits of accC/accV, < 64
+	nacc       uint   // valid low bits of accC/accV, < 64
+	cnt        uint64 // case counts not yet in counts, packed
+	left       int    // words encode may add to cnt before a flush
 	counts     *Counts
 }
 
@@ -373,10 +432,13 @@ func (e *wordEnc) reserve(w *kernelWriter, bits int) {
 	*e = e.c.wordEncoder(w, e.counts)
 }
 
-// close stores the partial word back and sets w's length.
+// close stores the partial word back, sets w's length and flushes the
+// case counts.
 func (e *wordEnc) close(w *kernelWriter) {
 	e.care[e.wi], e.val[e.wi] = e.accC, e.accV
 	w.n = e.wi<<6 + int(e.nacc)
+	addCounts(e.counts, e.cnt)
+	e.cnt, e.left = 0, 0
 }
 
 // encode appends the encodings of blocks blocks read from the care/val
@@ -389,28 +451,37 @@ func (e *wordEnc) close(w *kernelWriter) {
 // the lower K/2-1 bits of every field, so the add carries into the top
 // bit and never out of the field). Applied to val ("holds a 1") and to
 // care&^val ("holds a 0"), the four top bits of a block, shifted down to
-// its bits 0..3, are the block's op-table index; the same four masks,
-// combined in the classifier's priority order and popcounted, give the
-// word's case counts. An all-zero val word is 64/K C1 blocks and, when
-// their codewords fit one word, one append.
+// its bits 0..3, are the block's op-table index. ORing in the next
+// block's index at bits 4..7 gives the slot-table index of the slot
+// that starts there, so each slot shifts the index word by the trits it
+// consumes, as it does the planes. Case counts accumulate as the slots'
+// packed increments and are flushed into counts every countMax/(64/K)
+// words, before any field can pass countMax. An all-zero val word is
+// 64/K C1 blocks and, when their codewords fit one word, one append.
 func (e *wordEnc) encode(care, val []uint64, blocks int) {
-	c, ops := e.c, e.c.kops
+	c, ops, slots := e.c, e.c.kops, e.c.kslots
 	k := uint(c.k)
 	h := k / 2
 	perWord := 64 / int(k)
+	per := slotBlocks(c.k)
+	slotBits := uint(per) * k & 63    // 8 to 32; the mask spares the shifts a range check
 	hiL := repeat64(1<<(h-1), int(k)) // top bit of every left half
 	hiR := hiL << h                   // top bit of every right half
 	low := ^(hiL | hiR)               // the other bits of every half
-	base := repeat64(1, int(k))       // bit 0 of every block
 	dst, dstV, wi := e.care, e.val, e.wi
 	accC, accV, nacc := e.accC, e.accV, e.nacc
-	var cnt Counts
+	cnt, left := e.cnt, e.left
 	for i := 0; blocks > 0; i++ {
+		if left == 0 {
+			addCounts(e.counts, cnt)
+			cnt, left = 0, countMax/perWord
+		}
+		left--
 		cw, vw := care[i], val[i]
 		n := min(blocks, perWord)
 		blocks -= n
 		if vw == 0 && n == perWord && c.kc1ok {
-			cnt[CaseAll0-1] += perWord
+			cnt += uint64(perWord)
 			b := c.kc1
 			accC |= b.mask << nacc
 			accV |= b.bits << nacc
@@ -427,60 +498,35 @@ func (e *wordEnc) encode(care, val []uint64, blocks int) {
 		zw := cw &^ vw
 		zeros := (zw&low + low | zw) & (hiL | hiR)
 		idx := (ones&hiL)>>(h-1) | (zeros&hiL)>>(h-2) | (ones&hiR)>>(k-3) | (zeros&hiR)>>(k-4)
-		countCases(&cnt, idx, base&lowMask64(n*int(k)))
-		for ; n > 0; n-- {
-			op := &ops[idx&15]
-			bc := op.codeMask | (cw>>(op.dataShift&63)&op.dataMask)<<(op.codeLen&63)
-			bv := op.code | (vw>>(op.dataShift&63)&op.dataMask)<<(op.codeLen&63)
+		idx |= idx >> (k - 4)
+		for ; n > 0; n -= per {
+			op := &slots[idx&255]
+			if n < per {
+				op = &ops[idx&15] // a row's odd last block
+			}
+			bc, bv := op.image(op.codeMask, cw), op.image(op.code, vw)
 			accC |= bc << (nacc & 63)
 			accV |= bv << (nacc & 63)
 			if nacc += uint(op.n); nacc >= 64 {
 				dst[wi], dstV[wi] = accC, accV
 				wi++
 				nacc -= 64
-				sh := (uint(op.n) - nacc) & 63 // in [1, 40]: a block is < 64 trits
+				sh := (uint(op.n) - nacc) & 63 // in [1, 63]: a slot is < 64 trits
 				accC, accV = bc>>sh, bv>>sh
 			}
-			idx, cw, vw = idx>>k, cw>>k, vw>>k
+			cnt += op.cnt
+			idx, cw, vw = idx>>slotBits, cw>>slotBits, vw>>slotBits
 		}
 	}
 	e.wi, e.accC, e.accV, e.nacc = wi, accC, accV, nacc
-	for i, v := range cnt {
-		e.counts[i] += v
-	}
+	e.cnt, e.left = cnt, left
 }
 
-// countCases adds the case counts of one word's blocks to cnt. idx
-// holds each block's op-table index at its bit 0..3 and base marks bit
-// 0 of every block to count; the masks below resolve the four flags in
-// classifyFlags' priority order, one case per block.
-func countCases(cnt *Counts, idx, base uint64) {
-	l0, l1 := base&^idx, base&^(idx>>1)
-	r0, r1 := base&^(idx>>2), base&^(idx>>3)
-	m1 := l0 & r0
-	rest := base &^ m1
-	m2 := rest & l1 & r1
-	rest &^= m2
-	m3 := rest & l0 & r1
-	rest &^= m3
-	m4 := rest & l1 & r0
-	rest &^= m4
-	m5 := rest & l0
-	rest &^= m5
-	m6 := rest & r0
-	rest &^= m6
-	m7 := rest & l1
-	rest &^= m7
-	m8 := rest & r1
-	cnt[0] += bits.OnesCount64(m1)
-	cnt[1] += bits.OnesCount64(m2)
-	cnt[2] += bits.OnesCount64(m3)
-	cnt[3] += bits.OnesCount64(m4)
-	cnt[4] += bits.OnesCount64(m5)
-	cnt[5] += bits.OnesCount64(m6)
-	cnt[6] += bits.OnesCount64(m7)
-	cnt[7] += bits.OnesCount64(m8)
-	cnt[8] += bits.OnesCount64(rest &^ m8)
+// addCounts adds a packed case count to counts.
+func addCounts(counts *Counts, cnt uint64) {
+	for i := range counts {
+		counts[i] += int(cnt >> (countBits * i) & countMax)
+	}
 }
 
 // encodePlanes is the plane feeder of the word kernel: one pattern's

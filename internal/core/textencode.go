@@ -16,7 +16,10 @@ import (
 // get wrong — rows of 0, 1, x, X and '-' of one width, '#' comment
 // lines and empty lines, every line under tcube.MaxLineBytes — and
 // reports any other body as not vouched for, so the caller parses it
-// with tcube.Read and every error stays the parser's.
+// with tcube.Read and every error stays the parser's. Parse64 reads
+// canonical 0/1/X text on its fast path; to keep every load canonical,
+// a row's last partial word is read from the 64 bytes that end the
+// row, not from bytes that run into the newline and the next row.
 
 // rowWords is how many plane words of a row the feeder stages before
 // handing them to the kernel: 4096 trits, 1 KiB per plane, on the stack.
@@ -119,7 +122,13 @@ func (c *Codec) encodeRows(ctx context.Context, e *wordEnc, w *kernelWriter, tex
 	rowBits := c.worstBits(blocksPer)
 	cancellable := ctx.Done() != nil
 	var care, val [rowWords]uint64
+	// A row narrower than a word is parsed from tail, X past the row.
 	var tail [64]byte
+	if width < 64 {
+		for i := range tail {
+			tail[i] = 'X'
+		}
+	}
 	for pos < len(text) {
 		end := pos + width
 		if end > len(text) || end < len(text) && text[end] != '\n' {
@@ -135,17 +144,18 @@ func (c *Codec) encodeRows(ctx context.Context, e *wordEnc, w *kernelWriter, tex
 			for ; m < rowWords && off+m*64 < width; m++ {
 				p := pos + off + m*64
 				var cw, vw, bad uint64
-				if p+64 <= len(text) {
+				switch rem := end - p; {
+				case rem >= 64:
 					cw, vw, bad = bitvec.Parse64((*[64]byte)(text[p:]))
-				} else {
-					tail = [64]byte{}
-					copy(tail[:], text[p:])
+				case width >= 64:
+					// The row's last rem bytes end a word-wide window that
+					// lies inside the row; the shift drops the bytes parsed
+					// already and leaves X padding above.
+					cw, vw, bad = bitvec.Parse64((*[64]byte)(text[end-64:]))
+					cw, vw, bad = cw>>(64-rem), vw>>(64-rem), bad>>(64-rem)
+				default:
+					copy(tail[:], text[p:end])
 					cw, vw, bad = bitvec.Parse64(&tail)
-				}
-				// Bytes past the row are the next line: X padding.
-				if rem := width - off - m*64; rem < 64 {
-					mask := lowMask64(rem)
-					cw, vw, bad = cw&mask, vw&mask, bad&mask
 				}
 				if bad != 0 {
 					return 0, false

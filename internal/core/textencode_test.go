@@ -276,42 +276,55 @@ func TestEncodeTextWorkspaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeText times /encode's encode step on the s38417
-// Mintest-profile body at K=8, into a warm workspace: text is the text
-// path, parser the path it replaces for a body it vouches for
-// (tcube.Read, then Encode).
+// BenchmarkEncodeText times /encode's encode step on each of the six
+// Mintest-profile bodies at K=8, the mix the mintest-encode workload
+// sends, into a warm workspace: text is the text path, parser the path
+// it replaces for a body it vouches for (tcube.Read, then Encode).
 func BenchmarkEncodeText(b *testing.B) {
-	set, err := synth.MintestLike("s38417")
-	if err != nil {
-		b.Fatal(err)
-	}
-	text := setText(b, set)
 	cdc, err := New(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ws := GetWorkspace()
 	defer ws.Release()
+	texts := make([][]byte, len(synth.Benchmarks))
+	for i, cs := range synth.Benchmarks {
+		set, err := synth.MintestLike(cs.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		texts[i] = setText(b, set)
+	}
 	b.Run("text", func(b *testing.B) {
-		b.SetBytes(int64(len(text)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := cdc.EncodeText(context.Background(), text, ws); !ok {
-				b.Fatal("text path refused the body")
-			}
+		for i, cs := range synth.Benchmarks {
+			text := texts[i]
+			b.Run(cs.Name, func(b *testing.B) {
+				b.SetBytes(int64(len(text)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, ok := cdc.EncodeText(context.Background(), text, ws); !ok {
+						b.Fatal("text path refused the body")
+					}
+				}
+			})
 		}
 	})
 	b.Run("parser", func(b *testing.B) {
-		b.SetBytes(int64(len(text)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			set, err := tcube.Read("s38417", bytes.NewReader(text))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cdc.EncodeSetWS(ws, set); err != nil {
-				b.Fatal(err)
-			}
+		for i, cs := range synth.Benchmarks {
+			text := texts[i]
+			b.Run(cs.Name, func(b *testing.B) {
+				b.SetBytes(int64(len(text)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					set, err := tcube.Read(cs.Name, bytes.NewReader(text))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := cdc.EncodeSetWS(ws, set); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	})
 }
