@@ -102,8 +102,10 @@ func BenchmarkServeEncode(b *testing.B) {
 
 // BenchmarkServeDecode measures POST /decode through the full handler
 // stack: chunk read and CRC, streamed decode and text output. The
-// mintest container spans several chunks; legacy-v3 is the same set as
-// a whole-payload N9C3 container, the format earlier ninec runs wrote.
+// mintest container spans two chunks and mintest-long (the same
+// patterns five times over) at least eight, so the pair shows what a
+// seam costs; legacy-v3 is the mintest set as a whole-payload N9C3
+// container, the format earlier ninec runs wrote.
 func BenchmarkServeDecode(b *testing.B) {
 	for _, body := range serveBodies(b) {
 		b.Run(body.name, func(b *testing.B) {
@@ -116,6 +118,35 @@ func BenchmarkServeDecode(b *testing.B) {
 			runServe(b, s, "/decode", w.Body.Bytes())
 		})
 	}
+	b.Run("mintest-long", func(b *testing.B) {
+		set, err := synth.MintestLike("s38417")
+		if err != nil {
+			b.Fatal(err)
+		}
+		long := tcube.NewSet(set.Name, set.Width())
+		for range 5 {
+			for i := 0; i < set.Len(); i++ {
+				long.MustAppend(set.Cube(i))
+			}
+		}
+		cdc, err := core.New(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := cdc.EncodeSet(long)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if chunks := (r.Stream.Len() + container.DefaultChunkTrits - 1) / container.DefaultChunkTrits; chunks < 8 {
+			b.Fatalf("container spans %d chunks, want >= 8", chunks)
+		}
+		data, err := container.MarshalV4(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := newServer(config{CacheOff: true, ShedQueue: 1 << 10}, obs.NewRegistry())
+		runServe(b, s, "/decode", data)
+	})
 	b.Run("legacy-v3", func(b *testing.B) {
 		set, err := synth.MintestLike("s38417")
 		if err != nil {

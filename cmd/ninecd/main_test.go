@@ -716,8 +716,10 @@ func TestMaxBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A set whose stream ends one bit past a byte edge.
+	// A set whose stream ends one bit past a byte edge, as a v3 and a
+	// v4 container: both honour the bound exactly.
 	var v3 bytes.Buffer
+	var v4 []byte
 	var bits int
 	for seed := int64(1); bits%8 != 1; seed++ {
 		set, err := tcube.Read("maxbits", strings.NewReader(sampleText(6, 40, seed)))
@@ -732,6 +734,9 @@ func TestMaxBits(t *testing.T) {
 		if err := container.WriteVersion(&v3, r, container.Magic); err != nil {
 			t.Fatal(err)
 		}
+		if v4, err = container.MarshalV4(r); err != nil {
+			t.Fatal(err)
+		}
 		bits = r.CompressedBits()
 	}
 	for _, tc := range []struct {
@@ -740,10 +745,15 @@ func TestMaxBits(t *testing.T) {
 		class   string
 	}{{bits, http.StatusOK, ""}, {bits - 1, http.StatusRequestEntityTooLarge, "limit"}} {
 		ts, _ := newTestServer(t, config{MaxBits: tc.maxBits})
-		resp, body := post(t, ts.URL+"/decode", v3.Bytes())
-		if resp.StatusCode != tc.status || resp.Header.Get("X-Error-Class") != tc.class {
-			t.Errorf("-max-bits %d, %d-bit stream: %d %q (%s), want %d %q",
-				tc.maxBits, bits, resp.StatusCode, resp.Header.Get("X-Error-Class"), body, tc.status, tc.class)
+		for _, c := range []struct {
+			version string
+			data    []byte
+		}{{container.Magic, v3.Bytes()}, {container.Magic4, v4}} {
+			resp, body := post(t, ts.URL+"/decode", c.data)
+			if resp.StatusCode != tc.status || resp.Header.Get("X-Error-Class") != tc.class {
+				t.Errorf("%s, -max-bits %d, %d-bit stream: %d %q (%s), want %d %q", c.version,
+					tc.maxBits, bits, resp.StatusCode, resp.Header.Get("X-Error-Class"), body, tc.status, tc.class)
+			}
 		}
 	}
 }

@@ -64,8 +64,26 @@ func (t *codecTable) getAssign(k int, a core.Assignment) (*core.Codec, error) {
 	return core.NewWithAssignment(k, a)
 }
 
-// textBufPool recycles the 01X emission buffers of the decode handler.
-var textBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// decodeState is the per-request state of /decode that the handler
+// owns, pooled across requests: the buffered body reader and the 01X
+// text buffer. The chunk reader and the stream decoder pool themselves
+// (their Release methods).
+type decodeState struct {
+	body *bufio.Reader
+	text []byte
+}
+
+var decodeStatePool = sync.Pool{New: func() any { return &decodeState{body: bufio.NewReader(nil)} }}
+
+// release drops the request body and returns st to the pool, without a
+// text buffer that a very wide row grew past a few slabs.
+func (st *decodeState) release() {
+	st.body.Reset(nil)
+	if cap(st.text) > 4*decodeSlab {
+		st.text = nil
+	}
+	decodeStatePool.Put(st)
+}
 
 // decodeSlab is the size at which /decode hands its buffered rows to
 // the ResponseWriter: large enough that the per-Write cost vanishes,
@@ -444,9 +462,15 @@ func (s *server) handleEncode(w http.ResponseWriter, r *http.Request) error {
 func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanCtx(r.Context(), "ninecd.decode.stream")
 	defer sp.End()
-	src, h, err := s.openContainer(w, bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)))
+	st := decodeStatePool.Get().(*decodeState)
+	defer st.release()
+	st.body.Reset(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	src, h, err := s.openContainer(w, st.body)
 	if err != nil {
 		return err
+	}
+	if chr, ok := src.(*container.ChunkReader); ok {
+		defer chr.Release()
 	}
 	if h.Width == 0 {
 		// A bare cube of zero bits: an empty but valid container.
@@ -461,6 +485,7 @@ func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	defer dec.Release()
 
 	// The first pattern decodes before any byte is written, so header
 	// faults still map onto a status code. After that the stream is
@@ -468,9 +493,8 @@ func (s *server) handleDecode(w http.ResponseWriter, r *http.Request) error {
 	// the 01X parser ignores-but-a-human sees, plus the fault counter.
 	// Rows are decoded straight to text into one pooled buffer, which
 	// goes out in slabs of at least decodeSlab bytes.
-	bufp := textBufPool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	defer func() { *bufp = buf; textBufPool.Put(bufp) }()
+	buf := st.text[:0]
+	defer func() { st.text = buf }()
 	started := false
 	ctx := r.Context()
 	for {

@@ -41,6 +41,9 @@ type Generator struct {
 	val     []V   // per-gate 5-valued plane
 	piIndex []int // gate id -> PPI position, -1 otherwise
 	tm      *Testability
+	fanout  [][]int // combinational consumers of each gate
+	events  [][]int // per logic level, gates whose fanin changed
+	queued  []bool  // gate is in events
 
 	fault faultsim.Fault
 	nBack int
@@ -61,6 +64,18 @@ func NewGenerator(sv *netlist.ScanView) *Generator {
 	for i, id := range sv.PPIs {
 		g.piIndex[id] = i
 	}
+	c := sv.Circuit
+	g.fanout = make([][]int, c.NumGates())
+	for _, id := range sv.Order {
+		if t := c.Gates[id].Type; t == netlist.Input || t == netlist.DFF {
+			continue
+		}
+		for _, f := range c.Gates[id].Fanin {
+			g.fanout[f] = append(g.fanout[f], id)
+		}
+	}
+	g.events = make([][]int, sv.Depth+1)
+	g.queued = make([]bool, c.NumGates())
 	return g
 }
 
@@ -108,13 +123,11 @@ func (g *Generator) search() Status {
 	}
 	for _, tryV := range []V{v, Not5(v)} {
 		g.assign(pi, tryV)
-		g.imply()
 		st := g.search()
 		if st == Detected || st == Aborted {
 			return st
 		}
 		g.assign(pi, VX)
-		g.imply()
 		g.nBack++
 		if g.nBack > g.BacktrackLimit {
 			return Aborted
@@ -123,8 +136,44 @@ func (g *Generator) search() Status {
 	return Untestable
 }
 
-// assign sets a PPI value directly.
-func (g *Generator) assign(piGate int, v V) { g.val[piGate] = v }
+// assign sets a PPI value and implies it forward, event-driven: only
+// gates with a fanin whose value changed are re-evaluated, level by
+// level, so every gate sees its final fanin values. The plane it
+// leaves is the one a full imply pass would compute.
+func (g *Generator) assign(piGate int, v V) {
+	if g.fault.Pin < 0 && g.fault.Gate == piGate {
+		v = injectStuck(v, g.fault.StuckAt)
+	}
+	if g.val[piGate] == v {
+		return
+	}
+	g.val[piGate] = v
+	g.schedule(piGate)
+	for lvl := g.sv.Level[piGate] + 1; lvl < len(g.events); lvl++ {
+		// A fanout sits on a higher level, so this level's list does
+		// not grow while it is walked.
+		for _, id := range g.events[lvl] {
+			g.queued[id] = false
+			if nv := g.eval(id); nv != g.val[id] {
+				g.val[id] = nv
+				g.schedule(id)
+			}
+		}
+		g.events[lvl] = g.events[lvl][:0]
+	}
+}
+
+// schedule queues the combinational consumers of gate id for
+// re-evaluation.
+func (g *Generator) schedule(id int) {
+	for _, o := range g.fanout[id] {
+		if !g.queued[o] {
+			g.queued[o] = true
+			l := g.sv.Level[o]
+			g.events[l] = append(g.events[l], o)
+		}
+	}
+}
 
 // success reports whether a fault effect reaches an observation point.
 func (g *Generator) success() bool {
@@ -316,61 +365,80 @@ func (g *Generator) backtrace(net int, want V) (pi int, v V, ok bool) {
 	}
 }
 
-// imply forward-propagates the 5-valued plane with the fault injected.
+// imply forward-propagates the whole 5-valued plane with the fault
+// injected: the starting point of each fault, after which assign keeps
+// the plane implied incrementally.
 func (g *Generator) imply() {
 	c := g.sv.Circuit
 	for _, id := range g.sv.Order {
 		gg := &c.Gates[id]
 		if gg.Type != netlist.Input && gg.Type != netlist.DFF {
-			g.val[id] = g.evalGate(gg)
-		}
-		// Output-fault injection (also applies to stuck PIs/scan cells).
-		if g.fault.Pin < 0 && g.fault.Gate == id {
+			g.val[id] = g.eval(id)
+		} else if g.fault.Pin < 0 && g.fault.Gate == id {
+			// Output-fault injection on a stuck PI or scan cell.
 			g.val[id] = injectStuck(g.val[id], g.fault.StuckAt)
 		}
 	}
 }
 
-// evalGate computes the 5-valued output of a combinational gate,
-// applying input-pin fault injection when this gate hosts the fault.
-func (g *Generator) evalGate(gg *netlist.Gate) V {
-	in := func(pin int) V {
-		v := g.val[gg.Fanin[pin]]
-		if g.fault.Pin == pin && g.fault.Gate == gg.ID {
-			v = injectStuck(v, g.fault.StuckAt)
-		}
-		return v
+// eval computes the implied value of combinational gate id: its
+// function over the fanin values, with the fault injected when it sits
+// on this gate's output or on one of its input pins.
+func (g *Generator) eval(id int) V {
+	gg := &g.sv.Circuit.Gates[id]
+	if id != g.fault.Gate {
+		return evalGate(gg.Type, gg.Fanin, g.val, -1, VX)
 	}
+	if g.fault.Pin < 0 {
+		return injectStuck(evalGate(gg.Type, gg.Fanin, g.val, -1, VX), g.fault.StuckAt)
+	}
+	fv := injectStuck(g.val[gg.Fanin[g.fault.Pin]], g.fault.StuckAt)
+	return evalGate(gg.Type, gg.Fanin, g.val, g.fault.Pin, fv)
+}
+
+// evalGate computes the 5-valued output of a gate of type t over the
+// values of its fanin nets, reading input pin fp as fv instead (fp = -1
+// reads every pin from val).
+func evalGate(t netlist.GateType, fanin []int, val []V, fp int, fv V) V {
 	var v V
-	switch gg.Type {
-	case netlist.Buf:
-		v = in(0)
-	case netlist.Not:
-		v = Not5(in(0))
+	switch t {
+	case netlist.Buf, netlist.Not:
+		v = val[fanin[0]]
+		if fp == 0 {
+			v = fv
+		}
 	case netlist.And, netlist.Nand:
 		v = V1
-		for pin := range gg.Fanin {
-			v = And5(v, in(pin))
-		}
-		if gg.Type == netlist.Nand {
-			v = Not5(v)
+		for pin, f := range fanin {
+			x := val[f]
+			if pin == fp {
+				x = fv
+			}
+			v = And5(v, x)
 		}
 	case netlist.Or, netlist.Nor:
 		v = V0
-		for pin := range gg.Fanin {
-			v = Or5(v, in(pin))
-		}
-		if gg.Type == netlist.Nor {
-			v = Not5(v)
+		for pin, f := range fanin {
+			x := val[f]
+			if pin == fp {
+				x = fv
+			}
+			v = Or5(v, x)
 		}
 	case netlist.Xor, netlist.Xnor:
 		v = V0
-		for pin := range gg.Fanin {
-			v = Xor5(v, in(pin))
+		for pin, f := range fanin {
+			x := val[f]
+			if pin == fp {
+				x = fv
+			}
+			v = Xor5(v, x)
 		}
-		if gg.Type == netlist.Xnor {
-			v = Not5(v)
-		}
+	default:
+		return v
+	}
+	if t.Inverting() {
+		v = Not5(v)
 	}
 	return v
 }

@@ -68,6 +68,7 @@ func BenchmarkAppendText(b *testing.B) {
 func TestCubeBuilderDiscardView(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var b CubeBuilder
+	var v Cube
 	var ref []Trit
 	for step := 0; step < 400; step++ {
 		if rng.Intn(3) == 0 {
@@ -81,7 +82,7 @@ func TestCubeBuilderDiscardView(t *testing.T) {
 				ref = append(ref, seg.Get(i))
 			}
 		}
-		v := b.View()
+		b.ViewInto(&v)
 		if v.Len() != len(ref) || b.Len() != len(ref) {
 			t.Fatalf("step %d: view length %d, want %d", step, v.Len(), len(ref))
 		}

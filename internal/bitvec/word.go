@@ -420,21 +420,24 @@ func (b *CubeBuilder) Discard(n int) {
 	b.care, b.val, b.n = b.care[:words], b.val[:words], keep
 }
 
-// View returns the accumulated cube without resetting the builder. The
-// cube aliases the builder's storage and is valid only until the next
-// append or Discard.
-func (b *CubeBuilder) View() *Cube {
-	words := wordsFor(b.n)
-	return &Cube{
-		care: &Bits{n: b.n, words: b.care[:words:words]},
-		val:  &Bits{n: b.n, words: b.val[:words:words]},
+// ViewInto points c at the accumulated trits without resetting the
+// builder or copying: c aliases the builder's storage and is valid only
+// until the next append or Discard. It allocates only the first time c
+// is used, so a buffer viewed after every append reuses one cube.
+func (b *CubeBuilder) ViewInto(c *Cube) {
+	if c.care == nil {
+		c.care, c.val = new(Bits), new(Bits)
 	}
+	words := wordsFor(b.n)
+	c.care.n, c.care.words = b.n, b.care[:words:words]
+	c.val.n, c.val.words = b.n, b.val[:words:words]
 }
 
 // Build returns the accumulated cube, transferring the builder's
 // storage to it (no copy), and resets the builder to empty.
 func (b *CubeBuilder) Build() *Cube {
-	c := b.View()
+	c := new(Cube)
+	b.ViewInto(c)
 	b.care, b.val, b.n = nil, nil, 0
 	return c
 }

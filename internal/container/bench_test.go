@@ -68,6 +68,7 @@ func BenchmarkChunkRead(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		chr.Release()
 	}
 }
 
@@ -102,6 +103,8 @@ func BenchmarkStreamDecodeK8(b *testing.B) {
 		if dec.Patterns() != res.Patterns {
 			b.Fatalf("decoded %d patterns, want %d", dec.Patterns(), res.Patterns)
 		}
+		dec.Release()
+		chr.Release()
 	}
 }
 
@@ -155,6 +158,8 @@ func BenchmarkStreamDecodeText(b *testing.B) {
 				if dec.Patterns() != res.Patterns {
 					b.Fatalf("decoded %d patterns, want %d", dec.Patterns(), res.Patterns)
 				}
+				dec.Release()
+				chr.Release()
 			}
 		})
 	}

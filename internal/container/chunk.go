@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -102,7 +103,7 @@ func appendV4(r *core.Result) []byte {
 	n := r.Stream.Len()
 	size := headerSize(r.Name) + 24 // terminator + trailer + trailer CRC
 	for off := 0; off < n; off += DefaultChunkTrits {
-		size += 8 + 2*((min(DefaultChunkTrits, n-off)+7)/8)
+		size += frameBytes(min(DefaultChunkTrits, n-off))
 	}
 	out := appendHeader(make([]byte, 0, size), Magic4, r.K, 0, r.Width, 0, 0, 0, r.Assign, r.Name)
 	care, val := r.Stream.RawWords()
@@ -130,69 +131,129 @@ func appendV4(r *core.Result) []byte {
 // container in bounded memory with every byte CRC-checked before use.
 // A chunk that fails verification surfaces as a classified error, and
 // every chunk before it has already been delivered intact.
+//
+// Each chunk is read into one reused frame buffer, checked by one
+// CRC32C pass and converted by one validating pass into reused plane
+// words, so a segment is valid only until the next ReadStream.
+// Readers come from a pool: Release hands one back with its buffers.
 type ChunkReader struct {
 	r       io.Reader
 	hdr     StreamHeader
 	lim     robust.DecodeLimits
-	payload int64 // cumulative framed payload bytes, capped by the limits
+	payload int64 // cumulative plane bytes, capped by the limits
 	trits   int   // trits delivered so far
-	trailer *StreamTrailer
-	done    bool
+	trailer StreamTrailer
+	done    bool         // the trailer verified
+	frame   []byte       // the chunk being read: count, planes, CRC
+	care    []uint64     // the current segment's care plane
+	val     []uint64     // the current segment's val plane
+	seg     *bitvec.Cube // the current segment, over care and val
 }
+
+// maxPooledTrits bounds the chunk a released reader's buffers may hold
+// and still go back to the pool: 2x DefaultChunkTrits, so one hostile
+// MaxChunkTrits chunk cannot keep its buffers resident.
+const maxPooledTrits = 2 * DefaultChunkTrits
+
+// chunkReaderPool recycles readers, with their frame and plane
+// buffers, between NewChunkReader and Release.
+var chunkReaderPool = sync.Pool{New: func() any { return new(ChunkReader) }}
 
 // NewChunkReader parses the header of a chunked ("N9C4") container and
 // returns a reader positioned at the first chunk. Zero limit fields
 // take the robust defaults. Non-chunked versions are rejected: use
-// Read / ReadWithOptions for those.
+// Read / ReadWithOptions for those. The reader comes from a pool;
+// Release returns it once the caller is done.
 func NewChunkReader(rd io.Reader, lim robust.DecodeLimits) (*ChunkReader, error) {
-	diag := &Diag{HeaderCRCOK: true, PayloadCRCOK: true}
-	h, err := readHeader(rd, diag)
+	r := chunkReaderPool.Get().(*ChunkReader)
+	var h headerInfo
+	err := readHeader(rd, &Diag{}, &h, &r.frame)
+	if err == nil && h.version != Magic4 {
+		err = fmt.Errorf("container: %s is not a chunked container: %w", h.version, robust.ErrCorrupt)
+	}
+	if err == nil {
+		err = r.reset(rd, &h, lim.WithDefaults())
+	}
 	if err != nil {
+		r.Release()
 		return nil, err
 	}
-	if h.version != Magic4 {
-		return nil, fmt.Errorf("container: %s is not a chunked container: %w", h.version, robust.ErrCorrupt)
-	}
-	return newChunkReader(rd, h, lim.WithDefaults())
+	return r, nil
 }
 
-// newChunkReader wraps an already-parsed v4 header. The geometry
-// checks here mirror the front half of validateGeometry; the totals
-// half runs against the trailer once it is reached.
-func newChunkReader(rd io.Reader, h *headerInfo, lim robust.DecodeLimits) (*ChunkReader, error) {
+// reset points r at a stream whose v4 header h is already parsed,
+// keeping its buffers. The geometry checks here mirror the front half
+// of validateGeometry; the totals half runs against the trailer once
+// it is reached.
+func (r *ChunkReader) reset(rd io.Reader, h *headerInfo, lim robust.DecodeLimits) error {
 	if h.k < 2 || h.k%2 != 0 || h.k > core.MaxK {
-		return nil, fmt.Errorf("container: implausible block size K=%d: %w", h.k, robust.ErrCorrupt)
+		return fmt.Errorf("container: implausible block size K=%d: %w", h.k, robust.ErrCorrupt)
 	}
 	if h.width < 1 {
-		return nil, fmt.Errorf("container: chunked container width %d, want >= 1: %w", h.width, robust.ErrCorrupt)
+		return fmt.Errorf("container: chunked container width %d, want >= 1: %w", h.width, robust.ErrCorrupt)
 	}
 	if h.width > lim.MaxWidth {
-		return nil, fmt.Errorf("container: width %d exceeds limit %d: %w", h.width, lim.MaxWidth, robust.ErrLimitExceeded)
+		return fmt.Errorf("container: width %d exceeds limit %d: %w", h.width, lim.MaxWidth, robust.ErrLimitExceeded)
 	}
-	return &ChunkReader{
-		r:   rd,
-		hdr: StreamHeader{K: h.k, Width: h.width, Assign: h.assign, Name: h.name},
-		lim: lim,
-	}, nil
+	*r = ChunkReader{
+		r:     rd,
+		hdr:   StreamHeader{K: h.k, Width: h.width, Assign: h.assign, Name: h.name},
+		lim:   lim,
+		frame: r.frame, care: r.care, val: r.val, seg: r.seg,
+	}
+	return nil
+}
+
+// Release returns the reader to the pool NewChunkReader draws from.
+// The caller must not use it, or a segment it returned, afterwards.
+// Buffers grown past maxPooledTrits are dropped rather than kept.
+func (r *ChunkReader) Release() {
+	if cap(r.frame) > frameBytes(maxPooledTrits) {
+		r.frame = nil
+	}
+	if 64*cap(r.care) > maxPooledTrits {
+		r.care, r.val = nil, nil
+		if r.seg != nil {
+			r.seg.ResetWords(0, nil, nil)
+		}
+	}
+	r.r = nil
+	chunkReaderPool.Put(r)
 }
 
 // Header returns the parsed stream header.
 func (r *ChunkReader) Header() StreamHeader { return r.hdr }
 
+// frameBytes is the frame size of a chunk of count trits: the count,
+// two planes and the CRC.
+func frameBytes(count int) int { return 4 + 2*((count+7)/8) + 4 }
+
+// buffer returns the first n bytes of the frame buffer, growing it
+// while keeping the chunk count already read into its first 4 bytes.
+func (r *ChunkReader) buffer(n int) []byte {
+	if cap(r.frame) < n {
+		f := make([]byte, n)
+		copy(f, r.frame)
+		r.frame = f
+	}
+	r.frame = r.frame[:n]
+	return r.frame
+}
+
 // ReadStream returns the next verified chunk, or io.EOF after the
 // terminator and a valid trailer. Errors are classified: a bad chunk
 // or trailer CRC is ErrChecksum, an implausible count ErrCorrupt, a
-// short read ErrTruncated, cumulative payload beyond the limits
-// ErrLimitExceeded.
+// short read ErrTruncated, cumulative plane bytes beyond the limits
+// ErrLimitExceeded. The segment aliases the reader's buffers: it is
+// valid until the next ReadStream.
 func (r *ChunkReader) ReadStream() (*bitvec.Cube, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(r.r, cnt[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.buffer(4)); err != nil {
 		return nil, fmt.Errorf("container: chunk header: %w: %v", robust.ErrTruncated, err)
 	}
-	count := int(binary.LittleEndian.Uint32(cnt[:]))
+	count := int(binary.LittleEndian.Uint32(r.frame))
 	if count == 0 {
 		return nil, r.readTrailer()
 	}
@@ -200,40 +261,44 @@ func (r *ChunkReader) ReadStream() (*bitvec.Cube, error) {
 		return nil, fmt.Errorf("container: chunk of %d trits exceeds %d: %w", count, MaxChunkTrits, robust.ErrCorrupt)
 	}
 	nbytes := (count + 7) / 8
-	if r.payload += int64(2*nbytes + 8); r.payload > int64(r.lim.MaxPayloadBytes) {
+	if r.payload += int64(2 * nbytes); r.payload > int64(r.lim.MaxPayloadBytes) {
 		return nil, fmt.Errorf("container: cumulative payload %d bytes exceeds limit %d: %w", r.payload, r.lim.MaxPayloadBytes, robust.ErrLimitExceeded)
 	}
-	buf := make([]byte, 2*nbytes+4)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	f := r.buffer(frameBytes(count))
+	if _, err := io.ReadFull(r.r, f[4:]); err != nil {
 		return nil, fmt.Errorf("container: chunk body: %w: %v", robust.ErrTruncated, err)
 	}
-	val, mask := buf[:nbytes], buf[nbytes:2*nbytes]
-	h := crc32.New(castagnoli)
-	h.Write(cnt[:])
-	h.Write(buf[:2*nbytes])
-	if got, want := h.Sum32(), binary.LittleEndian.Uint32(buf[2*nbytes:]); got != want {
+	body := f[:4+2*nbytes]
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(f[len(body):]); got != want {
 		return nil, fmt.Errorf("container: chunk CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
 	}
-	c, _, err := unplanes(val, mask, count, false)
-	if err != nil {
+	if words := (count + 63) / 64; cap(r.care) < words {
+		r.care, r.val = make([]uint64, words), make([]uint64, words)
+	}
+	if _, err := unplanesInto(r.care, r.val, body[4:4+nbytes], body[4+nbytes:], count, false); err != nil {
 		return nil, err
 	}
+	if r.seg == nil {
+		r.seg = bitvec.CubeOfWords(count, r.care, r.val)
+	} else {
+		r.seg.ResetWords(count, r.care, r.val)
+	}
 	r.trits += count
-	return c, nil
+	return r.seg, nil
 }
 
 // readTrailer verifies the trailer after the zero terminator and that
 // nothing follows it, latches done and returns io.EOF so the
 // StreamSource contract sees a clean end of stream.
 func (r *ChunkReader) readTrailer() error {
-	var tr [20]byte
-	if _, err := io.ReadFull(r.r, tr[:]); err != nil {
+	tr := r.buffer(20)
+	if _, err := io.ReadFull(r.r, tr); err != nil {
 		return fmt.Errorf("container: trailer: %w: %v", robust.ErrTruncated, err)
 	}
 	if got, want := crc32.Checksum(tr[:16], castagnoli), binary.LittleEndian.Uint32(tr[16:]); got != want {
 		return fmt.Errorf("container: trailer CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
 	}
-	t := &StreamTrailer{
+	t := StreamTrailer{
 		Patterns:   int(binary.LittleEndian.Uint32(tr[0:])),
 		OrigBits:   int(binary.LittleEndian.Uint32(tr[4:])),
 		Blocks:     int(binary.LittleEndian.Uint32(tr[8:])),
@@ -245,8 +310,7 @@ func (r *ChunkReader) readTrailer() error {
 	if err := validateGeometry(r.hdr.K, t.Patterns, r.hdr.Width, t.OrigBits, t.Blocks, t.StreamBits, r.lim); err != nil {
 		return err
 	}
-	var extra [1]byte
-	if n, _ := io.ReadFull(r.r, extra[:]); n != 0 {
+	if n, _ := io.ReadFull(r.r, r.buffer(1)); n != 0 {
 		return fmt.Errorf("container: trailing bytes: %w", robust.ErrCorrupt)
 	}
 	r.trailer = t
@@ -256,12 +320,7 @@ func (r *ChunkReader) readTrailer() error {
 
 // Trailer returns the verified stream totals, available only after
 // ReadStream has returned io.EOF.
-func (r *ChunkReader) Trailer() (StreamTrailer, bool) {
-	if r.trailer == nil {
-		return StreamTrailer{}, false
-	}
-	return *r.trailer, true
-}
+func (r *ChunkReader) Trailer() (StreamTrailer, bool) { return r.trailer, r.done }
 
 // readV4 is the whole-container read path for chunked containers,
 // invoked by ReadWithOptions after the shared header parse. Strict
@@ -270,8 +329,9 @@ func (r *ChunkReader) Trailer() (StreamTrailer, bool) {
 // by streaming-decoding it when the trailer is unreachable.
 func readV4(cr io.Reader, h *headerInfo, opt Options, diag *Diag) (*core.Result, *Diag, error) {
 	lim := opt.Limits.WithDefaults()
-	chr, err := newChunkReader(cr, h, lim)
-	if err != nil {
+	chr := chunkReaderPool.Get().(*ChunkReader)
+	defer chr.Release()
+	if err := chr.reset(cr, h, lim); err != nil {
 		return nil, diag, err
 	}
 	b := bitvec.NewCubeBuilder(0)

@@ -39,7 +39,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"strings"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -208,8 +207,9 @@ func ReadWithOptions(rd io.Reader, opt Options) (res *core.Result, diag *Diag, e
 	lim := opt.Limits.WithDefaults()
 	diag = &Diag{HeaderCRCOK: true, PayloadCRCOK: true}
 
-	h, err := readHeader(cr, diag)
-	if err != nil {
+	h := new(headerInfo)
+	var scratch []byte
+	if err := readHeader(cr, diag, h, &scratch); err != nil {
 		return nil, diag, err
 	}
 	if h.version == Magic4 {
@@ -271,35 +271,58 @@ type headerInfo struct {
 	name                                             string
 }
 
-// readHeader parses magic through the header checksum, updating diag
-// as it goes. Shared by the whole-payload read path and the chunked v4
-// reader.
-func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
-	hcrc := crc32.New(castagnoli)
-	readFull := func(buf []byte, what string) error {
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return fmt.Errorf("container: %s: %w: %v", what, robust.ErrTruncated, err)
+// binCodes is the MaxCodeLen-bit binary text of every value below
+// 2^MaxCodeLen, back to back: each codeword a header can hold is a
+// substring of it, so readHeader builds the assignment without
+// allocating a string per codeword.
+var binCodes = func() string {
+	b := make([]byte, 0, core.MaxCodeLen<<core.MaxCodeLen)
+	for v := 0; v < 1<<core.MaxCodeLen; v++ {
+		b = fmt.Appendf(b, "%0*b", core.MaxCodeLen, v)
+	}
+	return string(b)
+}()
+
+// readHeader parses magic through the header checksum into h, updating
+// diag as it goes. Shared by the whole-payload read path and the
+// chunked v4 reader. Each field is read into *scratch, which grows as
+// needed and is kept, so a reader that reuses its scratch allocates
+// only the set name.
+func readHeader(cr io.Reader, diag *Diag, h *headerInfo, scratch *[]byte) error {
+	buf := *scratch
+	defer func() { *scratch = buf }()
+	var crc uint32
+	readFull := func(n int, what string) ([]byte, error) {
+		if cap(buf) < n {
+			buf = make([]byte, n)
 		}
-		return nil
+		b := buf[:n]
+		if _, err := io.ReadFull(cr, b); err != nil {
+			return nil, fmt.Errorf("container: %s: %w: %v", what, robust.ErrTruncated, err)
+		}
+		crc = crc32.Update(crc, castagnoli, b)
+		return b, nil
 	}
 
-	h := &headerInfo{}
-	var magic [4]byte
-	if err := readFull(magic[:], "magic"); err != nil {
-		return nil, err
+	magic, err := readFull(4, "magic")
+	if err != nil {
+		return err
 	}
-	hcrc.Write(magic[:])
-	h.version = string(magic[:])
+	switch string(magic) {
+	case Magic:
+		h.version = Magic
+	case Magic4:
+		h.version = Magic4
+	default:
+		diag.Version = string(magic)
+		return fmt.Errorf("container: bad magic %q: %w", magic, robust.ErrCorrupt)
+	}
 	diag.Version = h.version
-	if h.version != Magic && h.version != Magic4 {
-		return nil, fmt.Errorf("container: bad magic %q: %w", magic[:], robust.ErrCorrupt)
-	}
 
-	var hdr [24]byte
-	if err := readFull(hdr[:], "header"); err != nil {
-		return nil, err
+	hdr, err := readFull(24, "header")
+	if err != nil {
+		return err
 	}
-	hcrc.Write(hdr[:])
 	h.k = int(binary.LittleEndian.Uint32(hdr[0:]))
 	h.patterns = int(binary.LittleEndian.Uint32(hdr[4:]))
 	h.width = int(binary.LittleEndian.Uint32(hdr[8:]))
@@ -307,61 +330,63 @@ func readHeader(cr io.Reader, diag *Diag) (*headerInfo, error) {
 	h.blocks = int(binary.LittleEndian.Uint32(hdr[16:]))
 	h.streamBits = int(binary.LittleEndian.Uint32(hdr[20:]))
 
-	codes := make([]string, core.NumCases)
+	var codes [core.NumCases]string
 	for i := range codes {
-		var entry [9]byte
-		if err := readFull(entry[:], "codeword table"); err != nil {
-			return nil, err
+		entry, err := readFull(9, "codeword table")
+		if err != nil {
+			return err
 		}
-		hcrc.Write(entry[:])
 		n := int(entry[0])
 		if n < 1 || n > core.MaxCodeLen {
-			return nil, fmt.Errorf("container: codeword %d has length %d: %w", i+1, n, robust.ErrCorrupt)
+			return fmt.Errorf("container: codeword %d has length %d: %w", i+1, n, robust.ErrCorrupt)
 		}
-		code := string(entry[1 : 1+n])
-		if strings.Trim(code, "01") != "" {
-			return nil, fmt.Errorf("container: codeword %d is not binary: %q: %w", i+1, code, robust.ErrCorrupt)
+		v := 0
+		for _, c := range entry[1 : 1+n] {
+			if c != '0' && c != '1' {
+				return fmt.Errorf("container: codeword %d is not binary: %q: %w", i+1, string(entry[1:1+n]), robust.ErrCorrupt)
+			}
+			v = v<<1 | int(c-'0')
 		}
-		codes[i] = code
+		at := core.MaxCodeLen * (v << (core.MaxCodeLen - n))
+		codes[i] = binCodes[at : at+n]
 	}
-	assign, err := core.AssignmentFromCodes(codes)
+	assign, err := core.AssignmentFromCodes(codes[:])
 	if err != nil {
-		return nil, fmt.Errorf("container: %w: %w", robust.ErrCorrupt, err)
+		return fmt.Errorf("container: %w: %w", robust.ErrCorrupt, err)
 	}
 	h.assign = assign
 
-	var nlen [2]byte
-	if err := readFull(nlen[:], "set name length"); err != nil {
-		return nil, err
+	nlen, err := readFull(2, "set name length")
+	if err != nil {
+		return err
 	}
-	hcrc.Write(nlen[:])
-	n := int(binary.LittleEndian.Uint16(nlen[:]))
+	n := int(binary.LittleEndian.Uint16(nlen))
 	if n > maxNameLen {
-		return nil, fmt.Errorf("container: set name length %d exceeds %d: %w", n, maxNameLen, robust.ErrLimitExceeded)
+		return fmt.Errorf("container: set name length %d exceeds %d: %w", n, maxNameLen, robust.ErrLimitExceeded)
 	}
-	buf := make([]byte, n)
-	if err := readFull(buf, "set name"); err != nil {
-		return nil, err
+	name, err := readFull(n, "set name")
+	if err != nil {
+		return err
 	}
-	hcrc.Write(buf)
-	h.name = string(buf)
+	h.name = string(name)
 
-	var crc [4]byte
-	if err := readFull(crc[:], "header checksum"); err != nil {
-		return nil, err
+	sum := crc
+	field, err := readFull(4, "header checksum")
+	if err != nil {
+		return err
 	}
-	if got, want := hcrc.Sum32(), binary.LittleEndian.Uint32(crc[:]); got != want {
+	if stored := binary.LittleEndian.Uint32(field); stored != sum {
 		// A bad header CRC is fatal even in lenient mode: the
 		// geometry that partial decode depends on is untrustworthy.
 		diag.HeaderCRCOK = false
-		return nil, fmt.Errorf("container: header CRC32C %08x, stored %08x: %w", got, want, robust.ErrChecksum)
+		return fmt.Errorf("container: header CRC32C %08x, stored %08x: %w", sum, stored, robust.ErrChecksum)
 	}
 	// Checked after the CRC, so a bit flip in the name reports as a
 	// checksum fault and only a faithfully stored bad name as corrupt.
 	if err := checkName(h.name); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, robust.ErrCorrupt)
+		return fmt.Errorf("%w: %w", err, robust.ErrCorrupt)
 	}
-	return h, nil
+	return nil
 }
 
 // finishResult builds the Result from a verified stream and geometry,
@@ -477,17 +502,30 @@ func putPlanes(val, mask []byte, care, vw []uint64, n int) {
 }
 
 // unplanes rebuilds the ternary stream from planes of exactly
-// ceil(n/8) bytes each, 64 trits per little-endian word. A set mask bit
-// with a set value bit is rejected as corruption at the first such bit
-// — or, leniently, demoted to X and counted. Nonzero pad bits in the
-// final byte are rejected the same way (counted but ignored when
-// lenient).
+// ceil(n/8) bytes each into a new cube; see unplanesInto.
 func unplanes(val, mask []byte, n int, lenient bool) (*bitvec.Cube, int, error) {
-	conflicts := 0
 	words := (n + 63) / 64
 	buf := make([]uint64, 2*words)
 	care, vw := buf[:words:words], buf[words:]
-	for i := 0; i < words; i++ {
+	conflicts, err := unplanesInto(care, vw, val, mask, n, lenient)
+	if err != nil {
+		return nil, conflicts, err
+	}
+	return bitvec.CubeOfWords(n, care, vw), conflicts, nil
+}
+
+// unplanesInto converts value and X-mask planes of exactly ceil(n/8)
+// bytes each into the first ceil(n/64) care and val words, 64 trits
+// per little-endian word, in one pass that also validates them. A set
+// mask bit with a set value bit is rejected as corruption at the first
+// such bit — or, leniently, demoted to X and counted. Nonzero pad bits
+// in the final byte are rejected the same way (counted but ignored
+// when lenient). On error the words are partly written.
+func unplanesInto(care, vw []uint64, val, mask []byte, n int, lenient bool) (int, error) {
+	conflicts := 0
+	words := (n + 63) / 64
+	care, vw = care[:words], vw[:words]
+	for i := range care {
 		v, x := le64(val, 8*i), le64(mask, 8*i)
 		m := ^uint64(0)
 		if rem := n - 64*i; rem < 64 {
@@ -495,7 +533,7 @@ func unplanes(val, mask []byte, n int, lenient bool) (*bitvec.Cube, int, error) 
 		}
 		if both := v & x & m; both != 0 {
 			if !lenient {
-				return nil, conflicts, fmt.Errorf("container: bit %d is both X and 1: %w",
+				return conflicts, fmt.Errorf("container: bit %d is both X and 1: %w",
 					64*i+bits.TrailingZeros64(both), robust.ErrCorrupt)
 			}
 			conflicts += bits.OnesCount64(both) // they stay X
@@ -503,7 +541,7 @@ func unplanes(val, mask []byte, n int, lenient bool) (*bitvec.Cube, int, error) 
 		// Unused pad bits in the final byte must be zero.
 		if pad := (v | x) &^ m; pad != 0 {
 			if !lenient {
-				return nil, conflicts, fmt.Errorf("container: nonzero padding bit %d: %w",
+				return conflicts, fmt.Errorf("container: nonzero padding bit %d: %w",
 					64*i+bits.TrailingZeros64(pad), robust.ErrCorrupt)
 			}
 			conflicts += bits.OnesCount64(pad)
@@ -511,7 +549,7 @@ func unplanes(val, mask []byte, n int, lenient bool) (*bitvec.Cube, int, error) 
 		care[i] = ^x & m
 		vw[i] = v & care[i]
 	}
-	return bitvec.CubeOfWords(n, care, vw), conflicts, nil
+	return conflicts, nil
 }
 
 // le64 reads the little-endian word at byte off of p, with bytes past

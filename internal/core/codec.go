@@ -312,6 +312,7 @@ func (c *Codec) decodeSet(stream *bitvec.Cube, width, patterns int) (*tcube.Set,
 		if err != nil {
 			return out, err
 		}
+		defer d.Release()
 		for i := 0; i < patterns; i++ {
 			p, err := d.ReadPattern()
 			if err == io.EOF {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/robust"
@@ -24,26 +25,39 @@ import (
 // no meaning; only the concatenated trit sequence does. Sources that
 // verify integrity incrementally (container.ChunkReader) return their
 // classified error in place of the segment that failed verification.
+//
+// A segment is valid only until the next ReadStream call: a source may
+// reuse the segment's memory for the next one (container.ChunkReader
+// does), so a caller copies whatever it still needs before it asks
+// again.
 type StreamSource interface {
 	ReadStream() (*bitvec.Cube, error)
 }
 
+// maxPooledTrits bounds the carry and kernel scratch a released
+// decoder may take back to the pool: 2x container.DefaultChunkTrits,
+// so a hostile stream that grew one cannot keep the memory resident.
+const maxPooledTrits = 1 << 16
+
 // streamReader is the one block reader of the generic decoder: it
 // feeds codeword bits and word-blitted mismatch data from a
-// StreamSource, keeping the unconsumed tail plus the segments fetched to extend it, so the decode
-// buffer is bounded by the largest segment the source yields plus one
-// pattern of lookahead — never by the stream length.
-//
-// buf is either a source segment adopted without copying (when nothing
-// was left unread) or a view of spliced, which appends segments at its
-// tail and drops its consumed head only once that head outweighs the
-// unread tail. Each trit is therefore copied O(1) times however small
-// the segments are, even while prefetching a whole pattern.
+// StreamSource. Reads run on the current segment in place; only a read
+// that spans a seam copies. Before it asks the source for the next
+// segment, which may overwrite the current one, fill moves the unread
+// tail into carry, then appends just the leading trits of the new
+// segment the pending read asks for (at most one worst-case pattern).
+// Once pos passes the seam the reader returns to the segment in place.
+// So the carry never holds more than the tail plus one read, whatever
+// the segment size, and a seam costs a copy of about that much.
 type streamReader struct {
 	src      StreamSource
-	buf      *bitvec.Cube
-	spliced  bitvec.CubeBuilder
-	own      bool // buf is a view of spliced
+	buf      *bitvec.Cube // what reads see: seg in place, or view
+	seg      *bitvec.Cube // current segment, valid until the next ReadStream
+	carry    bitvec.CubeBuilder
+	view     bitvec.Cube // carry's trits, repointed after each append
+	carrying bool        // buf is view
+	seam     int         // while carrying: carry position of seg's first trit
+	carried  int         // while carrying: leading trits of seg in carry
 	pos      int
 	consumed int // total trits consumed, for error positions
 	srcDone  bool
@@ -51,8 +65,8 @@ type streamReader struct {
 	// ahead of what decoding strictly needs, so the error may be met
 	// early; it is re-delivered only once a read actually needs trits
 	// behind it, exactly where the generic path would have met it.
-	srcErr error
-	maxBuf int // high-water mark of buf.Len(), pinned by memory tests
+	srcErr   error
+	maxCarry int // high-water mark of carry.Len(), pinned by memory tests
 }
 
 func (r *streamReader) unread() int {
@@ -62,57 +76,88 @@ func (r *streamReader) unread() int {
 	return r.buf.Len() - r.pos
 }
 
-// fetch pulls the next segment and splices it after the unconsumed
-// tail. It returns io.EOF (and latches srcDone) at stream end, and
-// latches any other source error in srcErr.
-func (r *streamReader) fetch() error {
-	if r.srcErr != nil {
-		return r.srcErr
-	}
-	seg, err := r.src.ReadStream()
-	if err != nil {
-		if err == io.EOF {
-			r.srcDone = true
-		} else {
-			r.srcErr = err
+// fill makes at least n unread trits available, if the source has
+// them. It returns nil once they are, io.EOF when the source drained
+// first (latched in srcDone) and the source's error when it failed
+// first (latched in srcErr).
+func (r *streamReader) fill(n int) error {
+	for {
+		if r.carrying && r.seg != nil && r.pos >= r.seam {
+			r.buf, r.pos, r.carrying = r.seg, r.pos-r.seam, false
 		}
-		return err
+		short := n - r.unread()
+		if short <= 0 {
+			return nil
+		}
+		if r.carrying && r.seg != nil && r.carried < r.seg.Len() {
+			add := min(short, r.seg.Len()-r.carried)
+			r.carry.AppendCubeRange(r.seg, r.carried, r.carried+add)
+			r.carried += add
+			r.viewCarry()
+			continue
+		}
+		if r.srcDone {
+			return io.EOF
+		}
+		if r.srcErr != nil {
+			return r.srcErr
+		}
+		r.stash()
+		seg, err := r.src.ReadStream()
+		if err != nil {
+			if err == io.EOF {
+				r.srcDone = true
+			} else {
+				r.srcErr = err
+			}
+			return err
+		}
+		if seg != nil && seg.Len() > 0 {
+			r.seg, r.seam, r.carried = seg, r.carry.Len(), 0
+		}
 	}
-	if seg == nil || seg.Len() == 0 {
-		return nil
+}
+
+// stash moves the unread tail into the carry and drops the segment, so
+// nothing left to read lives in memory the next ReadStream may reuse.
+// While carrying, fill has already copied the whole segment.
+func (r *streamReader) stash() {
+	if r.carrying {
+		r.carry.Discard(r.pos)
+	} else {
+		r.carry.Discard(r.carry.Len())
+		if r.unread() > 0 {
+			r.carry.AppendCubeRange(r.buf, r.pos, r.buf.Len())
+		}
 	}
-	switch {
-	case r.unread() == 0:
-		r.buf, r.pos, r.own = seg, 0, false
-	case !r.own:
-		r.spliced.Discard(r.spliced.Len())
-		r.spliced.AppendCubeRange(r.buf, r.pos, r.buf.Len())
-		r.pos, r.own = 0, true
-	case r.pos >= r.unread():
-		r.spliced.Discard(r.pos)
-		r.pos = 0
+	r.pos, r.seg, r.carrying = 0, nil, true
+	r.viewCarry()
+}
+
+// viewCarry points buf at the carry's current trits (nil while the
+// carry is empty).
+func (r *streamReader) viewCarry() {
+	if r.carry.Len() == 0 {
+		r.buf = nil
+		return
 	}
-	if r.own {
-		r.spliced.AppendCube(seg)
-		r.buf = r.spliced.View()
-	}
-	if r.buf.Len() > r.maxBuf {
-		r.maxBuf = r.buf.Len()
-	}
-	return nil
+	r.carry.ViewInto(&r.view)
+	r.buf = &r.view
+	r.maxCarry = max(r.maxCarry, r.carry.Len())
 }
 
 // ensure makes at least n unread trits available, fetching segments as
 // needed. A stream that ends first reports ErrTruncated; a source
 // error (e.g. a chunk checksum failure) propagates as-is.
 func (r *streamReader) ensure(n int) error {
-	for r.unread() < n {
-		if r.srcDone {
+	if r.unread() >= n {
+		return nil
+	}
+	if err := r.fill(n); err != nil {
+		if err == io.EOF {
 			return ErrTruncated
 		}
-		if err := r.fetch(); err != nil && err != io.EOF {
-			return err
-		}
+		return err
 	}
 	return nil
 }
@@ -121,9 +166,7 @@ func (r *streamReader) ensure(n int) error {
 // source is drained, or it has failed. It never reports the failure:
 // that stays latched for ensure to deliver on demand.
 func (r *streamReader) prefetch(n int) {
-	for r.unread() < n && !r.srcDone && r.srcErr == nil {
-		_ = r.fetch() // latched in srcDone / srcErr
-	}
+	_ = r.fill(n) // latched in srcDone / srcErr
 }
 
 // readBit reads one codeword bit; X is rejected (codewords are always
@@ -165,13 +208,14 @@ func (r *streamReader) readRaw(out *bitvec.Cube, lo, hi int) error {
 }
 
 // StreamDecoder decodes a compressed stream one pattern at a time,
-// pulling segments from the source on demand. Its buffer holds at most
-// the source's largest segment plus the tail of the previous one;
-// robust.DecodeLimits are enforced incrementally — the width bound at
-// construction, the pattern bound as patterns are emitted — so a
-// hostile stream can never force an allocation proportional to a
-// forged length field. However the stream is segmented, the decoded
-// patterns are those of DecodeSet over the concatenated stream.
+// pulling segments from the source on demand. It reads each segment in
+// place and copies only across seams, into a carry of at most the
+// unread tail plus one worst-case pattern; robust.DecodeLimits are
+// enforced incrementally — the width bound at construction, the
+// pattern bound as patterns are emitted — so a hostile stream can
+// never force an allocation proportional to a forged length field.
+// However the stream is segmented, the decoded patterns are those of
+// DecodeSet over the concatenated stream.
 //
 // Codecs with a decode kernel run it over the buffered planes: each
 // pattern first prefetches one worst-case pattern of trits (or up to
@@ -180,9 +224,13 @@ func (r *streamReader) readRaw(out *bitvec.Cube, lo, hi int) error {
 // kernel rejects is re-decoded by the generic path from the same
 // position, so errors and their positions are those of the generic
 // decoder.
+//
+// Decoders come from a pool: Release hands one back with its carry and
+// kernel scratch, so a warm decode loop allocates nothing per pattern
+// or per segment.
 type StreamDecoder struct {
 	c         *Codec
-	r         *streamReader
+	r         streamReader
 	width     int
 	blocksPer int
 	worst     int          // trits one pattern can occupy at most
@@ -192,9 +240,14 @@ type StreamDecoder struct {
 	done      bool
 }
 
+// decoderPool recycles stream decoders, with their carry and kernel
+// scratch, between NewStreamDecoder and Release.
+var decoderPool = sync.Pool{New: func() any { return new(StreamDecoder) }}
+
 // NewStreamDecoder returns a streaming decoder for scan loads of the
 // given width (≥ 1), reading the compressed stream from src under lim
-// (zero fields take the robust defaults).
+// (zero fields take the robust defaults). The decoder comes from a
+// pool; Release returns it once the caller is done.
 func (c *Codec) NewStreamDecoder(src StreamSource, width int, lim robust.DecodeLimits) (*StreamDecoder, error) {
 	lim = lim.WithDefaults()
 	if width < 1 {
@@ -204,10 +257,30 @@ func (c *Codec) NewStreamDecoder(src StreamSource, width int, lim robust.DecodeL
 		return nil, fmt.Errorf("core: stream width %d exceeds limit %d: %w", width, lim.MaxWidth, robust.ErrLimitExceeded)
 	}
 	blocksPer := (width + c.k - 1) / c.k
-	return &StreamDecoder{
-		c: c, r: &streamReader{src: src}, width: width,
-		blocksPer: blocksPer, worst: c.worstBits(blocksPer), lim: lim,
-	}, nil
+	d := decoderPool.Get().(*StreamDecoder)
+	carry, view, w := d.r.carry, d.r.view, d.w
+	carry.Discard(carry.Len())
+	*d = StreamDecoder{
+		c: c, r: streamReader{src: src, carry: carry, view: view}, width: width,
+		blocksPer: blocksPer, worst: c.worstBits(blocksPer), w: w, lim: lim,
+	}
+	return d, nil
+}
+
+// Release returns the decoder to the pool NewStreamDecoder draws from.
+// The caller must not use it afterwards; patterns ReadPattern returned
+// own their memory and stay valid. A carry or kernel scratch grown past
+// maxPooledTrits is dropped rather than kept.
+func (d *StreamDecoder) Release() {
+	if d.r.maxCarry > maxPooledTrits {
+		d.r.carry = bitvec.CubeBuilder{}
+	}
+	if 64*cap(d.w.care) > maxPooledTrits {
+		d.w = kernelWriter{}
+	}
+	d.c, d.r.src, d.r.buf, d.r.seg = nil, nil, nil, nil
+	d.r.carry.ViewInto(&d.r.view) // drop the view's hold on a dropped carry
+	decoderPool.Put(d)
 }
 
 // ReadPattern decodes and returns the next scan load, or io.EOF when
@@ -269,7 +342,7 @@ func (d *StreamDecoder) begin() error {
 // decoder: the path of codecs without a kernel, and of every pattern a
 // kernel declined, so its errors are the classified ones.
 func (d *StreamDecoder) readPatternGeneric() (*bitvec.Cube, error) {
-	out, err := decodeBlocksPartial(d.c, d.r, d.blocksPer)
+	out, err := decodeBlocksPartial(d.c, &d.r, d.blocksPer)
 	if err != nil {
 		return nil, fmt.Errorf("core: pattern %d: %w", d.patterns, err)
 	}
@@ -334,9 +407,10 @@ func (d *StreamDecoder) Patterns() int { return d.patterns }
 // TritsConsumed returns the number of stream trits consumed so far.
 func (d *StreamDecoder) TritsConsumed() int { return d.r.consumed }
 
-// MaxBuffered returns the decoder's buffer high-water mark in trits,
-// which the memory-pin tests assert is independent of pattern count.
-func (d *StreamDecoder) MaxBuffered() int { return d.r.maxBuf }
+// MaxBuffered returns the high-water mark of the decoder's own buffer,
+// the seam carry, in trits: the memory-pin tests assert it depends on
+// neither the pattern count nor the segment size.
+func (d *StreamDecoder) MaxBuffered() int { return d.r.maxCarry }
 
 // CubeSource adapts an in-memory compressed cube as a one-segment
 // StreamSource: DecodeSet and DecodeCube decode a stored stream

@@ -108,40 +108,56 @@ func TestStreamDecoderSplitsMatchDecodeSet(t *testing.T) {
 }
 
 // TestStreamDecoderBoundedMemory pins the O(K) contract: the decoder's
-// buffer high-water mark depends on the segment size and the block
-// geometry, not on the pattern count — a 16x larger stream decodes in
-// the same buffer.
+// buffer high-water mark depends on the block geometry, not on the
+// pattern count — a 16x larger stream decodes in the same memory — and
+// not on the segment size either. The decoder's one buffer is the seam
+// carry: at most the unread tail (under one worst-case pattern) plus
+// one worst-case pattern, whatever the segment size.
 func TestStreamDecoderBoundedMemory(t *testing.T) {
 	cdc, err := New(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const width, step = 96, 4096
-	high := make(map[int]int)
-	for _, patterns := range []int{64, 1024} {
-		set := randomSetDensity("mem", patterns, width, 60, 99)
-		r, err := cdc.EncodeSet(set)
-		if err != nil {
-			t.Fatal(err)
+	const width = 96
+	worst := cdc.worstBits((width + 15) / 16)
+	for _, step := range []int{64, 4096, 1 << 16} {
+		high := make(map[int]int)
+		for _, patterns := range []int{64, 1024} {
+			set := randomSetDensity("mem", patterns, width, 60, 99)
+			r, err := cdc.EncodeSet(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range []bool{false, true} {
+				if _, err := decodeRows(cdc, &splitSource{c: r.Stream, step: step}, width, text); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dec, err := cdc.NewStreamDecoder(&splitSource{c: r.Stream, step: step}, width, robust.DecodeLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainDecoder(t, dec, width)
+			high[patterns] = dec.MaxBuffered()
+			// With segments of a pattern or more, the buffer never
+			// holds more than one segment plus the leftover tail of the
+			// previous one...
+			if step >= worst && dec.MaxBuffered() > 2*step {
+				t.Fatalf("step %d, %d patterns: buffer high-water %d exceeds 2x segment size %d",
+					step, patterns, dec.MaxBuffered(), 2*step)
+			}
+			// ...nor more than the tail plus one worst-case pattern.
+			if dec.MaxBuffered() >= 2*worst {
+				t.Fatalf("step %d, %d patterns: carry high-water %d, want < 2x worst-case pattern %d",
+					step, patterns, dec.MaxBuffered(), worst)
+			}
 		}
-		dec, err := cdc.NewStreamDecoder(&splitSource{c: r.Stream, step: step}, width, robust.DecodeLimits{})
-		if err != nil {
-			t.Fatal(err)
+		// The exact high-water shifts by a few trits with where pattern
+		// boundaries land inside segments; what must not happen is
+		// growth on the order of the 16x stream-size increase.
+		if grow := high[1024] - high[64]; grow > step/2 {
+			t.Fatalf("step %d: buffer high-water grew with pattern count: %v", step, high)
 		}
-		drainDecoder(t, dec, width)
-		high[patterns] = dec.MaxBuffered()
-		// The buffer never holds more than one segment plus the
-		// leftover tail of the previous one.
-		if dec.MaxBuffered() > 2*step {
-			t.Fatalf("%d patterns: buffer high-water %d exceeds 2x segment size %d",
-				patterns, dec.MaxBuffered(), 2*step)
-		}
-	}
-	// The exact high-water shifts by a few trits with where pattern
-	// boundaries land inside segments; what must not happen is growth
-	// on the order of the 16x stream-size increase.
-	if grow := high[1024] - high[64]; grow > step/2 {
-		t.Fatalf("buffer high-water grew with pattern count: %v", high)
 	}
 }
 
