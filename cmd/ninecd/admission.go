@@ -73,6 +73,9 @@ func (s *server) reject(w http.ResponseWriter, msg, class string) {
 // then a bounded wait for a worker slot — the main pool for everyone,
 // plus the priority lane for qualifying requests (a send on the nil
 // channel never fires, so non-priority requests only see the pool).
+// A slot that is free at once is taken without arming the queue-wait
+// timer: a buffered channel with room has no blocked sender, so the
+// fast path jumps nobody's place in the queue.
 // ok=false means the response has already been written; otherwise the
 // caller must invoke release when the request finishes. prioLane is
 // the route's ninecd.<name>.prio_lane counter, resolved once by guard.
@@ -86,27 +89,30 @@ func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter
 		return nil, false
 	}
 
-	s.queued.Add(1)
-	defer s.queued.Add(-1)
 	enqueued := time.Now()
-	wait := time.NewTimer(s.cfg.QueueWait)
-	defer wait.Stop()
 	var lane chan struct{}
 	if prio {
 		lane = s.prio
 	}
 	select {
 	case s.sem <- struct{}{}:
-		if info := reqInfoFrom(r.Context()); info != nil {
-			info.queueWait = time.Since(enqueued)
-		}
-		return func() { <-s.sem }, true
+		return admitted(r, enqueued, s.releaseSem)
 	case lane <- struct{}{}:
 		prioLane.Inc()
-		if info := reqInfoFrom(r.Context()); info != nil {
-			info.queueWait = time.Since(enqueued)
-		}
-		return func() { <-s.prio }, true
+		return admitted(r, enqueued, s.releasePrio)
+	default:
+	}
+
+	s.queued.Add(1)
+	defer s.queued.Add(-1)
+	wait := time.NewTimer(s.cfg.QueueWait)
+	defer wait.Stop()
+	select {
+	case s.sem <- struct{}{}:
+		return admitted(r, enqueued, s.releaseSem)
+	case lane <- struct{}{}:
+		prioLane.Inc()
+		return admitted(r, enqueued, s.releasePrio)
 	case <-wait.C:
 		s.reg.Counter("ninecd." + name + ".rejected").Inc()
 		s.reject(w, "worker pool saturated", "saturated")
@@ -126,4 +132,13 @@ func (s *server) admit(name string, prioLane *obs.Counter, w http.ResponseWriter
 		http.Error(w, "client closed request while queued", http.StatusRequestTimeout)
 		return nil, false
 	}
+}
+
+// admitted records how long the request waited for its slot and hands
+// back the slot's release func.
+func admitted(r *http.Request, enqueued time.Time, release func()) (func(), bool) {
+	if info := reqInfoFrom(r.Context()); info != nil {
+		info.queueWait = time.Since(enqueued)
+	}
+	return release, true
 }

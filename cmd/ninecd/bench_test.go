@@ -22,7 +22,7 @@ type serveBody struct {
 // serveBodies returns a tiny set shaped like the small-mixed workload
 // (16 patterns x 128 bits with ISCAS'89 don't-care statistics) and the
 // s38417 Mintest-profile set, whose K=8 container spans several chunks.
-func serveBodies(b *testing.B) []serveBody {
+func serveBodies(b testing.TB) []serveBody {
 	b.Helper()
 	p := synth.CubeProfileFor(synth.Benchmarks[0], 1)
 	p.Patterns, p.Width = 16, 128

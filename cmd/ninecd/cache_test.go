@@ -23,6 +23,9 @@ import (
 func TestEncodeCacheHitByteIdentical(t *testing.T) {
 	ts, s := newTestServer(t, config{})
 	text := []byte(sampleText(16, 64, 42))
+	// Warm-up: the body's first sighting is answered but not stored.
+	post(t, ts.URL+"/encode?k=8&name=dup", text)
+	hit0, miss0 := s.reg.Counter("ninecd.cache.hit").Value(), s.reg.Counter("ninecd.cache.miss").Value()
 
 	resp1, cold := post(t, ts.URL+"/encode?k=8&name=dup", text)
 	if resp1.StatusCode != http.StatusOK {
@@ -47,9 +50,44 @@ func TestEncodeCacheHitByteIdentical(t *testing.T) {
 			t.Fatal("cached response lost its metadata headers")
 		}
 	}
-	hits, misses := s.reg.Counter("ninecd.cache.hit").Value(), s.reg.Counter("ninecd.cache.miss").Value()
+	hits, misses := s.reg.Counter("ninecd.cache.hit").Value()-hit0, s.reg.Counter("ninecd.cache.miss").Value()-miss0
 	if hits != 5 || misses != 1 {
 		t.Fatalf("hit/miss = %d/%d, want 5/1", hits, misses)
+	}
+}
+
+// TestEncodeCacheAdmitsRepeatsOnly: /encode stores a result only on its
+// key's second sighting. Unique bodies leave ninecd.cache.entries at 0,
+// one first sighting each; a repeated body answers miss, miss, hit,
+// with the same container every time.
+func TestEncodeCacheAdmitsRepeatsOnly(t *testing.T) {
+	ts, s := newTestServer(t, config{})
+	const unique = 8
+	for i := 0; i < unique; i++ {
+		resp, _ := post(t, ts.URL+"/encode?k=8", []byte(sampleText(16, 64, int64(100+i))))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("unique body %d: status %d X-Cache %q, want 200 miss", i, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+	}
+	entries, first := s.reg.Gauge("ninecd.cache.entries"), s.reg.Counter("ninecd.cache.first_sighting")
+	if entries.Value() != 0 || first.Value() != unique {
+		t.Fatalf("after %d unique bodies: entries %d, first_sighting %d; want 0 and %d", unique, entries.Value(), first.Value(), unique)
+	}
+	text := []byte(sampleText(16, 64, 42))
+	var cold []byte
+	for i, want := range []string{"miss", "miss", "hit"} {
+		resp, cont := post(t, ts.URL+"/encode?k=8", text)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != want {
+			t.Fatalf("repeat %d: status %d X-Cache %q, want 200 %s", i, resp.StatusCode, resp.Header.Get("X-Cache"), want)
+		}
+		if cold == nil {
+			cold = cont
+		} else if !bytes.Equal(cont, cold) {
+			t.Fatalf("repeat %d: container differs from the first answer", i)
+		}
+	}
+	if entries.Value() != 1 {
+		t.Fatalf("entries %d after a repeated body, want 1", entries.Value())
 	}
 }
 
@@ -141,6 +179,8 @@ func TestCachedContainerTruncationSalvage(t *testing.T) {
 	ts, s := newTestServer(t, config{})
 	const width = 256
 	text := []byte(sampleText(400, width, 77)) // several chunks at DefaultChunkTrits
+	// Warm-up: a first sighting is not stored.
+	post(t, ts.URL+"/encode?k=8&name=salvage", text)
 
 	resp, cold := post(t, ts.URL+"/encode?k=8&name=salvage", text)
 	if resp.StatusCode != http.StatusOK {
@@ -372,6 +412,7 @@ func TestEncodeCacheChargesContainerCap(t *testing.T) {
 		if err := set.Write(&body); err != nil {
 			t.Fatal(err)
 		}
+		post(t, ts.URL+"/encode?name="+cs.Name, body.Bytes()) // warm-up: a first sighting is not stored
 		resp, cont := post(t, ts.URL+"/encode?name="+cs.Name, body.Bytes())
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", cs.Name, resp.StatusCode)

@@ -93,6 +93,35 @@ func TestDecodeAllocsIndependentOfChunks(t *testing.T) {
 	}
 }
 
+// TestServeDecodeMintestAllocs pins the allocations of one request of
+// BenchmarkServeDecode/mintest at 44. Admission takes a free worker slot
+// without arming a queue-wait timer or building a release closure; the
+// request made 47 allocations while it did both.
+func TestServeDecodeMintestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var text []byte
+	for _, b := range serveBodies(t) {
+		if b.name == "mintest" {
+			text = b.text
+		}
+	}
+	s := newServer(config{CacheOff: true, ShedQueue: 1 << 10}, obs.NewRegistry())
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/encode", bytes.NewReader(text)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("encode: status %d", w.Code)
+	}
+	body := w.Body.Bytes()
+	if code := serveOnce(s, "/decode", body); code != http.StatusOK {
+		t.Fatalf("decode: status %d", code)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { serveOnce(s, "/decode", body) }); allocs > 44 {
+		t.Fatalf("%.1f allocations per /decode, want at most 44", allocs)
+	}
+}
+
 // TestDecodeOutputMatchesDecodeSet holds /decode's text to DecodeSet's
 // rows, byte for byte, with the set name in X-Set-Name: the six
 // Mintest profiles and examples/cubes.txt at every kernel K, under the

@@ -107,6 +107,7 @@ func TestEncodeContentLength(t *testing.T) {
 		outcomes []string
 	}{{false, []string{"miss", "hit"}}, {true, []string{""}}} {
 		ts, _ := newTestServer(t, config{CacheOff: tc.cacheOff})
+		post(t, ts.URL+"/encode?k=8", body) // warm-up: a first sighting is not stored
 		for _, outcome := range tc.outcomes {
 			resp, got := post(t, ts.URL+"/encode?k=8", body)
 			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != outcome {

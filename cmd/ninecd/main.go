@@ -89,7 +89,7 @@ func realMain(args []string) (code int) {
 	cacheOn := true
 	fs := flag.NewFlagSet("ninecd", flag.ContinueOnError)
 	fs.BoolVar(&cacheOn, "cache", true, "content-addressed /encode result cache (-cache=off via -cache=false)")
-	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "result-cache resident bound in bytes (0 = 256 MiB)")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "result-cache resident bound in bytes; only keys seen twice are stored (0 = 256 MiB)")
 	fs.StringVar(&cfg.Addr, "addr", "localhost:9314", "listen address")
 	fs.IntVar(&cfg.K, "k", 8, "default block size K for /encode (even, >= 2)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "worker-pool size (0 = GOMAXPROCS)")

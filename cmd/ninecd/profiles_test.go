@@ -253,6 +253,7 @@ func TestEncodeCacheProfileCoherence(t *testing.T) {
 	rep := trainReport(t, ts.URL, "?k=8&fill=none&dict=0", corpus)
 
 	body := []byte(corpus)
+	post(t, ts.URL+"/encode?name=c", body) // warm-up: a first sighting is not stored
 	r1, _ := post(t, ts.URL+"/encode?name=c", body)
 	if got := r1.Header.Get("X-Cache"); got != "miss" {
 		t.Fatalf("first fixed encode: X-Cache %q, want miss", got)

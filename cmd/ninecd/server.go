@@ -112,7 +112,8 @@ type config struct {
 	// content-addressed /encode result cache (on by default — both
 	// endpoints are pure functions of request bytes and parameters, so
 	// caching cannot change a response); CacheBytes bounds its resident
-	// size (0 = 256 MiB).
+	// size (0 = 256 MiB). Only a key's second and later misses store a
+	// result, so the bound is spent on repeated requests alone.
 	CacheOff   bool
 	CacheBytes int64
 
@@ -181,6 +182,10 @@ type server struct {
 	cache  *cachex.Cache     // content-addressed /encode results; nil when off
 	enc    *batchenc.Encoder // the encode-and-frame step
 
+	// releaseSem and releasePrio free a slot of sem or prio; bound once
+	// so admitting a request allocates no closure.
+	releaseSem, releasePrio func()
+
 	profiles *codecopt.Store // resident tuned-codec profiles (profiles.go)
 	codecs   *codecTable
 
@@ -210,6 +215,8 @@ func newServer(cfg config, reg *obs.Registry) *server {
 		access: cfg.Access,
 	}
 	s.prio = make(chan struct{}, max(1, cfg.Workers/4))
+	s.releaseSem = func() { <-s.sem }
+	s.releasePrio = func() { <-s.prio }
 	s.queued = reg.Gauge("ninecd.queued")
 	if !cfg.CacheOff {
 		s.cache = cachex.New(cachex.Config{
@@ -378,7 +385,10 @@ func putBodyBuf(buf *bytes.Buffer) {
 // -cache=off the handler first consults the content-addressed cache:
 // a resident result answers immediately (X-Cache: hit), a concurrent
 // identical request shares the in-flight encode (X-Cache: coalesced),
-// and only a genuinely new request runs the codec (X-Cache: miss).
+// and otherwise the request runs the codec (X-Cache: miss). A miss
+// stores its result only if the key has missed before (cachex's
+// doorkeeper), so unique bodies never grow the cache and a repeated
+// body answers miss, miss, hit.
 // A failed encode is never cached — errors propagate to this caller
 // and any coalesced followers, leaving the key clean. The exception is
 // the leader's own cancellation (its client hung up, its deadline

@@ -6,19 +6,28 @@
 // correctness-free: a hit is byte-identical to a fresh encode by
 // construction.
 //
-// The cache is three mechanisms in one type:
+// The cache is four mechanisms in one type:
 //
 //   - a sharded-mutex LRU bounded by bytes: entries spread across
 //     fixed shards by their key, each shard owning an intrusive
 //     recency list, so concurrent hits on different shards never
 //     contend on one lock;
+//   - an admission doorkeeper, as in TinyLFU (Einziger, Friedman,
+//     Manes, ACM ToS 2017): each shard keeps a fixed direct-mapped
+//     table of the tags of recently missed keys, and a computed result
+//     is stored only when its key was already in that table — on its
+//     second sighting. Unique traffic therefore runs the compute and
+//     answers without ever growing the cache, while a repeated key
+//     pays one extra miss before it is resident. A newer tag
+//     overwriting an older one in the same slot is the only ageing;
 //   - singleflight coalescing: N concurrent requests for the same key
 //     run the encode once — the leader computes, followers park on the
 //     call's done channel and share the result (or the error; a failed
-//     call caches nothing);
+//     call caches nothing). Followers of one leader are one sighting;
 //   - telemetry: ninecd.cache.hit / .miss / .coalesced /
-//     .evicted_bytes counters and bytes/entries gauges, nil-safe so a
-//     cache built without a registry costs nothing extra.
+//     .first_sighting / .evicted_bytes counters and bytes/entries
+//     gauges, nil-safe so a cache built without a registry costs
+//     nothing extra.
 //
 // The key (key.go) is a keyed MAC, not a digest: one AES-GMAC pass
 // over (params, body) under an AES key drawn from crypto/rand once per
@@ -42,6 +51,7 @@ package cachex
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 
@@ -58,6 +68,13 @@ var ErrComputePanicked = errors.New("cachex: compute function panicked")
 // numShards fixes the lock striping; a power of two so the shard index
 // is a mask over the key's first byte.
 const numShards = 16
+
+// doorSlots is the size of each shard's doorkeeper table: 256 slots
+// indexed by the key's second byte, so 16 shards hold 4096 recent miss
+// tags in 32 KiB. A repeat is admitted if its tag survives until it
+// comes back, i.e. fewer than ~256 other distinct keys missed on its
+// shard in between (~4096 across the cache).
+const doorSlots = 256
 
 // entryOverhead approximates the per-entry bookkeeping (map slot, list
 // links, key copy) charged against the byte budget so a cache of many
@@ -109,6 +126,7 @@ type Cache struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	coalesced *obs.Counter
+	firstSeen *obs.Counter
 	evicted   *obs.Counter
 	rejected  *obs.Counter
 	bytesG    *obs.Gauge
@@ -123,11 +141,14 @@ type entry struct {
 	prev, next *entry
 }
 
-// call is one in-flight singleflight computation.
+// call is one in-flight singleflight computation. admit records
+// whether the leader found its key in the doorkeeper, i.e. whether a
+// successful result is stored.
 type call struct {
-	done chan struct{}
-	val  any
-	err  error
+	done  chan struct{}
+	val   any
+	err   error
+	admit bool
 }
 
 type shard struct {
@@ -136,6 +157,20 @@ type shard struct {
 	calls map[Key]*call
 	root  entry // sentinel: root.next is MRU, root.prev is LRU
 	bytes int64
+	door  [doorSlots]uint64 // tags of recently missed keys; 0 is empty
+}
+
+// sighted records k in its doorkeeper slot and reports whether the
+// slot already held k's tag: whether this miss is at least the key's
+// second. The tag is 64 bits of the key other than those that pick the
+// shard and the slot, with the low bit forced so no tag reads as an
+// empty slot. Caller holds s.mu.
+func (s *shard) sighted(k Key) bool {
+	tag := binary.LittleEndian.Uint64(k[8:]) | 1
+	slot := &s.door[k[1]]
+	seen := *slot == tag
+	*slot = tag
+	return seen
 }
 
 // New builds a Cache. It panics on a non-positive byte bound or a nil
@@ -157,6 +192,7 @@ func New(cfg Config) *Cache {
 		hits:      reg.Counter("ninecd.cache.hit"),
 		misses:    reg.Counter("ninecd.cache.miss"),
 		coalesced: reg.Counter("ninecd.cache.coalesced"),
+		firstSeen: reg.Counter("ninecd.cache.first_sighting"),
 		evicted:   reg.Counter("ninecd.cache.evicted_bytes"),
 		rejected:  reg.Counter("ninecd.cache.rejected_oversize"),
 		bytesG:    reg.Gauge("ninecd.cache.bytes"),
@@ -165,6 +201,7 @@ func New(cfg Config) *Cache {
 	reg.Describe("ninecd.cache.hit", "requests served from the content-addressed result cache")
 	reg.Describe("ninecd.cache.miss", "requests that ran the encode because no entry was resident")
 	reg.Describe("ninecd.cache.coalesced", "requests that shared another in-flight identical computation")
+	reg.Describe("ninecd.cache.first_sighting", "computed results not stored because their key missed for the first time")
 	reg.Describe("ninecd.cache.evicted_bytes", "bytes evicted from the result cache to stay within its bound")
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -255,12 +292,15 @@ func (c *Cache) Add(k Key, v any) bool {
 // Do returns the value for k, computing it at most once across
 // concurrent callers: a resident value is a Hit, an in-flight
 // identical computation is joined (Coalesced), and otherwise this
-// caller leads the computation (Miss) and — on success — inserts the
-// result for everyone after.
+// caller leads the computation (Miss). A leader whose key is already
+// in the shard's doorkeeper — its second or later miss — inserts a
+// successful result for everyone after; a first sighting only records
+// the key's tag, answers its caller and followers, and stores nothing
+// (counted as ninecd.cache.first_sighting).
 //
 // The leader runs fn under its own context; a follower whose ctx ends
-// first abandons the wait (the leader keeps computing — its result
-// still lands in the cache for future requests). A leader error is
+// first abandons the wait (the leader keeps computing — an admitted
+// result still lands in the cache for future requests). A leader error is
 // shared with every parked follower and caches nothing, so a failed
 // or aborted encode can never leave a partial entry behind.
 //
@@ -301,7 +341,7 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (any, error)) (any, Out
 				return nil, Coalesced, ctx.Err()
 			}
 		}
-		cl := &call{done: make(chan struct{})}
+		cl := &call{done: make(chan struct{}), admit: s.sighted(k)}
 		s.calls[k] = cl
 		s.mu.Unlock()
 		c.misses.Inc()
@@ -319,7 +359,11 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (any, error)) (any, Out
 			}()
 			cl.val, cl.err = fn()
 			if cl.err == nil {
-				c.Add(k, cl.val)
+				if cl.admit {
+					c.Add(k, cl.val)
+				} else {
+					c.firstSeen.Inc()
+				}
 			}
 			completed = true
 		}()

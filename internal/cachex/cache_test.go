@@ -259,6 +259,9 @@ func TestFailedComputeCachesNothing(t *testing.T) {
 func TestFollowerContextCancellation(t *testing.T) {
 	c := newTest(1<<20, obs.NewRegistry())
 	k := KeyOf([]byte("p"), []byte("slow"))
+	// Warm-up: a key's first miss is not stored, so the leader below is
+	// its second sighting.
+	c.Do(context.Background(), k, func() (any, error) { return []byte("late"), nil })
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
@@ -426,6 +429,150 @@ func TestPanickingComputeDoesNotWedgeKey(t *testing.T) {
 	v, out, err := c.Do(context.Background(), k, func() (any, error) { return []byte("ok"), nil })
 	if err != nil || out != Miss || !bytes.Equal(v.([]byte), []byte("ok")) {
 		t.Fatalf("Do after panic: v=%v out=%v err=%v, want a clean miss", v, out, err)
+	}
+}
+
+// doKey runs one Do for k whose compute returns val, and fails the test
+// on an error.
+func doKey(t *testing.T, c *Cache, k Key, val string) Outcome {
+	t.Helper()
+	v, out, err := c.Do(context.Background(), k, func() (any, error) { return []byte(val), nil })
+	if err != nil || !bytes.Equal(v.([]byte), []byte(val)) {
+		t.Fatalf("Do = %q, %v; want %q", v, err, val)
+	}
+	return out
+}
+
+// resident reports whether k holds an entry, without touching the
+// counters or the recency list.
+func resident(c *Cache, k Key) bool {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.m[k]
+	return ok
+}
+
+// TestDoorkeeperAdmitsOnSecondSighting: a key's first miss computes and
+// answers but stores nothing; its second miss stores the result, and
+// the third request is a hit.
+func TestDoorkeeperAdmitsOnSecondSighting(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newTest(1<<20, reg)
+	k := KeyOf([]byte("p"), []byte("twice"))
+	if out := doKey(t, c, k, "v"); out != Miss || resident(c, k) {
+		t.Fatalf("first sighting: out=%v resident=%v, want a miss that stores nothing", out, resident(c, k))
+	}
+	if got := reg.Counter("ninecd.cache.first_sighting").Value(); got != 1 {
+		t.Fatalf("first_sighting = %d, want 1", got)
+	}
+	if out := doKey(t, c, k, "v"); out != Miss || !resident(c, k) {
+		t.Fatalf("second sighting: out=%v resident=%v, want a miss that stores", out, resident(c, k))
+	}
+	if out := doKey(t, c, k, "v"); out != Hit {
+		t.Fatalf("third request: out=%v, want hit", out)
+	}
+	if got := reg.Counter("ninecd.cache.first_sighting").Value(); got != 1 {
+		t.Fatalf("first_sighting = %d after the admitted miss, want 1", got)
+	}
+	if got := reg.Gauge("ninecd.cache.entries").Value(); got != 1 {
+		t.Fatalf("entries gauge %d, want 1", got)
+	}
+}
+
+// TestCoalescedFollowersAreOneSighting: N concurrent identical requests
+// behind one first-sighting leader are one sighting — nothing is
+// stored — and the next request is the key's second sighting.
+func TestCoalescedFollowersAreOneSighting(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newTest(1<<20, reg)
+	k := KeyOf([]byte("p"), []byte("burst"))
+	const workers = 16
+	gate := make(chan struct{})
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := c.Do(context.Background(), k, func() (any, error) {
+				computes.Add(1)
+				<-gate
+				return []byte("v"), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("ninecd.cache.coalesced").Value() < workers-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	if computes.Load() != 1 || resident(c, k) {
+		t.Fatalf("burst: %d computes, resident=%v; want 1 compute and nothing stored", computes.Load(), resident(c, k))
+	}
+	if out := doKey(t, c, k, "v"); out != Miss || !resident(c, k) {
+		t.Fatalf("after the burst: out=%v resident=%v, want the second sighting to store", out, resident(c, k))
+	}
+}
+
+// TestAdmittedFailureStoresNothing: on a key's second and later
+// sightings, a failed or panicking compute still stores nothing, and
+// the next successful compute does.
+func TestAdmittedFailureStoresNothing(t *testing.T) {
+	c := newTest(1<<20, obs.NewRegistry())
+	k := KeyOf([]byte("p"), []byte("admitted-failure"))
+	doKey(t, c, k, "v") // first sighting
+	if _, _, err := c.Do(context.Background(), k, func() (any, error) { return nil, errors.New("boom") }); err == nil {
+		t.Fatal("failing compute returned no error")
+	}
+	if resident(c, k) {
+		t.Fatal("admitted failing compute left a resident entry")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("compute panic did not propagate")
+			}
+		}()
+		c.Do(context.Background(), k, func() (any, error) { panic("encode blew up") })
+	}()
+	if resident(c, k) {
+		t.Fatal("admitted panicking compute left a resident entry")
+	}
+	if out := doKey(t, c, k, "v"); out != Miss || !resident(c, k) {
+		t.Fatalf("after the failures: out=%v resident=%v, want a stored miss", out, resident(c, k))
+	}
+}
+
+// TestDoorkeeperCollisionNeedsTwoFreshSightings: a key whose tag was
+// overwritten by a key sharing its doorkeeper slot is a first sighting
+// again, so it needs two more misses before it is stored.
+func TestDoorkeeperCollisionNeedsTwoFreshSightings(t *testing.T) {
+	c := newTest(1<<20, obs.NewRegistry())
+	a := KeyOf([]byte("slot"), []byte("a"))
+	var b Key
+	found := false
+	for i := 0; i < 1<<20 && !found; i++ {
+		b = KeyOf([]byte("slot"), []byte(fmt.Sprintf("probe-%d", i)))
+		found = b[0]&(numShards-1) == a[0]&(numShards-1) && b[1] == a[1]
+	}
+	if !found {
+		t.Fatal("could not find a key sharing a's doorkeeper slot")
+	}
+	doKey(t, c, a, "a")
+	doKey(t, c, b, "b") // overwrites a's tag
+	if doKey(t, c, a, "a"); resident(c, a) {
+		t.Fatal("a was stored although its tag had been overwritten")
+	}
+	if doKey(t, c, a, "a"); !resident(c, a) {
+		t.Fatal("a was not stored on its second fresh sighting")
+	}
+	if resident(c, b) {
+		t.Fatal("b was stored on its first sighting")
 	}
 }
 
