@@ -242,39 +242,49 @@ func TestForwardReusesConnections(t *testing.T) {
 	}
 }
 
-// discardRecorder is a ResponseRecorder that drops the relayed body
-// through io.ReaderFrom with a pooled buffer, as the http.Server's
-// ResponseWriter does, so the benchmark counts the lb's allocations
-// and not a copy buffer only the bare recorder forces.
-type discardRecorder struct{ *httptest.ResponseRecorder }
+// forwardKB are the body sizes of BenchmarkForward and its allocation
+// pin, in KB: the sizes the replay corpus sends.
+var forwardKB = []int{24, 100, 200}
 
-func (discardRecorder) ReadFrom(r io.Reader) (int64, error) { return io.Copy(io.Discard, r) }
+// forwardBody is a body of 01X text of about kb KB.
+func forwardBody(kb int) []byte {
+	return bytes.Repeat([]byte("01XX0110X1XX01X0\n"), (kb<<10)/17)
+}
 
-// BenchmarkForward is one relay hop: the body read, the ring key and
-// the post to an in-process backend, for 01X bodies of the sizes the
-// replay corpus sends.
-func BenchmarkForward(b *testing.B) {
+// newForwardHop starts an in-process backend behind an lb and returns
+// one relay hop through them: the body read, the ring key, the post to
+// the backend and the relay of its answer.
+func newForwardHop(tb testing.TB) func(testing.TB, []byte) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		io.WriteString(w, "ok")
 	}))
-	defer backend.Close()
+	tb.Cleanup(backend.Close)
 	l, err := newLB(backend.URL, 64<<20, time.Second)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, kb := range []int{24, 100, 200} {
-		body := bytes.Repeat([]byte("01XX0110X1XX01X0\n"), (kb<<10)/17)
+	return func(tb testing.TB, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/encode", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		l.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("status %d", rec.Code)
+		}
+	}
+}
+
+// BenchmarkForward is one relay hop, for 01X bodies of the sizes the
+// replay corpus sends.
+func BenchmarkForward(b *testing.B) {
+	forward := newForwardHop(b)
+	for _, kb := range forwardKB {
+		body := forwardBody(kb)
 		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/encode", bytes.NewReader(body))
-				rec := discardRecorder{httptest.NewRecorder()}
-				l.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					b.Fatalf("status %d", rec.Code)
-				}
+				forward(b, body)
 			}
 		})
 	}

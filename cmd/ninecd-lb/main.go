@@ -6,13 +6,18 @@
 // speaks the existing ninecd HTTP API unchanged — clients cannot tell
 // it from a single daemon (except for the X-Backend header it adds).
 //
-// A forward costs one pass and one copy of the body: it is read once
-// into a buffer sized from Content-Length (up to 1 MiB ahead of the
-// bytes), keyed with hardware CRC-32C (hashring.HashTagged), and sent
-// to the backend from that same buffer. The key only places load; the
-// backend cache keys on a secret-keyed MAC (internal/cachex). A
-// ring-aware ninecdclient computes the same key, so both place a body
-// on the same backend when built from the same version.
+// A forward allocates nothing that grows with the body. The body is
+// read once into a pooled, reference-counted buffer sized from
+// Content-Length (up to 1 MiB ahead of the bytes) and keyed with
+// hardware CRC-32C (hashring.HashTagged). Each send to a backend reads
+// it through its own reader, whose Close drops a reference, and the
+// backend connection writes it through a pooled 256 KiB buffer; the
+// answer is relayed through a pooled 32 KiB one. The buffer goes back
+// to the pool only when the handler and every send are done with it.
+// The key only places load; the backend cache keys on a secret-keyed
+// MAC (internal/cachex). A ring-aware ninecdclient computes the same
+// key, so both place a body on the same backend when built from the
+// same version.
 //
 // Usage:
 //
@@ -40,7 +45,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -147,6 +151,10 @@ type lb struct {
 	noBackend    *obs.Counter
 	checkFlips   *obs.Counter
 	healthyGauge *obs.Gauge
+
+	// bodyReleased, when set (by tests), sees each request body's bytes
+	// at its last release, before the buffer goes back to the pool.
+	bodyReleased func([]byte)
 }
 
 // forwardIdlePerHost is the idle connection pool kept per backend.
@@ -158,11 +166,20 @@ type lb struct {
 const forwardIdlePerHost = 64
 
 // forwardTransport is http.DefaultTransport with an idle pool of
-// forwardIdlePerHost connections to each of n backends.
+// forwardIdlePerHost connections to each of n backends, each of which
+// writes request bodies through a pooled buffer (sendConn).
 func forwardTransport(n int) *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConns = n * forwardIdlePerHost
 	t.MaxIdleConnsPerHost = forwardIdlePerHost
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return sendConn{c}, nil
+	}
 	return t
 }
 
@@ -262,38 +279,6 @@ func (l *lb) handleRing(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, "]}\n")
 }
 
-// maxPresize bounds how much of a declared Content-Length readBody
-// allocates before the bytes arrive: a client may declare anything up
-// to -max-body and then send nothing, so past 1 MiB the buffer grows
-// only with what has actually been read.
-const maxPresize = 1 << 20
-
-// readBody reads the whole request body into one buffer under the
-// lb's cap: a declared length past the cap is a 413 before any byte is
-// read, a longer body a 413 once the cap is crossed, and a failed read
-// a 400 — net/http fails the read of a body that ends short of its
-// declared length with io.ErrUnexpectedEOF. Forwarding needs the body
-// whole, because a failover resends it to the next ring successor.
-func (l *lb) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.ContentLength > l.maxBody {
-		http.Error(w, "request body exceeds limit", http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	// ReadFrom keeps bytes.MinRead free before each read, so a buffer
-	// that fits the declared length plus MinRead never regrows.
-	buf := bytes.NewBuffer(make([]byte, 0, max(min(r.ContentLength, maxPresize), 0)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, l.maxBody+1)); err != nil {
-		http.Error(w, "reading request body", http.StatusBadRequest)
-		return nil, false
-	}
-	body := buf.Bytes()
-	if int64(len(body)) > l.maxBody {
-		http.Error(w, "request body exceeds limit", http.StatusRequestEntityTooLarge)
-		return nil, false
-	}
-	return body, true
-}
-
 // forward routes one POST to the ring owner of its body, failing over
 // along the ring's successor order when a backend cannot be reached
 // at all. A backend that answers — with any status — ends the attempt
@@ -309,12 +294,13 @@ func (l *lb) forward(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer body.release()
 	// The shard key folds in the codec profile (empty for fixed-code
 	// requests, where HashTagged degenerates to Hash): a profiled
 	// encode of some body is a different response than its fixed
 	// encode, so the two must place independently or one backend's
 	// cache would interleave both families.
-	resp, backend, ok := l.forwardOrdered(w, r, hashring.HashTagged(r.Header.Get("X-Codec-Profile"), body), body)
+	resp, backend, ok := l.forwardOrdered(w, r, hashring.HashTagged(r.Header.Get("X-Codec-Profile"), body.buf), body)
 	if !ok {
 		return
 	}
@@ -324,7 +310,7 @@ func (l *lb) forward(w http.ResponseWriter, r *http.Request) {
 // forwardOrdered posts body along the ring's failover order for key,
 // returning the first backend that answered. On failure it has
 // already written the 502/503 and returns ok == false.
-func (l *lb) forwardOrdered(w http.ResponseWriter, r *http.Request, key uint64, body []byte) (*http.Response, string, bool) {
+func (l *lb) forwardOrdered(w http.ResponseWriter, r *http.Request, key uint64, body *body) (*http.Response, string, bool) {
 	order := l.ring.PickN(key, len(l.backends))
 	if len(order) == 0 {
 		l.noBackend.Inc()
@@ -355,10 +341,19 @@ func (l *lb) forwardOrdered(w http.ResponseWriter, r *http.Request, key uint64, 
 	return nil, "", false
 }
 
-func (l *lb) post(r *http.Request, url string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
+// post sends body to url with the forwarded headers of r. The body
+// goes out through a reader of its own, which the transport closes;
+// GetBody lets the transport resend it on a fresh connection when a
+// reused one turns out closed.
+func (l *lb) post(r *http.Request, url string, body *body) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, nil)
 	if err != nil {
 		return nil, err
+	}
+	if len(body.buf) > 0 {
+		req.ContentLength = int64(len(body.buf))
+		req.Body = body.reader()
+		req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 	if id := r.Header.Get("X-Request-ID"); id != "" {
@@ -387,7 +382,9 @@ var hopByHopHeaders = map[string]bool{
 // relay copies the backend response through — minus hop-by-hop
 // headers (the fixed RFC 9110 set plus anything the backend named in
 // its Connection header) — adding the X-Backend header so operators
-// can see placement.
+// can see placement. The body is copied through a pooled buffer: the
+// ResponseWriter's ReadFrom would hand it to the connection's, which
+// allocates one per response.
 func relay(w http.ResponseWriter, resp *http.Response, backend string) {
 	defer resp.Body.Close()
 	var connNamed map[string]bool
@@ -411,7 +408,9 @@ func relay(w http.ResponseWriter, resp *http.Response, backend string) {
 	}
 	w.Header().Set("X-Backend", backend)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := relayBufPool.Get().(*[]byte)
+	io.CopyBuffer(writerOnly{w}, resp.Body, *buf)
+	relayBufPool.Put(buf)
 }
 
 // startHealthChecks polls every backend's /readyz on interval,

@@ -31,7 +31,8 @@ func (l *lb) handleTrain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, backend, ok := l.forwardOrdered(w, r, hashring.Hash(body), body)
+	defer body.release()
+	resp, backend, ok := l.forwardOrdered(w, r, hashring.Hash(body.buf), body)
 	if !ok {
 		return
 	}
@@ -70,6 +71,7 @@ func (l *lb) handleProfileInstall(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer body.release()
 	healthy := l.ring.Healthy()
 	if len(healthy) == 0 {
 		l.noBackend.Inc()
@@ -154,11 +156,14 @@ func (l *lb) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 // syncProfile installs canonical on every healthy backend except the
 // one that already holds it.
 func (l *lb) syncProfile(r *http.Request, trained string, canonical []byte) {
+	body := l.newBody()
+	defer body.release()
+	body.buf = append(body.buf, canonical...)
 	for _, b := range l.ring.Healthy() {
 		if b == trained {
 			continue
 		}
-		resp, err := l.post(r, b+"/profiles", canonical)
+		resp, err := l.post(r, b+"/profiles", body)
 		if err != nil {
 			l.reg.Counter("ninecdlb.profile_sync_failures").Inc()
 			log.Printf("ninecd-lb: profile sync to %s: %v", b, err)

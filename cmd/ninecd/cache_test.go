@@ -366,8 +366,9 @@ func TestCodecTableConcurrentInit(t *testing.T) {
 }
 
 // TestCodecTableBounded: a client sending many distinct block sizes
-// gets a correct container for each, while only the -k default is
-// kept: it stays one pointer, and every other K is built per request.
+// gets a correct container for each, while only the -k default and the
+// kernel Ks' default codecs are kept: each stays one pointer, and every
+// other K is built per request.
 func TestCodecTableBounded(t *testing.T) {
 	ts, s := newTestServer(t, config{CacheOff: true})
 	text := []byte(strings.ReplaceAll(sampleText(6, 90, 3), "X", "1"))
@@ -388,10 +389,15 @@ func TestCodecTableBounded(t *testing.T) {
 	if c, _ := s.codecs.get(8); def == nil || c != def {
 		t.Fatal("the -k default is not one shared codec")
 	}
-	c1, _ := s.codecs.get(16)
-	c2, _ := s.codecs.get(16)
+	if c1, _ := s.codecs.get(16); c1 == nil || c1.K() != 16 {
+		t.Fatal("no K=16 codec")
+	} else if c2, _ := s.codecs.get(16); c1 != c2 {
+		t.Fatal("the K=16 default is built per request instead of shared")
+	}
+	c1, _ := s.codecs.get(6)
+	c2, _ := s.codecs.get(6)
 	if c1 == nil || c1 == c2 {
-		t.Fatal("a K other than -k is kept instead of built per request")
+		t.Fatal("a K without a kernel is kept instead of built per request")
 	}
 }
 

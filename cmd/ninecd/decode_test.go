@@ -96,7 +96,9 @@ func TestDecodeAllocsIndependentOfChunks(t *testing.T) {
 // TestServeDecodeMintestAllocs pins the allocations of one request of
 // BenchmarkServeDecode/mintest at 44. Admission takes a free worker slot
 // without arming a queue-wait timer or building a release closure; the
-// request made 47 allocations while it did both.
+// request made 47 allocations while it did both. A container at K=16,
+// a kernel K other than the server's -k, decodes with the same count:
+// it shares core.Shared's codec instead of building one per request.
 func TestServeDecodeMintestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -108,17 +110,24 @@ func TestServeDecodeMintestAllocs(t *testing.T) {
 		}
 	}
 	s := newServer(config{CacheOff: true, ShedQueue: 1 << 10}, obs.NewRegistry())
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/encode", bytes.NewReader(text)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("encode: status %d", w.Code)
+	allocs := map[string]float64{}
+	for _, target := range []string{"/encode", "/encode?k=16"} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(text)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", target, w.Code)
+		}
+		body := w.Body.Bytes()
+		if code := serveOnce(s, "/decode", body); code != http.StatusOK {
+			t.Fatalf("decode of %s: status %d", target, code)
+		}
+		allocs[target] = testing.AllocsPerRun(100, func() { serveOnce(s, "/decode", body) })
 	}
-	body := w.Body.Bytes()
-	if code := serveOnce(s, "/decode", body); code != http.StatusOK {
-		t.Fatalf("decode: status %d", code)
+	if a := allocs["/encode"]; a > 44 {
+		t.Fatalf("%.1f allocations per /decode, want at most 44", a)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { serveOnce(s, "/decode", body) }); allocs > 44 {
-		t.Fatalf("%.1f allocations per /decode, want at most 44", allocs)
+	if a, b := allocs["/encode?k=16"], allocs["/encode"]; a != b {
+		t.Fatalf("%.1f allocations per K=16 /decode, want %.1f as at the -k default K=8", a, b)
 	}
 }
 

@@ -28,12 +28,10 @@ import (
 // container's codec can come from the shared cache.
 var defaultAssign = core.DefaultAssignment()
 
-// codecTable shares the default-assignment codec of the server's -k
-// block size across requests; a Codec is immutable after construction,
-// so sharing is free. Any other valid K is built per request, so a
-// client cycling through /encode?k= values cannot grow the server.
-// Frequency-directed and profile codecs depend on more than K and are
-// built per request too.
+// codecTable hands out codecs: the server's -k default after one
+// compare, and core.Shared's for anything else, so every kernel K
+// shares one default codec and any other K or assignment is built per
+// request.
 type codecTable struct {
 	defaultK int
 	def      *core.Codec // nil when -k is not a valid block size
@@ -42,21 +40,19 @@ type codecTable struct {
 // newCodecTable builds the shared codec for defaultK. An invalid
 // defaultK is not fatal here: get reports it on each request for it.
 func newCodecTable(defaultK int) *codecTable {
-	c, _ := core.New(defaultK)
+	c, _ := core.Shared(defaultK, defaultAssign)
 	return &codecTable{defaultK: defaultK, def: c}
 }
 
-// get returns the default-assignment codec for block size k: the
-// shared one for the -k default, a fresh build otherwise.
+// get returns the default-assignment codec for block size k.
 func (t *codecTable) get(k int) (*core.Codec, error) {
 	if k == t.defaultK && t.def != nil {
 		return t.def, nil
 	}
-	return core.New(k)
+	return core.Shared(k, defaultAssign)
 }
 
-// getAssign is get when the assignment is the canonical one, and a
-// fresh build otherwise.
+// getAssign is get when the assignment is the canonical one.
 func (t *codecTable) getAssign(k int, a core.Assignment) (*core.Codec, error) {
 	if a == defaultAssign {
 		return t.get(k)

@@ -368,7 +368,7 @@ func readV4(cr io.Reader, h *headerInfo, opt Options, diag *Diag) (*core.Result,
 	// salvaged prefix and report the geometry they span. finishResult
 	// sees diag.StreamErr set and skips re-validation; the caller
 	// follows up with a partial decode, exactly as for a damaged v3.
-	cdc, err := codecFor(h.k, h.assign)
+	cdc, err := core.Shared(h.k, h.assign)
 	if err != nil {
 		return nil, diag, fmt.Errorf("container: %w: %w", robust.ErrCorrupt, err)
 	}

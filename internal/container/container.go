@@ -39,7 +39,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
@@ -390,35 +389,6 @@ func readHeader(cr io.Reader, diag *Diag, h *headerInfo, scratch *[]byte) error 
 	return nil
 }
 
-// kernelKs are the block sizes with a word kernel; a read at one of
-// them under the default assignment shares one codec (codecFor).
-var kernelKs = [...]int{4, 8, 16, 32}
-
-// defaultCodecs holds the default-assignment codec of each kernel K,
-// built on first use. A Codec is immutable, so every read may share it.
-var defaultCodecs = sync.OnceValue(func() (cs [len(kernelKs)]*core.Codec) {
-	for i, k := range kernelKs {
-		cs[i], _ = core.New(k) // every kernel K is valid
-	}
-	return cs
-})
-
-var defaultAssign = core.DefaultAssignment()
-
-// codecFor returns the codec for a header's block size and assignment:
-// the shared one for the default assignment at a kernel K, a fresh
-// build for anything else.
-func codecFor(k int, a core.Assignment) (*core.Codec, error) {
-	if a == defaultAssign {
-		for i, kk := range kernelKs {
-			if k == kk {
-				return defaultCodecs()[i], nil
-			}
-		}
-	}
-	return core.NewWithAssignment(k, a)
-}
-
 // finishResult builds the Result from a verified stream and geometry,
 // recovering the codeword statistics (and validating the stream) in one
 // walk of its blocks. validateGeometry has pinned blocks to the
@@ -431,7 +401,7 @@ func finishResult(h *headerInfo, stream *bitvec.Cube, lenient bool, diag *Diag) 
 		OrigBits: h.origBits, Blocks: h.blocks, LeftoverX: stream.XCount(),
 		Patterns: h.patterns, Width: h.width,
 	}
-	cdc, err := codecFor(h.k, h.assign)
+	cdc, err := core.Shared(h.k, h.assign)
 	if err != nil {
 		return nil, diag, fmt.Errorf("container: %w: %w", robust.ErrCorrupt, err)
 	}

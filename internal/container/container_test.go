@@ -96,38 +96,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecForSharesDefaultKernelCodecs: a read under the default
-// assignment at a kernel K shares one codec across reads; any other K
-// or assignment is built per read.
-func TestCodecForSharesDefaultKernelCodecs(t *testing.T) {
-	def := core.DefaultAssignment()
-	for _, k := range kernelKs {
-		a, err := codecFor(k, def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, _ := codecFor(k, def); a != b || a.K() != k {
-			t.Fatalf("K=%d: default codec not shared (%p, %p) or wrong K %d", k, a, b, a.K())
-		}
-	}
-	fd := core.FrequencyDirected(core.Counts{0, 0, 0, 0, 0, 0, 0, 0, 9})
-	for _, tc := range []struct {
-		k int
-		a core.Assignment
-	}{{6, def}, {8, fd}} {
-		a, err := codecFor(tc.k, tc.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, _ := codecFor(tc.k, tc.a); a == b || a.Assignment() != tc.a {
-			t.Fatalf("K=%d: codec shared across reads, or wrong assignment", tc.k)
-		}
-	}
-	if _, err := codecFor(7, def); err == nil {
-		t.Fatal("odd K accepted")
-	}
-}
-
 // TestReadRejectsCorruption mutates a v3 container so each mutation
 // exercises its specific structural check — mutations of fields the
 // CRCs cover are resealed, or the checksum would mask the check —

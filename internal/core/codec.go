@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/obs"
@@ -81,6 +83,32 @@ func NewWithAssignment(k int, a Assignment) (*Codec, error) {
 	c := &Codec{k: k, assign: a, packed: packAssignment(a), table: newDecodeTable(a)}
 	c.initKernel()
 	return c, nil
+}
+
+// kernelKs are the block sizes with a word kernel; at each of them the
+// default-assignment codec is built once and shared (Shared).
+var kernelKs = []int{4, 8, 16, 32}
+
+var defaultAssign = DefaultAssignment()
+
+var sharedCodecs = sync.OnceValue(func() []*Codec {
+	cs := make([]*Codec, len(kernelKs))
+	for i, k := range kernelKs {
+		cs[i], _ = New(k) // every kernel K is valid
+	}
+	return cs
+})
+
+// Shared returns the codec for block size k and assignment a: under the
+// default assignment at a kernel K, one codec shared by every caller (a
+// Codec is immutable); for any other K or assignment, a fresh build.
+// Only those four codecs are kept, so callers that take K or the
+// assignment from their input cannot grow memory.
+func Shared(k int, a Assignment) (*Codec, error) {
+	if i := slices.Index(kernelKs, k); i >= 0 && a == defaultAssign {
+		return sharedCodecs()[i], nil
+	}
+	return NewWithAssignment(k, a)
 }
 
 // K returns the block size.

@@ -387,3 +387,35 @@ func TestBestK(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedCodecs: under the default assignment at a kernel K,
+// Shared hands every caller one codec; any other K or assignment is
+// built per call.
+func TestSharedCodecs(t *testing.T) {
+	def := DefaultAssignment()
+	for _, k := range kernelKs {
+		a, err := Shared(k, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := Shared(k, def); a != b || a.K() != k {
+			t.Fatalf("K=%d: default codec not shared (%p, %p) or wrong K %d", k, a, b, a.K())
+		}
+	}
+	fd := FrequencyDirected(Counts{0, 0, 0, 0, 0, 0, 0, 0, 9})
+	for _, tc := range []struct {
+		k int
+		a Assignment
+	}{{6, def}, {8, fd}} {
+		a, err := Shared(tc.k, tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := Shared(tc.k, tc.a); a == b || a.Assignment() != tc.a {
+			t.Fatalf("K=%d: codec shared across calls, or wrong assignment", tc.k)
+		}
+	}
+	if _, err := Shared(7, def); err == nil {
+		t.Fatal("odd K accepted")
+	}
+}

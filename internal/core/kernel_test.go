@@ -9,9 +9,6 @@ import (
 	"repro/internal/tcube"
 )
 
-// kernelKs are the block sizes with specialized kernels.
-var kernelKs = []int{4, 8, 16, 32}
-
 // forceGeneric returns a shallow copy of c with every per-K kernel
 // replaced by the generic path: encodeGeneric encodes, and the decode
 // kernel is dropped. Used as the differential oracle.
