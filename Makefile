@@ -43,9 +43,13 @@ netlines:
 
 ## bench-pairs: A/B one package's benchmarks between BASE and the
 ## working tree: N alternating runs of each side's `go test -c` binary
-## at -cpu 1,2, then per benchmark each side's median ns/op with its
-## [min, max] and the working tree's wins. Evidence for a per-layer
-## table; not part of check and gates nothing.
+## at -cpu 1,2 and -benchtime 200ms, then per benchmark each side's
+## median ns/op with its [min, max], the working tree's wins and a
+## verdict. It fails when a benchmark's median is worse than BASE's by
+## more than 10% and BASE wins most of the pairs
+## (scripts/bench_verdict.awk). Not part of check: on a shared 2-vCPU
+## host, identical code fails that rule on a tenth to a fifth of the
+## hot-path benchmarks in every run measured (CHANGES.md).
 ##   make bench-pairs BASE=HEAD~1 PKG=./internal/core BENCH='EncodeSetK' N=6
 N ?= 6
 bench-pairs:

@@ -26,8 +26,8 @@ const maxPooledBody = maxPresize + bytes.MinRead
 // every send of it to a backend. Each holder owns one reference, and
 // the last release returns the buffer to bodyPool. A send's reference
 // is dropped by its reader's Close, which http.Transport calls once it
-// is done with the body: that may be after Do has returned, when a
-// backend answers before it has read the whole request.
+// is done with the body: that may be after RoundTrip has returned,
+// when a backend answers before it has read the whole request.
 type body struct {
 	buf      []byte
 	refs     atomic.Int32

@@ -139,8 +139,8 @@ func TestBodyLifecycleFailover(t *testing.T) {
 // TestBodyLifecycleEarlyAnswer: a backend answers 413 before it reads
 // the body, while the lb is still writing it, then reads it all and
 // sends its sum as the rest of the answer. The transport is still
-// sending after Do has returned, so a body released then would reach
-// the backend poisoned.
+// sending after RoundTrip has returned, so a body released then would
+// reach the backend poisoned.
 func TestBodyLifecycleEarlyAnswer(t *testing.T) {
 	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {

@@ -40,7 +40,7 @@
 // successors until it recovers (consistent hashing keeps every other
 // backend's placement — and cache — untouched). A forward that fails
 // at the transport level fails over to the next ring successor within
-// the same request; backend HTTP verdicts (400/413/429/...) are
+// the same request; backend HTTP verdicts (3xx/400/413/429/...) are
 // relayed as-is, since the backend has already answered.
 package main
 
@@ -73,7 +73,6 @@ func realMain(args []string) int {
 		checkInterval time.Duration
 		checkTimeout  time.Duration
 		maxBody       int64
-		drain         time.Duration
 	)
 	fs := flag.NewFlagSet("ninecd-lb", flag.ContinueOnError)
 	fs.StringVar(&addr, "addr", "localhost:9414", "listen address")
@@ -81,7 +80,6 @@ func realMain(args []string) int {
 	fs.DurationVar(&checkInterval, "check-interval", 2*time.Second, "backend /readyz poll interval")
 	fs.DurationVar(&checkTimeout, "check-timeout", time.Second, "per-probe timeout for backend health checks")
 	fs.Int64Var(&maxBody, "max-body", 64<<20, "request body cap in bytes")
-	fs.DurationVar(&drain, "drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -104,13 +102,16 @@ func realMain(args []string) int {
 	stopChecks := lb.startHealthChecks(checkInterval)
 	defer stopChecks()
 
-	if err := serve(ctx, ln, lb, drain); err != nil {
+	if err := serve(ctx, ln, lb, drainBudget); err != nil {
 		fmt.Fprintln(os.Stderr, "ninecd-lb:", err)
 		return 1
 	}
 	log.Printf("ninecd-lb: drained, bye")
 	return 0
 }
+
+// drainBudget is how long in-flight forwards may run after SIGTERM.
+const drainBudget = 15 * time.Second
 
 // serve mirrors ninecd's shutdown contract: SIGTERM closes the
 // listener, in-flight forwards get up to drain to finish.
@@ -140,7 +141,7 @@ func serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Dura
 type lb struct {
 	ring         *hashring.Ring
 	backends     []string
-	hc           *http.Client
+	fwd          *http.Transport
 	probe        *http.Client
 	maxBody      int64
 	mux          *http.ServeMux
@@ -209,7 +210,7 @@ func newLB(backendsCSV string, maxBody int64, checkTimeout time.Duration) (*lb, 
 		backends: backends,
 		// Forwards inherit the inbound request context — no global
 		// timeout here; the backend owns the per-request deadline.
-		hc:           &http.Client{Transport: forwardTransport(len(backends))},
+		fwd:          forwardTransport(len(backends)),
 		probe:        &http.Client{Timeout: checkTimeout},
 		maxBody:      maxBody,
 		reg:          reg,
@@ -341,10 +342,11 @@ func (l *lb) forwardOrdered(w http.ResponseWriter, r *http.Request, key uint64, 
 	return nil, "", false
 }
 
-// post sends body to url with the forwarded headers of r. The body
-// goes out through a reader of its own, which the transport closes;
-// GetBody lets the transport resend it on a fresh connection when a
-// reused one turns out closed.
+// post sends body to url with the forwarded headers of r, straight
+// through the forward transport: a proxy relays a backend's 3xx rather
+// than following it. The body goes out through a reader of its own,
+// which the transport closes; GetBody lets the transport resend it on a
+// fresh connection when a reused one turns out closed.
 func (l *lb) post(r *http.Request, url string, body *body) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, nil)
 	if err != nil {
@@ -362,7 +364,7 @@ func (l *lb) post(r *http.Request, url string, body *body) (*http.Response, erro
 	if prof := r.Header.Get("X-Codec-Profile"); prof != "" {
 		req.Header.Set("X-Codec-Profile", prof)
 	}
-	return l.hc.Do(req)
+	return l.fwd.RoundTrip(req)
 }
 
 // hopByHopHeaders is the RFC 9110 §7.6.1 set: these govern the

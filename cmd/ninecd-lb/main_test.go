@@ -176,6 +176,41 @@ func TestBackendVerdictRelayed(t *testing.T) {
 	}
 }
 
+// TestBackendRedirectRelayed: a backend's 3xx is its verdict too. The
+// lb relays status, Location and body verbatim instead of following the
+// redirect, so the redirect target never sees the request.
+func TestBackendRedirectRelayed(t *testing.T) {
+	var followed atomic.Int64
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		followed.Add(1)
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, "followed")
+	}))
+	t.Cleanup(target.Close)
+	for _, code := range []int{http.StatusMovedPermanently, http.StatusTemporaryRedirect} {
+		moved := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Location", target.URL+"/elsewhere")
+			w.WriteHeader(code)
+			io.WriteString(w, "moved\n")
+		}))
+		t.Cleanup(moved.Close)
+		rec := postVia(t, newTestLB(t, moved.URL), "/encode", "anything")
+		if rec.Code != code {
+			t.Fatalf("status %d, want %d relayed", rec.Code, code)
+		}
+		if got := rec.Header().Get("Location"); got != target.URL+"/elsewhere" {
+			t.Fatalf("%d: Location %q not relayed", code, got)
+		}
+		if got := rec.Body.String(); got != "moved\n" {
+			t.Fatalf("%d: body %q, want the backend's own", code, got)
+		}
+	}
+	if n := followed.Load(); n != 0 {
+		t.Fatalf("redirect target saw %d request(s), want 0", n)
+	}
+}
+
 // TestHealthCheckRemovesUnreadyBackend: a backend answering 503 on
 // /readyz leaves the ring; all traffic goes to the survivor; recovery
 // brings it back.

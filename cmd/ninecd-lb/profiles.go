@@ -131,7 +131,7 @@ func (l *lb) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		resp, err := l.hc.Do(req)
+		resp, err := l.fwd.RoundTrip(req)
 		if err != nil {
 			continue
 		}

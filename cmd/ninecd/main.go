@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ninecd -addr :9314                    # serve on :9314
-//	ninecd -k 12 -timeout 10s             # default block size, deadline
+//	ninecd -k 12                          # default block size
 //	ninecd -workers 4 -queue-wait 2s      # pool size and admission wait
 //	ninecd -max-body 16777216             # request body cap (bytes)
 //	ninecd -max-patterns 4096 -max-bits N # decode limits (robust policy)
@@ -14,7 +14,7 @@
 //	ninecd -access-log access.ndjson      # NDJSON access log
 //	ninecd -slo-window 5m                 # /readyz objective window
 //	ninecd -shed-queue 64                 # queue depth that sheds arrivals
-//	ninecd -cache=false -cache-bytes 268435456  # /encode result cache
+//	ninecd -cache=false                   # /encode result cache off
 //
 // Endpoints:
 //
@@ -45,8 +45,9 @@
 // when the client hangs up before the response starts, 503 when the
 // per-request deadline expires, 500 only for a recovered panic.
 // SIGTERM/SIGINT drain gracefully: /readyz flips to 503 immediately,
-// in-flight requests finish (up to -drain), new connections are
-// refused.
+// in-flight requests finish (up to 15 s), new connections are
+// refused. The per-request deadline is 30 s and the result cache holds
+// at most 256 MiB.
 package main
 
 import (
@@ -89,16 +90,13 @@ func realMain(args []string) (code int) {
 	cacheOn := true
 	fs := flag.NewFlagSet("ninecd", flag.ContinueOnError)
 	fs.BoolVar(&cacheOn, "cache", true, "content-addressed /encode result cache (-cache=off via -cache=false)")
-	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", 0, "result-cache resident bound in bytes; only keys seen twice are stored (0 = 256 MiB)")
 	fs.StringVar(&cfg.Addr, "addr", "localhost:9314", "listen address")
 	fs.IntVar(&cfg.K, "k", 8, "default block size K for /encode (even, >= 2)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.QueueWait, "queue-wait", 10*time.Second, "how long a request may wait for a worker before 429")
-	fs.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-request deadline")
 	fs.Int64Var(&cfg.MaxBody, "max-body", 64<<20, "request body cap in bytes")
 	fs.IntVar(&cfg.MaxPatterns, "max-patterns", 0, "reject containers claiming more patterns (0 = default limit)")
 	fs.IntVar(&cfg.MaxBits, "max-bits", 0, "reject containers whose stored stream exceeds this many bits (0 = default limit)")
-	fs.DurationVar(&cfg.Drain, "drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	fs.IntVar(&cfg.ShedQueue, "shed-queue", 0, "queued-request depth that sheds new arrivals with 429 (0 = workers*8)")
 	fs.StringVar(&trace, "trace", "", "append structured JSON trace events to this file")
 	fs.StringVar(&accessLog, "access-log", "", "append an NDJSON access-log line per request to this file")
@@ -157,7 +155,7 @@ func realMain(args []string) (code int) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := serve(ctx, ln, srv, cfg.Drain); err != nil {
+	if err := serve(ctx, ln, srv, drainBudget); err != nil {
 		fmt.Fprintln(os.Stderr, "ninecd:", err)
 		return 1
 	}

@@ -87,6 +87,15 @@ func (st *decodeState) release() {
 // long before its body has fully arrived.
 const decodeSlab = 32 << 10
 
+// The daemon's fixed serving parameters: the per-request deadline (503
+// on expiry), the graceful-shutdown budget for in-flight requests, and
+// the result cache's resident bound.
+const (
+	requestTimeout = 30 * time.Second
+	drainBudget    = 15 * time.Second
+	cacheBytes     = 256 << 20
+)
+
 // config carries the daemon's serving parameters; zero fields take the
 // defaults applied by newServer.
 type config struct {
@@ -94,11 +103,9 @@ type config struct {
 	K           int           // default block size for /encode
 	Workers     int           // worker-pool size; 0 = GOMAXPROCS
 	QueueWait   time.Duration // how long a request may wait for a worker
-	Timeout     time.Duration // per-request deadline
 	MaxBody     int64         // request body cap in bytes
 	MaxPatterns int           // decode limit (0 = robust default)
 	MaxBits     int           // decode limit on stored |T_E| (0 = default)
-	Drain       time.Duration // graceful-shutdown budget
 
 	// ShedQueue is the queued-request depth at which new arrivals are
 	// refused immediately (0 = Workers*8; see admission.go).
@@ -107,11 +114,10 @@ type config struct {
 	// Fleet-scale serving (see internal/cachex). CacheOff disables the
 	// content-addressed /encode result cache (on by default — both
 	// endpoints are pure functions of request bytes and parameters, so
-	// caching cannot change a response); CacheBytes bounds its resident
-	// size (0 = 256 MiB). Only a key's second and later misses store a
-	// result, so the bound is spent on repeated requests alone.
-	CacheOff   bool
-	CacheBytes int64
+	// caching cannot change a response); cacheBytes bounds its resident
+	// size. Only a key's second and later misses store a result, so the
+	// bound is spent on repeated requests alone.
+	CacheOff bool
 
 	// SLOWindow is the rolling window of the /readyz objectives
 	// (0 = 5m); the objectives themselves are the obs defaults: 99.9%
@@ -132,20 +138,11 @@ func (c config) withDefaults() config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 10 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 64 << 20
 	}
-	if c.Drain <= 0 {
-		c.Drain = 15 * time.Second
-	}
 	if c.ShedQueue <= 0 {
 		c.ShedQueue = c.Workers * 8
-	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 256 << 20
 	}
 	return c
 }
@@ -216,7 +213,7 @@ func newServer(cfg config, reg *obs.Registry) *server {
 	s.queued = reg.Gauge("ninecd.queued")
 	if !cfg.CacheOff {
 		s.cache = cachex.New(cachex.Config{
-			MaxBytes: cfg.CacheBytes,
+			MaxBytes: cacheBytes,
 			Size:     encodeResultSize,
 			Registry: reg,
 		})
@@ -332,7 +329,7 @@ func (s *server) guard(name string, h func(http.ResponseWriter, *http.Request) e
 		inflight.Add(1)
 		defer inflight.Add(-1)
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		if err := h(w, r.WithContext(ctx)); err != nil {
 			class := errClass(err)

@@ -79,14 +79,19 @@ func (w *statusWriter) Flush() {
 // through the instrumentation wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// countingReader counts request body bytes actually consumed.
+// countingReader counts request body bytes actually consumed and the
+// time the handler spent blocked reading them, which is the client's
+// time, not the daemon's.
 type countingReader struct {
-	rc io.ReadCloser
-	n  int64
+	rc   io.ReadCloser
+	n    int64
+	wait time.Duration
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
+	start := time.Now()
 	n, err := c.rc.Read(p)
+	c.wait += time.Since(start)
 	c.n += int64(n)
 	return n, err
 }
@@ -126,6 +131,10 @@ func sanitizeRequestID(id string) string {
 // root span (trace ID from the request), whose end records the route's
 // latency, per-route request/status counters, the SLO observation
 // (serving routes only), the trace ring slot, and the access-log line.
+// The SLO is charged with daemon time: wall time less the time the
+// handler sat blocked on body reads, so a slow upload does not burn the
+// latency budget. The span, the trace ring and the access log keep wall
+// time.
 // Everything it exports carries routing metadata and timings only —
 // never payload bytes.
 func (s *server) instrument(route string, serving bool, h http.HandlerFunc) http.HandlerFunc {
@@ -167,7 +176,7 @@ func (s *server) instrument(route string, serving bool, h http.HandlerFunc) http
 		status := sw.Status()
 		classes[classIdx[statusClass(status)]].Inc()
 		if serving {
-			s.slo.Observe(dur, status >= http.StatusInternalServerError)
+			s.slo.Observe(dur-cr.wait, status >= http.StatusInternalServerError)
 		}
 		s.traces.Record(obs.TraceRecord{
 			TraceID: id, Route: route, Method: r.Method, Status: status,

@@ -172,6 +172,55 @@ func TestReadyzDegradesOnBurn(t *testing.T) {
 	}
 }
 
+// TestSlowUploadSparesLatencySLO: the latency SLO is charged with
+// daemon time. Uploads whose bodies drip in for longer than the 250 ms
+// objective leave /readyz at 200, while a handler that is itself that
+// slow still burns the latency budget to 503.
+func TestSlowUploadSparesLatencySLO(t *testing.T) {
+	ts, s := newTestServer(t, config{SLOWindow: 10 * time.Second})
+	body := sampleText(8, 64, 1)
+	for i := 0; i < 3; i++ {
+		pr, pw := io.Pipe()
+		go func() {
+			io.WriteString(pw, body[:len(body)/2])
+			time.Sleep(300 * time.Millisecond)
+			io.WriteString(pw, body[len(body)/2:])
+			pw.Close()
+		}()
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/encode", "text/plain", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("slow upload %d: status %d, want 200", i, resp.StatusCode)
+		}
+		if d := time.Since(start); d < 250*time.Millisecond {
+			t.Fatalf("slow upload %d took %v, want > 250ms", i, d)
+		}
+	}
+	if st := s.slo.Status(); st.Total != 3 || st.Slow != 0 {
+		t.Fatalf("SLO after slow uploads: %+v, want 3 requests, none slow", st)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/readyz after slow uploads = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+
+	slow := s.instrument("slow", true, func(http.ResponseWriter, *http.Request) {
+		time.Sleep(300 * time.Millisecond)
+	})
+	slow(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/slow", strings.NewReader("x")))
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "latency_burn") {
+		t.Fatalf("/readyz after a slow handler = %d %q, want 503 on latency burn", rec.Code, rec.Body.String())
+	}
+}
+
 // failingWriter fails after the response is committed, to model a
 // client vanishing mid-scrape.
 type failingWriter struct {
