@@ -146,12 +146,11 @@ chaos-smoke:
 cache-smoke:
 	GO="$(GO)" sh scripts/cache_smoke.sh
 
-## resilience-soak: a short -race soak of the client's one policy, its
-## retry loop — concurrent goroutines against a misbehaving server,
-## asserting budgets and classification — plus ring failover past a
-## dead backend, at -cpu 1,2.
+## resilience-soak: a short -race soak of ninecload's retry loop —
+## concurrent goroutines against a misbehaving server, asserting
+## budgets and classification — at -cpu 1,2.
 resilience-soak:
-	$(GO) test -race -cpu 1,2 ./internal/ninecdclient -run 'Soak|RingRoutingFailsOver' -count=1
+	$(GO) test -race -cpu 1,2 ./cmd/ninecload -run Soak -count=1
 
 ## metriclint: enforce the metric-name contract — dot-separated
 ## lowercase names whose Prometheus mapping is stable and

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -14,66 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/ninecdclient"
 )
-
-// selfNamedBackend answers /encode with its own URL as the body, so a
-// client that sees only the body can still tell which backend served
-// it.
-func selfNamedBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	var srv *httptest.Server
-	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		io.WriteString(w, srv.URL)
-	}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestPlacementAgreesWithRingClient: the lb and a ring-aware
-// ninecdclient pointed straight at the same backends place every body
-// on the same backend, with and without a codec profile, so a client
-// that bypasses the lb still hits the backend cache the lb warmed.
-func TestPlacementAgreesWithRingClient(t *testing.T) {
-	var urls []string
-	for i := 0; i < 4; i++ {
-		urls = append(urls, selfNamedBackend(t).URL)
-	}
-	l := newTestLB(t, urls...)
-	c, err := ninecdclient.New(ninecdclient.Config{Backends: urls, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		body := fmt.Sprintf("01X%d\n%s\n", i, strings.Repeat("10X", i))
-		for _, profile := range []string{"", "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"} {
-			req := httptest.NewRequest(http.MethodPost, "/encode", strings.NewReader(body))
-			if profile != "" {
-				req.Header.Set("X-Codec-Profile", profile)
-			}
-			rec := httptest.NewRecorder()
-			l.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("lb encode: %d %s", rec.Code, rec.Body.String())
-			}
-			res, err := c.EncodeWith(context.Background(), ninecdclient.EncodeOpts{Profile: profile}, []byte(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lbOwner, clientOwner := rec.Header().Get("X-Backend"), string(res.Container)
-			if lbOwner != clientOwner {
-				t.Fatalf("body %d, profile %q: lb placed on %s, client on %s", i, profile, lbOwner, clientOwner)
-			}
-			used[lbOwner] = true
-		}
-	}
-	if len(used) < 3 {
-		t.Fatalf("100 placements used only %d of 4 backends", len(used))
-	}
-}
 
 // countingBody records whether the lb read from it at all.
 type countingBody struct{ read bool }

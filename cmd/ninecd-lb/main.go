@@ -15,9 +15,7 @@
 // answer is relayed through a pooled 32 KiB one. The buffer goes back
 // to the pool only when the handler and every send are done with it.
 // The key only places load; the backend cache keys on a secret-keyed
-// MAC (internal/cachex). A ring-aware ninecdclient computes the same
-// key, so both place a body on the same backend when built from the
-// same version.
+// MAC (internal/cachex).
 //
 // Usage:
 //

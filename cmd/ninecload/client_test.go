@@ -1,4 +1,4 @@
-package ninecdclient
+package main
 
 import (
 	"context"
@@ -15,28 +15,24 @@ import (
 	"repro/internal/obs"
 )
 
-// fastRetry is a policy tight enough for tests.
-var fastRetry = Policy{
-	MaxAttempts: 4,
-	BaseDelay:   time.Millisecond,
-	MaxDelay:    5 * time.Millisecond,
-}
+// fastRetry is the attempt bound the tests run under.
+var fastRetry = policy{maxAttempts: 4}
 
-func newTestClient(t *testing.T, url string, mut func(*Config)) *Client {
+// newTestClient builds a client for url under p, its backoff ceilings
+// cut to 1ms doubling to 5ms so retries cost the tests no time.
+func newTestClient(t *testing.T, url string, p policy) *client {
 	t.Helper()
-	cfg := Config{BaseURL: url, Retry: fastRetry, Seed: 1}
-	if mut != nil {
-		mut(&cfg)
-	}
-	c, err := New(cfg)
+	c, err := newClient(url, &http.Client{}, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.retr.baseDelay, c.retr.maxDelay = time.Millisecond, 5*time.Millisecond
 	return c
 }
 
-// TestEncodeDecodeHappyPath: the client round-trips bodies and headers
-// against a well-behaved server.
+// TestEncodeDecodeHappyPath: the client round-trips bodies against a
+// well-behaved server and names the set and the block size in the
+// encode query.
 func TestEncodeDecodeHappyPath(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
@@ -48,8 +44,6 @@ func TestEncodeDecodeHappyPath(t *testing.T) {
 			if got := r.URL.Query().Get("k"); got != "8" {
 				t.Errorf("k = %q", got)
 			}
-			w.Header().Set("X-Patterns", "3")
-			w.Header().Set("X-Compressed-Bits", "77")
 			w.Write(append([]byte("9C:"), body...))
 		case "/decode":
 			w.Write([]byte("01X\n"))
@@ -59,15 +53,15 @@ func TestEncodeDecodeHappyPath(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, nil)
-	res, err := c.Encode(context.Background(), "s1", 8, []byte("0101\n"))
+	c := newTestClient(t, ts.URL, fastRetry)
+	cont, err := c.encode(context.Background(), "s1", []byte("0101\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res.Container) != "9C:0101\n" || res.Patterns != 3 || res.CompressedBits != 77 {
-		t.Fatalf("encode result %+v (%q)", res, res.Container)
+	if string(cont) != "9C:0101\n" {
+		t.Fatalf("encode result %q", cont)
 	}
-	out, err := c.Decode(context.Background(), res.Container)
+	out, err := c.decode(context.Background(), cont)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +86,8 @@ func TestRetryOn503HonorsRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, nil)
-	out, err := c.Decode(context.Background(), []byte("x"))
+	c := newTestClient(t, ts.URL, fastRetry)
+	out, err := c.decode(context.Background(), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +112,17 @@ func TestNoRetryOn400And413(t *testing.T) {
 			w.Header().Set("X-Error-Class", tc.class)
 			http.Error(w, "no", tc.status)
 		}))
-		c := newTestClient(t, ts.URL, nil)
-		_, err := c.Encode(context.Background(), "s", 8, []byte("x"))
+		c := newTestClient(t, ts.URL, fastRetry)
+		_, err := c.encode(context.Background(), "s", []byte("x"))
 		ts.Close()
-		var he *HTTPError
+		var he *httpError
 		if !errors.As(err, &he) || he.Status != tc.status {
 			t.Fatalf("status %d: err = %v", tc.status, err)
 		}
 		if calls.Load() != 1 {
 			t.Fatalf("status %d retried: %d calls", tc.status, calls.Load())
 		}
-		if got := ErrorClass(err); got != "http_"+tc.class {
+		if got := errorClass(err); got != "http_"+tc.class {
 			t.Fatalf("ErrorClass = %q, want http_%s", got, tc.class)
 		}
 	}
@@ -152,8 +146,8 @@ func TestRetryOnConnectionDrop(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, nil)
-	out, err := c.Decode(context.Background(), []byte("x"))
+	c := newTestClient(t, ts.URL, fastRetry)
+	out, err := c.decode(context.Background(), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +158,7 @@ func TestRetryOnConnectionDrop(t *testing.T) {
 
 // TestHardDownServerLabels: against a server that answers every
 // request with 503, each call spends its attempts and gives up with
-// ErrAttemptsExhausted wrapping the daemon's verdict, which keeps its
+// errAttemptsExhausted wrapping the daemon's verdict, which keeps its
 // http_ class label.
 func TestHardDownServerLabels(t *testing.T) {
 	var calls atomic.Int64
@@ -174,24 +168,24 @@ func TestHardDownServerLabels(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, nil)
+	c := newTestClient(t, ts.URL, fastRetry)
 	for i := 0; i < 10; i++ {
-		_, err := c.Decode(context.Background(), []byte("x"))
-		if !errors.Is(err, ErrAttemptsExhausted) {
-			t.Fatalf("call %d: err = %v, want ErrAttemptsExhausted", i, err)
+		_, err := c.decode(context.Background(), []byte("x"))
+		if !errors.Is(err, errAttemptsExhausted) {
+			t.Fatalf("call %d: err = %v, want errAttemptsExhausted", i, err)
 		}
-		if class := ErrorClass(err); class != "http_503" {
+		if class := errorClass(err); class != "http_503" {
 			t.Fatalf("call %d: ErrorClass = %q, want http_503 (%v)", i, class, err)
 		}
 	}
-	if got, want := calls.Load(), int64(10*fastRetry.MaxAttempts); got != want {
+	if got, want := calls.Load(), int64(10*fastRetry.maxAttempts); got != want {
 		t.Fatalf("server saw %d attempts, want %d", got, want)
 	}
 }
 
 // TestAttemptTimeoutCutsStalledServer: a response that stalls is cut
-// off by AttemptTimeout long before the budget; every one of the
-// MaxAttempts attempts stalls and is cut, and the failure keeps the
+// off by attemptTimeout long before the budget; every one of the
+// maxAttempts attempts stalls and is cut, and the failure keeps the
 // deadline class.
 func TestAttemptTimeoutCutsStalledServer(t *testing.T) {
 	release := make(chan struct{})
@@ -209,27 +203,28 @@ func TestAttemptTimeoutCutsStalledServer(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, func(cfg *Config) {
-		cfg.Retry.AttemptTimeout = 20 * time.Millisecond
-		cfg.Retry.Budget = 10 * time.Second
+	c := newTestClient(t, ts.URL, policy{
+		maxAttempts:    fastRetry.maxAttempts,
+		attemptTimeout: 20 * time.Millisecond,
+		budget:         10 * time.Second,
 	})
 	start := time.Now()
-	_, err := c.Decode(context.Background(), []byte("x"))
-	if class := ErrorClass(err); class != "deadline" {
+	_, err := c.decode(context.Background(), []byte("x"))
+	if class := errorClass(err); class != "deadline" {
 		t.Fatalf("ErrorClass = %q, want deadline (%v)", class, err)
 	}
-	if !errors.Is(err, ErrAttemptsExhausted) {
-		t.Fatalf("err = %v, want ErrAttemptsExhausted", err)
+	if !errors.Is(err, errAttemptsExhausted) {
+		t.Fatalf("err = %v, want errAttemptsExhausted", err)
 	}
-	if got := calls.Load(); got != int64(fastRetry.MaxAttempts) {
-		t.Fatalf("server saw %d attempts, want %d", got, fastRetry.MaxAttempts)
+	if got := calls.Load(); got != int64(fastRetry.maxAttempts) {
+		t.Fatalf("server saw %d attempts, want %d", got, fastRetry.maxAttempts)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("stalled attempts held the call for %v", elapsed)
 	}
 }
 
-// TestAttemptTimeoutRetried: an attempt cut by AttemptTimeout is a
+// TestAttemptTimeoutRetried: an attempt cut by attemptTimeout is a
 // transient fault while the call's budget is live. The first attempt
 // stalls, the second answers, and the call succeeds as one recovery.
 func TestAttemptTimeoutRetried(t *testing.T) {
@@ -252,11 +247,12 @@ func TestAttemptTimeoutRetried(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, func(cfg *Config) {
-		cfg.Retry.AttemptTimeout = 50 * time.Millisecond
-		cfg.Retry.Budget = 10 * time.Second
+	c := newTestClient(t, ts.URL, policy{
+		maxAttempts:    fastRetry.maxAttempts,
+		attemptTimeout: 50 * time.Millisecond,
+		budget:         10 * time.Second,
 	})
-	out, err := c.Decode(context.Background(), []byte("x"))
+	out, err := c.decode(context.Background(), []byte("x"))
 	if err != nil || string(out) != "answered" {
 		t.Fatalf("Decode = %q, %v; want the second attempt's answer", out, err)
 	}
@@ -275,9 +271,9 @@ func TestErrorClassTable(t *testing.T) {
 		want string
 	}{
 		{nil, ""},
-		{&HTTPError{Status: 429, Class: "overload"}, "http_overload"},
-		{&HTTPError{Status: 500}, "http_500"},
-		{fmt.Errorf("wrap: %w", &HTTPError{Status: 503}), "http_503"},
+		{&httpError{Status: 429, Class: "overload"}, "http_overload"},
+		{&httpError{Status: 500}, "http_500"},
+		{fmt.Errorf("wrap: %w", &httpError{Status: 503}), "http_503"},
 		{context.DeadlineExceeded, "deadline"},
 		{context.Canceled, "canceled"},
 		{io.ErrUnexpectedEOF, "eof"},
@@ -290,8 +286,8 @@ func TestErrorClassTable(t *testing.T) {
 		{errors.New("some novel failure"), "unclassified"},
 	}
 	for _, tc := range cases {
-		if got := ErrorClass(tc.err); got != tc.want {
-			t.Errorf("ErrorClass(%v) = %q, want %q", tc.err, got, tc.want)
+		if got := errorClass(tc.err); got != tc.want {
+			t.Errorf("errorClass(%v) = %q, want %q", tc.err, got, tc.want)
 		}
 	}
 }
@@ -320,10 +316,10 @@ func TestRetryAfterParsing(t *testing.T) {
 			}
 			http.Error(w, "no", http.StatusBadRequest) // non-retryable: one attempt
 		}))
-		c := newTestClient(t, ts.URL, nil)
-		_, err := c.Encode(context.Background(), "s", 8, []byte("x"))
+		c := newTestClient(t, ts.URL, fastRetry)
+		_, err := c.encode(context.Background(), "s", []byte("x"))
 		ts.Close()
-		var he *HTTPError
+		var he *httpError
 		if !errors.As(err, &he) {
 			t.Fatalf("Retry-After %q: %v", raw, err)
 		}
@@ -339,9 +335,9 @@ func TestRetryAfterParsing(t *testing.T) {
 		http.Error(w, "no", http.StatusBadRequest)
 	}))
 	defer ts.Close()
-	c := newTestClient(t, ts.URL, nil)
-	_, err := c.Encode(context.Background(), "s", 8, []byte("x"))
-	var he *HTTPError
+	c := newTestClient(t, ts.URL, fastRetry)
+	_, err := c.encode(context.Background(), "s", []byte("x"))
+	var he *httpError
 	if !errors.As(err, &he) {
 		t.Fatalf("future date: %v", err)
 	}
@@ -385,13 +381,13 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// TestNewValidation: bad configs are rejected, bare host:port gets a
-// scheme.
+// TestNewValidation: an empty address is rejected, bare host:port gets
+// a scheme.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("empty BaseURL accepted")
+	if _, err := newClient(" ", &http.Client{}, policy{}, 0); err == nil {
+		t.Fatal("empty address accepted")
 	}
-	c, err := New(Config{BaseURL: "localhost:9314"})
+	c, err := newClient("localhost:9314", &http.Client{}, policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestDupReplayDistribution(t *testing.T) {
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "200", "-c", "4", "-seed", "11",
-		"-mix", "0", "-dup-ratio", "0.8", "-corpus", "4", "-json",
+		"-mix", "0", "-dup-ratio", "0.8", "-corpus", "4",
 	}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, out.String())
@@ -111,7 +111,7 @@ func TestVerifyCatchesWrongBytes(t *testing.T) {
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "20", "-c", "2", "-seed", "3",
-		"-mix", "0", "-dup-ratio", "1", "-verify", "-json",
+		"-mix", "0", "-dup-ratio", "1", "-verify",
 	}, &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1: %s", code, out.String())
@@ -166,7 +166,7 @@ func TestVerifyPassesFaithfulDaemon(t *testing.T) {
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "30", "-c", "3", "-seed", "5",
-		"-mix", "0", "-dup-ratio", "0.9", "-verify", "-keepalive", "-json",
+		"-mix", "0", "-dup-ratio", "0.9", "-verify",
 	}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, out.String())

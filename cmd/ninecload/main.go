@@ -1,20 +1,19 @@
 // Command ninecload is the SLO harness for ninecd: it replays a mixed
 // encode/decode workload against a live daemon — optionally through
-// the seeded chaos proxy — using the retrying ninecdclient, then
-// asserts service-level objectives against both its own client-observed
-// numbers and the daemon's /metrics.
+// the seeded chaos proxy — under a seeded retry loop, then asserts
+// service-level objectives against both its own client-observed
+// numbers and the daemon's /metrics. It has two roles, and the report
+// is the same indented JSON in both:
 //
-// Usage:
+//	ninecload -addr HOST -chaos-reset 0.05 \
+//	          -chaos-latency 5ms -chaos-slowloris 0.05 # chaos SLO run
+//	ninecload -addr HOST -dup-ratio 0.95 -corpus 8 \
+//	          -verify -mix 0                           # duplicate-heavy cache replay
 //
-//	ninecload -addr localhost:9314 -n 200 -c 8        # plain load
-//	ninecload -addr HOST -chaos -chaos-reset 0.05 \
-//	          -chaos-latency 5ms -chaos-slowloris 0.05 # through chaos
-//	ninecload -slo-p99 2s -slo-success 0.99            # SLO gates
-//	ninecload -dup-ratio 0.95 -corpus 8 -verify \
-//	          -keepalive -mix 0                        # duplicate-heavy cache replay
-//	ninecload -profile -verify                         # tuned-codec replay: train
-//	                                                   # first, encode under the profile
-//	ninecload -json                                    # machine report
+// Any non-zero -chaos-* setting routes traffic through the proxy with
+// keep-alives off, so each request is its own connection and meets its
+// own seeded fault plan. Without chaos, connections are reused, so
+// transport cost does not mask the cache-hit path a replay measures.
 //
 // The workload is deterministic: -seed fixes the corpus, the
 // encode/decode mix per request, the client's backoff jitter, and every
@@ -40,12 +39,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batchenc"
-	"repro/internal/codecopt"
 	"repro/internal/container"
 	"repro/internal/core"
 	"repro/internal/inject"
-	"repro/internal/ninecdclient"
 	"repro/internal/obs"
 	"repro/internal/tcube"
 )
@@ -59,28 +55,16 @@ type options struct {
 	seed int64
 	mix  float64
 
-	k        int
 	patterns int
 	width    int
 	corpus   int
 
-	dupRatio  float64
-	keepalive bool
-	verify    bool
-	profile   bool
+	dupRatio float64
+	verify   bool
 
-	// profileID is the trained profile's content address, set by run()
-	// when -profile is on; every encode then carries it.
-	profileID string
-
-	chaos          bool
 	chaosLatency   time.Duration
-	chaosJitter    time.Duration
 	chaosReset     float64
 	chaosSlowloris float64
-	chaosBandwidth int
-	chaosTruncate  float64
-	chaosDuplicate float64
 
 	retries        int
 	budget         time.Duration
@@ -88,7 +72,12 @@ type options struct {
 
 	sloP99     time.Duration
 	sloSuccess float64
-	jsonOut    bool
+}
+
+// chaos reports whether any chaos setting is on, which routes traffic
+// through the proxy.
+func (o options) chaos() bool {
+	return o.chaosLatency > 0 || o.chaosReset > 0 || o.chaosSlowloris > 0
 }
 
 func realMain(args []string, out io.Writer) int {
@@ -99,33 +88,24 @@ func realMain(args []string, out io.Writer) int {
 	fs.IntVar(&o.c, "c", 8, "concurrent workers")
 	fs.Int64Var(&o.seed, "seed", 1, "seed for corpus, mix, jitter, and chaos")
 	fs.Float64Var(&o.mix, "mix", 0.5, "fraction of requests that decode (rest encode)")
-	fs.IntVar(&o.k, "k", 8, "block size K for the corpus")
 	fs.IntVar(&o.patterns, "patterns", 16, "patterns per corpus test set")
 	fs.IntVar(&o.width, "width", 64, "bits per corpus pattern")
 	fs.IntVar(&o.corpus, "corpus", 8, "distinct test sets in the replay corpus")
 	fs.Float64Var(&o.dupRatio, "dup-ratio", 0, "fraction of encodes replaying a corpus set (rest are unique cold sets; 0 = round-robin corpus replay)")
-	fs.BoolVar(&o.keepalive, "keepalive", false, "reuse HTTP connections (off by default so chaos plans stay per-request)")
 	fs.BoolVar(&o.verify, "verify", false, "assert corpus encode responses are byte-identical to a local reference encode")
-	fs.BoolVar(&o.profile, "profile", false, "train a tuned codec profile on the replay corpus first, then issue every encode under it (X-Codec-Profile replay; composes with -verify)")
-	fs.BoolVar(&o.chaos, "chaos", false, "route traffic through the seeded chaos proxy")
-	fs.DurationVar(&o.chaosLatency, "chaos-latency", 0, "added latency per connection direction")
-	fs.DurationVar(&o.chaosJitter, "chaos-jitter", 0, "seeded extra latency in [0, jitter)")
-	fs.Float64Var(&o.chaosReset, "chaos-reset", 0, "per-connection probability of a mid-body RST")
-	fs.Float64Var(&o.chaosSlowloris, "chaos-slowloris", 0, "per-connection probability of slow-loris dripping")
-	fs.IntVar(&o.chaosBandwidth, "chaos-bandwidth", 0, "per-direction bandwidth cap in bytes/s (0 = unlimited)")
-	fs.Float64Var(&o.chaosTruncate, "chaos-truncate", 0, "per-connection probability of a truncated body")
-	fs.Float64Var(&o.chaosDuplicate, "chaos-duplicate", 0, "per-connection probability of a duplicated write")
+	fs.DurationVar(&o.chaosLatency, "chaos-latency", 0, "added latency per connection direction (non-zero routes through the chaos proxy)")
+	fs.Float64Var(&o.chaosReset, "chaos-reset", 0, "per-connection probability of a mid-body RST (non-zero routes through the chaos proxy)")
+	fs.Float64Var(&o.chaosSlowloris, "chaos-slowloris", 0, "per-connection probability of slow-loris dripping (non-zero routes through the chaos proxy)")
 	fs.IntVar(&o.retries, "retries", 5, "max attempts per request")
 	fs.DurationVar(&o.budget, "budget", 10*time.Second, "overall retry budget per request")
 	fs.DurationVar(&o.attemptTimeout, "attempt-timeout", 2*time.Second, "per-attempt deadline")
 	fs.DurationVar(&o.sloP99, "slo-p99", 0, "client-observed p99 latency objective (0 = skip)")
 	fs.Float64Var(&o.sloSuccess, "slo-success", 0.99, "required success fraction after retries")
-	fs.BoolVar(&o.jsonOut, "json", false, "emit the report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if o.n <= 0 || o.c <= 0 || o.mix < 0 || o.mix > 1 {
-		fmt.Fprintln(os.Stderr, "ninecload: -n and -c must be positive, -mix in [0,1]")
+	if o.n <= 0 || o.c <= 0 || o.retries <= 0 || o.mix < 0 || o.mix > 1 {
+		fmt.Fprintln(os.Stderr, "ninecload: -n, -c and -retries must be positive, -mix in [0,1]")
 		return 2
 	}
 	if o.dupRatio < 0 || o.dupRatio > 1 || o.corpus <= 0 {
@@ -144,13 +124,9 @@ func realMain(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "ninecload:", err)
 		return 2
 	}
-	if o.jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-	} else {
-		rep.writeText(out)
-	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	enc.Encode(rep)
 	if len(rep.Violations) > 0 {
 		return 1
 	}
@@ -160,23 +136,19 @@ func realMain(args []string, out io.Writer) int {
 // run executes the workload and builds the report. Setup failures are
 // errors; SLO failures are violations on the report.
 func run(o options, reg *obs.Registry) (*report, error) {
-	texts, conts, err := buildCorpus(o.k, o.patterns, o.width, o.corpus, o.seed)
+	texts, conts, err := buildCorpus(o.patterns, o.width, o.corpus, o.seed)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 
 	target := strings.TrimPrefix(strings.TrimPrefix(o.addr, "http://"), "https://")
 	var proxy *inject.Proxy
-	if o.chaos {
+	if o.chaos() {
 		proxy, err = inject.NewProxy(target, inject.ProxyConfig{
 			Seed:          o.seed,
 			Latency:       o.chaosLatency,
-			Jitter:        o.chaosJitter,
-			BandwidthBPS:  o.chaosBandwidth,
 			ResetProb:     o.chaosReset,
 			SlowLorisProb: o.chaosSlowloris,
-			TruncateProb:  o.chaosTruncate,
-			DuplicateProb: o.chaosDuplicate,
 		})
 		if err != nil {
 			return nil, err
@@ -185,21 +157,16 @@ func run(o options, reg *obs.Registry) (*report, error) {
 		target = proxy.Addr()
 	}
 
-	c, err := ninecdclient.New(ninecdclient.Config{
-		BaseURL: target,
-		// Keep-alives off by default: each request gets its own proxied
-		// connection, so per-connection chaos plans are per-request
-		// plans. -keepalive turns reuse back on for throughput runs,
-		// where connection setup would otherwise dominate the cache-hit
-		// path being measured.
-		HTTPClient: &http.Client{Transport: &http.Transport{DisableKeepAlives: !o.keepalive}},
-		Retry: ninecdclient.Policy{
-			MaxAttempts:    o.retries,
-			AttemptTimeout: o.attemptTimeout,
-			Budget:         o.budget,
-		},
-		Seed: o.seed,
-	})
+	// Keep-alives off through chaos: each request gets its own proxied
+	// connection, so per-connection chaos plans are per-request plans.
+	// Without chaos, reuse keeps connection setup from dominating the
+	// cache-hit path a replay measures.
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: o.chaos()}}
+	c, err := newClient(target, hc, policy{
+		maxAttempts:    o.retries,
+		attemptTimeout: o.attemptTimeout,
+		budget:         o.budget,
+	}, o.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -208,35 +175,12 @@ func run(o options, reg *obs.Registry) (*report, error) {
 	// the harness blames chaos for connection failures.
 	probeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	direct, err := ninecdclient.New(ninecdclient.Config{BaseURL: o.addr})
+	direct, err := newClient(o.addr, &http.Client{}, policy{}, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := direct.Ready(probeCtx); err != nil {
+	if err := direct.ready(probeCtx); err != nil {
 		return nil, fmt.Errorf("daemon not ready at %s: %w", o.addr, err)
-	}
-
-	// Profile replay: train on the whole corpus before the clock
-	// starts (setup, not workload — and never through chaos, so a
-	// dropped connection cannot fail the run before it begins), then
-	// re-reference the corpus under the tuned profile so -verify and
-	// decode traffic exercise the tuned path end to end.
-	var trained *ninecdclient.TrainReport
-	if o.profile {
-		trainCtx, cancelTrain := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancelTrain()
-		trained, err = direct.Train(trainCtx, bytes.Join(texts, nil))
-		if err != nil {
-			return nil, fmt.Errorf("training profile: %w", err)
-		}
-		o.profileID = trained.ProfileID
-		prof, err := codecopt.ParseProfile([]byte(trained.Canonical))
-		if err != nil {
-			return nil, fmt.Errorf("train report profile: %w", err)
-		}
-		if conts, err = profiledCorpus(texts, &prof); err != nil {
-			return nil, fmt.Errorf("profiled corpus: %w", err)
-		}
 	}
 
 	// The workload: worker g serves request indices g, g+c, g+2c, ...
@@ -263,10 +207,6 @@ func run(o options, reg *obs.Registry) (*report, error) {
 	elapsed := time.Since(start)
 
 	rep := buildReport(o, samples, elapsed, reg)
-	if trained != nil {
-		rep.TrainedProfile = trained.ProfileID
-		rep.TrainUpliftPct = trained.UpliftPct
-	}
 	if proxy != nil {
 		st := proxy.Stats()
 		rep.Proxy = &st
@@ -276,7 +216,7 @@ func run(o options, reg *obs.Registry) (*report, error) {
 	// so chaos cannot corrupt the evidence.
 	scrapeCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	scrape, err := direct.Metrics(scrapeCtx)
+	scrape, err := direct.metrics(scrapeCtx)
 	if err != nil {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("daemon metrics scrape failed: %v", err))
 		return rep, nil
@@ -312,7 +252,7 @@ func run(o options, reg *obs.Registry) (*report, error) {
 // cache can have seen. Requests for corpus set j always carry the name
 // "corpus-j" — the name is stored in the container, so stable naming
 // is what makes replays byte-identical and therefore cacheable.
-func oneRequest(c *ninecdclient.Client, o options, texts, conts [][]byte, i int) sample {
+func oneRequest(c *client, o options, texts, conts [][]byte, i int) sample {
 	rng := rand.New(rand.NewSource(o.seed ^ int64(i)*0x5851F42D4C957F2D))
 	s := sample{op: "encode"}
 	if rng.Float64() < o.mix {
@@ -324,23 +264,22 @@ func oneRequest(c *ninecdclient.Client, o options, texts, conts [][]byte, i int)
 	var err error
 	switch s.op {
 	case "decode":
-		_, err = c.Decode(ctx, conts[i%len(conts)])
+		_, err = c.decode(ctx, conts[i%len(conts)])
 	default:
 		name, text, expected := pickEncode(o, texts, conts, rng, i)
-		var res *ninecdclient.EncodeResult
-		res, err = c.EncodeWith(ctx,
-			ninecdclient.EncodeOpts{Name: name, K: o.k, Profile: o.profileID}, text)
-		if err == nil && o.verify && expected != nil && !bytes.Equal(res.Container, expected) {
+		var cont []byte
+		cont, err = c.encode(ctx, name, text)
+		if err == nil && o.verify && expected != nil && !bytes.Equal(cont, expected) {
 			s.class = "verify_mismatch"
 			s.errMsg = fmt.Sprintf("%s: response differs from local reference encode (%d vs %d bytes)",
-				name, len(res.Container), len(expected))
+				name, len(cont), len(expected))
 			s.dur = time.Since(start)
 			return s
 		}
 	}
 	s.dur = time.Since(start)
 	if err != nil {
-		s.class = ninecdclient.ErrorClass(err)
+		s.class = errorClass(err)
 		s.errMsg = err.Error()
 	}
 	return s
@@ -365,35 +304,33 @@ func pickEncode(o options, texts, conts [][]byte, rng *rand.Rand, i int) (name s
 // same shape as the corpus, deterministic under -seed.
 func coldText(o options, i int) []byte {
 	rng := rand.New(rand.NewSource(o.seed ^ 0x436F6C64 ^ int64(i)*0x2545F4914F6CDD1D))
-	var b strings.Builder
-	for p := 0; p < o.patterns; p++ {
-		for j := 0; j < o.width; j++ {
-			b.WriteByte("01X"[rng.Intn(3)])
+	return setText(rng, o.patterns, o.width)
+}
+
+// setText draws a patterns × width 01X test set from rng, one pattern
+// per line.
+func setText(rng *rand.Rand, patterns, width int) []byte {
+	b := make([]byte, 0, patterns*(width+1))
+	for p := 0; p < patterns; p++ {
+		for j := 0; j < width; j++ {
+			b = append(b, "01X"[rng.Intn(3)])
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
+	return b
 }
 
 // buildCorpus generates `count` deterministic 01X test sets and their
 // locally encoded v4 containers, so decode traffic needs no network
 // round trip to set up.
-func buildCorpus(k, patterns, width, count int, seed int64) (texts, conts [][]byte, err error) {
-	cdc, err := core.New(k)
+func buildCorpus(patterns, width, count int, seed int64) (texts, conts [][]byte, err error) {
+	cdc, err := core.New(blockK)
 	if err != nil {
 		return nil, nil, err
 	}
 	for v := 0; v < count; v++ {
-		rng := rand.New(rand.NewSource(seed + int64(v)))
-		var b strings.Builder
-		for i := 0; i < patterns; i++ {
-			for j := 0; j < width; j++ {
-				b.WriteByte("01X"[rng.Intn(3)])
-			}
-			b.WriteByte('\n')
-		}
-		text := b.String()
-		set, err := tcube.Read(fmt.Sprintf("corpus-%d", v), strings.NewReader(text))
+		text := setText(rand.New(rand.NewSource(seed+int64(v))), patterns, width)
+		set, err := tcube.Read(fmt.Sprintf("corpus-%d", v), bytes.NewReader(text))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -406,30 +343,8 @@ func buildCorpus(k, patterns, width, count int, seed int64) (texts, conts [][]by
 		if err := container.WriteVersion(&buf, res, container.Magic4); err != nil {
 			return nil, nil, err
 		}
-		texts = append(texts, []byte(text))
+		texts = append(texts, text)
 		conts = append(conts, buf.Bytes())
 	}
 	return texts, conts, nil
-}
-
-// profiledCorpus re-encodes the corpus texts under a tuned profile
-// through the same kernel the daemon uses, so -profile -verify holds
-// daemon responses to a byte-identical local reference.
-func profiledCorpus(texts [][]byte, prof *codecopt.Profile) ([][]byte, error) {
-	enc := batchenc.New(batchenc.Config{})
-	conts := make([][]byte, 0, len(texts))
-	for v, text := range texts {
-		name := fmt.Sprintf("corpus-%d", v)
-		set, err := tcube.Read(name, bytes.NewReader(text))
-		if err != nil {
-			return nil, err
-		}
-		res, err := enc.Encode(context.Background(),
-			batchenc.Request{Set: set, Name: name, Profile: prof})
-		if err != nil {
-			return nil, err
-		}
-		conts = append(conts, res.Container)
-	}
-	return conts, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -82,7 +83,6 @@ func TestLoadRecoversFromFlakyDaemon(t *testing.T) {
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "60", "-c", "4", "-seed", "7",
 		"-retries", "5", "-budget", "5s", "-attempt-timeout", "2s",
-		"-json",
 	}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, report: %s", code, out.String())
@@ -114,7 +114,7 @@ func TestHardDownDaemonYieldsViolations(t *testing.T) {
 	}, 3)
 
 	var out bytes.Buffer
-	code := realMain([]string{"-addr", ts.URL, "-n", "10", "-c", "2", "-json"}, &out)
+	code := realMain([]string{"-addr", ts.URL, "-n", "10", "-c", "2"}, &out)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; report: %s", code, out.String())
 	}
@@ -149,10 +149,9 @@ func TestChaosPathRecovers(t *testing.T) {
 	var out bytes.Buffer
 	code := realMain([]string{
 		"-addr", ts.URL, "-n", "40", "-c", "4", "-seed", "11",
-		"-chaos", "-chaos-reset", "0.2", "-chaos-slowloris", "0.2",
+		"-chaos-reset", "0.2", "-chaos-slowloris", "0.2",
 		"-chaos-latency", "1ms",
 		"-retries", "6", "-budget", "10s",
-		"-json",
 	}, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, report: %s", code, out.String())
@@ -161,8 +160,10 @@ func TestChaosPathRecovers(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Proxy == nil || rep.Proxy.Conns == 0 {
-		t.Fatal("chaos run reported no proxied connections")
+	// Keep-alives are off through chaos: every request, retries
+	// included, is its own proxied connection and its own fault plan.
+	if rep.Proxy == nil || rep.Proxy.Conns < 40 {
+		t.Fatalf("chaos run proxied %+v, want a connection per request", rep.Proxy)
 	}
 	// The run must exercise the retry path it claims to test.
 	if rep.Proxy.Resets < 1 || rep.Retries < 1 {
@@ -189,9 +190,9 @@ func TestSetupFailureExitsTwo(t *testing.T) {
 	}
 }
 
-// TestTextReport: the human report names its sections and the SLO
-// verdict line.
-func TestTextReport(t *testing.T) {
+// TestDefaultReportIsJSON: with no output flag the report is the
+// indented JSON report, and it carries the SLO verdict.
+func TestDefaultReportIsJSON(t *testing.T) {
 	ts := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		io.WriteString(w, "ok")
@@ -200,10 +201,52 @@ func TestTextReport(t *testing.T) {
 	if code := realMain([]string{"-addr", ts.URL, "-n", "8", "-c", "2"}, &out); code != 0 {
 		t.Fatalf("exit %d: %s", code, out.String())
 	}
-	for _, want := range []string{"ninecload:", "latency", "goodput", "SLO: ok"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("report missing %q:\n%s", want, out.String())
+	var rep report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("default report not JSON: %v\n%s", err, out.String())
+	}
+	if rep.Requests != 8 || rep.Succeeded != 8 || len(rep.Violations) != 0 {
+		t.Fatalf("requests=%d succeeded=%d violations=%v, want 8/8/none", rep.Requests, rep.Succeeded, rep.Violations)
+	}
+	if !bytes.HasPrefix(out.Bytes(), []byte("{\n  \"requests\": 8,")) {
+		t.Fatalf("report not indented JSON:\n%s", out.String())
+	}
+}
+
+// TestConnectionsReusedWithoutChaos: with every chaos setting zero
+// the run goes straight to the daemon and reuses its connections.
+func TestConnectionsReusedWithoutChaos(t *testing.T) {
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/metrics" {
+			w.Header().Set("Content-Type", obs.PromContentType)
+			return
 		}
+		io.WriteString(w, "ok")
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	var out bytes.Buffer
+	if code := realMain([]string{"-addr", ts.URL, "-n", "40", "-c", "2"}, &out); code != 0 {
+		t.Fatalf("exit %d: %s", code, out.String())
+	}
+	var rep report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Proxy != nil {
+		t.Fatalf("no chaos setting, yet traffic went through the proxy: %+v", rep.Proxy)
+	}
+	// Two workers and the probe client: a handful of connections, not
+	// one per request.
+	if n := conns.Load(); n > 6 {
+		t.Fatalf("40 requests opened %d connections, want reuse", n)
 	}
 }
 

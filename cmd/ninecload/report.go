@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -59,12 +58,6 @@ type report struct {
 	// VerifyMismatches counts -verify failures: corpus encode responses
 	// that were not byte-identical to the local reference encode.
 	VerifyMismatches int64 `json:"verify_mismatches"`
-
-	// TrainedProfile/TrainUpliftPct record the -profile setup step: the
-	// profile every encode replayed under and its trained CR uplift
-	// over the fixed 9C code in percentage points.
-	TrainedProfile string  `json:"trained_profile,omitempty"`
-	TrainUpliftPct float64 `json:"train_uplift_pct,omitempty"`
 
 	Violations []string `json:"violations,omitempty"`
 }
@@ -158,50 +151,4 @@ func buildReport(o options, samples []sample, elapsed time.Duration, reg *obs.Re
 			fmt.Sprintf("slowest call %.1fms overran the %v retry budget", ms(slowest), o.budget))
 	}
 	return rep
-}
-
-func (r *report) writeText(w io.Writer) {
-	fmt.Fprintf(w, "ninecload: %d requests (%d encode / %d decode): %d ok, %d failed in %.1fms\n",
-		r.Requests, r.Encodes, r.Decodes, r.Succeeded, r.Failed, r.WallClockMs)
-	fmt.Fprintf(w, "  latency  p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n",
-		r.P50Ms, r.P95Ms, r.P99Ms, r.MaxMs)
-	fmt.Fprintf(w, "  goodput  %.1f req/s\n", r.GoodputRPS)
-	fmt.Fprintf(w, "  client   retries=%d recovered=%d budget_denied=%d\n",
-		r.Retries, r.Recovered, r.BudgetDenied)
-	if len(r.ByClass) > 0 {
-		fmt.Fprintf(w, "  errors  ")
-		classes := make([]string, 0, len(r.ByClass))
-		for c := range r.ByClass {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			fmt.Fprintf(w, " %s=%d", c, r.ByClass[c])
-		}
-		fmt.Fprintln(w)
-	}
-	if r.Proxy != nil {
-		fmt.Fprintf(w, "  chaos    conns=%d resets=%d slowloris=%d truncates=%d dups=%d\n",
-			r.Proxy.Conns, r.Proxy.Resets, r.Proxy.SlowLoris, r.Proxy.Truncates, r.Proxy.Duplicates)
-	}
-	fmt.Fprintf(w, "  daemon   panics=%d 5xx=%d\n", r.DaemonPanics, r.Daemon5xx)
-	if id := r.TrainedProfile; id != "" {
-		// The ID is whatever the daemon's /train reply carried, which
-		// may be shorter than the 12 characters shown.
-		if len(id) > 12 {
-			id = id[:12]
-		}
-		fmt.Fprintf(w, "  profile  %s uplift=%.2fpp\n", id, r.TrainUpliftPct)
-	}
-	if r.CacheHits+r.CacheMisses > 0 {
-		fmt.Fprintf(w, "  cache    hits=%d misses=%d coalesced=%d hit_ratio=%.3f\n",
-			r.CacheHits, r.CacheMisses, r.CacheCoalesced, r.CacheHitRatio)
-	}
-	if len(r.Violations) == 0 {
-		fmt.Fprintln(w, "SLO: ok")
-		return
-	}
-	for _, v := range r.Violations {
-		fmt.Fprintf(w, "SLO VIOLATION: %s\n", v)
-	}
 }

@@ -1,4 +1,4 @@
-package ninecdclient
+package main
 
 import (
 	"context"
@@ -14,7 +14,7 @@ import (
 // TestSoakRetryPath is the short -race soak of the client retry path
 // wired into `make resilience-soak`: many goroutines hammer a server
 // that fails ~35% of requests (503s, connection slams, stalls) through
-// one shared Client, its retry loop and seeded jitter stream under
+// one shared client, its retry loop and seeded jitter stream under
 // concurrent fire. The assertions are the resilience contract:
 //
 //   - every call either succeeds or fails with a classified error
@@ -52,15 +52,12 @@ func TestSoakRetryPath(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newTestClient(t, ts.URL, func(cfg *Config) {
-		cfg.Retry = Policy{
-			MaxAttempts:    6,
-			BaseDelay:      2 * time.Millisecond,
-			MaxDelay:       20 * time.Millisecond,
-			AttemptTimeout: 500 * time.Millisecond,
-			Budget:         budget,
-		}
+	c := newTestClient(t, ts.URL, policy{
+		maxAttempts:    6,
+		attemptTimeout: 500 * time.Millisecond,
+		budget:         budget,
 	})
+	c.retr.baseDelay, c.retr.maxDelay = 2*time.Millisecond, 20*time.Millisecond
 
 	var ok, failed, unclassified atomic.Int64
 	var wg sync.WaitGroup
@@ -72,9 +69,9 @@ func TestSoakRetryPath(t *testing.T) {
 				start := time.Now()
 				var err error
 				if i%2 == 0 {
-					_, err = c.Encode(context.Background(), "soak", 8, []byte("0101\n"))
+					_, err = c.encode(context.Background(), "soak", []byte("0101\n"))
 				} else {
-					_, err = c.Decode(context.Background(), []byte("container"))
+					_, err = c.decode(context.Background(), []byte("container"))
 				}
 				elapsed := time.Since(start)
 				if elapsed > budget+time.Second {
@@ -85,7 +82,7 @@ func TestSoakRetryPath(t *testing.T) {
 					continue
 				}
 				failed.Add(1)
-				if ErrorClass(err) == "unclassified" {
+				if errorClass(err) == "unclassified" {
 					unclassified.Add(1)
 					t.Errorf("unclassified soak failure: %v", err)
 				}

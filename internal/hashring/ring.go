@@ -54,9 +54,8 @@ func Hash(b []byte) uint64 { return HashTagged("", b) }
 // Hash(b).
 //
 // Every placement depends on this function, so a change to it moves
-// every key: an lb and a ring-aware ninecdclient built from different
-// versions disagree on placement, and backend caches re-warm once.
-// TestHashGolden pins it.
+// every key: across an lb upgrade that changed it, backend caches
+// re-warm once. TestHashGolden pins it.
 func HashTagged(tag string, b []byte) uint64 {
 	var crc uint32
 	if tag != "" {
@@ -75,9 +74,9 @@ func HashTagged(tag string, b []byte) uint64 {
 
 // vnodes is the virtual-node count per backend: enough that a
 // three-node ring splits the keyspace within a few percent of evenly.
-// It is a constant, not a setting, because the lb and every ring-aware
-// client must place keys alike; changing it moves keys and re-warms
-// every backend cache once. TestPlacementGolden pins it.
+// It is a constant, not a setting, because no measurement asked for
+// another value; changing it moves keys and re-warms every backend
+// cache once. TestPlacementGolden pins it.
 const vnodes = 64
 
 type point struct {
@@ -86,7 +85,7 @@ type point struct {
 }
 
 // Ring is a consistent-hash ring over a fixed node registration with
-// dynamic health. Safe for concurrent use; Pick is lock-shared.
+// dynamic health. Safe for concurrent use; PickN is lock-shared.
 type Ring struct {
 	mu     sync.RWMutex
 	nodes  []string // registration order, all nodes healthy or not
@@ -129,22 +128,6 @@ func (r *Ring) rebuild() {
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].h < r.points[j].h })
-}
-
-// Pick returns the healthy node owning hash h — the first ring point
-// clockwise from h, wrapping at the top. ok is false when no node is
-// healthy.
-func (r *Ring) Pick(h uint64) (node string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node, true
 }
 
 // PickN returns up to n distinct healthy nodes in ring order starting
@@ -209,11 +192,4 @@ func (r *Ring) Healthy() []string {
 		}
 	}
 	return out
-}
-
-// Nodes returns every registered node in registration order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.nodes...)
 }

@@ -34,10 +34,9 @@ func TestPickDeterministic(t *testing.T) {
 	r2 := mustRing(t, []string{"a", "b", "c"})
 	for i := 0; i < 1000; i++ {
 		h := Hash([]byte(fmt.Sprintf("key-%d", i)))
-		n1, ok1 := r1.Pick(h)
-		n2, ok2 := r2.Pick(h)
-		if !ok1 || !ok2 || n1 != n2 {
-			t.Fatalf("key %d: %q/%v vs %q/%v", i, n1, ok1, n2, ok2)
+		n1, n2 := r1.PickN(h, 1), r2.PickN(h, 1)
+		if len(n1) != 1 || len(n2) != 1 || n1[0] != n2[0] {
+			t.Fatalf("key %d: %q vs %q", i, n1, n2)
 		}
 	}
 }
@@ -52,11 +51,11 @@ func TestBalance(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := make([]byte, 16)
 		rng.Read(key)
-		node, ok := r.Pick(Hash(key))
-		if !ok {
+		node := r.PickN(Hash(key), 1)
+		if len(node) != 1 {
 			t.Fatal("no node")
 		}
-		counts[node]++
+		counts[node[0]]++
 	}
 	for node, c := range counts {
 		frac := float64(c) / n
@@ -76,17 +75,18 @@ func TestMinimalDisruption(t *testing.T) {
 	const n = 5000
 	before := make([]string, n)
 	for i := 0; i < n; i++ {
-		before[i], _ = r.Pick(Hash([]byte(fmt.Sprintf("key-%d", i))))
+		before[i] = r.PickN(Hash([]byte(fmt.Sprintf("key-%d", i))), 1)[0]
 	}
 	if !r.SetHealthy("b", false) {
 		t.Fatal("SetHealthy(b, false) reported no transition")
 	}
 	moved := 0
 	for i := 0; i < n; i++ {
-		after, ok := r.Pick(Hash([]byte(fmt.Sprintf("key-%d", i))))
-		if !ok {
+		owner := r.PickN(Hash([]byte(fmt.Sprintf("key-%d", i))), 1)
+		if len(owner) != 1 {
 			t.Fatal("no node after removal")
 		}
+		after := owner[0]
 		if after == "b" {
 			t.Fatal("unhealthy node still picked")
 		}
@@ -105,7 +105,7 @@ func TestMinimalDisruption(t *testing.T) {
 		t.Fatal("SetHealthy(b, true) reported no transition")
 	}
 	for i := 0; i < n; i++ {
-		after, _ := r.Pick(Hash([]byte(fmt.Sprintf("key-%d", i))))
+		after := r.PickN(Hash([]byte(fmt.Sprintf("key-%d", i))), 1)[0]
 		if after != before[i] {
 			t.Fatalf("key-%d did not return to %q after recovery (got %q)", i, before[i], after)
 		}
@@ -116,13 +116,13 @@ func TestPickNDistinctAndOrdered(t *testing.T) {
 	r := mustRing(t, []string{"a", "b", "c", "d"})
 	for i := 0; i < 200; i++ {
 		h := Hash([]byte(fmt.Sprintf("key-%d", i)))
-		owner, _ := r.Pick(h)
+		owner := r.PickN(h, 1)
 		got := r.PickN(h, 3)
 		if len(got) != 3 {
 			t.Fatalf("PickN returned %d nodes, want 3", len(got))
 		}
-		if got[0] != owner {
-			t.Fatalf("PickN[0] = %q, Pick = %q", got[0], owner)
+		if got[0] != owner[0] {
+			t.Fatalf("PickN(3)[0] = %q, PickN(1) = %q", got[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, n := range got {
@@ -149,10 +149,10 @@ func TestFailoverSuccession(t *testing.T) {
 			t.Fatal("short PickN")
 		}
 		r.SetHealthy(order[0], false)
-		inherited, ok := r.Pick(h)
+		inherited := r.PickN(h, 1)
 		r.SetHealthy(order[0], true)
-		if !ok || inherited != order[1] {
-			t.Fatalf("key-%d: with %q down, Pick = %q, want successor %q", i, order[0], inherited, order[1])
+		if len(inherited) != 1 || inherited[0] != order[1] {
+			t.Fatalf("key-%d: with %q down, PickN(1) = %q, want successor %q", i, order[0], inherited, order[1])
 		}
 	}
 }
@@ -161,8 +161,8 @@ func TestAllDown(t *testing.T) {
 	r := mustRing(t, []string{"a", "b"})
 	r.SetHealthy("a", false)
 	r.SetHealthy("b", false)
-	if _, ok := r.Pick(1); ok {
-		t.Fatal("Pick succeeded with every node down")
+	if got := r.PickN(1, 1); got != nil {
+		t.Fatalf("PickN(1) returned %v with every node down", got)
 	}
 	if got := r.PickN(1, 2); got != nil {
 		t.Fatalf("PickN returned %v with every node down", got)
@@ -189,9 +189,6 @@ func TestSetHealthyTransitions(t *testing.T) {
 	if got := r.Healthy(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("Healthy() = %v, want [b]", got)
 	}
-	if got := r.Nodes(); len(got) != 2 {
-		t.Fatalf("Nodes() = %v, want both", got)
-	}
 }
 
 // TestConcurrentPickAndHealth is a race-detector hammer: health flaps
@@ -204,7 +201,7 @@ func TestConcurrentPickAndHealth(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				r.Pick(Hash([]byte{byte(w), byte(i), byte(i >> 8)}))
+				r.PickN(Hash([]byte{byte(w), byte(i), byte(i >> 8)}), 1)
 				r.PickN(uint64(i)*2654435761, 2)
 			}
 		}(w)
@@ -236,13 +233,12 @@ func BenchmarkPick(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Pick(uint64(i) * 0x9E3779B97F4A7C15)
+		r.PickN(uint64(i)*0x9E3779B97F4A7C15, 1)
 	}
 }
 
-// TestHashGolden pins the ring key on fixed inputs. Every placement in
-// the fleet — the lb's and the ring-aware client's — is a function of
-// these values, so a change here moves every key and re-warms every
+// TestHashGolden pins the ring key on fixed inputs. Every placement the
+// lb makes is a function of these values, so a change here moves every key and re-warms every
 // backend cache once; it must be deliberate.
 func TestHashGolden(t *testing.T) {
 	profile := "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
@@ -272,8 +268,8 @@ func TestHashGolden(t *testing.T) {
 // TestPlacementGolden pins the failover order (owner, then successors)
 // of fixed keys on a three-node ring of backend URLs. Placement is a
 // function of Hash and the vnodes constant, so a failure here means
-// every key moved: the lb and ring-aware clients from another version
-// disagree, and every backend cache re-warms once. Changing either must
+// every key moved: an lb from another version places keys elsewhere,
+// and every backend cache re-warms once. Changing either must
 // be a deliberate edit of this table.
 func TestPlacementGolden(t *testing.T) {
 	r := mustRing(t, []string{"http://127.0.0.1:9314", "http://127.0.0.1:9315", "http://127.0.0.1:9316"})

@@ -17,54 +17,36 @@ import (
 type ProxyConfig struct {
 	// Seed determines every per-connection chaos decision.
 	Seed int64
-	// Latency is added once per direction before the first byte flows;
-	// Jitter adds a seeded uniform extra in [0, Jitter).
+	// Latency is added once per direction before the first byte flows.
 	Latency time.Duration
-	Jitter  time.Duration
-	// BandwidthBPS caps each direction's throughput in bytes/second
-	// (0 = unlimited).
-	BandwidthBPS int
 	// ResetProb hard-resets the connection (RST, not FIN) after a
 	// seeded number of downstream body bytes — the classic LB-restart
 	// failure a retrying client must absorb.
 	ResetProb float64
-	// SlowLorisProb drips the connection through tiny chunks with a
-	// per-chunk delay, modeling a pathologically slow peer.
+	// SlowLorisProb drips the connection through 64-byte chunks,
+	// slowLorisDelay apart, modeling a pathologically slow peer.
 	SlowLorisProb float64
-	// SlowLorisDelay is the per-chunk drip delay (default 2ms).
-	SlowLorisDelay time.Duration
-	// TruncateProb cleanly closes (FIN) the connection after a seeded
-	// number of downstream bytes — a truncated response body.
-	TruncateProb float64
-	// DuplicateProb duplicates one downstream write — bytes repeated on
-	// the wire, corrupting the stream past that point.
-	DuplicateProb float64
 }
+
+// slowLorisDelay is the pause after each dripped slow-loris chunk.
+const slowLorisDelay = 2 * time.Millisecond
 
 // ProxyStats counts what the proxy did, for reports and assertions.
 type ProxyStats struct {
-	Conns      int64 `json:"conns"`
-	Resets     int64 `json:"resets"`
-	SlowLoris  int64 `json:"slow_loris"`
-	Truncates  int64 `json:"truncates"`
-	Duplicates int64 `json:"duplicates"`
-	BytesUp    int64 `json:"bytes_up"`   // client -> target
-	BytesDown  int64 `json:"bytes_down"` // target -> client
+	Conns     int64 `json:"conns"`
+	Resets    int64 `json:"resets"`
+	SlowLoris int64 `json:"slow_loris"`
+	BytesUp   int64 `json:"bytes_up"`   // client -> target
+	BytesDown int64 `json:"bytes_down"` // target -> client
 }
 
 // connPlan is the seeded chaos verdict for one connection. All draws
 // happen up front in a fixed order so the plan for connection i under
 // seed s is stable regardless of traffic timing.
 type connPlan struct {
-	latency    time.Duration
-	reset      bool
-	resetAt    int64 // downstream byte offset
-	slow       bool
-	truncate   bool
-	truncAt    int64
-	duplicate  bool
-	dupAt      int64
-	chunkDelay time.Duration
+	reset   bool
+	resetAt int64 // downstream byte offset
+	slow    bool
 }
 
 // Proxy is a seeded, replayable TCP chaos proxy in front of one
@@ -83,15 +65,12 @@ type Proxy struct {
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 
-	nconns, resets, slow, truncs, dups, up, down atomic.Int64
+	nconns, resets, slow, up, down atomic.Int64
 }
 
 // NewProxy starts a chaos proxy on an ephemeral loopback port in
 // front of target ("host:port").
 func NewProxy(target string, cfg ProxyConfig) (*Proxy, error) {
-	if cfg.SlowLorisDelay <= 0 {
-		cfg.SlowLorisDelay = 2 * time.Millisecond
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("inject: proxy listen: %w", err)
@@ -108,13 +87,11 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // Stats snapshots the chaos counters.
 func (p *Proxy) Stats() ProxyStats {
 	return ProxyStats{
-		Conns:      p.nconns.Load(),
-		Resets:     p.resets.Load(),
-		SlowLoris:  p.slow.Load(),
-		Truncates:  p.truncs.Load(),
-		Duplicates: p.dups.Load(),
-		BytesUp:    p.up.Load(),
-		BytesDown:  p.down.Load(),
+		Conns:     p.nconns.Load(),
+		Resets:    p.resets.Load(),
+		SlowLoris: p.slow.Load(),
+		BytesUp:   p.up.Load(),
+		BytesDown: p.down.Load(),
 	}
 }
 
@@ -141,18 +118,9 @@ func (p *Proxy) plan(id int64) connPlan {
 	const mix = int64(-0x61c8864680b583eb) // golden-ratio mixer (0x9E37…15 as int64)
 	rng := rand.New(rand.NewSource(p.cfg.Seed ^ (id * mix)))
 	var cp connPlan
-	cp.latency = p.cfg.Latency
-	if p.cfg.Jitter > 0 {
-		cp.latency += time.Duration(rng.Int63n(int64(p.cfg.Jitter)))
-	}
 	cp.reset = rng.Float64() < p.cfg.ResetProb
 	cp.resetAt = rng.Int63n(4096)
 	cp.slow = rng.Float64() < p.cfg.SlowLorisProb
-	cp.truncate = rng.Float64() < p.cfg.TruncateProb
-	cp.truncAt = rng.Int63n(4096)
-	cp.duplicate = rng.Float64() < p.cfg.DuplicateProb
-	cp.dupAt = rng.Int63n(4096)
-	cp.chunkDelay = p.cfg.SlowLorisDelay
 	return cp
 }
 
@@ -217,30 +185,34 @@ func (p *Proxy) handle(client net.Conn, cp connPlan) {
 
 	var pumps sync.WaitGroup
 	pumps.Add(2)
-	// Upstream: client -> target. Latency, bandwidth, and slow-loris
-	// apply (a dripped upload is a slow-loris read from the daemon's
-	// point of view); the byte-offset faults target the downstream.
+	// Upstream: client -> target. Latency and slow-loris apply (a
+	// dripped upload is a slow-loris read from the daemon's point of
+	// view); the reset targets the downstream.
 	go func() {
 		defer pumps.Done()
-		p.pump(target, client, cp, &p.up, nil, sever)
+		p.pump(target, client, cp.slow, -1, &p.up, sever)
 	}()
 	// Downstream: target -> client. All faults apply.
+	resetAt := int64(-1)
+	if cp.reset {
+		resetAt = cp.resetAt
+	}
 	go func() {
 		defer pumps.Done()
-		p.pump(client, target, cp, &p.down, &cp, sever)
+		p.pump(client, target, cp.slow, resetAt, &p.down, sever)
 	}()
 	pumps.Wait()
 }
 
-// pump copies src to dst under the plan. faults == nil disables the
-// byte-offset faults (reset/truncate/duplicate) for this direction.
-func (p *Proxy) pump(dst, src net.Conn, cp connPlan, bytes *atomic.Int64, faults *connPlan, sever func(rst bool)) {
+// pump copies src to dst, dripping it when slow. resetAt >= 0 resets
+// the pair once that many bytes have flowed; -1 never resets.
+func (p *Proxy) pump(dst, src net.Conn, slow bool, resetAt int64, bytes *atomic.Int64, sever func(rst bool)) {
 	defer sever(false) // EOF or error on either side ends the pair
-	if cp.latency > 0 {
-		time.Sleep(cp.latency)
+	if p.cfg.Latency > 0 {
+		time.Sleep(p.cfg.Latency)
 	}
 	bufSize := 32 * 1024
-	if cp.slow {
+	if slow {
 		bufSize = 64 // drip in tiny chunks
 	}
 	buf := make([]byte, bufSize)
@@ -249,45 +221,22 @@ func (p *Proxy) pump(dst, src net.Conn, cp connPlan, bytes *atomic.Int64, faults
 		n, err := src.Read(buf)
 		if n > 0 {
 			chunk := buf[:n]
-			if faults != nil {
-				if faults.reset && offset+int64(n) >= faults.resetAt {
-					keep := faults.resetAt - offset
-					if keep > 0 {
-						dst.Write(chunk[:keep])
-						bytes.Add(keep)
-					}
-					p.resets.Add(1)
-					sever(true)
-					return
+			if resetAt >= 0 && offset+int64(n) >= resetAt {
+				if keep := resetAt - offset; keep > 0 {
+					dst.Write(chunk[:keep])
+					bytes.Add(keep)
 				}
-				if faults.truncate && offset+int64(n) >= faults.truncAt {
-					keep := faults.truncAt - offset
-					if keep > 0 {
-						dst.Write(chunk[:keep])
-						bytes.Add(keep)
-					}
-					p.truncs.Add(1)
-					sever(false)
-					return
-				}
+				p.resets.Add(1)
+				sever(true)
+				return
 			}
 			if _, werr := dst.Write(chunk); werr != nil {
 				return
 			}
 			bytes.Add(int64(n))
-			if faults != nil && faults.duplicate && offset <= faults.dupAt && faults.dupAt < offset+int64(n) {
-				if _, werr := dst.Write(chunk); werr != nil {
-					return
-				}
-				bytes.Add(int64(n))
-				p.dups.Add(1)
-			}
 			offset += int64(n)
-			if cp.slow {
-				time.Sleep(cp.chunkDelay)
-			}
-			if p.cfg.BandwidthBPS > 0 {
-				time.Sleep(time.Duration(float64(n) / float64(p.cfg.BandwidthBPS) * float64(time.Second)))
+			if slow {
+				time.Sleep(slowLorisDelay)
 			}
 		}
 		if err != nil {

@@ -74,17 +74,17 @@ cputicks() {
 }
 
 # The replay: encodes only (-mix 0), 97% duplicates over an 8-set
-# corpus of CPU-heavy 512x512 sets, keepalive so transport cost does
-# not mask the codec cost, -verify so every corpus response is checked
-# byte for byte against a local reference encode. Seeded: reruns replay
-# the exact same request sequence against both daemons.
+# corpus of CPU-heavy 512x512 sets, -verify so every corpus response is
+# checked byte for byte against a local reference encode. With no chaos
+# setting, ninecload reuses its connections, so transport cost does not
+# mask the codec cost. Seeded: reruns replay the exact same request
+# sequence against both daemons.
 n=800
 replay() {
 	"$tmp/ninecload" \
 		-addr "$1" -n $n -c 8 -seed 9414 \
 		-mix 0 -dup-ratio 0.97 -corpus 8 -patterns 512 -width 512 \
-		-keepalive -verify -slo-p99 30s -slo-success 0.999 \
-		-json
+		-verify -slo-p99 30s -slo-success 0.999
 }
 
 # field extracts a numeric field from the indented JSON report.
@@ -149,7 +149,7 @@ fi
 boot
 if ! "$tmp/ninecload" -addr "$addr" -n 64 -c 8 -seed 9414 \
 	-mix 0 -dup-ratio 0 -corpus 64 -patterns 64 -width 256 \
-	-keepalive -verify -slo-p99 30s -slo-success 0.999 -json >"$tmp/unique.json"; then
+	-verify -slo-p99 30s -slo-success 0.999 >"$tmp/unique.json"; then
 	echo "cache-smoke: unique replay reported SLO violations:" >&2
 	cat "$tmp/unique.json" >&2
 	exit 1

@@ -57,10 +57,9 @@ fi
 # ~5 KB of container.
 if ! "$tmp/ninecload" \
 	-addr "$addr" -n 120 -c 8 -seed 9314 -patterns 256 \
-	-chaos -chaos-latency 5ms -chaos-reset 0.05 -chaos-slowloris 0.05 \
+	-chaos-latency 5ms -chaos-reset 0.05 -chaos-slowloris 0.05 \
 	-retries 6 -budget 20s -attempt-timeout 5s \
-	-slo-p99 15s -slo-success 0.99 \
-	-json >"$tmp/report.json"; then
+	-slo-p99 15s -slo-success 0.99 >"$tmp/report.json"; then
 	echo "chaos-smoke: ninecload reported SLO violations:" >&2
 	cat "$tmp/report.json" >&2
 	cat "$tmp/log" >&2
